@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -230,20 +229,11 @@ def _required_checks_pass(sol, params, checks: dict) -> bool:
 
 
 def _report_payload(report) -> dict:
-    payload = {
-        "params": report.params.as_dict() if hasattr(report.params, "as_dict")
-        else asdict(report.params),
-        "region": report.region.value,
-        "multiplicity": report.multiplicity,
-        "notes": list(report.notes),
-        "solutions": [],
-    }
-    for sol in report.solutions:
+    payload = report.as_dict()
+    for sol, entry in zip(report.solutions, payload["solutions"]):
         checks = solution_checks(sol, report.params)
-        entry = sol.as_dict()
         entry["checks"] = checks
         entry["checks_passed"] = _required_checks_pass(sol, report.params, checks)
-        payload["solutions"].append(entry)
     return payload
 
 

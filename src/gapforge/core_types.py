@@ -164,8 +164,9 @@ class BogoliubovCoefficients:
 class PhaseLabel(str, Enum):
     """Which self-consistent branch a solution belongs to.
 
-    ``MIXED_LOWER`` / ``MIXED_UPPER`` order the emitted mixed solutions by
-    quasi-particle energy; ``TANGENT`` marks the degenerate double root at
+    ``MIXED_LOWER`` / ``MIXED_UPPER`` name the lower and upper root of the
+    pairing equation a mixed solution came from (the lone attractive-side
+    root counts as lower); ``TANGENT`` marks the degenerate double root at
     the bifurcation locus.
     """
 

@@ -38,18 +38,7 @@ from .errors import (
     NotConverged,
     ShellBelowZero,
 )
-from .thermal import ModeTable
-
-
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.empty_like(x)
-    if x.size == 1:
-        w[0] = 0.0
-        return w
-    w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    w[0] = 0.5 * (x[1] - x[0])
-    w[-1] = 0.5 * (x[-1] - x[-2])
-    return w
+from .thermal import ModeTable, _trapezoid_weights
 
 
 # --------------------------------------------------------------------------

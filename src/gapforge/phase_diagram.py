@@ -8,8 +8,8 @@ Two complementary views of where solutions live:
   two asymptotic windows is available), ``A-``/``B-`` on the attractive
   side, ``none`` where no mixed solution is possible.
 * :func:`multiplicity_class` counts actual roots of the pairing-energy
-  equation via the reduced tangency curve (repulsive side) or the exact
-  root finder (attractive side).
+  equation via the reduced tangency distance, with the same band as the
+  root finder (repulsive side), or the exact root finder (attractive side).
 
 The two are cross-checked by tests, not merged: the region map may
 over-approximate near its boundaries, so consistency is only asserted away
@@ -18,8 +18,9 @@ from them.
 Scans walk a row-major lattice over (lambda_b, lambda_m, mu, temperature) in
 that fixed axis order, solve every point independently, and emit one
 :class:`ScanRow` each.  Points that fail validation land in the row's
-``error`` column; a scan never aborts half-way.  Output order is
-deterministic regardless of the worker count (``GAPFORGE_THREADS``).
+``error`` column; a scan never aborts half-way.  Evaluation is serial, so
+output order is deterministic; ``GAPFORGE_THREADS`` is validated but has no
+effect.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import IO, Iterable, Mapping
@@ -37,7 +37,13 @@ import numpy as np
 
 from .core_types import ModelParams, PhaseLabel, to_reduced
 from .errors import ConfigError, DomainError, GapEquationError, ZeroTemperature
-from .scalar_gap import equilibrium_mu, pairing_energy_roots, solve_all
+from .scalar_gap import (
+    TANGENCY_BAND,
+    equilibrium_mu,
+    pairing_energy_roots,
+    solve_all,
+    tangency_distance,
+)
 
 _AXES = ("lambda_b", "lambda_m", "mu", "temperature")
 
@@ -103,11 +109,13 @@ def multiplicity_class(params: ModelParams) -> MultiplicityClass:
     """Root count of the pairing-energy equation as a three-way class.
 
     Repulsive side: the reduced equation ``x = lb tanh(x - mb)`` has two
-    roots strictly below the tangency curve ``mb = mb_e(lb)``, one exactly
-    on it, none above; ``lb <= 1`` (temperature at or past lambda_b / 2)
-    never has any.  ``mu = 0`` degenerates to a single root.  Attractive
-    side: delegated to the exact root finder, which returns at most one.
-    Positive temperature required: the reduced variables live at T > 0.
+    roots below the tangency curve ``mb = mb_e(lb)``, one on it and none
+    above, where "on it" is the band ``|tangency_distance| <= TANGENCY_BAND``
+    that :func:`~gapforge.scalar_gap.solve_all` uses too; ``lb <= 1``
+    (temperature at or past lambda_b / 2) never has any.  ``mu = 0``
+    degenerates to a single root.  Attractive side: delegated to the exact
+    root finder, which returns at most one.  Positive temperature required:
+    the reduced variables live at T > 0.
     """
     if params.is_zero_temperature:
         raise ZeroTemperature("multiplicity classes are defined at T > 0")
@@ -116,17 +124,13 @@ def multiplicity_class(params: ModelParams) -> MultiplicityClass:
     if params.lambda_b < 0.0:
         roots = pairing_energy_roots(params)
         return MultiplicityClass.UNIQUE if roots else MultiplicityClass.NO_SOLUTION
-    if math.isinf(params.temperature):
-        return MultiplicityClass.NO_SOLUTION
     red = to_reduced(params)
     if red.lambda_b_bar <= 1.0:
         return MultiplicityClass.NO_SOLUTION
-    if red.mu_bar == 0.0:
+    distance = tangency_distance(red.lambda_b_bar, red.mu_bar)
+    if red.mu_bar == 0.0 or abs(distance) <= TANGENCY_BAND:
         return MultiplicityClass.UNIQUE
-    mu_e, _ = equilibrium_mu(red.lambda_b_bar)
-    if abs(red.mu_bar - mu_e) <= 1e-9:
-        return MultiplicityClass.UNIQUE
-    if red.mu_bar < mu_e:
+    if distance < 0.0:
         return MultiplicityClass.TWO
     return MultiplicityClass.NO_SOLUTION
 
@@ -207,8 +211,10 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
     ``ranges`` maps axis names to ``(lo, hi, steps)`` triples sampled with
     ``numpy.linspace``; ``fixed`` pins the remaining axes.  Axis order in
     the output is always lambda_b, then lambda_m, then mu, then temperature
-    — independent of mapping order.  Parallel evaluation (capped by the
-    GAPFORGE_THREADS environment variable) preserves that order.
+    — independent of mapping order.  Points are evaluated serially: the
+    solver holds the GIL, so threads cannot speed it up.  The
+    GAPFORGE_THREADS environment variable is still validated (a bad value
+    raises :class:`ConfigError`) but changes nothing.
     """
     overlap = set(ranges) & set(fixed)
     if overlap:
@@ -234,11 +240,8 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
 
     points = [(lb, lm, mu, T)
               for lb in axes[0] for lm in axes[1] for mu in axes[2] for T in axes[3]]
-    workers = _worker_count()
-    if workers == 1:
-        return [_evaluate_point(*pt, tol) for pt in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda pt: _evaluate_point(*pt, tol), points))
+    _worker_count()  # validated for compatibility; evaluation is serial
+    return [_evaluate_point(*pt, tol) for pt in points]
 
 
 def equilibrium_curve(lo: float, hi: float,

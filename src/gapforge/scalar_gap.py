@@ -13,21 +13,24 @@ quasi-particle energy ``w_bar``:
 Everything here works in the reduced variable ``x = beta*w_bar/2`` where the
 pairing equation reads ``x = lb*tanh(x - mb)`` with ``lb = beta*lambda_b/2``,
 ``mb = beta*mu/2``.  For ``lambda_b > 0`` the defect ``f(x) = x - lb*tanh(x - mb)``
-is strictly convex on the search window ``(mb, lb]`` with its minimum at
-``x_min = mb + arccosh(sqrt(lb))``; the minimum value equals ``mb - mb_e``
-where ``mb_e`` is the equilibrium (tangency) chemical potential of
-:func:`equilibrium_mu`.  Root multiplicity therefore flips exactly on that
-curve: two roots strictly below it, a single degenerate root on it, none
-above.  For ``lambda_b < 0`` the defect is strictly increasing and there is
-exactly one root in ``(0, min(mb, |lb|))`` whenever ``mu > 0``.
+is strictly convex on ``(mb, lb]`` with its minimum at
+``x_min = mb + arccosh(sqrt(lb))``; the minimum value equals the
+:func:`tangency_distance` ``mb - mb_e``, where ``mb_e`` is the equilibrium
+(tangency) chemical potential of :func:`equilibrium_mu`.  Since
+``f(mb) = mb >= 0`` and ``f(lb) > 0``, the sign of that distance gives the
+root count and the brackets: below the curve one root in ``[mb, x_min]``
+(the lower branch, absent at ``mb = 0`` where it is the trivial node) and
+one in ``[x_min, lb]`` (the upper branch); within :data:`TANGENCY_BAND` of
+the curve the single degenerate root ``x_min``; above it none.  For
+``lambda_b < 0`` the defect is strictly increasing and there is exactly one
+root in ``(0, min(mb, |lb|))`` whenever ``mu > 0``.  Every bracket is
+polished by the same bisection, which ends on adjacent doubles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+import struct
 
 from .core_types import (
     BogoliubovCoefficients,
@@ -50,133 +53,85 @@ from .errors import (
 )
 from .thermal import bogoliubov_from_gaps
 
-_SCAN_POINTS = 513  # initial bracketing grid: 512 subdivisions
+# Half-width, in reduced units, of the band around the tangency curve inside
+# which the two repulsive roots count as one degenerate root.
+TANGENCY_BAND = 1e-5
+
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
+_SIGN_BIT = 1 << 63
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """A sign-change interval for the reduced pairing defect."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError("bracket endpoints must satisfy lo < hi")
-        if self.f_lo * self.f_hi > 0.0:
-            raise ValueError("bracket must straddle a sign change")
+def _order_key(x: float) -> int:
+    """An integer that orders like ``x``: its bit pattern, negated if ``x < 0``."""
+    bits = _U64.unpack(_F64.pack(x))[0]
+    return bits if bits < _SIGN_BIT else _SIGN_BIT - bits
 
 
-def _defect(x: float, lb: float, mb: float) -> float:
-    return x - lb * math.tanh(x - mb)
+def _from_key(key: int) -> float:
+    return _F64.unpack(_U64.pack(key if key >= 0 else _SIGN_BIT - key))[0]
 
 
-def _defect_prime(x: float, lb: float, mb: float) -> float:
-    t = math.tanh(x - mb)
-    return 1.0 - lb * (1.0 - t * t)
+def _bracketed_root(f, lo: float, hi: float) -> float:
+    """The root of a function rising through zero on ``[lo, hi]``.
 
-
-def _bisect(lb: float, mb: float, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Bisection to |hi - lo| < 1e-12 absolute, then one guarded Newton polish."""
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            break
-        f_mid = _defect(mid, lb, mb)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    x = 0.5 * (lo + hi)
-    fp = _defect_prime(x, lb, mb)
-    if abs(fp) > 1e-8:
-        x_new = x - _defect(x, lb, mb) / fp
-        if lo - 1e-9 <= x_new <= hi + 1e-9:
-            x = x_new
-    return x
-
-
-def _reduced_pairing_roots(lb: float, mb: float, tol: float) -> tuple[list[float], bool]:
-    """All roots x > max(0, mb)·side of x = lb*tanh(x - mb); tangency flagged.
-
-    Returns (sorted roots, is_tangent).  The tangent flag is set when no sign
-    change exists but the convex minimum of the defect lies within
-    ``sqrt(tol)`` of zero, in which case the analytic minimum itself is
-    emitted as the (double) root.
+    ``f`` must be negative below the root and non-negative from it up to
+    ``hi``; ``f(lo)`` is never evaluated, so a bracket end known to be
+    negative only analytically still works.  Returns the smallest double
+    in ``(lo, hi]`` where ``f >= 0``.  The bisection halves the doubles'
+    order keys rather than their values, so it ends within 64 steps
+    whatever the magnitudes, one unit in the last place from the root even
+    next to a tiny or huge bracket end.
     """
-    if lb > 0.0:
-        if lb <= 1.0:
-            # slope bound: lb*tanh(x - mb) < x for all x > 0 when lb <= 1, mb >= 0
-            return [], False
-        lo_edge, hi_edge = mb, lb
-        grid = np.linspace(lo_edge, hi_edge, _SCAN_POINTS)
-        vals = grid - lb * np.tanh(grid - mb)
-        roots: list[float] = []
-        for i in range(len(grid) - 1):
-            a, b = float(vals[i]), float(vals[i + 1])
-            if b == 0.0:
-                roots.append(float(grid[i + 1]))
-            elif a == 0.0:
-                if i > 0:  # x = mb itself is outside the open domain
-                    roots.append(float(grid[i]))
-            elif (a < 0.0) != (b < 0.0):
-                roots.append(_bisect(lb, mb, float(grid[i]), float(grid[i + 1]), a, b))
-        roots = _dedupe(roots)
-
-        theta = math.acosh(math.sqrt(lb))
-        x_min = mb + theta
-        tangent = False
-        if not roots:
-            f_min = _defect(x_min, lb, mb)
-            band = math.sqrt(tol)
-            if abs(f_min) <= band:
-                roots = [x_min]
-                tangent = True
-            elif f_min < 0.0:
-                # near-tangent pair narrower than the scan grid: bracket both
-                # sides of the analytic minimum
-                if mb > 0.0:
-                    roots.append(_bisect(lb, mb, mb, x_min, mb, f_min))
-                roots.append(_bisect(lb, mb, x_min, hi_edge, f_min,
-                                     _defect(hi_edge, lb, mb)))
-        elif len(roots) == 1 and mb > 0.0:
-            # companion-root rescue: convexity gives roots in pairs for mb > 0
-            f_min = _defect(x_min, lb, mb)
-            if f_min < 0.0:
-                known = roots[0]
-                if known > x_min and _defect(mb, lb, mb) > 0.0:
-                    roots.append(_bisect(lb, mb, mb, x_min, mb, f_min))
-                elif known < x_min:
-                    roots.append(_bisect(lb, mb, x_min, hi_edge, f_min,
-                                         _defect(hi_edge, lb, mb)))
-                roots = _dedupe(roots)
-        return sorted(roots), tangent
-
-    # attractive-side pairing channel: single root below the Fermi surface
-    if mb <= 0.0:
-        return [], False
-    hi_edge = min(mb, -lb)
-    f_lo = _defect(0.0, lb, mb)           # = lb*tanh(mb) < 0
-    f_hi = _defect(hi_edge, lb, mb)       # > 0 always
-    if f_lo >= 0.0:
-        return [], False
-    return [_bisect(lb, mb, 0.0, hi_edge, f_lo, f_hi)], False
+    a, b = _order_key(lo), _order_key(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if f(_from_key(mid)) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return _from_key(b)
 
 
-def _dedupe(xs: list[float], spacing: float = 1e-9) -> list[float]:
-    out: list[float] = []
-    for x in sorted(xs):
-        if not out or x - out[-1] > spacing * max(1.0, abs(x)):
-            out.append(x)
-    return out
+def tangency_distance(lambda_b_bar: float, mu_bar: float) -> float:
+    """Reduced distance ``mb - mb_e(lb)`` from the tangency curve, ``lb >= 1``.
+
+    It equals the minimum of the convex pairing defect, so it is negative
+    below the curve (two roots), zero on it and positive above it (none).
+    :func:`solve_all` and :func:`~gapforge.phase_diagram.multiplicity_class`
+    both treat ``|distance| <= TANGENCY_BAND`` as the single tangent root.
+    """
+    return mu_bar - equilibrium_mu(lambda_b_bar)[0]
 
 
-def _mixed_roots(params: ModelParams, tol: float) -> tuple[list[float], bool]:
-    """Physical quasi-particle energies solving the pairing equation."""
+def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel]]:
+    """Roots ``x > 0`` of ``x = lb*tanh(x - mb)``, ascending, each with its branch."""
+    def f(x: float) -> float:
+        return x - lb * math.tanh(x - mb)
+
+    if lb < 0.0:
+        if mb == 0.0:
+            return []
+        return [(_bracketed_root(f, 0.0, min(mb, -lb)), PhaseLabel.MIXED_LOWER)]
+    if lb <= 1.0:
+        # slope bound: lb*tanh(x - mb) < x for all x > 0 when lb <= 1, mb >= 0
+        return []
+    distance = tangency_distance(lb, mb)
+    x_min = mb + math.asinh(math.sqrt(lb - 1.0))  # = mb + arccosh(sqrt(lb))
+    if abs(distance) <= TANGENCY_BAND:
+        return [(x_min, PhaseLabel.TANGENT)]
+    if not distance < 0.0:  # above the curve; NaN once lb overflows
+        return []
+    upper = (_bracketed_root(f, x_min, lb), PhaseLabel.MIXED_UPPER)
+    if mb == 0.0:
+        return [upper]  # the lower bracket holds only the trivial node x = 0
+    # f falls through the lower root, so the kernel gets -f
+    return [(_bracketed_root(lambda x: -f(x), mb, x_min), PhaseLabel.MIXED_LOWER),
+            upper]
+
+
+def _mixed_roots(params: ModelParams) -> list[tuple[float, PhaseLabel]]:
+    """Physical quasi-particle energies solving the pairing equation, labelled."""
     if params.lambda_b == 0.0:
         raise ZeroCoupling(
             "lambda_b = 0 forces a vanishing quasi-particle energy; "
@@ -184,38 +139,37 @@ def _mixed_roots(params: ModelParams, tol: float) -> tuple[list[float], bool]:
         )
     beta = params.beta
     if beta == 0.0:
-        return [], False  # tanh term vanishes identically: no positive root
+        return []  # tanh term vanishes identically: no positive root
     if math.isinf(beta):
-        # step-function limit of the tanh factor
+        # step-function limit of the tanh factor; each root is the T -> 0+
+        # limit of the same branch
         lb, mu = params.lambda_b, params.mu
         if lb > 0.0 and lb > mu:
-            return [lb], False
+            return [(lb, PhaseLabel.MIXED_UPPER)]
         if lb < 0.0 and -lb < mu:
-            return [-lb], False
-        return [], False
+            return [(-lb, PhaseLabel.MIXED_LOWER)]
+        return []
     red = to_reduced(params)
-    xs, tangent = _reduced_pairing_roots(red.lambda_b_bar, red.mu_bar, tol)
     two_t = 2.0 * params.temperature
     # w = 0 is the trivial node (it always solves the equation at mu = 0 but
     # carries no pairing); a root that underflows to it is dropped
-    return [two_t * x for x in xs if two_t * x > 0.0], tangent
+    return [(two_t * x, phase)
+            for x, phase in _reduced_pairing_roots(red.lambda_b_bar, red.mu_bar)
+            if two_t * x > 0.0]
 
 
-def pairing_energy_roots(params: ModelParams, tol: float = 1e-10) -> list[float]:
+def pairing_energy_roots(params: ModelParams) -> list[float]:
     """All positive quasi-particle energies satisfying the pairing equation.
 
-    Sorted ascending.  For ``lambda_b > 0`` there are 0, 1 (degenerate
-    tangency) or 2 of them; for ``lambda_b < 0`` at most one.  Each returned
-    ``w`` satisfies ``|w - lambda_b*tanh(beta*(w - mu)/2)| < tol*max(1, |lambda_b|)``,
-    except for a tangency root whose defect is only bounded by ``sqrt(tol)``
-    in reduced units (the double root is reported rather than silently
-    dropped).
+    Sorted ascending.  For ``lambda_b > 0`` there are 0, 1 (at ``mu = 0``,
+    or on the tangency band) or 2 of them; for ``lambda_b < 0`` at most one.
+    Each root is the sign change of the reduced defect to adjacent doubles,
+    except the tangent root, which is the defect's minimum ``x_min`` and so
+    leaves a reduced defect of at most :data:`TANGENCY_BAND`.
 
     Raises :class:`ZeroCoupling` for ``lambda_b == 0``.
     """
-    params = validate(params)
-    roots, _ = _mixed_roots(params, tol)
-    return roots
+    return [w for w, _ in _mixed_roots(validate(params))]
 
 
 def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
@@ -275,14 +229,15 @@ def recover_delta_b(w_bar: float, delta_m: float, params: ModelParams,
     return scale * math.sqrt(max(radicand, 0.0))
 
 
-def pure_mean_field(params: ModelParams, tol: float = 1e-10) -> float:
+def pure_mean_field(params: ModelParams) -> float:
     """The mean-field-only gap, the unique root of d*(1 + e^(beta*d)) = 2*lambda_m.
 
     Exists for every parameter set.  The left side is strictly increasing in
-    ``d``, so bisection on ``[-2|lambda_m|, 2|lambda_m|]`` is safe.  The
-    chemical potential cancels from this branch entirely.  Exact limits:
-    ``lambda_m`` at infinite temperature; ``0`` (from above) for
-    ``lambda_m > 0`` and ``2*lambda_m`` for ``lambda_m < 0`` at T = 0.
+    ``d``, so the bracket ``[-2|lambda_m|, 2|lambda_m|]`` holds exactly one
+    root, polished to adjacent doubles.  The chemical potential cancels from
+    this branch entirely.  Exact limits: ``lambda_m`` at infinite
+    temperature; ``0`` (from above) for ``lambda_m > 0`` and ``2*lambda_m``
+    for ``lambda_m < 0`` at T = 0.
     """
     params = validate(params)
     lm = params.lambda_m
@@ -295,33 +250,13 @@ def pure_mean_field(params: ModelParams, tol: float = 1e-10) -> float:
         return 0.0 if lm > 0.0 else 2.0 * lm
 
     def g(d: float) -> float:
-        z = min(beta * d, 700.0)
-        return d * (1.0 + math.exp(z)) - 2.0 * lm
+        return d * (1.0 + math.exp(min(beta * d, 700.0))) - 2.0 * lm
 
-    lo, hi = -2.0 * abs(lm), 2.0 * abs(lm)
-    g_lo, g_hi = g(lo), g(hi)
-    # an endpoint defect that rounds to zero IS the root in float arithmetic;
-    # letting it into the loop would collapse the bracket to the wrong side
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol * max(1.0, abs(lm)) * 1e-4 or hi - lo < 5e-16 * abs(lm):
-            break
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_lo < 0.0) == (g_mid < 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    return 0.5 * (lo + hi)
+    return _bracketed_root(g, -2.0 * abs(lm), 2.0 * abs(lm))
 
 
-def _pure_solution(params: ModelParams, tol: float) -> GapSolution:
-    dm = pure_mean_field(params, tol)
+def _pure_solution(params: ModelParams) -> GapSolution:
+    dm = pure_mean_field(params)
     w = params.mu + dm  # signed effective energy on the pairing-free branch
     residual = abs(dm - 2.0 * params.lambda_m * fermi(dm, params.beta))
     residual /= max(1.0, abs(params.lambda_m))
@@ -362,20 +297,26 @@ def solve_all(params: ModelParams, tol: float = 1e-10,
     rather than an error.  With ``require_nonneg_effective_energy`` the
     optional restriction ``mu + delta_m >= 0`` (equivalently
     ``|c| >= sqrt(2)/2``) is enforced as an additional admissibility filter.
+    ``tol`` is the rounding allowance of that admissibility test
+    (:func:`recover_delta_b`); root finding and the tangency band do not
+    depend on it.
+
+    A mixed solution's label names the bracket its root came from:
+    ``mixed_upper`` for ``[x_min, lb]``, ``mixed_lower`` for ``[mb, x_min]``
+    and for the attractive root, ``tangent`` on the band.  The T = 0 roots
+    carry the label of their T -> 0+ limit.
     """
     params = validate(params)
     notes: list[str] = []
-    solutions: list[GapSolution] = [_pure_solution(params, tol)]
+    solutions: list[GapSolution] = [_pure_solution(params)]
 
     try:
-        roots, tangent = _mixed_roots(params, tol)
+        roots = _mixed_roots(params)
     except ZeroCoupling:
-        roots, tangent = [], False
+        roots = []
         notes.append("pairing channel inactive (lambda_b = 0): no mixed branch")
 
-    roots = sorted(roots)
-    mixed: list[tuple[int, GapSolution]] = []
-    for branch, w in enumerate(roots):
+    for w, phase in roots:
         try:
             dm = mean_field_gap_given_w(w, params)
         except (SingularDenominator, ConstraintViolation) as exc:
@@ -400,39 +341,23 @@ def solve_all(params: ModelParams, tol: float = 1e-10,
             notes.append(
                 f"root w_bar = {w:.9g} dropped: degenerate zero-energy scale")
             continue
-        mixed.append((branch, GapSolution(
+        solutions.append(GapSolution(
             delta_m=dm,
             delta_b=db,
             w_bar=w,
             coeffs=coeffs,
-            phase=PhaseLabel.MIXED_LOWER,  # provisional; relabelled below
+            phase=phase,
             residual=_mixed_residual(w, dm, db, params),
             delta_b_sign_ambiguous=db > 0.0,
-        )))
-
-    # Branch labels follow the position among *all* pairing roots, so the
-    # survivor of a filtered pair keeps its upper/lower identity.
-    labelled: list[GapSolution] = []
-    for branch, sol in mixed:
-        if tangent:
-            phase = PhaseLabel.TANGENT
-        elif len(roots) == 2 and branch == 1:
-            phase = PhaseLabel.MIXED_UPPER
-        else:
-            phase = PhaseLabel.MIXED_LOWER
-        labelled.append(GapSolution(
-            delta_m=sol.delta_m, delta_b=sol.delta_b, w_bar=sol.w_bar,
-            coeffs=sol.coeffs, phase=phase, residual=sol.residual,
-            delta_b_sign_ambiguous=sol.delta_b_sign_ambiguous,
         ))
 
     from .phase_diagram import classify_region  # deferred: avoids module cycle
 
     return SolveReport(
         params=params,
-        solutions=tuple(solutions + labelled),
+        solutions=tuple(solutions),
         region=classify_region(params),
-        multiplicity=len(labelled),
+        multiplicity=len(solutions) - 1,
         notes=tuple(notes),
     )
 
@@ -443,15 +368,17 @@ def equilibrium_mu(lambda_b_bar: float) -> tuple[float, float]:
     For ``lb = lambda_b_bar >= 1`` returns ``(mu_e_bar, x_e)`` where
     ``mu_e_bar = lb*tanh(theta) - theta`` with ``theta = arccosh(sqrt(lb))``,
     and ``x_e = lb*tanh(theta)`` is the degenerate root location.  At
-    ``mu_bar = mu_e_bar`` the root finder returns exactly the single tangent
-    root ``x_e``; two roots exist strictly below the curve, none above.
+    ``mu_bar = mu_e_bar`` (and within ``TANGENCY_BAND`` of it) the root
+    finder returns the single tangent root ``x_e``; two roots exist below
+    the curve, none above.
     """
     lb = float(lambda_b_bar)
     if lb < 1.0:
         raise DomainError(
             f"equilibrium curve needs lambda_b_bar >= 1, got {lb!r}"
         )
-    theta = math.acosh(math.sqrt(lb))
+    # arccosh(sqrt(lb)), without the rounding of sqrt(lb) to 1 near lb = 1
+    theta = math.asinh(math.sqrt(lb - 1.0))
     x_e = lb * math.tanh(theta)
     return x_e - theta, x_e
 

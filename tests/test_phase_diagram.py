@@ -142,6 +142,37 @@ def test_multiplicity_class_counts_actual_roots(lb, mu, temperature):
     assert multiplicity_class(params) is expected
 
 
+@given(
+    lb=st.floats(-8.0, 8.0),
+    mu=st.floats(0.0, 5.0),
+    temperature=st.floats(1e-3, 5.0),
+)
+def test_multiplicity_class_matches_the_root_count_everywhere(lb, mu, temperature):
+    assume(lb != 0.0)
+    params = _params(lb, 0.0, mu, temperature)
+    count = len(pairing_energy_roots(params))
+    assert multiplicity_class(params) is [MultiplicityClass.NO_SOLUTION,
+                                          MultiplicityClass.UNIQUE,
+                                          MultiplicityClass.TWO][count]
+
+
+@given(
+    lb_bar=st.floats(1.0, 30.0),
+    offset=st.floats(-3e-5, 3e-5),
+    temperature=st.floats(1e-3, 5.0),
+)
+def test_multiplicity_class_matches_the_root_count_on_the_tangency_band(
+        lb_bar, offset, temperature):
+    mu_bar = equilibrium_mu(lb_bar)[0] + offset
+    assume(mu_bar >= 0.0)
+    params = _params(2 * temperature * lb_bar, 0.0, 2 * temperature * mu_bar,
+                     temperature)
+    count = len(pairing_energy_roots(params))
+    assert multiplicity_class(params) is [MultiplicityClass.NO_SOLUTION,
+                                          MultiplicityClass.UNIQUE,
+                                          MultiplicityClass.TWO][count]
+
+
 # ---------------------------------------------------------------------------
 # equilibrium curve sampling
 

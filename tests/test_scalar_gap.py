@@ -299,6 +299,76 @@ def test_mixed_residuals_are_tiny(lb, lm, mu, T):
         assert sol.residual < 1e-7
 
 
+def test_huge_coupling_lower_branch_is_the_true_root():
+    # reduced coupling 5e149: the lower root sits at w = mu*(1 + 2T/lambda_b)
+    report = solve_all(ModelParams(1e150, 0.0, 1.0, 1.0))
+    lower = [s for s in report.mixed if s.phase is PhaseLabel.MIXED_LOWER]
+    assert len(lower) == 1
+    assert lower[0].w_bar == pytest.approx(1.0, rel=1e-12)
+    assert lower[0].residual < 1e-12
+
+
+@pytest.mark.parametrize("T", [0.0, 1e-300, 1e-12, 1e-3])
+def test_label_is_continuous_as_temperature_goes_to_zero(T):
+    # only the upper root survives the shift delta_m = 0.3*4/5.3
+    report = solve_all(ModelParams(5.0, 0.3, 1.0, T))
+    assert [s.phase for s in report.mixed] == [PhaseLabel.MIXED_UPPER]
+    assert report.mixed[0].w_bar == pytest.approx(5.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-300, 1e-12, 1e-3])
+def test_label_is_continuous_as_mu_goes_to_zero(mu):
+    report = solve_all(ModelParams(5.0, 0.3, mu, 1.0))
+    assert [s.phase for s in report.mixed] == [PhaseLabel.MIXED_UPPER]
+
+
+def test_pure_gap_keeps_relative_accuracy_at_tiny_scale():
+    c = 1e-20
+    d = pure_mean_field(ModelParams(5.0 * c, 0.3 * c, c, 0.3 * c))
+    assert d == pytest.approx(0.20245 * c, rel=1e-4, abs=0.0)
+    assert d == pytest.approx(c * pure_mean_field(ModelParams(5.0, 0.3, 1.0, 0.3)),
+                              rel=1e-12, abs=0.0)
+
+
+def test_bracketed_root_step_count_is_bounded():
+    from gapforge.scalar_gap import _bracketed_root
+
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1e-300
+
+    assert _bracketed_root(f, 0.0, 1.0) == pytest.approx(1e-300, rel=1e-15)
+    assert len(calls) <= 64
+
+
+def _energies(report):
+    return [(s.delta_m, s.delta_b, s.w_bar) for s in report.solutions]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lb=st.floats(-8, 8), lm=st.floats(-3, 3), mu=st.floats(0, 4),
+    T=st.one_of(st.just(0.0), st.floats(0.02, 4)),
+    exponent=st.floats(-150, 150),
+)
+def test_solutions_scale_with_the_energies(lb, lm, mu, T, exponent):
+    """Scaling every input energy by c scales every output energy by c."""
+    # mu + delta_m cancels down to rounding when |lambda_b| is far below the
+    # other energies, so rounding decides whether so small a root is admitted
+    assume(abs(lb) > 1e-6)
+    c = 10.0 ** exponent
+    base = solve_all(ModelParams(lb, lm, mu, T))
+    scaled = solve_all(ModelParams(c * lb, c * lm, c * mu, c * T))
+    assert [s.phase for s in scaled.solutions] == [s.phase for s in base.solutions]
+    assert scaled.multiplicity == base.multiplicity
+    scale = max(abs(lb), abs(lm), mu, T)
+    for got, want in zip(_energies(scaled), _energies(base)):
+        for g, w in zip(got, want):
+            assert abs(g / c - w) <= 1e-9 * scale
+
+
 # ---------------------------------------------------------------------------
 # tangency curve and critical temperature
 
