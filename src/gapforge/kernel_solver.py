@@ -6,7 +6,8 @@ The full problem couples two unknown functions of momentum through
     delta_B(k) =   int V_B(k,p) (delta_B(p) / w_bar(p)) tanh(beta (w_bar(p) - mu)/2) dp
     w_bar(p)   = hypot(omega(p) + delta_M(p), delta_B(p))
 
-with {p} the thermal occupation.  Solved by damped Picard iteration.  The
+with {p} the thermal occupation.  Solved by damped Picard iteration;
+:func:`branch_scan` adds Newton's method for the repelling branches.  The
 narrow-shell separable kernel family (interaction confined to a band of
 half-width ``epsilon`` around the Fermi radius ``sqrt(mu)``) collapses, as
 ``epsilon -> 0``, onto the scalar Fermi-surface equations solved in
@@ -169,13 +170,15 @@ class SeparableKernel:
     coupling: float
     shape: Callable
 
+    def measure(self, grid: RadialGrid) -> np.ndarray:
+        """Weights sigma_i with sum sigma_i f(p_i) ~ int shape(p) f(p) dp."""
+        if hasattr(self.shape, "measure_weights"):
+            return self.shape.measure_weights(grid.points)
+        return grid.weights * np.asarray(self.shape(grid.points), dtype=float)
+
     def apply(self, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
         """Integrate V(k, .) against ``values`` sampled on the grid."""
-        if hasattr(self.shape, "measure_weights"):
-            sigma = self.shape.measure_weights(grid.points)
-        else:
-            sigma = grid.weights * np.asarray(self.shape(grid.points), dtype=float)
-        inner = float(np.dot(sigma, values))
+        inner = float(np.dot(self.measure(grid), values))
         return self.coupling * inner * np.asarray(self.shape(grid.points), dtype=float)
 
 
@@ -239,39 +242,70 @@ def shell_kernels(params: ModelParams, epsilon: float) -> CoupledKernels:
 def load_kernel_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a tabulated kernel: header row of momenta, then the square matrix.
 
-    Rows index k, columns index p.  Raises :class:`ConfigError` with a line
-    number on any malformed content.
+    Rows index k, columns index p; blank lines are skipped.  Raises
+    :class:`ConfigError` with the physical line number on any malformed
+    content.  numpy's C parser reads the file; only when it refuses the
+    content does the row-by-row reader run, to name the faulty line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ConfigError(f"{path}: empty kernel file")
+        header_line = next(
+            (k for k, line in enumerate(fh, start=1) if line.rstrip("\r\n")), 0)
+        if not header_line:
+            raise ConfigError(f"{path}: empty kernel file")
+        fh.seek(0)
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            fh.seek(0)
+            return _read_kernel_rows(path, fh)
+    momenta, matrix = table[0], table[1:]
+    _check_momenta(path, header_line, momenta)
+    _check_square(path, momenta, matrix)
+    return momenta, matrix
+
+
+def _read_kernel_rows(path: str, fh) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`load_kernel_csv` by the csv module, one row at a time."""
+    reader = csv.reader(fh)
+    rows = [(reader.line_num, row) for row in reader if row]
+    header_line, header = rows[0]
     try:
-        momenta = np.array([float(tok) for tok in rows[0]])
+        momenta = np.array([float(tok) for tok in header])
     except ValueError as exc:
-        raise ConfigError(f"{path}, line 1: bad momentum header ({exc})") from None
-    n = momenta.size
-    if n < 2:
-        raise ConfigError(f"{path}, line 1: need at least two momenta, found {n}")
-    if np.any(np.diff(momenta) <= 0.0) or momenta[0] < 0.0:
         raise ConfigError(
-            f"{path}, line 1: momenta must be non-negative and strictly increasing"
-        )
+            f"{path}, line {header_line}: bad momentum header ({exc})") from None
+    _check_momenta(path, header_line, momenta)
+    n = momenta.size
     matrix = np.empty((len(rows) - 1, n))
-    for lineno, row in enumerate(rows[1:], start=2):
+    for i, (lineno, row) in enumerate(rows[1:]):
         if len(row) != n:
             raise ConfigError(
                 f"{path}, line {lineno}: expected {n} columns, found {len(row)}"
             )
         try:
-            matrix[lineno - 2] = [float(tok) for tok in row]
+            matrix[i] = [float(tok) for tok in row]
         except ValueError as exc:
             raise ConfigError(f"{path}, line {lineno}: {exc}") from None
-    if matrix.shape[0] != n:
-        raise ConfigError(
-            f"{path}: kernel must be square — {n} momenta but {matrix.shape[0]} rows"
-        )
+    _check_square(path, momenta, matrix)
     return momenta, matrix
+
+
+def _check_momenta(path: str, lineno: int, momenta: np.ndarray) -> None:
+    if momenta.size < 2:
+        raise ConfigError(
+            f"{path}, line {lineno}: need at least two momenta, found {momenta.size}")
+    if np.any(np.diff(momenta) <= 0.0) or momenta[0] < 0.0:
+        raise ConfigError(
+            f"{path}, line {lineno}: momenta must be non-negative and strictly increasing"
+        )
+
+
+def _check_square(path: str, momenta: np.ndarray, matrix: np.ndarray) -> None:
+    if matrix.shape[0] != momenta.size:
+        raise ConfigError(
+            f"{path}: kernel must be square — {momenta.size} momenta but "
+            f"{matrix.shape[0]} rows"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -360,6 +394,8 @@ class GapFunctions:
     ``w_bar`` is recomputed from ``delta_m``/``delta_b`` at emission, so the
     quasi-particle identity holds exactly on every instance the solver hands
     out.  ``residual`` is the sup-norm defect of the two gap equations.
+    ``iterations`` counts damped-Picard steps; it is 0 on a branch that
+    :func:`branch_scan` reached only by its Newton solve.
     """
 
     delta_m: np.ndarray
@@ -374,6 +410,34 @@ def _w_bar(grid: RadialGrid, dispersion: DispersionSpec,
     return np.hypot(np.asarray(dispersion.omega(grid.points), dtype=float) + dm, db)
 
 
+def _mode_terms(omega_eff: np.ndarray, delta_b: np.ndarray, params: ModelParams,
+                jacobian: bool = False) -> tuple[np.ndarray, ...]:
+    """Per-mode integrands ``brace = (1 - e t)/2`` and ``ratio = delta_B t / w_bar``.
+
+    With ``jacobian`` four more arrays follow: the derivatives of brace and
+    ratio with respect to omega_eff (equivalently delta_M) and delta_B,
+    taking dt/dw_bar = beta (1 - t**2)/2, which is 0 at T = 0.
+    """
+    w = np.hypot(omega_eff, delta_b)
+    t = tanh_half(w - params.mu, params.beta)
+    nonzero = w > 0.0
+    safe_w = np.where(nonzero, w, 1.0)
+    e = np.where(nonzero, omega_eff / safe_w, 1.0)
+    brace = 0.5 * (1.0 - e * t)
+    ratio = np.where(nonzero, delta_b / safe_w * t, 0.0)
+    if not jacobian:
+        return brace, ratio
+    beta = params.beta
+    dt = np.zeros_like(t) if math.isinf(beta) else 0.5 * beta * (1.0 - t * t)
+    dt_over_w2 = np.where(nonzero, dt / (safe_w * safe_w), 0.0)
+    t_over_w3 = np.where(nonzero, t / safe_w ** 3, 0.0)
+    q = dt_over_w2 - t_over_w3
+    cross = omega_eff * delta_b * q
+    brace_dm = -0.5 * (delta_b * delta_b * t_over_w3 + omega_eff * omega_eff * dt_over_w2)
+    ratio_db = np.where(nonzero, t / safe_w, 0.0) + delta_b * delta_b * q
+    return brace, ratio, brace_dm, -0.5 * cross, cross, ratio_db
+
+
 def gap_rhs(gaps: GapFunctions, grid: RadialGrid, kernels: CoupledKernels,
             dispersion: DispersionSpec, params: ModelParams) -> GapFunctions:
     """One evaluation of the right-hand sides, with w_bar refreshed.
@@ -383,14 +447,8 @@ def gap_rhs(gaps: GapFunctions, grid: RadialGrid, kernels: CoupledKernels,
     necessarily zero and the mode is unrotated).  The returned ``residual``
     is the sup-norm change against the input gaps.
     """
-    beta = params.beta
     omega_eff = np.asarray(dispersion.omega(grid.points), dtype=float) + gaps.delta_m
-    w = np.hypot(omega_eff, gaps.delta_b)
-    t = tanh_half(w - params.mu, beta)
-    e = np.where(w > 0.0, omega_eff / np.where(w > 0.0, w, 1.0), 1.0)
-    brace = 0.5 * (1.0 - e * t)
-    ratio = np.where(w > 0.0, gaps.delta_b / np.where(w > 0.0, w, 1.0) * t, 0.0)
-
+    brace, ratio = _mode_terms(omega_eff, gaps.delta_b, params)
     new_dm = 2.0 * kernels.mean_field.apply(grid, brace)
     new_db = kernels.pairing.apply(grid, ratio)
     if not (np.all(np.isfinite(new_dm)) and np.all(np.isfinite(new_db))):
@@ -452,9 +510,7 @@ def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
             residual=change, iterations=controls.max_iters, gaps=(dm, db),
         )
 
-    peak = int(np.argmax(np.abs(db)))
-    if db[peak] < 0.0:
-        db = -db
+    db = _canonical_sign(db)
     final = GapFunctions(dm, db, _w_bar(grid, dispersion, dm, db), 0.0, it)
     return GapFunctions(
         delta_m=dm, delta_b=db, w_bar=final.w_bar,
@@ -474,6 +530,156 @@ def _amplitude(db: np.ndarray) -> float:
     return float(np.max(np.abs(db)))
 
 
+def _canonical_sign(db: np.ndarray) -> np.ndarray:
+    """``db`` or ``-db``, whichever is non-negative at its largest magnitude."""
+    return -db if db[int(np.argmax(np.abs(db)))] < 0.0 else db
+
+
+@dataclass(frozen=True, eq=False)
+class _Factor:
+    """A kernel's action on the grid as ``apply(v) = lift(rows @ v)``.
+
+    A separable kernel has rank one: ``basis`` is its shape column and
+    ``rows`` the row ``coupling * sigma``.  A tabulated kernel is its own
+    factor, with ``basis`` None (the identity) and ``rows`` the matrix with
+    the quadrature weights folded into its columns.
+    """
+
+    basis: np.ndarray | None
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, kernel: KernelSpec, grid: RadialGrid) -> "_Factor":
+        if isinstance(kernel, SeparableKernel):
+            shape = np.asarray(kernel.shape(grid.points), dtype=float)
+            return cls(shape[:, None], kernel.coupling * kernel.measure(grid)[None, :])
+        return cls(None, kernel.matrix * grid.weights)
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        return x if self.basis is None else self.basis @ x
+
+    def block(self, d: np.ndarray, col: "_Factor") -> np.ndarray:
+        """``rows @ diag(d) @ col.basis``: one block of the amplitude Jacobian."""
+        m = self.rows * d
+        return m if col.basis is None else m @ col.basis
+
+
+class _AmplitudeProblem:
+    """F(x) = x - g(x) for the amplitudes x = (x_M, x_B) of the kernels' ranges.
+
+    :func:`gap_rhs` maps every pair of gap functions into the ranges of the
+    two kernels, so each fixed point is delta_M = lift_M(x_M), delta_B =
+    lift_B(x_B) with x = g(x).  Under separable kernels x is the two
+    amplitudes (A, B) and the Jacobian of F is 2x2; under tabulated kernels
+    x is the gap functions themselves and the Jacobian is (2n)x(2n).
+    """
+
+    def __init__(self, grid: RadialGrid, kernels: CoupledKernels,
+                 dispersion: DispersionSpec, params: ModelParams) -> None:
+        self.setup = (grid, kernels, dispersion, params)
+        self.omega = np.asarray(dispersion.omega(grid.points), dtype=float)
+        self.m = _Factor.of(kernels.mean_field, grid)
+        self.b = _Factor.of(kernels.pairing, grid)
+        self.split = self.m.rows.shape[0]
+        self.params = params
+
+    def lift(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.m.lift(x[:self.split]), self.b.lift(x[self.split:])
+
+    def image(self, dm: np.ndarray, db: np.ndarray) -> np.ndarray:
+        """The amplitudes of ``gap_rhs`` at the gap functions ``(dm, db)``."""
+        brace, ratio = _mode_terms(self.omega + dm, db, self.params)
+        return np.concatenate([2.0 * (self.m.rows @ brace), self.b.rows @ ratio])
+
+    def defect(self, x: np.ndarray) -> np.ndarray:
+        return x - self.image(*self.lift(x))
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        dm, db = self.lift(x)
+        _, _, brace_dm, brace_db, ratio_dm, ratio_db = _mode_terms(
+            self.omega + dm, db, self.params, jacobian=True)
+        m, b = self.m, self.b
+        jac_g = np.block([[2.0 * m.block(brace_dm, m), 2.0 * m.block(brace_db, b)],
+                          [b.block(ratio_dm, m), b.block(ratio_db, b)]])
+        return np.eye(x.size) - jac_g
+
+    def sup_lifted(self, x: np.ndarray) -> float:
+        """Sup norm on the grid of the gap functions that ``x`` lifts to."""
+        return max(float(np.max(np.abs(v))) for v in self.lift(x))
+
+    def gap_functions(self, x: np.ndarray) -> GapFunctions:
+        """The gap functions ``x`` lifts to, sign-canonical, with their ``gap_rhs`` defect."""
+        grid, _, dispersion, _ = self.setup
+        dm, db = self.lift(x)
+        db = _canonical_sign(db)
+        w_bar = _w_bar(grid, dispersion, dm, db)
+        residual = _defect(GapFunctions(dm, db, w_bar, 0.0), *self.setup)
+        return GapFunctions(dm, db, w_bar, residual)
+
+
+# bisection steps for the Newton start point, and the Newton step budget
+_SEGMENT_STEPS = 12
+_NEWTON_STEPS = 20
+
+
+def _segment_start(problem: _AmplitudeProblem, lo: np.ndarray,
+                   hi: np.ndarray) -> np.ndarray | None:
+    """Newton start point between the attractors at amplitudes ``lo`` and ``hi``.
+
+    Along x(s) = lo + s (hi - lo) the defect projected on the segment,
+    <hi - lo, F(x(s))>, leaves the lower attractor positive and reaches the
+    upper one negative; its sign change is bisected to 2**-_SEGMENT_STEPS
+    in s.  None when the bisection never sees both signs.
+    """
+    d = hi - lo
+    a, b = 0.0, 1.0
+    for _ in range(_SEGMENT_STEPS):
+        s = 0.5 * (a + b)
+        if float(d @ problem.defect(lo + s * d)) > 0.0:
+            a = s
+        else:
+            b = s
+    if a == 0.0 or b == 1.0:
+        return None
+    return lo + 0.5 * (a + b) * d
+
+
+def _newton(problem: _AmplitudeProblem, x: np.ndarray,
+            tol: float) -> np.ndarray | None:
+    """Newton's method on F(x) = 0; None unless a step shrinks below ``tol``.
+
+    The step is measured by :meth:`_AmplitudeProblem.sup_lifted`, on the
+    scale of the gap functions; once it falls below ``tol`` the quadratic
+    convergence has left the iterate at rounding level.
+    """
+    for _ in range(_NEWTON_STEPS):
+        f = problem.defect(x)
+        if not np.all(np.isfinite(f)):
+            return None
+        try:
+            step = np.linalg.solve(problem.jacobian(x), f)
+        except np.linalg.LinAlgError:
+            return None
+        x = x - step
+        if problem.sup_lifted(step) <= tol:
+            return x
+    return None
+
+
+def _repelling_branch(problem: _AmplitudeProblem, lo: np.ndarray, hi: np.ndarray,
+                      tol: float) -> GapFunctions | None:
+    """The fixed point Newton reaches from between two attractors, if any.
+
+    Kept only when its :func:`gap_rhs` defect is at most ``tol``.
+    """
+    start = _segment_start(problem, lo, hi)
+    x = None if start is None else _newton(problem, start, tol)
+    if x is None:
+        return None
+    gaps = problem.gap_functions(x)
+    return gaps if gaps.residual <= tol else None
+
+
 def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
                 dispersion: DispersionSpec, params: ModelParams,
                 seeds: Iterable[float],
@@ -481,15 +687,17 @@ def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
                 ) -> list[GapFunctions]:
     """Hunt for every self-consistent branch reachable from the given seeds.
 
-    Each seed value starts one solve with a constant pairing function of that
-    amplitude; converged results are deduplicated by sup-norm distance below
-    ``10 * tol``.  Picard iteration can only land on attracting branches, and
-    in the two-root band the smaller root repels: when two seeds fall into
-    different basins, the basin boundary along the seed axis is located by
-    bisection and a capture pass keeps the minimum-defect iterate of a
-    trajectory started on the boundary — that trajectory shadows the
-    repelling branch long enough to read it off.  The captured iterate is
-    kept only if its gap-equation defect is below 1e-4 on the branch scale.
+    Each seed value starts one damped-Picard solve with a constant pairing
+    function of that amplitude; converged results are deduplicated by
+    sup-norm distance below ``10 * tol``.  Picard iteration can only land on
+    attracting branches, and in the two-root band the smaller root repels.
+    So between each adjacent pair of attractors with distinct pairing
+    amplitudes one Newton solve of F = delta - G(delta) runs, started at the
+    sign change of the defect projected on the segment joining them (see
+    :class:`_AmplitudeProblem`).  Its result is kept when its gap-equation
+    defect is at most ``tol`` and it is not one of the attractors; a start
+    point with no sign change or a Newton solve that does not converge adds
+    nothing.  A branch found this way reports ``iterations == 0``.
 
     Returns branches sorted by pairing amplitude (the delta_B = 0 branch,
     when reached, comes first).  If every seed fails to converge the last
@@ -499,7 +707,6 @@ def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
     if not seeds:
         raise InvalidParameter("branch_scan needs at least one seed")
 
-    outcomes: list[tuple[float, GapFunctions | None]] = []  # (seed, result)
     converged: list[GapFunctions] = []
     last_failure: NotConverged | None = None
     for s in seeds:
@@ -507,13 +714,10 @@ def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
                                 max_iters=controls.max_iters,
                                 tol=controls.tol, init=SeededPairing(s))
         try:
-            sol = self_consistent_solve(grid, kernels, dispersion, params, ctl)
+            converged.append(
+                self_consistent_solve(grid, kernels, dispersion, params, ctl))
         except NotConverged as exc:
             last_failure = exc
-            outcomes.append((s, None))
-            continue
-        outcomes.append((s, sol))
-        converged.append(sol)
 
     if not converged:
         if last_failure is not None:
@@ -521,98 +725,31 @@ def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
         raise NotConverged("no seed converged", residual=math.inf,
                            iterations=0, gaps=None)
 
+    def is_new(sol: GapFunctions) -> bool:
+        return all(_sup_distance(sol, kept) >= 10.0 * controls.tol for kept in branches)
+
+    def amplitude(sol: GapFunctions) -> float:
+        return _amplitude(sol.delta_b)
+
     branches: list[GapFunctions] = []
     for sol in converged:
-        if all(_sup_distance(sol, kept) >= 10.0 * controls.tol for kept in branches):
+        if is_new(sol):
             branches.append(sol)
 
-    # basin-boundary sweep for a repelling branch between two observed basins
-    distinct_amps = sorted({round(_amplitude(b.delta_b), 6) for b in branches})
-    if len(distinct_amps) >= 2:
-        lo_amp, hi_amp = distinct_amps[0], distinct_amps[-1]
+    # one attractor per distinct pairing amplitude, ascending
+    basins: dict[float, GapFunctions] = {}
+    for sol in sorted(branches, key=amplitude):
+        basins.setdefault(round(amplitude(sol), 6), sol)
+    if len(basins) >= 2:
+        problem = _AmplitudeProblem(grid, kernels, dispersion, params)
+        amps = [problem.image(b.delta_m, b.delta_b) for b in basins.values()]
+        for lo, hi in zip(amps, amps[1:]):
+            saddle = _repelling_branch(problem, lo, hi, controls.tol)
+            if saddle is not None and is_new(saddle):
+                branches.append(saddle)
 
-        def basin_of(seed_value: float) -> float:
-            ctl = IterationControls(damping=controls.damping,
-                                    max_iters=controls.max_iters,
-                                    tol=max(controls.tol, 1e-9),
-                                    init=SeededPairing(seed_value))
-            try:
-                out = self_consistent_solve(grid, kernels, dispersion, params, ctl)
-                return _amplitude(out.delta_b)
-            except NotConverged as exc:
-                dm_last, db_last = exc.gaps
-                return _amplitude(db_last)
-
-        pairs = [(seed, _amplitude(s.delta_b)) for seed, s in outcomes if s is not None]
-        lo_seeds = [seed for seed, a in pairs if abs(a - lo_amp) < abs(a - hi_amp)]
-        hi_seeds = [seed for seed, a in pairs if abs(a - lo_amp) >= abs(a - hi_amp)]
-        if lo_seeds and hi_seeds:
-            s_lo, s_hi = max(lo_seeds), min(hi_seeds)
-            for _ in range(64):
-                mid = 0.5 * (s_lo + s_hi)
-                if not math.isfinite(mid) or mid in (s_lo, s_hi):
-                    break
-                mid_amp = basin_of(mid)
-                if abs(mid_amp - lo_amp) < abs(mid_amp - hi_amp):
-                    s_lo = mid
-                else:
-                    s_hi = mid
-            for saddle in _capture_candidates(grid, kernels, dispersion,
-                                              params, controls,
-                                              0.5 * (s_lo + s_hi)):
-                if all(_sup_distance(saddle, kept) >= 10.0 * controls.tol
-                       for kept in branches):
-                    branches.append(saddle)
-
-    branches.sort(key=lambda b: _amplitude(b.delta_b))
+    branches.sort(key=amplitude)
     return branches
-
-
-def _capture_candidates(grid, kernels, dispersion, params, controls,
-                        seed_value: float) -> list[GapFunctions]:
-    """Low-defect iterates of a trajectory started on a basin boundary.
-
-    Such a trajectory shadows the repelling branch before ejecting toward an
-    attractor, so its gap-equation defect dips to a local minimum at the
-    closest approach — usually within a few iterations, since the boundary
-    seed is bisected down to rounding.  Every interior local minimum of the
-    defect series (plus the global one, which is just the attractor the
-    trajectory finally lands on) below 1e-4 on the branch scale comes back
-    as a candidate; the caller keeps whichever are genuinely new.
-    """
-    n = grid.points.size
-    dm, db = np.zeros(n), np.full(n, seed_value)
-    alpha = controls.damping
-    trajectory: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for _ in range(600):
-        current = GapFunctions(dm, db, _w_bar(grid, dispersion, dm, db), 0.0)
-        rhs = gap_rhs(current, grid, kernels, dispersion, params)
-        trajectory.append((rhs.residual, dm, db))
-        dm = (1.0 - alpha) * dm + alpha * rhs.delta_m
-        db = (1.0 - alpha) * db + alpha * rhs.delta_b
-        if rhs.residual == 0.0:
-            break
-
-    defects = [t[0] for t in trajectory]
-    picks = {int(np.argmin(defects))}
-    for k in range(1, len(defects) - 1):
-        if defects[k] < defects[k - 1] and defects[k] <= defects[k + 1]:
-            picks.add(k)
-
-    out: list[GapFunctions] = []
-    for k in sorted(picks, key=lambda i: defects[i]):
-        defect, dm_k, db_k = trajectory[k]
-        if defect > 1e-4 * max(1.0, _amplitude(db_k)):
-            continue
-        peak = int(np.argmax(np.abs(db_k)))
-        if db_k[peak] < 0.0:
-            db_k = -db_k
-        out.append(GapFunctions(
-            delta_m=dm_k, delta_b=db_k,
-            w_bar=_w_bar(grid, dispersion, dm_k, db_k),
-            residual=defect, iterations=0,
-        ))
-    return out
 
 
 def mode_table(grid: RadialGrid, gaps: GapFunctions, params: ModelParams,

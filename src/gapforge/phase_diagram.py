@@ -113,18 +113,19 @@ def multiplicity_class(params: ModelParams) -> MultiplicityClass:
     above, where "on it" is the band ``|tangency_distance| <= TANGENCY_BAND``
     that :func:`~gapforge.scalar_gap.solve_all` uses too; ``lb <= 1``
     (temperature at or past lambda_b / 2) never has any.  ``mu = 0``
-    degenerates to a single root.  Attractive side: delegated to the exact
-    root finder, which returns at most one.  Positive temperature required:
+    degenerates to a single root.  Attractive side, and any ``lambda_b / T``
+    that overflows the reduced coupling: delegated to the exact root finder,
+    which returns at most one.  Positive temperature required:
     the reduced variables live at T > 0.
     """
     if params.is_zero_temperature:
         raise ZeroTemperature("multiplicity classes are defined at T > 0")
     if params.lambda_b == 0.0:
         return MultiplicityClass.NO_SOLUTION
-    if params.lambda_b < 0.0:
+    red = to_reduced(params)
+    if params.lambda_b < 0.0 or math.isinf(red.lambda_b_bar):
         roots = pairing_energy_roots(params)
         return MultiplicityClass.UNIQUE if roots else MultiplicityClass.NO_SOLUTION
-    red = to_reduced(params)
     if red.lambda_b_bar <= 1.0:
         return MultiplicityClass.NO_SOLUTION
     distance = tangency_distance(red.lambda_b_bar, red.mu_bar)

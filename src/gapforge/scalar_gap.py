@@ -140,16 +140,18 @@ def _mixed_roots(params: ModelParams) -> list[tuple[float, PhaseLabel]]:
     beta = params.beta
     if beta == 0.0:
         return []  # tanh term vanishes identically: no positive root
-    if math.isinf(beta):
+    red = None if math.isinf(beta) else to_reduced(params)
+    if red is None or math.isinf(red.lambda_b_bar):
         # step-function limit of the tanh factor; each root is the T -> 0+
-        # limit of the same branch
+        # limit of the same branch.  Where lambda_b / T overflows the reduced
+        # coupling these roots are exact to rounding: tanh is saturated at
+        # the upper root, and the lower one lies within rounding of mu.
         lb, mu = params.lambda_b, params.mu
         if lb > 0.0 and lb > mu:
             return [(lb, PhaseLabel.MIXED_UPPER)]
         if lb < 0.0 and -lb < mu:
             return [(-lb, PhaseLabel.MIXED_LOWER)]
         return []
-    red = to_reduced(params)
     two_t = 2.0 * params.temperature
     # w = 0 is the trivial node (it always solves the equation at mu = 0 but
     # carries no pairing); a root that underflows to it is dropped
@@ -274,7 +276,10 @@ def _pure_solution(params: ModelParams) -> GapSolution:
 def _mixed_residual(w: float, dm: float, db: float, params: ModelParams) -> float:
     from .core_types import tanh_half
 
-    t = tanh_half(w - params.mu, params.beta)
+    beta = params.beta
+    if math.isinf(0.5 * beta * (w - params.mu)):
+        beta = math.inf  # tanh is saturated; its numpy argument would overflow
+    t = tanh_half(w - params.mu, beta)
     r1 = abs(w - params.lambda_b * t) / max(1.0, abs(params.lambda_b))
     omega_eff = params.mu + dm
     if w > 0.0:

@@ -306,10 +306,11 @@ def smearing_scaling_check(profile: Callable, v: Callable,
 
     weighted = wp * g_p
     corr = np.empty(u.size)
-    for lo in range(0, u.size, 256):
-        shift = u[lo:lo + 256, None] - p[None, :]
-        corr[lo:lo + 256] = (np.asarray(v(shift), dtype=float)
-                             * np.asarray(profile(shift), dtype=float)) @ weighted
+    # 64-row chunks keep each temporary near 1 MB at the default 2001 points
+    for lo in range(0, u.size, 64):
+        shift = u[lo:lo + 64, None] - p[None, :]
+        corr[lo:lo + 64] = (np.asarray(v(shift), dtype=float)
+                            * np.asarray(profile(shift), dtype=float)) @ weighted
 
     intensities = np.exp(-2.0 * kap[:, None] * u[None, :] ** 2) @ (wu * corr)
     if np.any(intensities <= 0.0):

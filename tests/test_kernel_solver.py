@@ -237,6 +237,39 @@ def test_kernel_csv_diagnostics(tmp_path, text, fragment):
         load_kernel_csv(_write(tmp_path, text))
 
 
+def test_kernel_csv_reports_physical_line_numbers(tmp_path):
+    # the blank line 2 counts: the bad token is on line 4
+    path = _write(tmp_path, "0.0,0.5,1.0\n\n1,2,3\n1,x,3\n1,2,3\n")
+    with pytest.raises(ConfigError, match="line 4"):
+        load_kernel_csv(path)
+    path = _write(tmp_path, "\n0.0,0.5,0.4\n1,2,3\n1,2,3\n1,2,3\n")
+    with pytest.raises(ConfigError, match="line 2: momenta"):
+        load_kernel_csv(path)
+    path = _write(tmp_path, "\r\n0.0,1.0\r\n\r\n1,2\r\n3\r\n")
+    with pytest.raises(ConfigError, match="line 5: expected 2 columns"):
+        load_kernel_csv(path)
+
+
+def test_kernel_csv_skips_blank_lines(tmp_path):
+    path = _write(tmp_path, "\n0.0,0.5\n\n1,2\r\n2,4\n\n")
+    momenta, matrix = load_kernel_csv(path)
+    np.testing.assert_array_equal(momenta, [0.0, 0.5])
+    np.testing.assert_array_equal(matrix, [[1, 2], [2, 4]])
+    with pytest.raises(ConfigError, match="empty"):
+        load_kernel_csv(_write(tmp_path, "\n\r\n\n"))
+
+
+def test_kernel_csv_values_match_python_float_parsing(tmp_path):
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-300, 300, size=(4, 3))
+    values[0] = [0.0, 0.25, 1.0 / 3.0]
+    text = "\n".join(",".join(f"{x:.22e}" for x in row) for row in values) + "\n"
+    momenta, matrix = load_kernel_csv(_write(tmp_path, text))
+    want = [[float(f"{x:.22e}") for x in row] for row in values]
+    assert momenta.tolist() == want[0]
+    assert matrix.tolist() == want[1:]
+
+
 # ---------------------------------------------------------------------------
 # iteration setup
 
@@ -464,6 +497,126 @@ def test_branch_scan_propagates_total_failure():
             [1.0],
             IterationControls(max_iters=2),
         )
+
+
+def _acceptance_scan_setup():
+    params = ModelParams(4.0, 0.0, 1.0, temperature=0.5)
+    eps = 0.01
+    grid = shell_aligned_grid(params.mu, eps, n_shell=200, p_max=3.0, n_outer=400)
+    return grid, shell_kernels(params, eps), params
+
+
+def test_branch_scan_solves_the_repelling_branch_to_the_tolerance():
+    grid, kernels, params = _acceptance_scan_setup()
+    controls = IterationControls()
+    branches = branch_scan(grid, kernels, PARABOLIC, params, [0.3, 2.0], controls)
+    assert len(branches) == 3
+    middle = branches[1]
+    assert middle.iterations == 0
+    defect = gap_rhs(middle, grid, kernels, PARABOLIC, params).residual
+    assert defect <= 10.0 * controls.tol
+    assert middle.residual == defect
+    lower = min(s.delta_b for s in solve_all(params).mixed)
+    at_fermi = float(middle.delta_b[grid.index_nearest(1.0)])
+    assert at_fermi == pytest.approx(lower, rel=1e-2)
+
+
+def test_branch_scan_stays_within_its_gap_rhs_budget(monkeypatch):
+    import gapforge.kernel_solver as ks
+
+    grid, kernels, params = _acceptance_scan_setup()
+    calls = []
+    real = ks.gap_rhs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ks, "gap_rhs", counting)
+    branches = branch_scan(grid, kernels, PARABOLIC, params, [0.3, 2.0])
+    assert len(branches) == 3
+    assert len(calls) <= 300
+
+
+def test_branch_scan_runs_no_search_within_one_basin(monkeypatch):
+    import gapforge.kernel_solver as ks
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("repelling-branch search ran")
+
+    monkeypatch.setattr(ks, "_repelling_branch", forbidden)
+    grid = shell_aligned_grid(1.0, 0.05, n_shell=60, p_max=3.0, n_outer=120)
+    branches = branch_scan(grid, shell_kernels(PARAMS, 0.05), PARABOLIC, PARAMS,
+                           [1.5, 3.0])
+    assert len(branches) == 1
+
+
+@pytest.mark.parametrize("patch", [("_SEGMENT_STEPS", 0), ("_NEWTON_STEPS", 1)])
+def test_branch_scan_adds_nothing_when_the_newton_solve_fails(monkeypatch, patch):
+    # no bisection step sees a sign change, or Newton stops before converging
+    import gapforge.kernel_solver as ks
+
+    monkeypatch.setattr(ks, *patch)
+    grid = shell_aligned_grid(1.0, 0.05, n_shell=80, p_max=3.0, n_outer=160)
+    branches = branch_scan(grid, shell_kernels(PARAMS, 0.05), PARABOLIC, PARAMS,
+                           [0.3, 2.0])
+    assert len(branches) == 2
+    assert all(b.iterations > 0 for b in branches)
+
+
+def _tabulated_shell(params, eps, grid):
+    shape = shell_kernel(eps, params.mu)(grid.points)
+    outer = 2.0 * eps * np.outer(shape, shape)
+    return CoupledKernels(pairing=TabulatedKernel(params.lambda_b * outer),
+                          mean_field=TabulatedKernel(params.lambda_m * outer))
+
+
+def test_branch_scan_serves_tabulated_kernels():
+    params = ModelParams(4.0, 0.2, 1.0, temperature=0.5)
+    eps = 0.05
+    grid = shell_aligned_grid(params.mu, eps, n_shell=40, p_max=3.0, n_outer=80)
+    kernels = _tabulated_shell(params, eps, grid)
+    branches = branch_scan(grid, kernels, PARABOLIC, params, [0.3, 2.0],
+                           IterationControls(tol=1e-12))
+    assert len(branches) == 3
+    assert [b.iterations == 0 for b in branches] == [False, True, False]
+    h = grid.weights
+    for b in branches:
+        # the tabulated gap equations, evaluated independently of gap_rhs; a
+        # mode with w_bar = 0 (p = 0 on the unpaired branch) is unrotated
+        omega = grid.points ** 2 + b.delta_m
+        w = np.hypot(omega, b.delta_b)
+        t = np.tanh(0.5 * params.beta * (w - params.mu))
+        safe = np.where(w > 0.0, w, 1.0)
+        ratio = np.where(w > 0.0, b.delta_b / safe * t, 0.0)
+        brace = 0.5 * (1.0 - np.where(w > 0.0, omega / safe, 1.0) * t)
+        want_db = kernels.pairing.matrix @ (h * ratio)
+        want_dm = 2.0 * kernels.mean_field.matrix @ (h * brace)
+        assert np.max(np.abs(want_db - b.delta_b)) <= 1e-10
+        assert np.max(np.abs(want_dm - b.delta_m)) <= 1e-10
+
+
+@pytest.mark.parametrize("tabulated", [False, True])
+@pytest.mark.parametrize("temperature", [0.5, 0.0])
+def test_amplitude_jacobian_matches_finite_differences(tabulated, temperature):
+    from gapforge.kernel_solver import _AmplitudeProblem
+
+    params = ModelParams(4.0, 1.0, 1.0, temperature=temperature)
+    eps = 0.05
+    grid = shell_aligned_grid(1.0, eps, n_shell=20, p_max=3.0, n_outer=40)
+    kernels = (_tabulated_shell(params, eps, grid) if tabulated
+               else shell_kernels(params, eps))
+    problem = _AmplitudeProblem(grid, kernels, PARABOLIC, params)
+    rng = np.random.default_rng(1)
+    x = problem.image(rng.normal(0.0, 0.3, grid.points.size),
+                      rng.normal(1.0, 0.3, grid.points.size))
+    jac = problem.jacobian(x)
+    h = 1e-6
+    for j in range(x.size):
+        step = np.zeros_like(x)
+        step[j] = h
+        column = (problem.defect(x + step) - problem.defect(x - step)) / (2.0 * h)
+        np.testing.assert_allclose(jac[:, j], column, rtol=1e-6, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------

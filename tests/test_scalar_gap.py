@@ -13,6 +13,7 @@ from gapforge.errors import (
     SingularDenominator,
     ZeroCoupling,
 )
+from gapforge.phase_diagram import MultiplicityClass, multiplicity_class
 from gapforge.scalar_gap import (
     critical_temperature,
     equilibrium_mu,
@@ -306,6 +307,36 @@ def test_huge_coupling_lower_branch_is_the_true_root():
     assert len(lower) == 1
     assert lower[0].w_bar == pytest.approx(1.0, rel=1e-12)
     assert lower[0].residual < 1e-12
+
+
+@pytest.mark.parametrize("lb, lm, mu, T", [
+    (1e300, 0.0, 1.0, 1e-10),
+    (1e300, 0.5, 1.0, 1e-10),
+    (1e308, 0.0, 1.0, 1e-300),
+    (-1e300, 0.0, 1e301, 1e-10),
+    (-1e300, 0.0, 1.0, 1e-10),
+])
+def test_overflowing_reduced_coupling_gives_the_zero_temperature_roots(lb, lm, mu, T):
+    # lambda_b / T overflows the reduced coupling; tanh is saturated to
+    # rounding, so the T = 0 branches are the answer, not an empty list
+    params = ModelParams(lb, lm, mu, T)
+    assert math.isinf(0.5 * lb / T)
+    cold = solve_all(ModelParams(lb, lm, mu, 0.0))
+    assert pairing_energy_roots(params) == pairing_energy_roots(
+        ModelParams(lb, lm, mu, 0.0))
+    report = solve_all(params)
+    assert [(s.phase, s.w_bar, s.delta_b) for s in report.mixed] == [
+        (s.phase, s.w_bar, s.delta_b) for s in cold.mixed]
+    assert all(s.residual == 0.0 for s in report.mixed)
+    expected = MultiplicityClass.UNIQUE if pairing_energy_roots(params) else (
+        MultiplicityClass.NO_SOLUTION)
+    assert multiplicity_class(params) is expected
+
+
+def test_overflowing_reduced_coupling_keeps_the_upper_branch():
+    report = solve_all(ModelParams(1e300, 0.0, 1.0, 1e-10))
+    assert [(s.phase, s.w_bar) for s in report.mixed] == [
+        (PhaseLabel.MIXED_UPPER, 1e300)]
 
 
 @pytest.mark.parametrize("T", [0.0, 1e-300, 1e-12, 1e-3])
