@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .core_types import ModelParams, tanh_half, validate
+from .core_types import ModelParams, validate
 from .errors import (
     ConfigError,
     InvalidParameter,
@@ -39,7 +39,7 @@ from .errors import (
     NotConverged,
     ShellBelowZero,
 )
-from .thermal import ModeTable, _trapezoid_weights
+from .thermal import ModeTable, _mode_terms, _trapezoid_weights
 
 
 # --------------------------------------------------------------------------
@@ -133,8 +133,8 @@ class ShellShape:
         shell before solving on it.
         """
         pts = np.asarray(points, dtype=float)
-        sigma = np.zeros_like(pts)
-        inside = np.nonzero((pts >= self.lo) & (pts <= self.hi))[0]
+        sigma = np.zeros(pts.shape)
+        inside = ((pts >= self.lo) & (pts <= self.hi)).nonzero()[0]
         if inside.size == 0:
             return sigma
         sub = pts[inside]
@@ -163,6 +163,39 @@ def shell_kernel(epsilon: float, mu: float) -> ShellShape:
     return ShellShape(lo=root - epsilon, hi=root + epsilon, height=0.5 / epsilon)
 
 
+@dataclass(eq=False)
+class _Factor:
+    """A kernel's action on one grid, ``apply(v) = lift(rows @ (weights * v))``.
+
+    A separable kernel has rank one: ``basis`` is its shape column, ``rows``
+    the row ``coupling * sigma`` and ``weights`` None.  A tabulated kernel is
+    its own factor: ``basis`` None (the identity), ``rows`` its matrix and
+    ``weights`` the grid's quadrature weights, kept apart from the matrix so
+    that no weighted copy of it is made.
+    """
+
+    basis: np.ndarray | None
+    rows: np.ndarray
+    weights: np.ndarray | None = None
+
+    def _weighted(self, v: np.ndarray) -> np.ndarray:
+        return v if self.weights is None else self.weights * v
+
+    def amplitudes(self, v: np.ndarray) -> np.ndarray:
+        return self.rows @ self._weighted(v)
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        return x if self.basis is None else self.basis * x
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.lift(self.amplitudes(v))
+
+    def block(self, d: np.ndarray, col: "_Factor") -> np.ndarray:
+        """``rows @ diag(weights * d) @ col.basis``: one block of the amplitude Jacobian."""
+        m = self.rows * self._weighted(d)
+        return m if col.basis is None else m @ col.basis[:, None]
+
+
 @dataclass(frozen=True)
 class SeparableKernel:
     """V(k, p) = coupling * shape(k) * shape(p)."""
@@ -176,10 +209,14 @@ class SeparableKernel:
             return self.shape.measure_weights(grid.points)
         return grid.weights * np.asarray(self.shape(grid.points), dtype=float)
 
+    def factor(self, grid: RadialGrid) -> _Factor:
+        """Rank one: the shape column times the row ``coupling * sigma``."""
+        shape = np.asarray(self.shape(grid.points), dtype=float)
+        return _Factor(shape, self.coupling * self.measure(grid)[None, :])
+
     def apply(self, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
         """Integrate V(k, .) against ``values`` sampled on the grid."""
-        inner = float(np.dot(self.measure(grid), values))
-        return self.coupling * inner * np.asarray(self.shape(grid.points), dtype=float)
+        return self.factor(grid).apply(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,13 +233,17 @@ class TabulatedKernel:
     def is_symmetric(self) -> bool:
         return bool(np.allclose(self.matrix, self.matrix.T, rtol=1e-12, atol=1e-12))
 
-    def apply(self, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    def factor(self, grid: RadialGrid) -> _Factor:
+        """The matrix itself, with the grid's quadrature weights on its columns."""
         if self.matrix.shape[0] != grid.points.size:
             raise InvalidParameter(
                 f"kernel is {self.matrix.shape[0]}x{self.matrix.shape[1]} but the "
                 f"grid has {grid.points.size} points"
             )
-        return self.matrix @ (grid.weights * values)
+        return _Factor(None, self.matrix, grid.weights)
+
+    def apply(self, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+        return self.factor(grid).apply(values)
 
 
 KernelSpec = Union[SeparableKernel, TabulatedKernel]
@@ -410,34 +451,6 @@ def _w_bar(grid: RadialGrid, dispersion: DispersionSpec,
     return np.hypot(np.asarray(dispersion.omega(grid.points), dtype=float) + dm, db)
 
 
-def _mode_terms(omega_eff: np.ndarray, delta_b: np.ndarray, params: ModelParams,
-                jacobian: bool = False) -> tuple[np.ndarray, ...]:
-    """Per-mode integrands ``brace = (1 - e t)/2`` and ``ratio = delta_B t / w_bar``.
-
-    With ``jacobian`` four more arrays follow: the derivatives of brace and
-    ratio with respect to omega_eff (equivalently delta_M) and delta_B,
-    taking dt/dw_bar = beta (1 - t**2)/2, which is 0 at T = 0.
-    """
-    w = np.hypot(omega_eff, delta_b)
-    t = tanh_half(w - params.mu, params.beta)
-    nonzero = w > 0.0
-    safe_w = np.where(nonzero, w, 1.0)
-    e = np.where(nonzero, omega_eff / safe_w, 1.0)
-    brace = 0.5 * (1.0 - e * t)
-    ratio = np.where(nonzero, delta_b / safe_w * t, 0.0)
-    if not jacobian:
-        return brace, ratio
-    beta = params.beta
-    dt = np.zeros_like(t) if math.isinf(beta) else 0.5 * beta * (1.0 - t * t)
-    dt_over_w2 = np.where(nonzero, dt / (safe_w * safe_w), 0.0)
-    t_over_w3 = np.where(nonzero, t / safe_w ** 3, 0.0)
-    q = dt_over_w2 - t_over_w3
-    cross = omega_eff * delta_b * q
-    brace_dm = -0.5 * (delta_b * delta_b * t_over_w3 + omega_eff * omega_eff * dt_over_w2)
-    ratio_db = np.where(nonzero, t / safe_w, 0.0) + delta_b * delta_b * q
-    return brace, ratio, brace_dm, -0.5 * cross, cross, ratio_db
-
-
 def gap_rhs(gaps: GapFunctions, grid: RadialGrid, kernels: CoupledKernels,
             dispersion: DispersionSpec, params: ModelParams) -> GapFunctions:
     """One evaluation of the right-hand sides, with w_bar refreshed.
@@ -467,10 +480,6 @@ def gap_rhs(gaps: GapFunctions, grid: RadialGrid, kernels: CoupledKernels,
     )
 
 
-def _defect(gaps: GapFunctions, grid, kernels, dispersion, params) -> float:
-    return gap_rhs(gaps, grid, kernels, dispersion, params).residual
-
-
 def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
                           dispersion: DispersionSpec, params: ModelParams,
                           controls: IterationControls,
@@ -478,44 +487,35 @@ def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
                           ) -> GapFunctions:
     """Damped Picard iteration to a self-consistent gap pair.
 
-    Stops when the sup-norm change between successive damped iterates drops
-    below ``controls.tol``; raises :class:`NotConverged` (carrying the last
-    iterate in ``.gaps``) otherwise.  The converged pairing function is sign-
+    Each step evaluates :func:`gap_rhs` at the current iterate.  Once its
+    ``residual`` (the sup-norm defect of the gap equations there) drops below
+    ``controls.tol`` that iterate is returned with that residual; otherwise
+    the iterate moves the fraction ``controls.damping`` of the way to the
+    right-hand side.  After ``controls.max_iters`` evaluations
+    :class:`NotConverged` is raised, carrying the last evaluated iterate in
+    ``.gaps`` and its defect.  The converged pairing function is sign-
     canonicalized to be non-negative at its largest-magnitude point — both
-    signs solve the system.  ``on_iterate(iteration, change)`` is called once
-    per step when provided; handy for convergence diagnostics.
+    signs solve the system, with the same defect.  ``on_iterate(iteration,
+    defect)`` is called once per step when provided; handy for convergence
+    diagnostics.
     """
     params = validate(params)
     alpha = controls.damping
     dm, db = controls.init.build(grid, params)
-    it = 0
     for it in range(1, controls.max_iters + 1):
         current = GapFunctions(dm, db, _w_bar(grid, dispersion, dm, db), 0.0, it)
         rhs = gap_rhs(current, grid, kernels, dispersion, params)
-        new_dm = (1.0 - alpha) * dm + alpha * rhs.delta_m
-        new_db = (1.0 - alpha) * db + alpha * rhs.delta_b
-        change = max(
-            float(np.max(np.abs(new_dm - dm))),
-            float(np.max(np.abs(new_db - db))),
-        )
-        dm, db = new_dm, new_db
         if on_iterate is not None:
-            on_iterate(it, change)
-        if change < controls.tol:
-            break
-    else:
-        raise NotConverged(
-            f"no fixed point after {controls.max_iters} iterations "
-            f"(last change {change:.3e})",
-            residual=change, iterations=controls.max_iters, gaps=(dm, db),
-        )
-
-    db = _canonical_sign(db)
-    final = GapFunctions(dm, db, _w_bar(grid, dispersion, dm, db), 0.0, it)
-    return GapFunctions(
-        delta_m=dm, delta_b=db, w_bar=final.w_bar,
-        residual=_defect(final, grid, kernels, dispersion, params),
-        iterations=it,
+            on_iterate(it, rhs.residual)
+        if rhs.residual < controls.tol:
+            return GapFunctions(dm, _canonical_sign(db), current.w_bar, rhs.residual, it)
+        dm = (1.0 - alpha) * dm + alpha * rhs.delta_m
+        db = (1.0 - alpha) * db + alpha * rhs.delta_b
+    raise NotConverged(
+        f"no fixed point after {controls.max_iters} iterations "
+        f"(last defect {rhs.residual:.3e})",
+        residual=rhs.residual, iterations=controls.max_iters,
+        gaps=(current.delta_m, current.delta_b),
     )
 
 
@@ -535,35 +535,6 @@ def _canonical_sign(db: np.ndarray) -> np.ndarray:
     return -db if db[int(np.argmax(np.abs(db)))] < 0.0 else db
 
 
-@dataclass(frozen=True, eq=False)
-class _Factor:
-    """A kernel's action on the grid as ``apply(v) = lift(rows @ v)``.
-
-    A separable kernel has rank one: ``basis`` is its shape column and
-    ``rows`` the row ``coupling * sigma``.  A tabulated kernel is its own
-    factor, with ``basis`` None (the identity) and ``rows`` the matrix with
-    the quadrature weights folded into its columns.
-    """
-
-    basis: np.ndarray | None
-    rows: np.ndarray
-
-    @classmethod
-    def of(cls, kernel: KernelSpec, grid: RadialGrid) -> "_Factor":
-        if isinstance(kernel, SeparableKernel):
-            shape = np.asarray(kernel.shape(grid.points), dtype=float)
-            return cls(shape[:, None], kernel.coupling * kernel.measure(grid)[None, :])
-        return cls(None, kernel.matrix * grid.weights)
-
-    def lift(self, x: np.ndarray) -> np.ndarray:
-        return x if self.basis is None else self.basis @ x
-
-    def block(self, d: np.ndarray, col: "_Factor") -> np.ndarray:
-        """``rows @ diag(d) @ col.basis``: one block of the amplitude Jacobian."""
-        m = self.rows * d
-        return m if col.basis is None else m @ col.basis
-
-
 class _AmplitudeProblem:
     """F(x) = x - g(x) for the amplitudes x = (x_M, x_B) of the kernels' ranges.
 
@@ -578,8 +549,8 @@ class _AmplitudeProblem:
                  dispersion: DispersionSpec, params: ModelParams) -> None:
         self.setup = (grid, kernels, dispersion, params)
         self.omega = np.asarray(dispersion.omega(grid.points), dtype=float)
-        self.m = _Factor.of(kernels.mean_field, grid)
-        self.b = _Factor.of(kernels.pairing, grid)
+        self.m = kernels.mean_field.factor(grid)
+        self.b = kernels.pairing.factor(grid)
         self.split = self.m.rows.shape[0]
         self.params = params
 
@@ -589,7 +560,7 @@ class _AmplitudeProblem:
     def image(self, dm: np.ndarray, db: np.ndarray) -> np.ndarray:
         """The amplitudes of ``gap_rhs`` at the gap functions ``(dm, db)``."""
         brace, ratio = _mode_terms(self.omega + dm, db, self.params)
-        return np.concatenate([2.0 * (self.m.rows @ brace), self.b.rows @ ratio])
+        return np.concatenate([2.0 * self.m.amplitudes(brace), self.b.amplitudes(ratio)])
 
     def defect(self, x: np.ndarray) -> np.ndarray:
         return x - self.image(*self.lift(x))
@@ -613,7 +584,7 @@ class _AmplitudeProblem:
         dm, db = self.lift(x)
         db = _canonical_sign(db)
         w_bar = _w_bar(grid, dispersion, dm, db)
-        residual = _defect(GapFunctions(dm, db, w_bar, 0.0), *self.setup)
+        residual = gap_rhs(GapFunctions(dm, db, w_bar, 0.0), *self.setup).residual
         return GapFunctions(dm, db, w_bar, residual)
 
 

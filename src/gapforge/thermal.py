@@ -25,16 +25,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core_types import (
-    BogoliubovCoefficients,
-    ModelParams,
-    fermi,
-    tanh_half,
-    validate,
-)
+from .core_types import BogoliubovCoefficients, ModelParams, tanh_half, validate
 from .errors import FitFailed, InvalidParameter, MomentumOffGrid, ZeroEnergy
-
-_IDENTITY = BogoliubovCoefficients(1.0, 0.0, 0.0)
 
 
 def bogoliubov_from_gaps(omega_eff: float, delta_b: float) -> BogoliubovCoefficients:
@@ -82,17 +74,49 @@ def mode_state(p: float, omega_eff: float, delta_b: float) -> ModeState:
     )
 
 
+def _mode_terms(omega_eff, delta_b, params: ModelParams,
+                jacobian: bool = False) -> tuple[np.ndarray, ...]:
+    """Occupation and twice the pairing amplitude of every mode, elementwise.
+
+    With ``e = omega_eff / w_bar`` and ``t = tanh(beta (w_bar - mu) / 2)``
+    the occupation is {p} = c**2 f + s**2 (1 - f) = (1 - e t)/2 and twice the
+    pairing amplitude is 2 [p] = 2 c s t = delta_b t / w_bar.  A mode with
+    ``w_bar = 0`` is unrotated: e = 1 and no pairing.
+
+    With ``jacobian`` four more arrays follow: the derivatives of the two
+    terms with respect to omega_eff (equivalently delta_M) and delta_b,
+    taking dt/dw_bar = beta (1 - t**2)/2, which is 0 at T = 0.
+    """
+    w = np.hypot(omega_eff, delta_b)
+    t = tanh_half(w - params.mu, params.beta)
+    nonzero = w > 0.0
+    safe_w = np.where(nonzero, w, 1.0)
+    e = np.where(nonzero, omega_eff / safe_w, 1.0)
+    brace = 0.5 * (1.0 - e * t)
+    ratio = np.where(nonzero, delta_b / safe_w * t, 0.0)
+    if not jacobian:
+        return brace, ratio
+    beta = params.beta
+    dt = np.zeros_like(t) if math.isinf(beta) else 0.5 * beta * (1.0 - t * t)
+    dt_over_w2 = np.where(nonzero, dt / (safe_w * safe_w), 0.0)
+    t_over_w3 = np.where(nonzero, t / safe_w ** 3, 0.0)
+    q = dt_over_w2 - t_over_w3
+    cross = omega_eff * delta_b * q
+    brace_dm = -0.5 * (delta_b * delta_b * t_over_w3 + omega_eff * omega_eff * dt_over_w2)
+    ratio_db = np.where(nonzero, t / safe_w, 0.0) + delta_b * delta_b * q
+    return brace, ratio, brace_dm, -0.5 * cross, cross, ratio_db
+
+
 def occupation(mode: ModeState, params: ModelParams) -> float:
     """Thermal occupation {p} = c**2 f + s**2 (1 - f), always in [0, 1]."""
-    f = fermi(mode.w_bar - params.mu, params.beta)
-    c, s = mode.coeffs.c, mode.coeffs.s
-    return c * c * f + s * s * (1.0 - f)
+    brace, _ = _mode_terms(mode.omega_eff, mode.delta_b, params)
+    return float(brace)
 
 
 def pairing_amplitude(mode: ModeState, params: ModelParams) -> float:
     """Anomalous expectation [p] = c s tanh(beta (w_bar - mu) / 2), in [-1/2, 1/2]."""
-    t = tanh_half(mode.w_bar - params.mu, params.beta)
-    return mode.coeffs.c * mode.coeffs.s * t
+    _, ratio = _mode_terms(mode.omega_eff, mode.delta_b, params)
+    return 0.5 * float(ratio)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +131,6 @@ class ModeTable:
     """
 
     momenta: np.ndarray
-    states: tuple[ModeState, ...]
     params: ModelParams
     occupations: np.ndarray
     pairings: np.ndarray
@@ -118,8 +141,8 @@ class ModeTable:
         """Tabulate modes from gap values sampled on ``momenta`` (p >= 0).
 
         A mode with ``omega_eff = delta_b = 0`` (e.g. the origin of a free
-        dispersion with no pairing there) gets the identity rotation rather
-        than tripping :class:`ZeroEnergy`: nothing needs diagonalizing.
+        dispersion with no pairing there) is unrotated rather than tripping
+        :class:`ZeroEnergy`: nothing needs diagonalizing.
         """
         params = validate(params)
         mom = np.asarray(momenta, dtype=float)
@@ -133,16 +156,8 @@ class ModeTable:
             )
         if oe.shape != mom.shape or db.shape != mom.shape:
             raise InvalidParameter("gap arrays must match the momentum grid shape")
-        states = []
-        for p, w, d in zip(mom, oe, db):
-            if w == 0.0 and d == 0.0:
-                states.append(ModeState(float(p), 0.0, 0.0, 0.0, _IDENTITY))
-            else:
-                states.append(mode_state(p, w, d))
-        occ = np.array([occupation(m, params) for m in states])
-        pair = np.array([pairing_amplitude(m, params) for m in states])
-        return cls(momenta=mom, states=tuple(states), params=params,
-                   occupations=occ, pairings=pair)
+        occ, ratio = _mode_terms(oe, db, params)
+        return cls(momenta=mom, params=params, occupations=occ, pairings=0.5 * ratio)
 
     def index(self, p: float) -> int:
         """Grid index of |p|; MomentumOffGrid when |p| is not a grid point."""
@@ -255,7 +270,7 @@ class SmearingScalingResult:
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.empty_like(x)
+    w = np.empty(x.shape)
     if x.size == 1:
         w[0] = 0.0
         return w
@@ -327,22 +342,18 @@ def pairing_diagonal_term(table: ModeTable, v: Callable,
     """The surviving diagonal combination J(kappa) = int v(p) v(-p) [p][-p] dp.
 
     On the diagonal p' = -p the smeared momentum sum p + p' vanishes
-    identically, so the Gaussian weight is exp(0) = 1 for every kappa and
-    the returned values are constant up to rounding — that invariance is the
-    point.  Quadrature runs on the table's own half-axis grid with the odd
-    extension folded in ([p][-p] = -[p]**2 for p > 0).
+    identically, so the Gaussian weight is exp(0) = 1 exactly for every
+    kappa: the sum is formed once and returned for each kappa — that
+    invariance is the point.  Quadrature runs on the table's own half-axis
+    grid with the odd extension folded in ([p][-p] = -[p]**2 for p > 0).
     """
     mom = table.momenta
     wp = _trapezoid_weights(mom) if mom.size > 1 else np.ones(1)
     v_plus = np.asarray(v(mom), dtype=float)
     v_minus = np.asarray(v(-mom), dtype=float)
-    product = np.array([table.pairing_at(p) * table.pairing_at(-p)
-                        for p in mom])
+    pair = table.pairings
+    # [p][-p]: -[p]**2 off the origin, the raw [0]**2 at it (ModeTable.pairing_at)
+    product = np.where(mom == 0.0, pair * pair, -(pair * pair))
     fold = np.where(mom == 0.0, 1.0, 2.0)  # even integrand: fold the half axis
-    diag_sq = np.zeros_like(mom)  # (p + p')**2 with p' = -p
-    out = np.empty(len(list_kap := np.asarray(list(kappas), dtype=float)))
-    for i, k in enumerate(list_kap):
-        out[i] = float(np.sum(
-            fold * wp * v_plus * v_minus * product * np.exp(-2.0 * k * diag_sq)
-        ))
-    return out
+    total = float(np.sum(fold * wp * v_plus * v_minus * product))
+    return np.full(len(np.asarray(list(kappas), dtype=float)), total)

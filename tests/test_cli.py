@@ -353,6 +353,19 @@ def test_kernel_solve_branch_scan_adds_a_branch_column(capsys):
     assert peaks == sorted(peaks)
 
 
+def test_kernel_solve_branch_residuals_stay_within_tol(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "kernel-solve", "--lambda-b", "4", "--lambda-m", "0.3", "--mu", "1",
+        "--temp", "0.5", "--epsilon", "0.01", "--seeds", "0.3,2.0", "--tol", "1e-10",
+    )
+    assert code == 0
+    summary = json.loads(err)
+    assert summary["converged"] is True
+    assert len(summary["branches"]) == 3
+    assert all(b["residual"] <= 1e-10 for b in summary["branches"])
+
+
 def test_kernel_solve_reports_non_convergence(capsys):
     code, out, err = run_cli(
         capsys,

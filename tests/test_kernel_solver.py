@@ -428,6 +428,32 @@ def test_damped_iteration_reports_progress_per_step():
     assert sol.residual < 1e-8
 
 
+def test_solve_returns_the_iterate_whose_defect_it_reports():
+    eps = 0.05
+    grid = shell_aligned_grid(1.0, eps, n_shell=60, p_max=3.0, n_outer=120)
+    kernels = shell_kernels(PARAMS, eps)
+    controls = IterationControls(init=SeededPairing(1.0))
+    defects = []
+    sol = self_consistent_solve(grid, kernels, PARABOLIC, PARAMS, controls,
+                                on_iterate=lambda it, defect: defects.append(defect))
+    assert sol.residual < controls.tol
+    assert sol.residual == defects[-1]
+    assert sol.residual == gap_rhs(sol, grid, kernels, PARABOLIC, PARAMS).residual
+    assert all(d >= controls.tol for d in defects[:-1])
+
+
+def test_unconverged_solve_carries_the_defect_of_its_iterate():
+    eps = 0.05
+    grid = shell_aligned_grid(1.0, eps, n_shell=60, p_max=3.0, n_outer=120)
+    kernels = shell_kernels(PARAMS, eps)
+    with pytest.raises(NotConverged) as info:
+        self_consistent_solve(grid, kernels, PARABOLIC, PARAMS,
+                              IterationControls(max_iters=4, init=SeededPairing(1.0)))
+    dm, db = info.value.gaps
+    last = GapFunctions(dm, db, np.hypot(grid.points ** 2 + dm, db), 0.0)
+    assert info.value.residual == gap_rhs(last, grid, kernels, PARABOLIC, PARAMS).residual
+
+
 def test_unconverged_solve_reports_its_last_iterate():
     eps = 0.05
     grid = shell_aligned_grid(1.0, eps, n_shell=60, p_max=3.0, n_outer=120)
@@ -519,6 +545,22 @@ def test_branch_scan_solves_the_repelling_branch_to_the_tolerance():
     lower = min(s.delta_b for s in solve_all(params).mixed)
     at_fermi = float(middle.delta_b[grid.index_nearest(1.0)])
     assert at_fermi == pytest.approx(lower, rel=1e-2)
+
+
+@pytest.mark.parametrize("lambda_m", [0.3, -0.3])
+def test_branch_scan_residuals_are_gap_rhs_defects_within_tol(lambda_m):
+    # the delta_B = 0 branch here converges slowly; a stop on the damped step
+    # reported defects up to tol / damping
+    params = ModelParams(4.0, lambda_m, 1.0, temperature=0.5)
+    eps = 0.01
+    grid = shell_aligned_grid(params.mu, eps, n_shell=200, n_outer=400)
+    kernels = shell_kernels(params, eps)
+    controls = IterationControls()
+    branches = branch_scan(grid, kernels, PARABOLIC, params, [0.3, 2.0], controls)
+    assert len(branches) == 3
+    for b in branches:
+        assert b.residual <= controls.tol
+        assert b.residual == gap_rhs(b, grid, kernels, PARABOLIC, params).residual
 
 
 def test_branch_scan_stays_within_its_gap_rhs_budget(monkeypatch):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -137,6 +137,7 @@ def test_pairing_amplitude_flips_sign_below_the_chemical_potential():
     mu=st.floats(0.0, 10.0),
     temperature=st.floats(1e-3, 50.0),
 )
+@example(omega=1.9520347751384322e-14, delta=19.0, mu=0.0, temperature=0.5)
 def test_expectations_stay_in_their_ranges(omega, delta, mu, temperature):
     if math.hypot(omega, delta) < 1e-9:
         return
@@ -200,6 +201,29 @@ def test_zero_gap_mode_is_a_plain_fermi_level():
     expected = fermi(0.0 - PARAMS.mu, PARAMS.beta)
     assert table.occupation_at(0.0) == pytest.approx(expected, abs=1e-15)
     assert table.pairing_at(0.0) == 0.0
+
+
+@pytest.mark.parametrize("temperature", [0.5, 0.0, math.inf])
+def test_table_matches_the_bogoliubov_reference(temperature):
+    # c**2 f + s**2 (1 - f) and c s tanh from the mixing angle, mode by mode;
+    # the origin is a w_bar = 0 mode (atan2(0, 0) = 0 leaves it unrotated)
+    params = ModelParams(lambda_b=4.0, lambda_m=0.0, mu=1.0, temperature=temperature)
+    momenta = np.linspace(0.0, 3.0, 25)
+    omega = momenta ** 2 - 1.2 * momenta
+    delta = 0.7 * np.sin(2.0 * momenta)
+    table = ModeTable.build(momenta, omega, delta, params)
+    for i, (w_eff, d) in enumerate(zip(omega, delta)):
+        phi = 0.5 * math.atan2(d, w_eff)
+        c, s = math.cos(phi), math.sin(phi)
+        x = math.hypot(w_eff, d) - params.mu
+        if math.isinf(temperature):
+            f, t = 0.5, 0.0
+        elif temperature == 0.0:
+            f, t = (1.0, -1.0) if x < 0.0 else (0.0, 1.0)
+        else:
+            f, t = 1.0 / (1.0 + math.exp(x / temperature)), math.tanh(0.5 * x / temperature)
+        assert abs(table.occupations[i] - oracles.occupation_reference(c * c, f)) <= 1e-15
+        assert abs(table.pairings[i] - c * s * t) <= 1e-15
 
 
 def test_table_build_validates_the_grid():
@@ -318,6 +342,26 @@ def test_smearing_check_requires_two_decades():
         smearing_scaling_check(ones, gaussian, [5.0])
     with pytest.raises(FitFailed):
         smearing_scaling_check(ones, gaussian, [-1.0, 1.0, 1000.0])
+
+
+@pytest.mark.parametrize("with_origin_pairing", [False, True])
+def test_pairing_diagonal_term_matches_the_per_mode_sum(with_origin_pairing):
+    table = _demo_table(with_origin_pairing)
+    v = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
+    kappas = np.logspace(0.0, 4.0, 9)
+    # reference: the per-mode lookups pairing_at(p) * pairing_at(-p), one
+    # trapezoid sum per kappa with the weight exp(-2 kappa (p - p)**2)
+    mom = table.momenta
+    wp = np.empty_like(mom)
+    wp[1:-1] = 0.5 * (mom[2:] - mom[:-2])
+    wp[0] = 0.5 * (mom[1] - mom[0])
+    wp[-1] = 0.5 * (mom[-1] - mom[-2])
+    product = np.array([table.pairing_at(p) * table.pairing_at(-p) for p in mom])
+    fold = np.where(mom == 0.0, 1.0, 2.0)
+    terms = fold * wp * v(mom) * v(-mom) * product
+    reference = [float(np.sum(terms * np.exp(-2.0 * k * np.zeros_like(mom))))
+                 for k in kappas]
+    assert np.array_equal(pairing_diagonal_term(table, v, kappas), reference)
 
 
 def test_pairing_diagonal_term_ignores_the_smearing_width():
