@@ -23,8 +23,10 @@ root count and the brackets: below the curve one root in ``[mb, x_min]``
 one in ``[x_min, lb]`` (the upper branch); within :data:`TANGENCY_BAND` of
 the curve the single degenerate root ``x_min``; above it none.  For
 ``lambda_b < 0`` the defect is strictly increasing and there is exactly one
-root in ``(0, min(mb, |lb|))`` whenever ``mu > 0``.  Every bracket is
-polished by the same bisection, which ends on adjacent doubles.
+root in ``(0, min(mb, |lb|))`` whenever ``mu > 0``.  On each bracket the
+defect is convex towards the end where it is positive, so every root,
+and the root of the pure branch, is polished by the same guarded Newton
+iteration from that end, which ends on adjacent doubles.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .core_types import (
     PhaseLabel,
     SolveReport,
     fermi,
+    tanh_half,
     to_reduced,
     validate,
 )
@@ -72,21 +75,58 @@ def _from_key(key: int) -> float:
     return _F64.unpack(_U64.pack(key if key >= 0 else _SIGN_BIT - key))[0]
 
 
-def _bracketed_root(f, lo: float, hi: float) -> float:
+def _bracketed_root(f, lo: float, hi: float, slope: bool = False) -> float:
     """The root of a function rising through zero on ``[lo, hi]``.
 
     ``f`` must be negative below the root and non-negative from it up to
     ``hi``; ``f(lo)`` is never evaluated, so a bracket end known to be
-    negative only analytically still works.  Returns the smallest double
-    in ``(lo, hi]`` where ``f >= 0``.  The bisection halves the doubles'
-    order keys rather than their values, so it ends within 64 steps
-    whatever the magnitudes, one unit in the last place from the root even
-    next to a tiny or huge bracket end.
+    negative only analytically still works.  Returns a double ``b`` in
+    ``(lo, hi]`` with ``f(b) >= 0`` whose predecessor is ``lo`` or gives
+    ``f < 0``: a sign change at adjacent doubles.
+
+    Without ``slope`` it bisects the doubles' order keys rather than their
+    values, so it ends within 64 steps whatever the magnitudes, one unit in
+    the last place from the root even next to a tiny or huge bracket end.
+    With ``slope``, ``f(x)`` returns the pair ``(f(x), f'(x))`` and each
+    step is a Newton step from the latest iterate, starting at ``hi``: on a
+    defect convex up to ``hi`` the iterates fall monotonically onto the
+    root (Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
+    1995, ch. 5).  A Newton point outside the bracket, or a step longer
+    than half the one before the last, is replaced by a key bisection.  A
+    step of at most one ulp means the iterate sits in the defect's rounding
+    zone; from there probes 1, 2, 4, ... ulps away walk towards the other
+    bracket end until the sign changes, starting with the neighbouring
+    double.  After 64 evaluations the rest is key bisection, so a root
+    costs at most 128.
     """
-    a, b = _order_key(lo), _order_key(hi)
+    a, b = lo, hi
+    if slope:
+        x = hi
+        step = prev = math.inf  # the last two steps
+        nudge = 0.0  # ulps of the next probe, once Newton has stalled
+        for _ in range(64):
+            fx, dfx = f(x)
+            if fx < 0.0:
+                a = x
+            else:
+                b = x
+            if math.nextafter(a, b) == b:
+                return b
+            y = x - fx / dfx if dfx else math.nan
+            if nudge or abs(y - x) <= math.ulp(x):
+                nudge = 2.0 * nudge or 1.0
+                y = x - nudge * math.ulp(x) if x == b else x + nudge * math.ulp(x)
+            elif not 2.0 * abs(y - x) <= abs(prev):
+                y = math.nan
+            if not a < y < b:
+                y = _from_key((_order_key(a) + _order_key(b)) // 2)
+            prev, step = step, y - x
+            x = y
+    a, b = _order_key(a), _order_key(b)
     while b - a > 1:
         mid = (a + b) // 2
-        if f(_from_key(mid)) < 0.0:
+        value = f(_from_key(mid))
+        if (value[0] if slope else value) < 0.0:
             a = mid
         else:
             b = mid
@@ -106,13 +146,16 @@ def tangency_distance(lambda_b_bar: float, mu_bar: float) -> float:
 
 def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel]]:
     """Roots ``x > 0`` of ``x = lb*tanh(x - mb)``, ascending, each with its branch."""
-    def f(x: float) -> float:
-        return x - lb * math.tanh(x - mb)
+    def f(x: float) -> tuple[float, float]:
+        u = x - mb
+        e = math.exp(-2.0 * abs(u))  # sech(u)**2 = 4e/(1 + e)**2, free of overflow
+        return x - lb * math.tanh(u), 1.0 - 4.0 * lb * e / ((1.0 + e) * (1.0 + e))
 
     if lb < 0.0:
         if mb == 0.0:
             return []
-        return [(_bracketed_root(f, 0.0, min(mb, -lb)), PhaseLabel.MIXED_LOWER)]
+        return [(_bracketed_root(f, 0.0, min(mb, -lb), slope=True),
+                 PhaseLabel.MIXED_LOWER)]
     if lb <= 1.0:
         # slope bound: lb*tanh(x - mb) < x for all x > 0 when lb <= 1, mb >= 0
         return []
@@ -122,12 +165,18 @@ def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel
         return [(x_min, PhaseLabel.TANGENT)]
     if not distance < 0.0:  # above the curve; NaN once lb overflows
         return []
-    upper = (_bracketed_root(f, x_min, lb), PhaseLabel.MIXED_UPPER)
+    upper = (_bracketed_root(f, x_min, lb, slope=True), PhaseLabel.MIXED_UPPER)
     if mb == 0.0:
         return [upper]  # the lower bracket holds only the trivial node x = 0
-    # f falls through the lower root, so the kernel gets -f
-    return [(_bracketed_root(lambda x: -f(x), mb, x_min), PhaseLabel.MIXED_LOWER),
-            upper]
+
+    def mirrored(y: float) -> tuple[float, float]:
+        # f falls through the lower root; f(-y) rises through it, convex up
+        # to its value mb at y = -mb, where Newton starts
+        value, slope = f(-y)
+        return value, -slope
+
+    return [(-_bracketed_root(mirrored, -x_min, -mb, slope=True),
+             PhaseLabel.MIXED_LOWER), upper]
 
 
 def _mixed_roots(params: ModelParams) -> list[tuple[float, PhaseLabel]]:
@@ -165,9 +214,11 @@ def pairing_energy_roots(params: ModelParams) -> list[float]:
 
     Sorted ascending.  For ``lambda_b > 0`` there are 0, 1 (at ``mu = 0``,
     or on the tangency band) or 2 of them; for ``lambda_b < 0`` at most one.
-    Each root is the sign change of the reduced defect to adjacent doubles,
-    except the tangent root, which is the defect's minimum ``x_min`` and so
-    leaves a reduced defect of at most :data:`TANGENCY_BAND`.
+    Each root is the sign change of the reduced defect at adjacent doubles,
+    found by guarded Newton steps from the bracket end where the convex
+    defect is positive, except the tangent root, which is the defect's
+    minimum ``x_min`` and so leaves a reduced defect of at most
+    :data:`TANGENCY_BAND`.
 
     Raises :class:`ZeroCoupling` for ``lambda_b == 0``.
     """
@@ -235,11 +286,13 @@ def pure_mean_field(params: ModelParams) -> float:
     """The mean-field-only gap, the unique root of d*(1 + e^(beta*d)) = 2*lambda_m.
 
     Exists for every parameter set.  The left side is strictly increasing in
-    ``d``, so the bracket ``[-2|lambda_m|, 2|lambda_m|]`` holds exactly one
-    root, polished to adjacent doubles.  The chemical potential cancels from
-    this branch entirely.  Exact limits: ``lambda_m`` at infinite
-    temperature; ``0`` (from above) for ``lambda_m > 0`` and ``2*lambda_m``
-    for ``lambda_m < 0`` at T = 0.
+    ``d`` (its slope is at least ``1 - e**-2``), and the root lies in
+    ``(0, lambda_m]`` for ``lambda_m > 0`` and in ``[2*lambda_m, lambda_m)``
+    for ``lambda_m < 0``.  Guarded Newton steps from the end of that bracket
+    farther from zero polish it to a sign change at adjacent doubles.  The
+    chemical potential cancels from this branch entirely.  Exact limits:
+    ``lambda_m`` at infinite temperature; ``0`` (from above) for
+    ``lambda_m > 0`` and ``2*lambda_m`` for ``lambda_m < 0`` at T = 0.
     """
     params = validate(params)
     lm = params.lambda_m
@@ -251,16 +304,31 @@ def pure_mean_field(params: ModelParams) -> float:
     if math.isinf(beta):
         return 0.0 if lm > 0.0 else 2.0 * lm
 
-    def g(d: float) -> float:
-        return d * (1.0 + math.exp(min(beta * d, 700.0))) - 2.0 * lm
+    # with d = sign(lambda_m)*s the defect g(s) = s*(1 + e^z) - 2|lambda_m|,
+    # z = sign(lambda_m)*beta*s, rises through one root in [0, |lambda_m|]
+    # for lambda_m > 0 and in [|lambda_m|, 2|lambda_m|] for lambda_m < 0
+    m = abs(lm)
+    signed_beta = math.copysign(beta, lm)
 
-    return _bracketed_root(g, -2.0 * abs(lm), 2.0 * abs(lm))
+    def g(s: float) -> tuple[float, float]:
+        z = min(signed_beta * s, 700.0)
+        e = math.exp(z)
+        return s * (1.0 + e) - 2.0 * m, 1.0 + e * (1.0 + z)
+
+    lo, hi = (0.0, m) if lm > 0.0 else (m, 2.0 * m)
+    return math.copysign(_bracketed_root(g, lo, hi, slope=True), lm)
 
 
 def _pure_solution(params: ModelParams) -> GapSolution:
     dm = pure_mean_field(params)
     w = params.mu + dm  # signed effective energy on the pairing-free branch
-    residual = abs(dm - 2.0 * params.lambda_m * fermi(dm, params.beta))
+    # at T = 0 and lambda_m > 0 the root is delta_m = 0+, where the step
+    # function occupies nothing; its midpoint value 1/2 belongs to no side
+    if dm == 0.0 and math.isinf(params.beta):
+        occupation = 0.0
+    else:
+        occupation = fermi(dm, params.beta)
+    residual = abs(dm - 2.0 * params.lambda_m * occupation)
     residual /= max(1.0, abs(params.lambda_m))
     return GapSolution(
         delta_m=dm,
@@ -274,8 +342,6 @@ def _pure_solution(params: ModelParams) -> GapSolution:
 
 
 def _mixed_residual(w: float, dm: float, db: float, params: ModelParams) -> float:
-    from .core_types import tanh_half
-
     beta = params.beta
     if math.isinf(0.5 * beta * (w - params.mu)):
         beta = math.inf  # tanh is saturated; its numpy argument would overflow

@@ -1,10 +1,13 @@
 """Root finding and branch assembly for the Fermi-surface scalar system."""
 
 import math
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gapforge import scalar_gap
 from gapforge.core_types import ModelParams, PhaseLabel
 from gapforge.errors import (
     DomainError,
@@ -262,6 +265,13 @@ def test_solve_all_above_tc_only_pure():
     assert [s.phase for s in report.solutions] == [PhaseLabel.PURE_MEAN_FIELD]
 
 
+@pytest.mark.parametrize("lm", [0.7, 3.0])
+@pytest.mark.parametrize("T", [0.0, 1e-300])
+def test_pure_residual_at_zero_temperature_is_the_one_sided_limit(lm, T):
+    # delta_m = 0+ at T = 0, where the occupation is 0, not the step's 1/2
+    assert solve_all(ModelParams(2.0, lm, 1.0, T)).pure.residual <= 1e-12
+
+
 def test_pure_branch_signed_energy():
     report = solve_all(ModelParams(4.0, -1.5, 1.0, 0.5))
     pure = report.pure
@@ -374,6 +384,95 @@ def test_bracketed_root_step_count_is_bounded():
     assert len(calls) <= 64
 
 
+@pytest.mark.parametrize("slope", [1.0, 0.0, -1.0, 1e-300, 1e300, math.inf, math.nan])
+def test_newton_kernel_ends_on_the_root_whatever_slope_it_is_given(slope):
+    from gapforge.scalar_gap import _bracketed_root
+
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1e-300, slope
+
+    root = _bracketed_root(f, 0.0, 1.0, slope=True)
+    assert len(calls) <= 128
+    assert 0.0 not in calls
+    assert root == 1e-300
+
+
+def test_newton_kernel_finds_a_sign_change_in_a_wide_rounding_zone():
+    from gapforge.scalar_gap import _bracketed_root
+
+    calls = []
+
+    def f(x):
+        # a root at 0.5 blurred by noise over about 1e-12 (~9000 ulps)
+        calls.append(x)
+        return (x - 0.5) + 1e-12 * math.sin(1e15 * x), 1.0
+
+    root = _bracketed_root(f, 0.0, 1.0, slope=True)
+    assert len(calls) <= 128
+    assert abs(root - 0.5) <= 2e-12
+    assert f(root)[0] >= 0.0 > f(math.nextafter(root, 0.0))[0]
+
+
+def _kernel_calls(params):
+    """Solve ``params``; each root-kernel call as (f, lo, hi, slope, root, xs).
+
+    ``xs`` are the points where the kernel evaluated ``f``.
+    """
+    kernel = scalar_gap._bracketed_root
+    calls = []
+
+    def recording(f, lo, hi, slope=False):
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return f(x)
+
+        root = kernel(counted, lo, hi, slope)
+        calls.append((f, lo, hi, slope, root, seen))
+        return root
+
+    with mock.patch.object(scalar_gap, "_bracketed_root", recording):
+        solve_all(params)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lb_bar=st.floats(1.0, 40.0), frac=st.floats(0.0, 1.0),
+    attractive=st.booleans(), lm=st.floats(-3, 3), T=st.floats(0.01, 4),
+    exponent=st.floats(-150, 150),
+)
+def test_every_root_is_a_sign_change_at_adjacent_doubles(
+        lb_bar, frac, attractive, lm, T, exponent):
+    # below the tangency curve the upper and lower brackets each hold a
+    # root; on the attractive side the one bracket [0, min(mb, |lb|)] does
+    if attractive:
+        lb, mu = -2.0 * T * lb_bar, 4.0 * T * frac * lb_bar
+    else:
+        lb, mu = 2.0 * T * lb_bar, 2.0 * T * frac * equilibrium_mu(lb_bar)[0]
+    c = 10.0 ** exponent
+    calls = _kernel_calls(ModelParams(c * lb, c * lm, c * mu, c * T))
+    assert len(calls) >= (c * lm != 0.0)  # the pure branch, unless lambda_m = 0
+    for f, lo, hi, slope, root, seen in calls:
+        assert slope
+        assert lo not in seen and len(seen) <= 128
+        assert lo < root <= hi
+        assert f(root)[0] >= 0.0
+        below = math.nextafter(root, lo)
+        assert below == lo or f(below)[0] < 0.0
+
+
+def test_solve_all_needs_few_defect_evaluations():
+    # the pure root and two mixed roots; bisection took about 165 evaluations
+    calls = _kernel_calls(ModelParams(5.0, 0.3, 1.0, 0.3))
+    assert len(calls) == 3
+    assert sum(len(seen) for *_, seen in calls) <= 40
+
+
 def _energies(report):
     return [(s.delta_m, s.delta_b, s.w_bar) for s in report.solutions]
 
@@ -390,6 +489,8 @@ def test_solutions_scale_with_the_energies(lb, lm, mu, T, exponent):
     # other energies, so rounding decides whether so small a root is admitted
     assume(abs(lb) > 1e-6)
     c = 10.0 ** exponent
+    # an input scaled below the normal range is no longer c times the base
+    assume(all(abs(c * v) >= sys.float_info.min for v in (lb, lm, mu, T) if v))
     base = solve_all(ModelParams(lb, lm, mu, T))
     scaled = solve_all(ModelParams(c * lb, c * lm, c * mu, c * T))
     assert [s.phase for s in scaled.solutions] == [s.phase for s in base.solutions]
