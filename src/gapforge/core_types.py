@@ -121,8 +121,17 @@ def fermi(x, beta: float):
 
     Exact limits are used at the distinguished temperatures: a step function
     at ``beta = inf`` (with value 1/2 at x = 0) and the constant 1/2 at
-    ``beta = 0``.  The exponent is clipped to avoid overflow.
+    ``beta = 0``.  The exponent is clipped to avoid overflow.  A ``float``
+    (``numpy.float64`` included) is evaluated with :mod:`math` and gives a
+    ``float``; anything else goes through numpy.
     """
+    if isinstance(x, float):
+        x = float(x)  # a numpy.float64 would keep numpy's arithmetic and warnings
+        if math.isinf(beta):
+            return 1.0 if x < 0.0 else 0.0 if x > 0.0 else 0.5
+        if beta == 0.0:
+            return 0.5
+        return 1.0 / (1.0 + math.exp(min(max(beta * x, -700.0), 700.0)))
     arr = np.asarray(x, dtype=float)
     if math.isinf(beta):
         out = np.where(arr < 0.0, 1.0, np.where(arr > 0.0, 0.0, 0.5))
@@ -135,7 +144,15 @@ def fermi(x, beta: float):
 
 
 def tanh_half(x, beta: float):
-    """tanh(beta*x/2) elementwise, with sign-function limit at beta = inf."""
+    """tanh(beta*x/2) elementwise, with sign-function limit at beta = inf.
+
+    Like :func:`fermi`, a ``float`` is evaluated with :mod:`math`.
+    """
+    if isinstance(x, float):
+        x = float(x)
+        if math.isinf(beta):
+            return 1.0 if x > 0.0 else -1.0 if x < 0.0 else x - x  # 0.0, or nan
+        return math.tanh(0.5 * beta * x)
     arr = np.asarray(x, dtype=float)
     if math.isinf(beta):
         out = np.sign(arr)

@@ -16,8 +16,12 @@ over-approximate near its boundaries, so consistency is only asserted away
 from them.
 
 Scans walk a row-major lattice over (lambda_b, lambda_m, mu, temperature) in
-that fixed axis order, solve every point independently, and emit one
-:class:`ScanRow` each.  Points that fail validation land in the row's
+that fixed axis order, solve every point with
+:func:`~gapforge.scalar_gap.solve_all`, and emit one :class:`ScanRow` each.
+The one piece of work points share, the pure mean-field root, which depends
+on (lambda_m, temperature) alone, comes from ``solve_all``'s bounded cache,
+so a lattice at fixed lambda_m and T solves it once; every row is the same
+as from a fresh solve.  Points that fail validation land in the row's
 ``error`` column; a scan never aborts half-way.  Evaluation is serial, so
 output order is deterministic; ``GAPFORGE_THREADS`` is validated but has no
 effect.
@@ -28,6 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -265,22 +270,15 @@ def equilibrium_curve(lo: float, hi: float,
     return out
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, RegionLabel):
-        return value.value
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def write_scan_csv(rows: Iterable[ScanRow], stream: IO[str]) -> None:
-    """CSV with a mandatory header, LF line endings, shortest-round-trip floats."""
+    """CSV with a mandatory header, LF line endings, shortest-round-trip floats.
+
+    :mod:`csv` writes ``None`` as an empty field, a float by its ``repr``
+    and a region label by its value.
+    """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SCAN_COLUMNS)
-    for row in rows:
-        writer.writerow([_cell(getattr(row, name)) for name in SCAN_COLUMNS])
+    writer.writerows(map(operator.attrgetter(*SCAN_COLUMNS), rows))
 
 
 def write_scan_json(rows: Iterable[ScanRow], stream: IO[str]) -> None:

@@ -31,8 +31,10 @@ iteration from that end, which ends on adjacent doubles.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
+import sys
 
 from .core_types import (
     BogoliubovCoefficients,
@@ -285,42 +287,61 @@ def recover_delta_b(w_bar: float, delta_m: float, params: ModelParams,
 def pure_mean_field(params: ModelParams) -> float:
     """The mean-field-only gap, the unique root of d*(1 + e^(beta*d)) = 2*lambda_m.
 
-    Exists for every parameter set.  The left side is strictly increasing in
-    ``d`` (its slope is at least ``1 - e**-2``), and the root lies in
-    ``(0, lambda_m]`` for ``lambda_m > 0`` and in ``[2*lambda_m, lambda_m)``
-    for ``lambda_m < 0``.  Guarded Newton steps from the end of that bracket
-    farther from zero polish it to a sign change at adjacent doubles.  The
-    chemical potential cancels from this branch entirely.  Exact limits:
+    Exists for every parameter set whose root is a finite double.  The left
+    side is strictly increasing in ``d`` (its slope is at least
+    ``1 - e**-2``), and the root lies in ``(0, lambda_m]`` for
+    ``lambda_m > 0`` and in ``[2*lambda_m, lambda_m)`` for ``lambda_m < 0``.
+    Guarded Newton steps from the end of that bracket farther from zero
+    polish it to a sign change at adjacent doubles.  The chemical potential
+    cancels from this branch entirely, so the root depends on
+    ``(lambda_m, T)`` alone and is kept in a bounded cache.  Exact limits:
     ``lambda_m`` at infinite temperature; ``0`` (from above) for
     ``lambda_m > 0`` and ``2*lambda_m`` for ``lambda_m < 0`` at T = 0.
+
+    Raises :class:`DomainError` where the root exceeds the largest double,
+    which takes ``lambda_m < -max_double/2``.
     """
     params = validate(params)
-    lm = params.lambda_m
+    return _pure_root(params.lambda_m, params.beta)
+
+
+@functools.lru_cache(maxsize=4096)
+def _pure_root(lm: float, beta: float) -> float:
     if lm == 0.0:
         return 0.0
-    beta = params.beta
     if beta == 0.0:
         return lm
-    if math.isinf(beta):
-        return 0.0 if lm > 0.0 else 2.0 * lm
-
-    # with d = sign(lambda_m)*s the defect g(s) = s*(1 + e^z) - 2|lambda_m|,
-    # z = sign(lambda_m)*beta*s, rises through one root in [0, |lambda_m|]
-    # for lambda_m > 0 and in [|lambda_m|, 2|lambda_m|] for lambda_m < 0
     m = abs(lm)
-    signed_beta = math.copysign(beta, lm)
+    if math.isinf(beta):
+        s = 0.0 if lm > 0.0 else 2.0 * m
+    else:
+        # with d = sign(lambda_m)*s the defect g(s) = s*(1 + e^z)/2 - |lambda_m|,
+        # z = sign(lambda_m)*beta*s, rises through one root in [0, |lambda_m|]
+        # for lambda_m > 0 and in [|lambda_m|, 2|lambda_m|] for lambda_m < 0.
+        # It is halved to stay finite up to the largest double, and compared
+        # in logarithms where e^z would overflow.
+        signed_beta = math.copysign(beta, lm)
+        log_two_m = math.log(m) + math.log(2.0)
 
-    def g(s: float) -> tuple[float, float]:
-        z = min(signed_beta * s, 700.0)
-        e = math.exp(z)
-        return s * (1.0 + e) - 2.0 * m, 1.0 + e * (1.0 + z)
+        def g(s: float) -> tuple[float, float]:
+            z = signed_beta * s
+            if z > 700.0:
+                return math.log(s) + z - log_two_m, 1.0 / s + beta
+            e = math.exp(z)
+            return s * (0.5 + 0.5 * e) - m, 0.5 + 0.5 * e * (1.0 + z)
 
-    lo, hi = (0.0, m) if lm > 0.0 else (m, 2.0 * m)
-    return math.copysign(_bracketed_root(g, lo, hi, slope=True), lm)
+        lo, hi = (0.0, m) if lm > 0.0 else (m, min(2.0 * m, sys.float_info.max))
+        # g(hi) >= 0 unless 2|lambda_m| overflows and the root lies beyond it
+        s = _bracketed_root(g, lo, hi, slope=True) if g(hi)[0] >= 0.0 else math.inf
+    if math.isinf(s):
+        raise DomainError(
+            f"the pure-branch root for lambda_m = {lm!r} is not a finite double")
+    return math.copysign(s, lm)
 
 
 def _pure_solution(params: ModelParams) -> GapSolution:
     dm = pure_mean_field(params)
+    lm = params.lambda_m
     w = params.mu + dm  # signed effective energy on the pairing-free branch
     # at T = 0 and lambda_m > 0 the root is delta_m = 0+, where the step
     # function occupies nothing; its midpoint value 1/2 belongs to no side
@@ -328,8 +349,8 @@ def _pure_solution(params: ModelParams) -> GapSolution:
         occupation = 0.0
     else:
         occupation = fermi(dm, params.beta)
-    residual = abs(dm - 2.0 * params.lambda_m * occupation)
-    residual /= max(1.0, abs(params.lambda_m))
+    # |dm - 2*lm*occupation| / max(1, |lm|), halved inside so 2*lm cannot overflow
+    residual = abs(0.5 * dm - lm * occupation) / max(1.0, abs(lm)) * 2.0
     return GapSolution(
         delta_m=dm,
         delta_b=0.0,
@@ -342,10 +363,7 @@ def _pure_solution(params: ModelParams) -> GapSolution:
 
 
 def _mixed_residual(w: float, dm: float, db: float, params: ModelParams) -> float:
-    beta = params.beta
-    if math.isinf(0.5 * beta * (w - params.mu)):
-        beta = math.inf  # tanh is saturated; its numpy argument would overflow
-    t = tanh_half(w - params.mu, beta)
+    t = tanh_half(w - params.mu, params.beta)
     r1 = abs(w - params.lambda_b * t) / max(1.0, abs(params.lambda_b))
     omega_eff = params.mu + dm
     if w > 0.0:

@@ -85,6 +85,26 @@ def test_tanh_half_limits():
     assert tanh_half(2.0 * math.atanh(0.5), 1.0) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("x, beta", [
+    (700.0 * 0.3, 1.0 / 0.3), (-700.0 * 0.3, 1.0 / 0.3),  # the clip, at T = 0.3
+    (800.0, 1.0), (-800.0, 1.0), (1e300, 1e300),  # beyond it
+    (0.0, math.inf), (-0.0, math.inf), (0.4, math.inf), (-0.4, math.inf),
+    (0.0, 0.0), (3.0, 0.0), (math.inf, 0.5), (-math.inf, 0.5),
+    (0.25, 2.0), (-1.5, 0.7),
+])
+def test_scalar_thermal_factors_match_the_array_path(x, beta):
+    for func in (fermi, tanh_half):
+        with np.errstate(over="ignore"):  # numpy's product overflows to inf
+            expected = func(np.array([x]), beta)[0]
+        for arg in (x, np.float64(x)):
+            got = func(arg, beta)
+            assert type(got) is float
+            # math and numpy may round exp and tanh differently in the last bit
+            assert math.isclose(got, expected, rel_tol=1e-15), (func, arg, beta)
+    assert fermi(0.0, math.inf) == 0.5
+    assert tanh_half(-0.0, math.inf) == 0.0
+
+
 @given(x=st.floats(-50, 50), beta=st.floats(0, 100))
 def test_fermi_bounded_and_complementary(x, beta):
     f = fermi(x, beta)

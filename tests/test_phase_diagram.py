@@ -1,13 +1,16 @@
 """Tests for region classification, multiplicity classes, and lattice scans."""
 
+import csv
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from gapforge import phase_diagram, scalar_gap
 from gapforge.core_types import ModelParams, to_reduced
 from gapforge.errors import ConfigError, DomainError, ZeroTemperature
 from gapforge.phase_diagram import (
@@ -279,6 +282,39 @@ def test_scan_is_deterministic_across_worker_counts(monkeypatch):
     assert threaded == scan(ranges, fixed)  # rerun: same bytes, same order
 
 
+def test_scan_polishes_the_pure_root_once_per_coupling_and_temperature():
+    kernel = scalar_gap._bracketed_root
+    pure_brackets = []
+
+    def recording(f, lo, hi, slope=False):
+        if f.__qualname__.startswith("_pure_root."):
+            pure_brackets.append((lo, hi))
+        return kernel(f, lo, hi, slope)
+
+    scalar_gap._pure_root.cache_clear()
+    with mock.patch.object(scalar_gap, "_bracketed_root", recording):
+        rows = scan({"lambda_b": (0.5, 10.0, 10), "mu": (0.0, 5.0, 10)},
+                    {"lambda_m": 0.3, "temperature": 0.3})
+    assert len(rows) == 100 and all(row.error is None for row in rows)
+    assert pure_brackets == [(0.0, 0.3)]
+    assert scalar_gap._pure_root.cache_info().maxsize is not None  # bounded
+
+
+def test_scan_rows_do_not_depend_on_the_pure_root_cache():
+    ranges = {"lambda_b": (-3.0, 10.0, 6), "lambda_m": (-1.0, 1.0, 5),
+              "mu": (0.0, 5.0, 4), "temperature": (0.0, 2.0, 3)}
+    cached = scan(ranges, {})
+    solve = phase_diagram.solve_all
+
+    def uncached(*args, **kwargs):
+        scalar_gap._pure_root.cache_clear()
+        return solve(*args, **kwargs)
+
+    with mock.patch.object(phase_diagram, "solve_all", uncached):
+        fresh = scan(ranges, {})
+    assert fresh == cached
+
+
 def test_bad_thread_count_is_a_config_error(monkeypatch):
     fixed = dict(lambda_b=4.0, lambda_m=0.0, mu=1.0, temperature=0.5)
     monkeypatch.setenv("GAPFORGE_THREADS", "zebra")
@@ -325,6 +361,37 @@ def test_csv_floats_round_trip():
     record = dict(zip(SCAN_COLUMNS, buffer.getvalue().splitlines()[1].split(",")))
     assert float(record["delta_b_upper"]) == rows[0].delta_b_upper
     assert float(record["w_bar_pure"]) == rows[0].w_bar_pure
+
+
+def _reference_csv(rows) -> str:
+    """The CSV as a per-cell formatter wrote it before csv formatted the rows."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, RegionLabel):
+            return value.value
+        if isinstance(value, float):
+            return repr(float(value))
+        return str(value)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(SCAN_COLUMNS)
+    for row in rows:
+        writer.writerow([cell(getattr(row, name)) for name in SCAN_COLUMNS])
+    return buffer.getvalue()
+
+
+def test_csv_matches_the_per_cell_reference():
+    rows = scan({"lambda_b": (-3.0, 10.0, 14), "lambda_m": (-1e308, 3.0, 4),
+                 "mu": (-1.0, 5.0, 13), "temperature": (0.0, 2.0, 5)}, {})
+    assert any(row.error and "mu" in row.error for row in rows)  # quoted commas
+    assert any(row.error and "finite double" in row.error for row in rows)
+    assert any(row.temperature == 0.0 and row.error is None for row in rows)
+    assert any(row.lambda_b < 0.0 and row.multiplicity for row in rows)
+    buffer = io.StringIO()
+    write_scan_csv(rows, buffer)
+    assert buffer.getvalue() == _reference_csv(rows)
 
 
 def test_json_output_mirrors_the_rows():

@@ -435,6 +435,7 @@ def _kernel_calls(params):
         calls.append((f, lo, hi, slope, root, seen))
         return root
 
+    scalar_gap._pure_root.cache_clear()  # so that the pure root is polished here
     with mock.patch.object(scalar_gap, "_bracketed_root", recording):
         solve_all(params)
     return calls
@@ -464,6 +465,40 @@ def test_every_root_is_a_sign_change_at_adjacent_doubles(
         assert f(root)[0] >= 0.0
         below = math.nextafter(root, lo)
         assert below == lo or f(below)[0] < 0.0
+
+
+@pytest.mark.parametrize("lm, root", [
+    # roots of s*(1 + e^s) = 2*lambda_m from a 50-digit bisection; 2*lambda_m
+    # overflows for the second, and e^s overflows near both
+    (8e307, 703.110697926952),
+    (1e308, 703.3335246129625),
+])
+def test_pure_root_at_huge_coupling(lm, root):
+    params = ModelParams(1.0, lm, 1.0, 1.0)
+    assert pure_mean_field(params) == pytest.approx(root, rel=1e-15)
+    (f, lo, hi, slope, found, seen), = _kernel_calls(params)
+    assert f(found)[0] >= 0.0 > f(math.nextafter(found, lo))[0]
+
+
+@pytest.mark.parametrize("lm", [5e-324, -5e-324, 1e-310, -1e-310])
+def test_pure_root_at_subnormal_coupling(lm):
+    # the halved defect must not round a subnormal root away
+    (f, lo, hi, slope, found, seen), = _kernel_calls(ModelParams(1.0, lm, 1.0, 1.0))
+    below = math.nextafter(found, lo)
+    assert lo < found <= hi and f(found)[0] >= 0.0
+    assert below == lo or f(below)[0] < 0.0
+    assert pure_mean_field(ModelParams(1.0, lm, 1.0, 1.0)) == math.copysign(found, lm)
+
+
+def test_pure_root_beyond_the_largest_double_is_an_error():
+    # s*(1 + e^-s) = 2e308 puts the root at about -2e308, past the largest double
+    for T in (1.0, 0.0):
+        with pytest.raises(DomainError):
+            pure_mean_field(ModelParams(1.0, -1e308, 1.0, T))
+    with pytest.raises(DomainError):
+        solve_all(ModelParams(1.0, -1e308, 1.0, 1.0))
+    # just inside the range the root is found; e^-s vanishes there
+    assert pure_mean_field(ModelParams(1.0, -8e307, 1.0, 1.0)) == -1.6e308
 
 
 def test_solve_all_needs_few_defect_evaluations():
