@@ -20,9 +20,10 @@ that fixed axis order, solve every point with
 :func:`~gapforge.scalar_gap.solve_all`, and emit one :class:`ScanRow` each.
 The one piece of work points share, the pure mean-field root, which depends
 on (lambda_m, temperature) alone, comes from ``solve_all``'s bounded cache,
-so a lattice at fixed lambda_m and T solves it once; every row is the same
-as from a fresh solve.  Points that fail validation land in the row's
-``error`` column; a scan never aborts half-way.  Evaluation is serial, so
+so a lattice at fixed lambda_m and T solves it once, and one whose
+(lambda_m, T) plane fits the cache (256 points) once per pair; every row is
+the same as from a fresh solve.  Points that fail validation land in the
+row's ``error`` column; a scan never aborts half-way.  Evaluation is serial, so
 output order is deterministic; ``GAPFORGE_THREADS`` is validated but has no
 effect.
 """

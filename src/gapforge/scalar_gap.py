@@ -294,8 +294,8 @@ def pure_mean_field(params: ModelParams) -> float:
     Guarded Newton steps from the end of that bracket farther from zero
     polish it to a sign change at adjacent doubles.  The chemical potential
     cancels from this branch entirely, so the root depends on
-    ``(lambda_m, T)`` alone and is kept in a bounded cache.  Exact limits:
-    ``lambda_m`` at infinite temperature; ``0`` (from above) for
+    ``(lambda_m, T)`` alone and is cached for the 256 latest pairs.  Exact
+    limits: ``lambda_m`` at infinite temperature; ``0`` (from above) for
     ``lambda_m > 0`` and ``2*lambda_m`` for ``lambda_m < 0`` at T = 0.
 
     Raises :class:`DomainError` where the root exceeds the largest double,
@@ -305,7 +305,7 @@ def pure_mean_field(params: ModelParams) -> float:
     return _pure_root(params.lambda_m, params.beta)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=256)
 def _pure_root(lm: float, beta: float) -> float:
     if lm == 0.0:
         return 0.0
@@ -330,9 +330,12 @@ def _pure_root(lm: float, beta: float) -> float:
             e = math.exp(z)
             return s * (0.5 + 0.5 * e) - m, 0.5 + 0.5 * e * (1.0 + z)
 
-        lo, hi = (0.0, m) if lm > 0.0 else (m, min(2.0 * m, sys.float_info.max))
-        # g(hi) >= 0 unless 2|lambda_m| overflows and the root lies beyond it
-        s = _bracketed_root(g, lo, hi, slope=True) if g(hi)[0] >= 0.0 else math.inf
+        lo, hi = (0.0, m) if lm > 0.0 else (m, 2.0 * m)
+        # only where 2|lambda_m| overflows can the root lie beyond the bracket
+        if math.isinf(hi) and g(sys.float_info.max)[0] < 0.0:
+            s = math.inf
+        else:
+            s = _bracketed_root(g, lo, min(hi, sys.float_info.max), slope=True)
     if math.isinf(s):
         raise DomainError(
             f"the pure-branch root for lambda_m = {lm!r} is not a finite double")

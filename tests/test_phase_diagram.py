@@ -282,7 +282,8 @@ def test_scan_is_deterministic_across_worker_counts(monkeypatch):
     assert threaded == scan(ranges, fixed)  # rerun: same bytes, same order
 
 
-def test_scan_polishes_the_pure_root_once_per_coupling_and_temperature():
+def _scan_recording_pure_brackets(ranges, fixed):
+    """Scan from a cleared pure-root cache; the rows and every pure-root bracket polished."""
     kernel = scalar_gap._bracketed_root
     pure_brackets = []
 
@@ -293,11 +294,28 @@ def test_scan_polishes_the_pure_root_once_per_coupling_and_temperature():
 
     scalar_gap._pure_root.cache_clear()
     with mock.patch.object(scalar_gap, "_bracketed_root", recording):
-        rows = scan({"lambda_b": (0.5, 10.0, 10), "mu": (0.0, 5.0, 10)},
-                    {"lambda_m": 0.3, "temperature": 0.3})
+        rows = scan(ranges, fixed)
+    return rows, pure_brackets
+
+
+def test_scan_polishes_the_pure_root_once_per_coupling_and_temperature():
+    rows, pure_brackets = _scan_recording_pure_brackets(
+        {"lambda_b": (0.5, 10.0, 10), "mu": (0.0, 5.0, 10)},
+        {"lambda_m": 0.3, "temperature": 0.3})
     assert len(rows) == 100 and all(row.error is None for row in rows)
     assert pure_brackets == [(0.0, 0.3)]
     assert scalar_gap._pure_root.cache_info().maxsize is not None  # bounded
+
+
+def test_scan_polishes_each_pure_root_once_while_its_plane_fits_the_cache():
+    # the lattice walks (lambda_m, T) inside lambda_b: a plane of maxsize
+    # points is solved in the first lambda_b slice and reused by the others
+    side = math.isqrt(scalar_gap._pure_root.cache_info().maxsize)
+    rows, pure_brackets = _scan_recording_pure_brackets(
+        {"lambda_b": (0.5, 10.0, 3), "lambda_m": (0.1, 1.6, side),
+         "temperature": (0.1, 1.6, side)}, {"mu": 1.0})
+    assert len(rows) == 3 * side * side and all(row.error is None for row in rows)
+    assert len(pure_brackets) == side * side
 
 
 def test_scan_rows_do_not_depend_on_the_pure_root_cache():
