@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core_types import ModelParams, validate
+from .core_types import ModelParams
 from .errors import NotAdmissible, NotApplicable, SingularDenominator
 
 DEFAULT_MARGIN_FACTOR = 10.0
@@ -106,7 +106,6 @@ def regime_IA(params: ModelParams,
     ``beta*(lambda_b - mu)/2 >> 1``; the margin divides that exponent by
     ``margin_factor``.
     """
-    params = validate(params)
     if params.lambda_b <= 0.0:
         raise NotApplicable("regime IA needs lambda_b > 0")
     return _saturated(Regime.IA, params, margin_factor)
@@ -121,7 +120,6 @@ def regime_IIA(params: ModelParams,
     The extra sign condition ``lambda_b + mu + 2*lambda_m < 0`` is what makes
     the radicand positive, so it is folded into ``valid``.
     """
-    params = validate(params)
     if params.lambda_b >= 0.0 or params.lambda_m >= 0.0:
         raise NotApplicable("regime IIA needs lambda_b < 0 and lambda_m < 0")
     sol = _saturated(Regime.IIA, params, margin_factor)
@@ -178,7 +176,6 @@ def regime_IB(params: ModelParams,
     (``lambda_b <= 0`` or ``lambda_b < 2T`` raise :class:`NotApplicable`,
     equality raises :class:`SingularDenominator`).
     """
-    params = validate(params)
     if params.lambda_b <= 0.0:
         raise NotApplicable("regime IB needs lambda_b > 0")
     if math.isinf(params.temperature) or params.lambda_b < 2.0 * params.temperature:
@@ -196,7 +193,6 @@ def regime_IIB(params: ModelParams,
     ``lambda_b < 0`` the denominator never vanishes at positive temperature.
     Requires ``lambda_b < 0`` and ``lambda_m < 0``.
     """
-    params = validate(params)
     if params.lambda_b >= 0.0 or params.lambda_m >= 0.0:
         raise NotApplicable("regime IIB needs lambda_b < 0 and lambda_m < 0")
     return _linearised(Regime.IIB, params, margin_factor)

@@ -202,9 +202,9 @@ def _resolve_params(args: argparse.Namespace) -> ModelParams:
     if args.mu is None:
         raise ConfigError("--mu is required")
     temperature = _resolve_temperature(args)
-    lambda_m = 0.0 if args.lambda_m is None else float(args.lambda_m)
-    return ModelParams(lambda_b=float(args.lambda_b), lambda_m=lambda_m,
-                       mu=float(args.mu), temperature=temperature)
+    lambda_m = 0.0 if args.lambda_m is None else args.lambda_m
+    return ModelParams(lambda_b=args.lambda_b, lambda_m=lambda_m,
+                       mu=args.mu, temperature=temperature)
 
 
 def _open_out(args: argparse.Namespace):

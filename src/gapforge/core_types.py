@@ -43,12 +43,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The four model energies: pairing and mean-field couplings, mu, T."""
+    """The four model energies: pairing and mean-field couplings, mu, T.
+
+    Valid by construction: each field is stored as a plain ``float``, a
+    negative zero temperature as ``0.0``, and :func:`validate` rejects an
+    out-of-range value with a typed :class:`InvalidParameter`.
+    """
 
     lambda_b: float
     lambda_m: float
     mu: float
     temperature: float
+
+    def __post_init__(self) -> None:
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "lambda_b", float(self.lambda_b))
+        set_field(self, "lambda_m", float(self.lambda_m))
+        set_field(self, "mu", float(self.mu))
+        temp = float(self.temperature)
+        # -0.0 becomes the canonical zero-temperature flag; a plain float
+        # argument is kept as is, so no new float is made per instance
+        set_field(self, "temperature", 0.0 if temp == 0.0 else temp)
+        validate(self)
 
     @property
     def beta(self) -> float:
@@ -73,31 +89,24 @@ class ReducedParams(NamedTuple):
 
 
 def validate(params: ModelParams) -> ModelParams:
-    """Check parameter ranges and return a normalized copy.
+    """Check parameter ranges and return ``params`` itself.
 
     ``mu`` must be finite and non-negative, the couplings finite, and the
-    temperature non-negative (``inf`` is allowed).  Negative zero
-    temperature is normalized to plain ``0.0`` so the zero-temperature flag
-    compares cleanly.
+    temperature non-negative (``inf`` is allowed).  Every ``ModelParams``
+    passes this check when it is built, so solvers do not repeat it.
     """
-    lb = float(params.lambda_b)
-    lm = float(params.lambda_m)
-    mu = float(params.mu)
-    temp = float(params.temperature)
-
+    lb, lm, mu, temp = params.lambda_b, params.lambda_m, params.mu, params.temperature
     if not math.isfinite(lb):
         raise InvalidParameter(f"lambda_b must be finite, got {lb!r}")
     if not math.isfinite(lm):
         raise InvalidParameter(f"lambda_m must be finite, got {lm!r}")
-    if math.isnan(mu) or math.isinf(mu):
+    if not math.isfinite(mu):
         raise InvalidParameter(f"mu must be finite, got {mu!r}")
     if mu < 0.0:
         raise NegativeChemicalPotential(f"mu must be >= 0, got {mu!r}")
     if math.isnan(temp) or temp < 0.0:
         raise NegativeTemperature(f"temperature must be >= 0, got {temp!r}")
-    if temp == 0.0:
-        temp = 0.0  # normalize -0.0 to the canonical zero-temperature flag
-    return ModelParams(lb, lm, mu, temp)
+    return params
 
 
 def to_reduced(params: ModelParams) -> ReducedParams:

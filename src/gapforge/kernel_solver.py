@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .core_types import ModelParams, validate
+from .core_types import ModelParams
 from .errors import (
     ConfigError,
     InvalidParameter,
@@ -82,17 +82,12 @@ def shell_aligned_grid(mu: float, epsilon: float, *, n_shell: int = 200,
 
     ``n_shell`` intervals (rounded up to even so the Fermi radius itself is a
     grid point) resolve the band; ``n_outer`` intervals are split over
-    [0, lo] and [hi, p_max] in proportion to their lengths.
+    [0, lo] and [hi, p_max] in proportion to their lengths.  The band and its
+    checks are those of :func:`shell_kernel`.
     """
-    if epsilon <= 0.0 or not math.isfinite(epsilon):
-        raise InvalidParameter(f"shell half-width must be positive, got {epsilon!r}")
+    band = shell_kernel(epsilon, mu)
+    lo, hi = band.lo, band.hi
     root = math.sqrt(mu)
-    if root <= epsilon:
-        raise ShellBelowZero(
-            f"shell [sqrt(mu)-eps, sqrt(mu)+eps] = [{root - epsilon:.6g}, "
-            f"{root + epsilon:.6g}] reaches p <= 0"
-        )
-    lo, hi = root - epsilon, root + epsilon
     if p_max <= hi:
         raise InvalidParameter(f"p_max = {p_max!r} must exceed the outer shell edge {hi:.6g}")
     n_shell = int(n_shell) + (int(n_shell) % 2)
@@ -152,8 +147,8 @@ def shell_kernel(epsilon: float, mu: float) -> ShellShape:
     """The 1/(2 eps) band indicator around the Fermi radius; integrates to 1."""
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise InvalidParameter(f"epsilon must be positive and finite, got {epsilon!r}")
-    if mu < 0.0:
-        raise InvalidParameter(f"mu must be non-negative, got {mu!r}")
+    if not math.isfinite(mu) or mu < 0.0:
+        raise InvalidParameter(f"mu must be finite and non-negative, got {mu!r}")
     root = math.sqrt(mu)
     if root <= epsilon:
         raise ShellBelowZero(
@@ -499,7 +494,6 @@ def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
     defect)`` is called once per step when provided; handy for convergence
     diagnostics.
     """
-    params = validate(params)
     alpha = controls.damping
     dm, db = controls.init.build(grid, params)
     for it in range(1, controls.max_iters + 1):

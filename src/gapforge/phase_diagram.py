@@ -182,8 +182,7 @@ def _evaluate_point(lb: float, lm: float, mu: float, T: float,
                 delta_m_upper=None, delta_b_upper=None, w_bar_upper=None,
                 error=None)
     try:
-        report = solve_all(ModelParams(float(lb), float(lm), float(mu),
-                                       float(T)), tol=tol)
+        report = solve_all(ModelParams(lb, lm, mu, T), tol=tol)
     except GapEquationError as exc:
         base["error"] = str(exc)
         return ScanRow(**base)

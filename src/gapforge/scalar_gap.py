@@ -45,7 +45,6 @@ from .core_types import (
     fermi,
     tanh_half,
     to_reduced,
-    validate,
 )
 from .errors import (
     ConstraintViolation,
@@ -224,7 +223,7 @@ def pairing_energy_roots(params: ModelParams) -> list[float]:
 
     Raises :class:`ZeroCoupling` for ``lambda_b == 0``.
     """
-    return [w for w, _ in _mixed_roots(validate(params))]
+    return [w for w, _ in _mixed_roots(params)]
 
 
 def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
@@ -238,7 +237,6 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     and ``|delta_m| <= 2*|lambda_m|``; a violation means the inputs are not a
     consistent mixed branch.
     """
-    params = validate(params)
     if params.lambda_m == 0.0:
         return 0.0
     denom = params.lambda_b + params.lambda_m
@@ -301,7 +299,6 @@ def pure_mean_field(params: ModelParams) -> float:
     Raises :class:`DomainError` where the root exceeds the largest double,
     which takes ``lambda_m < -max_double/2``.
     """
-    params = validate(params)
     return _pure_root(params.lambda_m, params.beta)
 
 
@@ -398,7 +395,6 @@ def solve_all(params: ModelParams, tol: float = 1e-10,
     and for the attractive root, ``tangent`` on the band.  The T = 0 roots
     carry the label of their T -> 0+ limit.
     """
-    params = validate(params)
     notes: list[str] = []
     solutions: list[GapSolution] = [_pure_solution(params)]
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core_types import BogoliubovCoefficients, ModelParams, tanh_half, validate
+from .core_types import BogoliubovCoefficients, ModelParams, tanh_half
 from .errors import FitFailed, InvalidParameter, MomentumOffGrid, ZeroEnergy
 
 
@@ -144,7 +144,6 @@ class ModeTable:
         dispersion with no pairing there) is unrotated rather than tripping
         :class:`ZeroEnergy`: nothing needs diagonalizing.
         """
-        params = validate(params)
         mom = np.asarray(momenta, dtype=float)
         oe = np.asarray(omega_eff, dtype=float)
         db = np.asarray(delta_b, dtype=float)

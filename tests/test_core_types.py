@@ -162,3 +162,90 @@ def test_report_round_trip_dict():
     assert [s["phase"] for s in payload["solutions"]] == [
         "pure_mean_field", "mixed_lower", "mixed_upper"]
     assert payload["solutions"][1]["coeffs"].keys() == {"c", "s", "phi"}
+
+
+# ---------------------------------------------------------------------------
+# a ModelParams is validated once, when it is built
+
+
+@pytest.mark.parametrize("values, error", [
+    ((1, 0, -0.5, 1), NegativeChemicalPotential),
+    ((1, 0, 1, -1), NegativeTemperature),
+    ((math.nan, 0, 1, 1), InvalidParameter),
+    ((1, math.inf, 1, 1), InvalidParameter),
+    ((1, 0, math.inf, 1), InvalidParameter),
+])
+def test_construction_rejects_bad_values(values, error):
+    with pytest.raises(error):
+        ModelParams(*values)
+
+
+def test_construction_stores_plain_floats_and_canonical_zero_temperature():
+    params = ModelParams(np.float64(4.0), 1, 1, -0.0)
+    for value in (params.lambda_b, params.lambda_m, params.mu, params.temperature):
+        assert type(value) is float
+    assert params.temperature == 0.0
+    assert math.copysign(1.0, params.temperature) == 1.0
+
+
+def test_validate_returns_the_built_instance_itself():
+    params = ModelParams(4.0, 1.0, 1.0, 0.5)
+    assert validate(params) is params
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """Count calls of ``core_types.validate`` in every module that holds it."""
+    import sys
+
+    from gapforge import core_types
+
+    real = core_types.validate
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return real(params)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gapforge" and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
+def test_solvers_do_not_revalidate_a_built_params(validate_calls):
+    from gapforge import asymptotics
+    from gapforge.kernel_solver import (
+        PARABOLIC,
+        IterationControls,
+        self_consistent_solve,
+        shell_aligned_grid,
+        shell_kernels,
+    )
+    from gapforge.scalar_gap import solve_all
+    from gapforge.thermal import ModeTable
+
+    two_roots = ModelParams(4.0, 0.0, 1.0, 0.5)
+    repulsive = ModelParams(4.0, 0.1, 1.0, 0.5)
+    attractive = ModelParams(-1.0, -1.5, 2.0, 0.5)
+    grid = shell_aligned_grid(two_roots.mu, 0.05, n_shell=20, p_max=3.0, n_outer=40)
+    kernels = shell_kernels(two_roots, 0.05)
+    validate_calls.clear()
+
+    assert solve_all(two_roots).multiplicity == 2
+    asymptotics.regime_IA(repulsive)
+    asymptotics.regime_IB(repulsive)
+    asymptotics.regime_IIA(attractive)
+    asymptotics.regime_IIB(attractive)
+    ModeTable.build([0.0, 1.0], [1.0, 2.0], [0.0, 0.5], repulsive)
+    self_consistent_solve(grid, kernels, PARABOLIC, two_roots, IterationControls())
+    assert validate_calls == []
+
+
+def test_scan_validates_each_lattice_point_once(validate_calls):
+    from gapforge.phase_diagram import scan
+
+    rows = scan({"lambda_b": (0.5, 6.0, 10), "mu": (0.0, 3.0, 10)},
+                {"lambda_m": 0.3, "temperature": 0.4})
+    assert len(rows) == 100
+    assert len(validate_calls) == 100

@@ -680,3 +680,15 @@ def test_mode_table_from_solution():
     assert 0.0 <= table.occupation_at(root) <= 1.0
     assert table.pairing_at(root) > 0.0
     assert table.pairing_at(-root) == -table.pairing_at(root)
+
+
+@pytest.mark.parametrize("mu", [-1.0, math.nan])
+def test_shell_aligned_grid_refuses_bad_mu_with_a_typed_error(mu):
+    with pytest.raises(InvalidParameter):
+        shell_aligned_grid(mu, 0.1)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_shell_kernel_refuses_non_finite_mu(mu):
+    with pytest.raises(InvalidParameter):
+        shell_kernel(0.1, mu)
