@@ -15,10 +15,13 @@ converge (partial output still written); 1 unexpected solver error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import math
 import os
 import sys
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,24 +53,13 @@ _VALIDATION_ERRORS = (
 
 _VERIFY_TOLERANCES = {"IA": 1e-3, "IIA": 1e-3, "IB": 5e-2, "IIB": 5e-2}
 
-_CONFIG_KEYS = {
-    "solve": {"lambda_b", "lambda_m", "mu", "temp", "beta", "tol", "format", "out"},
-    "scan": {"lambda_b", "lambda_m", "mu", "temp", "beta", "tol", "format", "out",
-             "range_lambda_b", "range_lambda_m", "range_mu", "range_temp",
-             "equilibrium", "lambda_b_bar"},
-    "verify": {"regime", "lambda_b", "lambda_m", "mu", "temp", "beta", "tol"},
-    "kernel-solve": {"lambda_b", "lambda_m", "mu", "temp", "beta", "tol", "out",
-                     "epsilon", "grid_points", "p_max", "kernel_b_csv",
-                     "kernel_m_csv", "damping", "max_iters", "init", "seeds"},
-}
+_SOLVE_COLUMNS = ("phase", "delta_m", "delta_b", "w_bar", "residual", "checks_passed")
+_CURVE_COLUMNS = ("lambda_b_bar", "mu_e_bar", "x_e")
 
 
-def _add_config_flag(sub: argparse.ArgumentParser) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None,
                      help="JSON file pre-loading flags of this command")
-
-
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lambda-b", type=float, default=None,
                      help="pairing-channel coupling")
     sub.add_argument("--lambda-m", type=float, default=None,
@@ -90,15 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     solve = commands.add_parser("solve", help="all branches at one parameter point")
-    _add_config_flag(solve)
-    _add_model_flags(solve)
+    _add_common_flags(solve)
     solve.add_argument("--format", choices=("csv", "json"), default="json")
     solve.add_argument("--out", default=None, help="write to file instead of stdout")
     solve.set_defaults(func=cmd_solve)
 
     scan = commands.add_parser("scan", help="lattice sweep to CSV/JSON")
-    _add_config_flag(scan)
-    _add_model_flags(scan)
+    _add_common_flags(scan)
     for axis in ("lambda-b", "lambda-m", "mu", "temp"):
         scan.add_argument(f"--range-{axis}", default=None, metavar="LO:HI:STEPS",
                           help=f"sweep {axis.replace('-', '_')} over a linspace")
@@ -113,14 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser(
         "verify", help="closed-form regime formulas vs the exact solver")
     verify.add_argument("--regime", required=True, choices=("IA", "IB", "IIA", "IIB"))
-    _add_config_flag(verify)
-    _add_model_flags(verify)
+    _add_common_flags(verify)
     verify.set_defaults(func=cmd_verify)
 
     kernel = commands.add_parser(
         "kernel-solve", help="momentum-resolved self-consistent solve")
-    _add_config_flag(kernel)
-    _add_model_flags(kernel)
+    _add_common_flags(kernel)
     kernel.add_argument("--epsilon", type=float, default=None,
                         help="shell half-width for separable kernels")
     kernel.add_argument("--grid-points", type=int, default=600,
@@ -142,15 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _peek_command(argv: list[str]) -> str | None:
-    for token in argv:
-        if token in _CONFIG_KEYS:
-            return token
-    return None
-
-
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Load --config JSON as subcommand defaults; explicit flags override."""
+    """Load --config JSON as subcommand defaults; explicit flags override.
+
+    The accepted keys are the ``dest`` names of the subcommand's own flags.
+    """
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -159,7 +143,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
             path = token.split("=", 1)[1]
     if path is None:
         return
-    command = _peek_command(argv)
+    subparsers = next(action for action in parser._actions  # noqa: SLF001
+                      if isinstance(action, argparse._SubParsersAction))
+    command = next((token for token in argv if token in subparsers.choices), None)
     if command is None:
         raise ConfigError("--config requires a subcommand")
     try:
@@ -171,16 +157,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(values) - _CONFIG_KEYS[command]
+    sub = subparsers.choices[command]
+    keys = {action.dest for action in sub._actions} - {"help", "config"}  # noqa: SLF001
+    unknown = set(values) - keys
     if unknown:
         raise ConfigError(
             f"{path}: unknown config keys for '{command}': {sorted(unknown)}"
         )
-    # find the subcommand parser and install the values as defaults
-    for action in parser._actions:  # noqa: SLF001 - argparse has no public route
-        if isinstance(action, argparse._SubParsersAction):
-            action.choices[command].set_defaults(**values)
-            return
+    sub.set_defaults(**values)
 
 
 def _resolve_temperature(args: argparse.Namespace) -> float:
@@ -207,10 +191,30 @@ def _resolve_params(args: argparse.Namespace) -> ModelParams:
                        mu=args.mu, temperature=temperature)
 
 
-def _open_out(args: argparse.Namespace):
-    if getattr(args, "out", None):
-        return open(args.out, "w", newline="", encoding="utf-8")
-    return None
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The ``--out`` file, or stdout when there is none.
+
+    Enter it only once the result is computed: opening truncates the file,
+    so a run that fails before then leaves an existing file as it was.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        yield fh
+
+
+def _write_json(stream, payload) -> None:
+    json.dump(payload, stream, indent=2)
+    stream.write("\n")
+
+
+def _write_csv(stream, header, rows) -> None:
+    """A header line, then one line per row; floats are written by ``repr``."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 # --------------------------------------------------------------------------
@@ -239,29 +243,13 @@ def _report_payload(report) -> dict:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    report = scalar_gap.solve_all(params, tol=args.tol)
-    sink = _open_out(args)
-    stream = sink or sys.stdout
-    try:
+    payload = _report_payload(scalar_gap.solve_all(params, tol=args.tol))
+    with _output(args.out) as stream:
         if args.format == "json":
-            json.dump(_report_payload(report), stream, indent=2)
-            stream.write("\n")
+            _write_json(stream, payload)
         else:
-            import csv as _csv
-
-            writer = _csv.writer(stream, lineterminator="\n")
-            writer.writerow(["phase", "delta_m", "delta_b", "w_bar",
-                             "residual", "checks_passed"])
-            for sol in report.solutions:
-                checks = solution_checks(sol, report.params)
-                writer.writerow([
-                    sol.phase.value, repr(sol.delta_m), repr(sol.delta_b),
-                    repr(sol.w_bar), repr(sol.residual),
-                    str(_required_checks_pass(sol, report.params, checks)),
-                ])
-    finally:
-        if sink:
-            sink.close()
+            _write_csv(stream, _SOLVE_COLUMNS,
+                       map(itemgetter(*_SOLVE_COLUMNS), payload["solutions"]))
     return 0
 
 
@@ -281,58 +269,46 @@ def _parse_range(text, flag: str) -> tuple[float, float, int]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    sink = _open_out(args)
-    stream = sink or sys.stdout
-    try:
-        if args.equilibrium:
-            if args.lambda_b_bar is None:
-                raise ConfigError("--equilibrium requires --lambda-b-bar LO:HI:STEPS")
-            lo, hi, steps = _parse_range(args.lambda_b_bar, "--lambda-b-bar")
-            rows = phase_diagram.equilibrium_curve(lo, hi, steps)
+    if args.equilibrium:
+        if args.lambda_b_bar is None:
+            raise ConfigError("--equilibrium requires --lambda-b-bar LO:HI:STEPS")
+        lo, hi, steps = _parse_range(args.lambda_b_bar, "--lambda-b-bar")
+        curve = phase_diagram.equilibrium_curve(lo, hi, steps)
+        with _output(args.out) as stream:
             if args.format == "json":
-                payload = [{"lambda_b_bar": r[0], "mu_e_bar": r[1], "x_e": r[2]}
-                           for r in rows]
-                json.dump(payload, stream, indent=2)
-                stream.write("\n")
+                _write_json(stream, [dict(zip(_CURVE_COLUMNS, row)) for row in curve])
             else:
-                import csv as _csv
+                _write_csv(stream, _CURVE_COLUMNS, curve)
+        return 0
 
-                writer = _csv.writer(stream, lineterminator="\n")
-                writer.writerow(["lambda_b_bar", "mu_e_bar", "x_e"])
-                for row in rows:
-                    writer.writerow([repr(v) for v in row])
-            return 0
+    ranges: dict[str, tuple[float, float, int]] = {}
+    for axis, flag_value in (("lambda_b", args.range_lambda_b),
+                             ("lambda_m", args.range_lambda_m),
+                             ("mu", args.range_mu),
+                             ("temperature", args.range_temp)):
+        if flag_value is not None:
+            ranges[axis] = _parse_range(flag_value, f"--range-{axis}")
+    fixed: dict[str, float] = {}
+    if "lambda_b" not in ranges:
+        if args.lambda_b is None:
+            raise ConfigError("lambda_b needs a value or a range")
+        fixed["lambda_b"] = float(args.lambda_b)
+    if "lambda_m" not in ranges:
+        fixed["lambda_m"] = 0.0 if args.lambda_m is None else float(args.lambda_m)
+    if "mu" not in ranges:
+        if args.mu is None:
+            raise ConfigError("mu needs a value or a range")
+        fixed["mu"] = float(args.mu)
+    if "temperature" not in ranges:
+        fixed["temperature"] = _resolve_temperature(args)
 
-        ranges: dict[str, tuple[float, float, int]] = {}
-        for axis, flag_value in (("lambda_b", args.range_lambda_b),
-                                 ("lambda_m", args.range_lambda_m),
-                                 ("mu", args.range_mu),
-                                 ("temperature", args.range_temp)):
-            if flag_value is not None:
-                ranges[axis] = _parse_range(flag_value, f"--range-{axis}")
-        fixed: dict[str, float] = {}
-        if "lambda_b" not in ranges:
-            if args.lambda_b is None:
-                raise ConfigError("lambda_b needs a value or a range")
-            fixed["lambda_b"] = float(args.lambda_b)
-        if "lambda_m" not in ranges:
-            fixed["lambda_m"] = 0.0 if args.lambda_m is None else float(args.lambda_m)
-        if "mu" not in ranges:
-            if args.mu is None:
-                raise ConfigError("mu needs a value or a range")
-            fixed["mu"] = float(args.mu)
-        if "temperature" not in ranges:
-            fixed["temperature"] = _resolve_temperature(args)
-
-        rows = phase_diagram.scan(ranges, fixed, tol=args.tol)
+    rows = phase_diagram.scan(ranges, fixed, tol=args.tol)
+    with _output(args.out) as stream:
         if args.format == "json":
             phase_diagram.write_scan_json(rows, stream)
         else:
             phase_diagram.write_scan_csv(rows, stream)
-        return 0
-    finally:
-        if sink:
-            sink.close()
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -341,13 +317,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    regime_fn = {
-        "IA": asymptotics.regime_IA,
-        "IB": asymptotics.regime_IB,
-        "IIA": asymptotics.regime_IIA,
-        "IIB": asymptotics.regime_IIB,
-    }[args.regime]
-    closed = regime_fn(params)
+    closed = getattr(asymptotics, f"regime_{args.regime}")(params)
     if not closed.valid:
         print(f"regime {args.regime} is outside its validity window at "
               f"these parameters (margin {closed.validity_margin:.3g})",
@@ -430,22 +400,6 @@ def _kernel_setup(args: argparse.Namespace, params: ModelParams):
     return grid, kernel_solver.shell_kernels(params, args.epsilon)
 
 
-def _write_gap_csv(stream, grid, results: list) -> None:
-    import csv as _csv
-
-    writer = _csv.writer(stream, lineterminator="\n")
-    multi = len(results) > 1
-    header = (["branch"] if multi else []) + ["p", "delta_m", "delta_b", "w_bar"]
-    writer.writerow(header)
-    for branch, gaps in enumerate(results):
-        for i, p in enumerate(grid.points):
-            row = ([str(branch)] if multi else []) + [
-                repr(float(p)), repr(float(gaps.delta_m[i])),
-                repr(float(gaps.delta_b[i])), repr(float(gaps.w_bar[i])),
-            ]
-            writer.writerow(row)
-
-
 def cmd_kernel_solve(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     grid, kernels = _kernel_setup(args, params)
@@ -454,8 +408,7 @@ def cmd_kernel_solve(args: argparse.Namespace) -> int:
         init=_parse_init(args.init))
     dispersion = kernel_solver.PARABOLIC
 
-    results: list = []
-    exit_code = 0
+    seeds = None
     if args.seeds is not None:
         try:
             seeds = [float(tok) for tok in str(args.seeds).split(",") if tok.strip()]
@@ -464,19 +417,17 @@ def cmd_kernel_solve(args: argparse.Namespace) -> int:
                               f"got {args.seeds!r}") from None
         if not seeds:
             raise ConfigError("--seeds is empty")
-        try:
-            results = kernel_solver.branch_scan(
-                grid, kernels, dispersion, params, seeds, controls)
-        except NotConverged as exc:
-            results = [_gaps_from_failure(grid, dispersion, exc)]
-            exit_code = 4
-    else:
-        try:
+    exit_code = 0
+    try:
+        if seeds is None:
             results = [kernel_solver.self_consistent_solve(
                 grid, kernels, dispersion, params, controls)]
-        except NotConverged as exc:
-            results = [_gaps_from_failure(grid, dispersion, exc)]
-            exit_code = 4
+        else:
+            results = kernel_solver.branch_scan(
+                grid, kernels, dispersion, params, seeds, controls)
+    except NotConverged as exc:
+        results = [_gaps_from_failure(grid, dispersion, exc)]
+        exit_code = 4
 
     summary = {
         "converged": exit_code == 0,
@@ -492,24 +443,21 @@ def cmd_kernel_solve(args: argparse.Namespace) -> int:
         ],
         "grid_points": int(grid.points.size),
     }
-    sink = _open_out(args)
-    if sink:
-        try:
-            _write_gap_csv(sink, grid, results)
-        finally:
-            sink.close()
-        json.dump(summary, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        _write_gap_csv(sys.stdout, grid, results)
-        json.dump(summary, sys.stderr, indent=2)
-        sys.stderr.write("\n")
+    multi = len(results) > 1
+    header = (["branch"] if multi else []) + ["p", "delta_m", "delta_b", "w_bar"]
+    rows = ([branch, *row] if multi else row
+            for branch, gaps in enumerate(results)
+            for row in np.column_stack(
+                (grid.points, gaps.delta_m, gaps.delta_b, gaps.w_bar)).tolist())
+    with _output(args.out) as stream:
+        _write_csv(stream, header, rows)
+    # the summary goes to stdout only when the table does not
+    _write_json(sys.stdout if args.out else sys.stderr, summary)
     return exit_code
 
 
 def _gaps_from_failure(grid, dispersion, exc: NotConverged):
-    dm, db = exc.gaps if exc.gaps is not None else (
-        np.zeros(grid.points.size), np.zeros(grid.points.size))
+    dm, db = exc.gaps
     omega = np.asarray(dispersion.omega(grid.points), dtype=float)
     return kernel_solver.GapFunctions(
         delta_m=dm, delta_b=db, w_bar=np.hypot(omega + dm, db),
@@ -569,4 +517,3 @@ def main(argv: list[str] | None = None) -> int:
     except GapEquationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0

@@ -278,9 +278,14 @@ def solution_checks(sol: GapSolution, params: ModelParams, tol: float = 1e-8) ->
     omega_eff = params.mu + sol.delta_m
     checks: dict[str, bool] = {}
     checks["coefficient_norm"] = abs(c * c + s * s - 1.0) <= 1e-12
-    checks["energy_identity"] = (
-        abs(sol.w_bar**2 - (omega_eff**2 + sol.delta_b**2)) <= tol * max(1.0, sol.w_bar**2)
-    )
+    w, eff, db = sol.w_bar, omega_eff, sol.delta_b
+    defect, unit = abs(w * w - (eff * eff + db * db)), 1.0
+    if not math.isfinite(defect):
+        # the squares overflowed: compare again in units of 2**e near the largest energy
+        e = math.frexp(max(abs(w), abs(eff), abs(db)))[1]
+        w, eff, db = (math.ldexp(v, -e) for v in (w, eff, db))
+        defect, unit = abs(w * w - (eff * eff + db * db)), math.ldexp(1.0, -2 * e)
+    checks["energy_identity"] = defect <= tol * max(unit, w * w)
     if sol.w_bar != 0.0:
         checks["rotation_consistency"] = (
             abs((c * c - s * s) - omega_eff / sol.w_bar) <= tol

@@ -685,10 +685,7 @@ def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
             last_failure = exc
 
     if not converged:
-        if last_failure is not None:
-            raise last_failure
-        raise NotConverged("no seed converged", residual=math.inf,
-                           iterations=0, gaps=None)
+        raise last_failure
 
     def is_new(sol: GapFunctions) -> bool:
         return all(_sup_distance(sol, kept) >= 10.0 * controls.tol for kept in branches)

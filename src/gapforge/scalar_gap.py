@@ -235,17 +235,30 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     independent of temperature and of ``w_bar`` itself.  The result is
     checked against the structural bounds ``sign(delta_m) = sign(lambda_m)``
     and ``|delta_m| <= 2*|lambda_m|``; a violation means the inputs are not a
-    consistent mixed branch.
+    consistent mixed branch.  Where the numerator would over- or underflow
+    the same quotient is evaluated in units of a power of two near the
+    largest energy, which is exact, so the shift holds at any energy scale.
     """
-    if params.lambda_m == 0.0:
+    lambda_b, lambda_m, mu = params.lambda_b, params.lambda_m, params.mu
+    if lambda_m == 0.0:
         return 0.0
-    denom = params.lambda_b + params.lambda_m
+    denom = lambda_b + lambda_m
     if denom == 0.0:
         raise SingularDenominator(
             "lambda_b + lambda_m = 0: the mean-field condition degenerates"
         )
-    delta_m = params.lambda_m * (params.lambda_b - params.mu) / denom
-    if delta_m * params.lambda_m < 0.0:
+    numerator = lambda_m * (lambda_b - mu)
+    if 1e-290 <= abs(numerator) <= 1e290:
+        delta_m = numerator / denom
+    else:
+        e = math.frexp(max(abs(lambda_b), abs(lambda_m), mu))[1]
+        lb, lm, m = (math.ldexp(v, -e) for v in (lambda_b, lambda_m, mu))
+        quotient = lm * (lb - m) / (lb + lm)
+        try:
+            delta_m = math.ldexp(quotient, e)
+        except OverflowError:  # beyond the largest double: the checks below reject it
+            delta_m = math.copysign(math.inf, quotient)
+    if delta_m < 0.0 < lambda_m or lambda_m < 0.0 < delta_m:
         raise ConstraintViolation(
             f"delta_m = {delta_m:.6g} has the opposite sign of lambda_m = "
             f"{params.lambda_m:.6g}; no consistent mixed branch here"

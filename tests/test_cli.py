@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
+import argparse
 import json
 import math
 import os
@@ -8,8 +9,11 @@ import sys
 
 import pytest
 
-from gapforge.cli import main
-from gapforge.phase_diagram import SCAN_COLUMNS
+from gapforge import kernel_solver
+from gapforge.cli import _apply_config, build_parser, main
+from gapforge.core_types import ModelParams
+from gapforge.phase_diagram import SCAN_COLUMNS, equilibrium_curve
+from gapforge.scalar_gap import solve_all
 
 
 def run_cli(capsys, *argv):
@@ -438,3 +442,106 @@ def test_kernel_solve_rejects_bad_setup(capsys, extra):
     )
     assert code == 2
     assert err != ""
+
+
+# ---------------------------------------------------------------------------
+# outputs match the library, and --out is written only on success
+
+
+def test_solve_cells_are_the_reprs_of_solve_all(capsys):
+    argv = ("solve", "--lambda-b", "4", "--lambda-m", "-1", "--mu", "1", "--temp", "0.5")
+    report = solve_all(ModelParams(4.0, -1.0, 1.0, 0.5))
+    fields = ("delta_m", "delta_b", "w_bar", "residual")
+    _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[:5] for row in rows] == [
+        [sol.phase.value, *(repr(getattr(sol, f)) for f in fields)]
+        for sol in report.solutions]
+    _, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out)["solutions"]
+    assert [[entry[f] for f in fields] for entry in payload] == [
+        [getattr(sol, f) for f in fields] for sol in report.solutions]
+    assert [row[5] for row in rows] == [str(entry["checks_passed"]) for entry in payload]
+
+
+@pytest.mark.parametrize("lambda_b", ["1e200", "1e300"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_solve_checks_hold_where_the_squares_overflow(capsys, lambda_b, fmt):
+    code, out, err = run_cli(capsys, "solve", "--lambda-b", lambda_b, "--mu", "1",
+                             "--temp", "1", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert all(s["checks_passed"] for s in json.loads(out)["solutions"])
+    else:
+        assert all(line.endswith(",True") for line in out.splitlines()[1:])
+
+
+def test_scan_equilibrium_matches_equilibrium_curve(capsys):
+    curve = equilibrium_curve(1.2, 10.0, 7)
+    _, out, _ = run_cli(capsys, "scan", "--equilibrium", "--lambda-b-bar", "1.2:10:7")
+    assert out.splitlines()[1:] == [",".join(map(repr, row)) for row in curve]
+    _, out, _ = run_cli(capsys, "scan", "--equilibrium", "--lambda-b-bar", "1.2:10:7",
+                        "--format", "json")
+    assert [tuple(obj.values()) for obj in json.loads(out)] == curve
+
+
+def test_kernel_solve_csv_matches_self_consistent_solve(capsys):
+    params = ModelParams(4.0, 0.0, 1.0, 0.5)
+    grid = kernel_solver.shell_aligned_grid(1.0, 0.05, n_shell=40, p_max=3.0, n_outer=80)
+    gaps = kernel_solver.self_consistent_solve(
+        grid, kernel_solver.shell_kernels(params, 0.05), kernel_solver.PARABOLIC, params,
+        kernel_solver.IterationControls(init=kernel_solver.SeededPairing(1.0)))
+    _, out, _ = run_cli(
+        capsys,
+        "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+        "--epsilon", "0.05", "--grid-points", "120", "--init", "seed:1.0",
+    )
+    columns = (grid.points, gaps.delta_m, gaps.delta_b, gaps.w_bar)
+    assert out.splitlines()[1:] == [
+        ",".join(repr(float(col[i])) for col in columns) for i in range(grid.points.size)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--range-lambda-b", "1:2:3", "--temp", "0.3"),  # mu missing
+        ("scan", "--lambda-b", "4", "--range-mu", "0:1:zz", "--temp", "0.3"),
+        ("scan", "--equilibrium", "--lambda-b-bar", "0.5:2:3"),  # below the curve
+        ("solve", "--lambda-b", "4", "--mu", "-1", "--temp", "1"),
+        ("kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5"),
+    ],
+)
+def test_out_file_is_left_intact_when_the_command_fails(tmp_path, capsys, argv):
+    target = tmp_path / "keep.csv"
+    target.write_text("precious\n")
+    code, _, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert target.read_text() == "precious\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "scan", "verify", "kernel-solve"])
+def test_every_flag_is_a_config_key(tmp_path, command):
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    flags = [flag for action in commands.choices[command]._actions
+             for flag in action.option_strings
+             if flag.startswith("--") and flag not in ("--help", "--config")]
+    assert "--lambda-b" in flags and "--tol" in flags
+    keys = [flag[2:].replace("-", "_") for flag in flags]
+    cfg = tmp_path / "all.json"
+    cfg.write_text(json.dumps(dict.fromkeys(keys)))
+    _apply_config(build_parser(), [command, "--config", str(cfg)])  # raises on a bad key
+
+
+def test_kernel_solve_reads_grid_flags_from_the_config(tmp_path, capsys):
+    model = ("--lambda-b", "4", "--mu", "1", "--temp", "0.5", "--epsilon", "0.05",
+             "--init", "seed:1.0")
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"p_max": 2.5, "grid_points": 90}))
+    from_config = run_cli(capsys, "kernel-solve", "--config", str(cfg), *model)
+    from_flags = run_cli(capsys, "kernel-solve", "--p-max", "2.5", "--grid-points", "90",
+                         *model)
+    defaults = run_cli(capsys, "kernel-solve", *model)
+    assert from_config == from_flags
+    assert from_flags[1] != defaults[1]

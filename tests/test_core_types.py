@@ -146,6 +146,18 @@ def test_solution_checks_flags_broken_identity():
     assert not checks["energy_identity"]
 
 
+@pytest.mark.parametrize("c", [1e200, 1e300])
+def test_solution_checks_hold_where_the_squares_overflow(c):
+    # the 3-4-5 rotation and a broken identity, scaled so that w_bar**2 overflows
+    c_, s_ = math.sqrt(0.8), math.sqrt(0.2)
+    good = _solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER)
+    broken = _solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER)
+    params = ModelParams(6.0 * c, 1.0 * c, 2.0 * c, 0.5 * c)
+    checks = solution_checks(good, params)
+    assert all(checks.values()), checks
+    assert not solution_checks(broken, params)["energy_identity"]
+
+
 def test_solution_checks_mean_field_sign():
     params = ModelParams(6.0, -1.0, 2.0, 0.5)
     sol = _solution(0.5, 0.0, 2.5, 1.0, 0.0, PhaseLabel.PURE_MEAN_FIELD)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gapforge import scalar_gap
 from gapforge.core_types import ModelParams, PhaseLabel
 from gapforge.errors import (
+    ConstraintViolation,
     DomainError,
     NotApplicable,
     NotAdmissible,
@@ -534,6 +535,25 @@ def test_solutions_scale_with_the_energies(lb, lm, mu, T, exponent):
     for got, want in zip(_energies(scaled), _energies(base)):
         for g, w in zip(got, want):
             assert abs(g / c - w) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("c", [1e160, 1e-200])
+def test_branches_survive_a_scale_where_the_mean_field_numerator_overflows(c):
+    """lambda_m*(lambda_b - mu) over- or underflows here; delta_m must not."""
+    base = solve_all(ModelParams(5.0, 0.3, 1.0, 0.3))
+    scaled = solve_all(ModelParams(5.0 * c, 0.3 * c, 1.0 * c, 0.3 * c))
+    assert [s.phase for s in base.solutions] == [
+        PhaseLabel.PURE_MEAN_FIELD, PhaseLabel.MIXED_UPPER]
+    assert [s.phase for s in scaled.solutions] == [s.phase for s in base.solutions]
+    for got, want in zip(_energies(scaled), _energies(base)):
+        assert got == pytest.approx([c * w for w in want], rel=1e-12)
+
+
+def test_mean_field_sign_check_holds_where_the_product_underflows():
+    # delta_m = 0.3*(1 - 2)/1.3 < 0 against lambda_m > 0, at any scale
+    for c in (1.0, 1e-200):
+        with pytest.raises(ConstraintViolation):
+            mean_field_gap_given_w(c, ModelParams(c, 0.3 * c, 2.0 * c, 0.1 * c))
 
 
 # ---------------------------------------------------------------------------
