@@ -16,16 +16,19 @@ saturation values and solves the remaining algebra exactly:
 A regime that does not apply to the sign pattern of the couplings raises
 :class:`NotApplicable`; a regime whose formulas evaluate fine but sit
 outside their own validity window returns ``valid=False`` instead, with the
-margin showing how far outside.
+margin showing how far outside.  Every formula is evaluated in units of a
+power of two near the largest energy, which is exact, so that no square or
+product over- or underflows: scaling all four energies by ``c`` scales each
+returned energy by ``c`` and leaves ``valid`` and the margin as they are.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
-from .core_types import ModelParams
+from .core_types import ModelParams, ldexp_or_inf, scale_exponent
 from .errors import NotAdmissible, NotApplicable, SingularDenominator
 
 DEFAULT_MARGIN_FACTOR = 10.0
@@ -57,20 +60,20 @@ class RegimeSolution:
     validity_margin: float
 
     def as_dict(self) -> dict:
-        return {
-            "regime": self.regime.value,
-            "w_bar": self.w_bar,
-            "delta_m": self.delta_m,
-            "delta_b": self.delta_b,
-            "valid": self.valid,
-            "validity_margin": self.validity_margin,
-        }
+        return {**asdict(self), "regime": self.regime.value}
+
+
+def _in_units(params: ModelParams) -> tuple[int, float, float, float, float]:
+    """:func:`scale_exponent` ``e``, then lambda_b, lambda_m, mu and T over ``2**e``."""
+    e = scale_exponent(params.lambda_b, params.lambda_m, params.mu)
+    return e, *(math.ldexp(v, -e) for v in (params.lambda_b, params.lambda_m,
+                                            params.mu, params.temperature))
 
 
 def _saturated(regime: Regime, params: ModelParams,
                margin_factor: float) -> RegimeSolution:
     """Shared algebra for the saturated-tanh regimes IA / IIA."""
-    lb, lm, mu = params.lambda_b, params.lambda_m, params.mu
+    e, lb, lm, mu, T = _in_units(params)
     w = abs(lb)
     denom = lb + lm
     if denom == 0.0:
@@ -85,15 +88,16 @@ def _saturated(regime: Regime, params: ModelParams,
         gap_scale = lb - mu   # distance to the no-pairing boundary
     else:
         gap_scale = mu - w    # attractive side: Fermi level above |lambda_b|
-    if params.temperature == 0.0:
+    if T == 0.0:  # also a temperature too small for these units: its limit
         margin = math.inf if gap_scale > 0.0 else 0.0
-    elif math.isinf(params.temperature):
+    elif math.isinf(T):
         margin = 0.0
     else:
-        margin = gap_scale / (2.0 * params.temperature * margin_factor)
+        margin = gap_scale / (2.0 * T * margin_factor)
     valid = radicand > 0.0 and margin >= 1.0
     delta_b = math.sqrt(radicand) if radicand >= 0.0 else math.nan
-    return RegimeSolution(regime, w, delta_m, delta_b, valid, margin)
+    return RegimeSolution(regime, ldexp_or_inf(w, e), ldexp_or_inf(delta_m, e),
+                          ldexp_or_inf(delta_b, e), valid, margin)
 
 
 def regime_IA(params: ModelParams,
@@ -124,28 +128,25 @@ def regime_IIA(params: ModelParams,
         raise NotApplicable("regime IIA needs lambda_b < 0 and lambda_m < 0")
     sol = _saturated(Regime.IIA, params, margin_factor)
     if params.lambda_b + params.mu + 2.0 * params.lambda_m >= 0.0:
-        return RegimeSolution(sol.regime, sol.w_bar, sol.delta_m, sol.delta_b,
-                              False, sol.validity_margin)
+        return replace(sol, valid=False)
     return sol
 
 
 def _linearised(regime: Regime, params: ModelParams,
                 margin_factor: float) -> RegimeSolution:
     """Shared algebra for the small-argument regimes IB / IIB."""
-    lb, lm, mu = params.lambda_b, params.lambda_m, params.mu
-    T = params.temperature
+    e, lb, lm, mu, T = _in_units(params)
     if lb == 2.0 * T:
         raise SingularDenominator(
             "lambda_b = 2T: the linearised pairing equation degenerates"
         )
     w = lb * mu / (lb - 2.0 * T)
-    delta_m = lm
     eff = mu + lm
     radicand = w * w - eff * eff
     if radicand < -1e-12 * max(1.0, w * w):
         raise NotAdmissible(
-            f"linearised w_bar = {w:.6g} below effective energy "
-            f"|mu + lambda_m| = {abs(eff):.6g}"
+            f"linearised w_bar = {ldexp_or_inf(w, e):.6g} below effective energy "
+            f"|mu + lambda_m| = {ldexp_or_inf(abs(eff), e):.6g}"
         )
     delta_b = math.sqrt(max(radicand, 0.0))
 
@@ -163,7 +164,8 @@ def _linearised(regime: Regime, params: ModelParams,
         in_window = eff > 0.0 and t_lo <= T < t_hi
         margin = t_hi / T if (eff > 0.0 and T > 0.0 and t_hi > 0.0) \
             else (math.inf if in_window else 0.0)
-    return RegimeSolution(regime, w, delta_m, delta_b, in_window, margin)
+    return RegimeSolution(regime, ldexp_or_inf(w, e), params.lambda_m,
+                          ldexp_or_inf(delta_b, e), in_window, margin)
 
 
 def regime_IB(params: ModelParams,

@@ -340,9 +340,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("delta_m", closed.delta_m, nearest.delta_m),
         ("delta_b", closed.delta_b, nearest.delta_b),
     ]
+    # a vanishing closed form is compared on the scale of the energies (never 0)
+    floor = max(1e-9 * max(abs(params.lambda_b), abs(params.lambda_m), params.mu),
+                math.ulp(0.0))
     ok = True
     for name, want, got in rows:
-        rel = abs(got - want) / max(abs(want), 1e-9)
+        rel = abs(got - want) / max(abs(want), floor)
         passed = rel <= tol
         ok = ok and passed
         print(f"{name:<10}{want:>16.8g}{got:>16.8g}{rel:>12.3e}{tol:>10.0e}  "
@@ -458,10 +461,9 @@ def cmd_kernel_solve(args: argparse.Namespace) -> int:
 
 def _gaps_from_failure(grid, dispersion, exc: NotConverged):
     dm, db = exc.gaps
-    omega = np.asarray(dispersion.omega(grid.points), dtype=float)
-    return kernel_solver.GapFunctions(
-        delta_m=dm, delta_b=db, w_bar=np.hypot(omega + dm, db),
-        residual=exc.residual, iterations=exc.iterations)
+    w_bar = kernel_solver._w_bar(grid, dispersion, dm, db)  # noqa: SLF001
+    return kernel_solver.GapFunctions(delta_m=dm, delta_b=db, w_bar=w_bar,
+                                      residual=exc.residual, iterations=exc.iterations)
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 from enum import Enum
-from typing import NamedTuple, TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +34,9 @@ from .errors import (
     InvalidParameter,
     NegativeChemicalPotential,
     NegativeTemperature,
+    ZeroEnergy,
     ZeroTemperature,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .phase_diagram import RegionLabel
 
 
 @dataclass(frozen=True)
@@ -125,6 +123,19 @@ def to_reduced(params: ModelParams) -> ReducedParams:
     )
 
 
+def scale_exponent(*energies: float) -> int:
+    """``e`` with ``2**(e-1) <= max |energy| < 2**e``: exact units free of over- and underflow."""
+    return math.frexp(max(map(abs, energies)))[1]
+
+
+def ldexp_or_inf(x: float, e: int) -> float:
+    """``x * 2**e``, or the infinity of ``x``'s sign where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def fermi(x, beta: float):
     """Occupation factor 1/(e^(beta*x) + 1), elementwise.
 
@@ -187,6 +198,25 @@ class BogoliubovCoefficients:
         return {"c": self.c, "s": self.s, "phi": self.phi}
 
 
+def bogoliubov_from_gaps(omega_eff: float, delta_b: float) -> BogoliubovCoefficients:
+    """Rotation diagonalizing one mode: phi = atan2(delta_b, omega_eff) / 2.
+
+    The coefficients satisfy ``c**2 - s**2 = omega_eff / w_bar`` and
+    ``2 c s = delta_b / w_bar`` with ``w_bar = hypot(omega_eff, delta_b)``.
+    For ``omega_eff >= 0`` (and ``delta_b >= 0``) the angle stays in
+    ``[0, pi/4]`` so ``c >= sqrt(2)/2``; a negative effective energy pushes
+    ``phi`` past ``pi/4``, which is exactly the restricted-mixing-angle
+    violation the admissibility filters watch for.
+
+    Raises :class:`ZeroEnergy` when both arguments vanish (the rotation is
+    then undefined along with the quasi-particle energy).
+    """
+    if omega_eff == 0.0 and delta_b == 0.0:
+        raise ZeroEnergy("omega_eff = delta_b = 0: no quasi-particle energy scale")
+    phi = 0.5 * math.atan2(delta_b, omega_eff)
+    return BogoliubovCoefficients(c=math.cos(phi), s=math.sin(phi), phi=phi)
+
+
 class PhaseLabel(str, Enum):
     """Which self-consistent branch a solution belongs to.
 
@@ -200,6 +230,17 @@ class PhaseLabel(str, Enum):
     MIXED_LOWER = "mixed_lower"
     MIXED_UPPER = "mixed_upper"
     TANGENT = "tangent"
+
+
+class RegionLabel(str, Enum):
+    """Coupling-plane region of a parameter point (see ``classify_region``)."""
+
+    A_PLUS = "A+"
+    B_PLUS = "B+"
+    C_PLUS = "C+"
+    A_MINUS = "A-"
+    B_MINUS = "B-"
+    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -244,7 +285,7 @@ class SolveReport:
 
     params: ModelParams
     solutions: tuple[GapSolution, ...]
-    region: "RegionLabel"
+    region: RegionLabel
     multiplicity: int
     notes: tuple[str, ...] = ()
 
@@ -259,7 +300,7 @@ class SolveReport:
     def as_dict(self) -> dict:
         return {
             "params": asdict(self.params),
-            "region": str(getattr(self.region, "value", self.region)),
+            "region": self.region.value,
             "multiplicity": self.multiplicity,
             "notes": list(self.notes),
             "solutions": [s.as_dict() for s in self.solutions],
@@ -282,7 +323,7 @@ def solution_checks(sol: GapSolution, params: ModelParams, tol: float = 1e-8) ->
     defect, unit = abs(w * w - (eff * eff + db * db)), 1.0
     if not math.isfinite(defect):
         # the squares overflowed: compare again in units of 2**e near the largest energy
-        e = math.frexp(max(abs(w), abs(eff), abs(db)))[1]
+        e = scale_exponent(w, eff, db)
         w, eff, db = (math.ldexp(v, -e) for v in (w, eff, db))
         defect, unit = abs(w * w - (eff * eff + db * db)), math.ldexp(1.0, -2 * e)
     checks["energy_identity"] = defect <= tol * max(unit, w * w)

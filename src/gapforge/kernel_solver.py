@@ -25,6 +25,7 @@ kernels fall back to the grid's trapezoid weights.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, Union
@@ -348,18 +349,13 @@ def _check_square(path: str, momenta: np.ndarray, matrix: np.ndarray) -> None:
 # dispersion and iteration setup
 
 
-def _parabolic(p):
+def PARABOLIC(p):  # noqa: N802 - a constant: the default dispersion
+    """Free dispersion omega(p) = p**2; a dispersion is any such callable of the momenta."""
     return np.asarray(p, dtype=float) ** 2
 
 
-@dataclass(frozen=True)
-class DispersionSpec:
-    """Single-particle dispersion omega(p); parabolic unless told otherwise."""
-
-    omega: Callable = _parabolic
-
-
-PARABOLIC = DispersionSpec()
+def _omega(grid: RadialGrid, dispersion: Callable) -> np.ndarray:
+    return np.asarray(dispersion(grid.points), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -441,13 +437,13 @@ class GapFunctions:
     iterations: int = 0
 
 
-def _w_bar(grid: RadialGrid, dispersion: DispersionSpec,
+def _w_bar(grid: RadialGrid, dispersion: Callable,
            dm: np.ndarray, db: np.ndarray) -> np.ndarray:
-    return np.hypot(np.asarray(dispersion.omega(grid.points), dtype=float) + dm, db)
+    return np.hypot(_omega(grid, dispersion) + dm, db)
 
 
 def gap_rhs(gaps: GapFunctions, grid: RadialGrid, kernels: CoupledKernels,
-            dispersion: DispersionSpec, params: ModelParams) -> GapFunctions:
+            dispersion: Callable, params: ModelParams) -> GapFunctions:
     """One evaluation of the right-hand sides, with w_bar refreshed.
 
     The occupation brace is written as (1 - e t)/2 with e = omega_eff/w_bar
@@ -455,7 +451,7 @@ def gap_rhs(gaps: GapFunctions, grid: RadialGrid, kernels: CoupledKernels,
     necessarily zero and the mode is unrotated).  The returned ``residual``
     is the sup-norm change against the input gaps.
     """
-    omega_eff = np.asarray(dispersion.omega(grid.points), dtype=float) + gaps.delta_m
+    omega_eff = _omega(grid, dispersion) + gaps.delta_m
     brace, ratio = _mode_terms(omega_eff, gaps.delta_b, params)
     new_dm = 2.0 * kernels.mean_field.apply(grid, brace)
     new_db = kernels.pairing.apply(grid, ratio)
@@ -476,7 +472,7 @@ def gap_rhs(gaps: GapFunctions, grid: RadialGrid, kernels: CoupledKernels,
 
 
 def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
-                          dispersion: DispersionSpec, params: ModelParams,
+                          dispersion: Callable, params: ModelParams,
                           controls: IterationControls,
                           on_iterate: Callable[[int, float], None] | None = None,
                           ) -> GapFunctions:
@@ -540,9 +536,9 @@ class _AmplitudeProblem:
     """
 
     def __init__(self, grid: RadialGrid, kernels: CoupledKernels,
-                 dispersion: DispersionSpec, params: ModelParams) -> None:
+                 dispersion: Callable, params: ModelParams) -> None:
         self.setup = (grid, kernels, dispersion, params)
-        self.omega = np.asarray(dispersion.omega(grid.points), dtype=float)
+        self.omega = _omega(grid, dispersion)
         self.m = kernels.mean_field.factor(grid)
         self.b = kernels.pairing.factor(grid)
         self.split = self.m.rows.shape[0]
@@ -646,7 +642,7 @@ def _repelling_branch(problem: _AmplitudeProblem, lo: np.ndarray, hi: np.ndarray
 
 
 def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
-                dispersion: DispersionSpec, params: ModelParams,
+                dispersion: Callable, params: ModelParams,
                 seeds: Iterable[float],
                 controls: IterationControls = IterationControls(),
                 ) -> list[GapFunctions]:
@@ -675,9 +671,7 @@ def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
     converged: list[GapFunctions] = []
     last_failure: NotConverged | None = None
     for s in seeds:
-        ctl = IterationControls(damping=controls.damping,
-                                max_iters=controls.max_iters,
-                                tol=controls.tol, init=SeededPairing(s))
+        ctl = dataclasses.replace(controls, init=SeededPairing(s))
         try:
             converged.append(
                 self_consistent_solve(grid, kernels, dispersion, params, ctl))
@@ -715,7 +709,7 @@ def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
 
 
 def mode_table(grid: RadialGrid, gaps: GapFunctions, params: ModelParams,
-               dispersion: DispersionSpec = PARABOLIC) -> ModeTable:
+               dispersion: Callable = PARABOLIC) -> ModeTable:
     """Tabulate thermal mode data (occupations, pairing amplitudes) of a solution."""
-    omega_eff = np.asarray(dispersion.omega(grid.points), dtype=float) + gaps.delta_m
+    omega_eff = _omega(grid, dispersion) + gaps.delta_m
     return ModeTable.build(grid.points, omega_eff, gaps.delta_b, params)

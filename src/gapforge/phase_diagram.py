@@ -6,7 +6,8 @@ Two complementary views of where solutions live:
   inequalities — cheap, and independent of any root finding.  Labels:
   ``A+``/``B+``/``C+`` on the repulsive-pairing side (split by which of the
   two asymptotic windows is available), ``A-``/``B-`` on the attractive
-  side, ``none`` where no mixed solution is possible.
+  side, ``none`` where no mixed solution is possible.  It lives in
+  ``scalar_gap``, :class:`RegionLabel` in ``core_types``; both re-exported.
 * :func:`multiplicity_class` counts actual roots of the pairing-energy
   equation via the reduced tangency distance, with the same band as the
   root finder (repulsive side), or the exact root finder (attractive side).
@@ -41,10 +42,11 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .core_types import ModelParams, PhaseLabel, to_reduced
+from .core_types import ModelParams, PhaseLabel, RegionLabel, to_reduced
 from .errors import ConfigError, DomainError, GapEquationError, ZeroTemperature
-from .scalar_gap import (
+from .scalar_gap import (  # noqa: F401 - classify_region is re-exported
     TANGENCY_BAND,
+    classify_region,
     equilibrium_mu,
     pairing_energy_roots,
     solve_all,
@@ -54,61 +56,10 @@ from .scalar_gap import (
 _AXES = ("lambda_b", "lambda_m", "mu", "temperature")
 
 
-class RegionLabel(str, Enum):
-    A_PLUS = "A+"
-    B_PLUS = "B+"
-    C_PLUS = "C+"
-    A_MINUS = "A-"
-    B_MINUS = "B-"
-    NONE = "none"
-
-
 class MultiplicityClass(str, Enum):
     NO_SOLUTION = "no_solution"
     UNIQUE = "unique"
     TWO = "two"
-
-
-def classify_region(params: ModelParams) -> RegionLabel:
-    """Closed-form coupling-plane label; no root finding involved.
-
-    Repulsive pairing channel (lambda_b > 0): mixed solutions need
-    ``lambda_b > mu``; within that strip the low-temperature window is open
-    for ``lambda_m > -(lambda_b + mu)/2`` and the near-transition window for
-    ``lambda_m < (lambda_b - 4 mu)/4`` — both hold in the middle band
-    (``B+``), only the former at large ``lambda_m`` (``A+``), only the
-    latter at strongly negative ``lambda_m`` (``C+``).  Attractive channel
-    (lambda_b < 0): the admissible band is
-    ``-2 mu <= lambda_m <= -mu T / (|lambda_b| + 2 T)`` (upper bound taken
-    in the limit at T = 0 and T = inf), split into ``B-`` below
-    ``-(lambda_b + 4 mu)/4`` and ``A-`` above.  Comparisons are plain IEEE
-    inequalities, so exact boundary points deterministically join the closed
-    side.
-    """
-    lb, lm, mu, T = params.lambda_b, params.lambda_m, params.mu, params.temperature
-    if lb > 0.0:
-        if lb <= mu:
-            return RegionLabel.NONE
-        low_t_side = lm > -(lb + mu) / 2.0
-        near_tc_side = lm < (lb - 4.0 * mu) / 4.0
-        if low_t_side and near_tc_side:
-            return RegionLabel.B_PLUS
-        if low_t_side:
-            return RegionLabel.A_PLUS
-        return RegionLabel.C_PLUS
-    if lb < 0.0:
-        if T == 0.0:
-            upper = -0.0
-        elif math.isinf(T):
-            upper = -mu / 2.0
-        else:
-            upper = -mu * T / (abs(lb) + 2.0 * T)
-        if not (-2.0 * mu <= lm <= upper):
-            return RegionLabel.NONE
-        if lm < -(lb + 4.0 * mu) / 4.0:
-            return RegionLabel.B_MINUS
-        return RegionLabel.A_MINUS
-    return RegionLabel.NONE
 
 
 def multiplicity_class(params: ModelParams) -> MultiplicityClass:
@@ -174,13 +125,8 @@ SCAN_COLUMNS = tuple(f.name for f in fields(ScanRow))
 
 def _evaluate_point(lb: float, lm: float, mu: float, T: float,
                     tol: float) -> ScanRow:
-    base = dict(lambda_b=float(lb), lambda_m=float(lm), mu=float(mu),
-                temperature=float(T),
-                region=None, multiplicity=None,
-                delta_m_pure=None, w_bar_pure=None,
-                delta_m_lower=None, delta_b_lower=None, w_bar_lower=None,
-                delta_m_upper=None, delta_b_upper=None, w_bar_upper=None,
-                error=None)
+    base = dict.fromkeys(SCAN_COLUMNS)
+    base.update(lambda_b=float(lb), lambda_m=float(lm), mu=float(mu), temperature=float(T))
     try:
         report = solve_all(ModelParams(lb, lm, mu, T), tol=tol)
     except GapEquationError as exc:
@@ -283,12 +229,7 @@ def write_scan_csv(rows: Iterable[ScanRow], stream: IO[str]) -> None:
 
 def write_scan_json(rows: Iterable[ScanRow], stream: IO[str]) -> None:
     """JSON mirror of the CSV: an array of one object per row."""
-    payload = []
-    for row in rows:
-        obj = {}
-        for name in SCAN_COLUMNS:
-            value = getattr(row, name)
-            obj[name] = value.value if isinstance(value, RegionLabel) else value
-        payload.append(obj)
-    json.dump(payload, stream, indent=2)
+    # a region label is a str, which json writes as its value
+    values = map(operator.attrgetter(*SCAN_COLUMNS), rows)
+    json.dump([dict(zip(SCAN_COLUMNS, row)) for row in values], stream, indent=2)
     stream.write("\n")

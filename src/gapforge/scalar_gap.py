@@ -41,8 +41,12 @@ from .core_types import (
     GapSolution,
     ModelParams,
     PhaseLabel,
+    RegionLabel,
     SolveReport,
+    bogoliubov_from_gaps,
     fermi,
+    ldexp_or_inf,
+    scale_exponent,
     tanh_half,
     to_reduced,
 )
@@ -55,7 +59,6 @@ from .errors import (
     ZeroCoupling,
     ZeroEnergy,
 )
-from .thermal import bogoliubov_from_gaps
 
 # Half-width, in reduced units, of the band around the tangency curve inside
 # which the two repulsive roots count as one degenerate root.
@@ -251,13 +254,10 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     if 1e-290 <= abs(numerator) <= 1e290:
         delta_m = numerator / denom
     else:
-        e = math.frexp(max(abs(lambda_b), abs(lambda_m), mu))[1]
+        e = scale_exponent(lambda_b, lambda_m, mu)
         lb, lm, m = (math.ldexp(v, -e) for v in (lambda_b, lambda_m, mu))
-        quotient = lm * (lb - m) / (lb + lm)
-        try:
-            delta_m = math.ldexp(quotient, e)
-        except OverflowError:  # beyond the largest double: the checks below reject it
-            delta_m = math.copysign(math.inf, quotient)
+        # infinite beyond the largest double: the checks below reject it
+        delta_m = ldexp_or_inf(lm * (lb - m) / (lb + lm), e)
     if delta_m < 0.0 < lambda_m or lambda_m < 0.0 < delta_m:
         raise ConstraintViolation(
             f"delta_m = {delta_m:.6g} has the opposite sign of lambda_m = "
@@ -388,6 +388,28 @@ def _mixed_residual(w: float, dm: float, db: float, params: ModelParams) -> floa
     return max(r1, r2, r3)
 
 
+def _lift(w: float, phase: PhaseLabel, params: ModelParams, tol: float,
+          nonneg: bool) -> GapSolution:
+    """The mixed solution on the pairing root ``w``, or the error saying why it is dropped."""
+    dm = mean_field_gap_given_w(w, params)
+    db = recover_delta_b(w, dm, params, tol)
+    omega_eff = params.mu + dm
+    if nonneg and omega_eff < 0.0:
+        raise NotAdmissible(f"effective energy mu + delta_m = {omega_eff:.6g} < 0 "
+                            "(restricted mixing angle)")
+    if omega_eff == 0.0 and db == 0.0:  # a guard: omega_eff = 0 gives db = w > 0
+        raise ZeroEnergy("degenerate zero-energy scale")
+    return GapSolution(
+        delta_m=dm,
+        delta_b=db,
+        w_bar=w,
+        coeffs=bogoliubov_from_gaps(omega_eff, db),
+        phase=phase,
+        residual=_mixed_residual(w, dm, db, params),
+        delta_b_sign_ambiguous=db > 0.0,
+    )
+
+
 def solve_all(params: ModelParams, tol: float = 1e-10,
               require_nonneg_effective_energy: bool = False) -> SolveReport:
     """Enumerate every self-consistent solution at one parameter point.
@@ -419,40 +441,10 @@ def solve_all(params: ModelParams, tol: float = 1e-10,
 
     for w, phase in roots:
         try:
-            dm = mean_field_gap_given_w(w, params)
-        except (SingularDenominator, ConstraintViolation) as exc:
+            solutions.append(
+                _lift(w, phase, params, tol, require_nonneg_effective_energy))
+        except (SingularDenominator, ConstraintViolation, NotAdmissible, ZeroEnergy) as exc:
             notes.append(f"root w_bar = {w:.9g} dropped: {exc}")
-            continue
-        try:
-            db = recover_delta_b(w, dm, params, tol)
-        except NotAdmissible as exc:
-            notes.append(f"root w_bar = {w:.9g} dropped: {exc}")
-            continue
-        omega_eff = params.mu + dm
-        if require_nonneg_effective_energy and omega_eff < 0.0:
-            notes.append(
-                f"root w_bar = {w:.9g} dropped: effective energy "
-                f"mu + delta_m = {omega_eff:.6g} < 0 (restricted mixing angle)"
-            )
-            continue
-        try:
-            coeffs = bogoliubov_from_gaps(omega_eff, db)
-        except ZeroEnergy:
-            # w_bar so small that its square underflows: no usable scale
-            notes.append(
-                f"root w_bar = {w:.9g} dropped: degenerate zero-energy scale")
-            continue
-        solutions.append(GapSolution(
-            delta_m=dm,
-            delta_b=db,
-            w_bar=w,
-            coeffs=coeffs,
-            phase=phase,
-            residual=_mixed_residual(w, dm, db, params),
-            delta_b_sign_ambiguous=db > 0.0,
-        ))
-
-    from .phase_diagram import classify_region  # deferred: avoids module cycle
 
     return SolveReport(
         params=params,
@@ -461,6 +453,48 @@ def solve_all(params: ModelParams, tol: float = 1e-10,
         multiplicity=len(solutions) - 1,
         notes=tuple(notes),
     )
+
+
+def classify_region(params: ModelParams) -> RegionLabel:
+    """Closed-form coupling-plane label; no root finding involved.
+
+    Repulsive pairing channel (lambda_b > 0): mixed solutions need
+    ``lambda_b > mu``; within that strip the low-temperature window is open
+    for ``lambda_m > -(lambda_b + mu)/2`` and the near-transition window for
+    ``lambda_m < (lambda_b - 4 mu)/4`` — both hold in the middle band
+    (``B+``), only the former at large ``lambda_m`` (``A+``), only the
+    latter at strongly negative ``lambda_m`` (``C+``).  Attractive channel
+    (lambda_b < 0): the admissible band is
+    ``-2 mu <= lambda_m <= -mu T / (|lambda_b| + 2 T)`` (upper bound taken
+    in the limit at T = 0 and T = inf), split into ``B-`` below
+    ``-(lambda_b + 4 mu)/4`` and ``A-`` above.  Comparisons are plain IEEE
+    inequalities, so exact boundary points deterministically join the closed
+    side.
+    """
+    lb, lm, mu, T = params.lambda_b, params.lambda_m, params.mu, params.temperature
+    if lb > 0.0:
+        if lb <= mu:
+            return RegionLabel.NONE
+        low_t_side = lm > -(lb + mu) / 2.0
+        near_tc_side = lm < (lb - 4.0 * mu) / 4.0
+        if low_t_side and near_tc_side:
+            return RegionLabel.B_PLUS
+        if low_t_side:
+            return RegionLabel.A_PLUS
+        return RegionLabel.C_PLUS
+    if lb < 0.0:
+        if T == 0.0:
+            upper = -0.0
+        elif math.isinf(T):
+            upper = -mu / 2.0
+        else:
+            upper = -mu * T / (abs(lb) + 2.0 * T)
+        if not (-2.0 * mu <= lm <= upper):
+            return RegionLabel.NONE
+        if lm < -(lb + 4.0 * mu) / 4.0:
+            return RegionLabel.B_MINUS
+        return RegionLabel.A_MINUS
+    return RegionLabel.NONE
 
 
 def equilibrium_mu(lambda_b_bar: float) -> tuple[float, float]:

@@ -25,27 +25,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core_types import BogoliubovCoefficients, ModelParams, tanh_half
-from .errors import FitFailed, InvalidParameter, MomentumOffGrid, ZeroEnergy
-
-
-def bogoliubov_from_gaps(omega_eff: float, delta_b: float) -> BogoliubovCoefficients:
-    """Rotation diagonalizing one mode: phi = atan2(delta_b, omega_eff) / 2.
-
-    The coefficients satisfy ``c**2 - s**2 = omega_eff / w_bar`` and
-    ``2 c s = delta_b / w_bar`` with ``w_bar = hypot(omega_eff, delta_b)``.
-    For ``omega_eff >= 0`` (and ``delta_b >= 0``) the angle stays in
-    ``[0, pi/4]`` so ``c >= sqrt(2)/2``; a negative effective energy pushes
-    ``phi`` past ``pi/4``, which is exactly the restricted-mixing-angle
-    violation the admissibility filters watch for.
-
-    Raises :class:`ZeroEnergy` when both arguments vanish (the rotation is
-    then undefined along with the quasi-particle energy).
-    """
-    if omega_eff == 0.0 and delta_b == 0.0:
-        raise ZeroEnergy("omega_eff = delta_b = 0: no quasi-particle energy scale")
-    phi = 0.5 * math.atan2(delta_b, omega_eff)
-    return BogoliubovCoefficients(c=math.cos(phi), s=math.sin(phi), phi=phi)
+from .core_types import BogoliubovCoefficients, ModelParams, bogoliubov_from_gaps, tanh_half
+from .errors import FitFailed, InvalidParameter, MomentumOffGrid
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,25 @@ def test_iib_requires_both_attractive():
         regime_IIB(ModelParams(5.0, -0.9, 1.0, 2.0))
 
 
+@pytest.mark.parametrize("regime, base", [
+    (regime_IA, (5.0, 0.3, 1.0, 0.01)),
+    (regime_IIA, (-1.0, -0.6, 2.0, 0.01)),
+    (regime_IB, (4.0, 0.05, 1.0, 0.1)),
+    (regime_IIB, (-5.0, -0.9, 1.0, 2.0)),
+])
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_regimes_scale_with_the_energies(regime, base, c):
+    """Squares and products of the energies over- or underflow at these scales."""
+    want = regime(ModelParams(*base))
+    got = regime(ModelParams(*(c * v for v in base)))
+    assert want.valid
+    assert got.valid is want.valid
+    assert got.validity_margin == pytest.approx(want.validity_margin, rel=1e-12)
+    for g, w in ((got.w_bar, want.w_bar), (got.delta_m, want.delta_m),
+                 (got.delta_b, want.delta_b)):
+        assert g == pytest.approx(c * w, rel=1e-12, abs=0.0)
+
+
 def test_as_dict_round_trip():
     sol = regime_IA(ModelParams(5.0, 0.0, 1.0, 0.01))
     d = sol.as_dict()

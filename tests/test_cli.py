@@ -292,6 +292,30 @@ def test_verify_flags_a_window_violation(capsys):
     assert "window" in err
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-12, 1e-200])
+def test_verify_verdict_does_not_depend_on_the_energy_scale(capsys, c):
+    # the closed-form delta_b is off by 153 %; a floor of 1e-9 on the
+    # denominator used to pass every row once the energies fell below it
+    code, out, _ = run_cli(
+        capsys, "verify", "--regime", "IB", "--lambda-b", repr(4 * c),
+        "--lambda-m", repr(0.05 * c), "--mu", repr(c), "--temp", repr(0.1 * c),
+    )
+    assert code == 3
+    assert "verify: FAIL" in out
+    delta_b = next(line for line in out.splitlines() if line.startswith("delta_b"))
+    assert float(delta_b.split()[3]) == pytest.approx(1.53, abs=5e-3)
+
+
+def test_verify_passes_at_a_huge_energy_scale(capsys):
+    # the regime formulas used to overflow to delta_m = inf here
+    code, out, _ = run_cli(
+        capsys, "verify", "--regime", "IA", "--lambda-b", "5e200", "--lambda-m", "3e199",
+        "--mu", "1e200", "--temp", "1e198",
+    )
+    assert code == 0
+    assert "verify: PASS" in out
+
+
 def test_verify_reports_a_genuine_mismatch(capsys):
     # inside the linearised window but close to its edge: the closed form
     # is off by more than the regime tolerance and must say so

@@ -1,5 +1,6 @@
 """Root finding and branch assembly for the Fermi-surface scalar system."""
 
+import builtins
 import math
 import sys
 from unittest import mock
@@ -250,6 +251,62 @@ def test_solve_all_restricted_mixing_angle_filter():
                            require_nonneg_effective_energy=True)
     assert restricted.multiplicity == 0
     assert sum("restricted mixing angle" in n for n in restricted.notes) == 2
+
+
+@pytest.mark.parametrize("params, nonneg, notes", [
+    ((4.0, -4.0, 1.0, 0.5), False, [  # singular denominator
+        "root w_bar = 1.35176711 dropped: lambda_b + lambda_m = 0: "
+        "the mean-field condition degenerates",
+        "root w_bar = 3.9793887 dropped: lambda_b + lambda_m = 0: "
+        "the mean-field condition degenerates"]),
+    ((-2.0, 3.0, 1.0, 0.5), False, [  # sign constraint
+        "root w_bar = 0.658188081 dropped: delta_m = -9 has the opposite sign "
+        "of lambda_m = 3; no consistent mixed branch here"]),
+    ((-2.0, 1.5, 1.0, 0.5), False, [  # sign constraint: the bound
+        "root w_bar = 0.658188081 dropped: |delta_m| = 9 exceeds 2*|lambda_m| = 3"]),
+    ((3.0, 1.0, 1.0, 0.3), False, [  # imaginary amplitude
+        "root w_bar = 1.27138538 dropped: w_bar = 1.27139 lies below the "
+        "effective energy |mu + delta_m| = 1.5: no mixed phase"]),
+    ((4.0, -1.5, 1.0, 0.5), True, [  # restricted mixing angle
+        f"root w_bar = {w} dropped: effective energy mu + delta_m = -0.8 < 0 "
+        "(restricted mixing angle)" for w in ("1.35176711", "3.9793887")]),
+])
+def test_drop_notes_keep_their_text(params, nonneg, notes):
+    report = solve_all(ModelParams(*params), require_nonneg_effective_energy=nonneg)
+    assert list(report.notes) == notes
+
+
+@pytest.mark.parametrize("params", [(3.0, 1.0, 1.0, 0.3), (0.0, 1.0, 1.0, 0.5),
+                                    (4.0, -4.0, 1.0, 0.5), (5.0, 0.3, 1.0, 0.0)])
+def test_solve_all_runs_no_import(params):
+    built = ModelParams(*params)
+    solve_all(built)
+    real, names = builtins.__import__, []
+
+    def counting(name, *args, **kwargs):
+        names.append(name)
+        return real(name, *args, **kwargs)
+
+    with mock.patch.object(builtins, "__import__", counting):
+        solve_all(built)
+    assert names == []
+
+
+def test_moved_names_keep_their_old_import_paths():
+    from gapforge import core_types, phase_diagram, thermal
+
+    assert phase_diagram.classify_region is scalar_gap.classify_region
+    assert phase_diagram.RegionLabel is core_types.RegionLabel
+    assert thermal.bogoliubov_from_gaps is core_types.bogoliubov_from_gaps
+
+
+def test_scalar_gap_imports_neither_thermal_nor_phase_diagram():
+    import ast
+    import pathlib
+
+    tree = ast.parse(pathlib.Path(scalar_gap.__file__).read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not modules & {"thermal", "phase_diagram"}
 
 
 def test_solve_all_tangent_label():
