@@ -66,12 +66,12 @@ class RegimeSolution:
 def _in_units(params: ModelParams) -> tuple[int, float, float, float, float]:
     """:func:`scale_exponent` ``e``, then lambda_b, lambda_m, mu and T over ``2**e``."""
     e = scale_exponent(params.lambda_b, params.lambda_m, params.mu)
-    return e, *(math.ldexp(v, -e) for v in (params.lambda_b, params.lambda_m,
-                                            params.mu, params.temperature))
+    # T far above the energies scales past the largest double: inf, its limit
+    return e, *(ldexp_or_inf(v, -e) for v in (params.lambda_b, params.lambda_m,
+                                              params.mu, params.temperature))
 
 
-def _saturated(regime: Regime, params: ModelParams,
-               margin_factor: float) -> RegimeSolution:
+def _saturated(regime: Regime, params: ModelParams) -> RegimeSolution:
     """Shared algebra for the saturated-tanh regimes IA / IIA."""
     e, lb, lm, mu, T = _in_units(params)
     w = abs(lb)
@@ -93,30 +93,28 @@ def _saturated(regime: Regime, params: ModelParams,
     elif math.isinf(T):
         margin = 0.0
     else:
-        margin = gap_scale / (2.0 * T * margin_factor)
+        margin = gap_scale / (2.0 * T * DEFAULT_MARGIN_FACTOR)
     valid = radicand > 0.0 and margin >= 1.0
     delta_b = math.sqrt(radicand) if radicand >= 0.0 else math.nan
     return RegimeSolution(regime, ldexp_or_inf(w, e), ldexp_or_inf(delta_m, e),
                           ldexp_or_inf(delta_b, e), valid, margin)
 
 
-def regime_IA(params: ModelParams,
-              margin_factor: float = DEFAULT_MARGIN_FACTOR) -> RegimeSolution:
+def regime_IA(params: ModelParams) -> RegimeSolution:
     """Low-temperature closed form for the repulsive pairing channel.
 
     ``w_bar = lambda_b`` exactly; the returned triple satisfies the energy
     identity to machine precision by construction.  Requires
     ``lambda_b > 0`` (else :class:`NotApplicable`).  Accurate once
     ``beta*(lambda_b - mu)/2 >> 1``; the margin divides that exponent by
-    ``margin_factor``.
+    :data:`DEFAULT_MARGIN_FACTOR`.
     """
     if params.lambda_b <= 0.0:
         raise NotApplicable("regime IA needs lambda_b > 0")
-    return _saturated(Regime.IA, params, margin_factor)
+    return _saturated(Regime.IA, params)
 
 
-def regime_IIA(params: ModelParams,
-               margin_factor: float = DEFAULT_MARGIN_FACTOR) -> RegimeSolution:
+def regime_IIA(params: ModelParams) -> RegimeSolution:
     """Low-temperature closed form for the attractive pairing channel.
 
     Needs both couplings attractive (``lambda_b < 0`` and ``lambda_m < 0``);
@@ -126,14 +124,13 @@ def regime_IIA(params: ModelParams,
     """
     if params.lambda_b >= 0.0 or params.lambda_m >= 0.0:
         raise NotApplicable("regime IIA needs lambda_b < 0 and lambda_m < 0")
-    sol = _saturated(Regime.IIA, params, margin_factor)
+    sol = _saturated(Regime.IIA, params)
     if params.lambda_b + params.mu + 2.0 * params.lambda_m >= 0.0:
         return replace(sol, valid=False)
     return sol
 
 
-def _linearised(regime: Regime, params: ModelParams,
-                margin_factor: float) -> RegimeSolution:
+def _linearised(regime: Regime, params: ModelParams) -> RegimeSolution:
     """Shared algebra for the small-argument regimes IB / IIB."""
     e, lb, lm, mu, T = _in_units(params)
     if lb == 2.0 * T:
@@ -152,7 +149,7 @@ def _linearised(regime: Regime, params: ModelParams,
 
     if regime is Regime.IB:
         # window: T_lo < T <= T_hi with T_hi set by the small-argument bound
-        t_hi = (lb - mu) / (2.0 * margin_factor)
+        t_hi = (lb - mu) / (2.0 * DEFAULT_MARGIN_FACTOR)
         t_lo = lm * lb / (2.0 * eff) if eff != 0.0 else math.inf
         in_window = eff > 0.0 and t_lo < T <= t_hi
         margin = T / t_lo if (eff > 0.0 and t_lo > 0.0 and math.isfinite(t_lo)) \
@@ -160,7 +157,7 @@ def _linearised(regime: Regime, params: ModelParams,
     else:
         # IIB mirror: lb < 0, both bounds reflected
         t_hi = lb * lm / (2.0 * eff) if eff != 0.0 else -math.inf
-        t_lo = margin_factor * (mu + lb) / 2.0
+        t_lo = DEFAULT_MARGIN_FACTOR * (mu + lb) / 2.0
         in_window = eff > 0.0 and t_lo <= T < t_hi
         margin = t_hi / T if (eff > 0.0 and T > 0.0 and t_hi > 0.0) \
             else (math.inf if in_window else 0.0)
@@ -168,8 +165,7 @@ def _linearised(regime: Regime, params: ModelParams,
                           ldexp_or_inf(delta_b, e), in_window, margin)
 
 
-def regime_IB(params: ModelParams,
-              margin_factor: float = DEFAULT_MARGIN_FACTOR) -> RegimeSolution:
+def regime_IB(params: ModelParams) -> RegimeSolution:
     """Near-transition closed form for the repulsive channel.
 
     Valid in a temperature window just below the root-disappearance point:
@@ -184,11 +180,10 @@ def regime_IB(params: ModelParams,
         raise NotApplicable(
             "regime IB needs lambda_b > 2T (below the root-disappearance point)"
         )
-    return _linearised(Regime.IB, params, margin_factor)
+    return _linearised(Regime.IB, params)
 
 
-def regime_IIB(params: ModelParams,
-               margin_factor: float = DEFAULT_MARGIN_FACTOR) -> RegimeSolution:
+def regime_IIB(params: ModelParams) -> RegimeSolution:
     """Small-argument closed form for the attractive channel.
 
     Same linearised expressions as the repulsive case but with
@@ -197,4 +192,4 @@ def regime_IIB(params: ModelParams,
     """
     if params.lambda_b >= 0.0 or params.lambda_m >= 0.0:
         raise NotApplicable("regime IIB needs lambda_b < 0 and lambda_m < 0")
-    return _linearised(Regime.IIB, params, margin_factor)
+    return _linearised(Regime.IIB, params)

@@ -5,7 +5,7 @@ Four subcommands: ``solve`` (one parameter point, every branch), ``scan``
 (closed-form regime formulas against the exact solver), and ``kernel-solve``
 (momentum-resolved self-consistency).  A JSON config file can pre-load any
 flag of the chosen subcommand (keys are the flag names with dashes as
-underscores); explicit flags win.
+underscores); its values are parsed as flags, and explicit flags win.
 
 Exit codes: 0 success; 2 bad input (flags, config, parameter validation,
 regime preconditions); 3 verification mismatch; 4 kernel solver failed to
@@ -56,6 +56,15 @@ _VERIFY_TOLERANCES = {"IA": 1e-3, "IIA": 1e-3, "IB": 5e-2, "IIB": 5e-2}
 _SOLVE_COLUMNS = ("phase", "delta_m", "delta_b", "w_bar", "residual", "checks_passed")
 _CURVE_COLUMNS = ("lambda_b_bar", "mu_e_bar", "x_e")
 
+# each scan axis and the flag that sweeps it
+_RANGE_FLAGS = (("lambda_b", "--range-lambda-b"), ("lambda_m", "--range-lambda-m"),
+                ("mu", "--range-mu"), ("temperature", "--range-temp"))
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores ``flag`` under."""
+    return flag[2:].replace("-", "_")
+
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None,
@@ -89,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = commands.add_parser("scan", help="lattice sweep to CSV/JSON")
     _add_common_flags(scan)
-    for axis in ("lambda-b", "lambda-m", "mu", "temp"):
-        scan.add_argument(f"--range-{axis}", default=None, metavar="LO:HI:STEPS",
-                          help=f"sweep {axis.replace('-', '_')} over a linspace")
+    for _, flag in _RANGE_FLAGS:
+        scan.add_argument(flag, default=None, metavar="LO:HI:STEPS",
+                          help=f"sweep {_dest(flag).removeprefix('range_')} over a linspace")
     scan.add_argument("--equilibrium", action="store_true",
                       help="emit the tangency curve instead of a parameter scan")
     scan.add_argument("--lambda-b-bar", default=None, metavar="LO:HI:STEPS",
@@ -130,10 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Load --config JSON as subcommand defaults; explicit flags override.
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with the --config JSON inserted as flags after the subcommand.
 
-    The accepted keys are the ``dest`` names of the subcommand's own flags.
+    The accepted keys are the ``dest`` names of the subcommand's own flags;
+    each becomes ``--flag=value``, so argparse checks it like a typed flag,
+    and an explicit flag, coming later, wins.  ``true`` gives a bare switch,
+    ``false`` and ``null`` give nothing.
     """
     path = None
     for i, token in enumerate(argv):
@@ -142,7 +154,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
     if path is None:
-        return
+        return argv
     subparsers = next(action for action in parser._actions  # noqa: SLF001
                       if isinstance(action, argparse._SubParsersAction))
     command = next((token for token in argv if token in subparsers.choices), None)
@@ -164,7 +176,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         raise ConfigError(
             f"{path}: unknown config keys for '{command}': {sorted(unknown)}"
         )
-    sub.set_defaults(**values)
+    flags = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False and value is not None:
+            flags.append(f"{flag}={value}")
+    at = argv.index(command) + 1
+    return argv[:at] + flags + argv[at:]
 
 
 def _resolve_temperature(args: argparse.Namespace) -> float:
@@ -257,12 +277,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # scan
 
 
-def _parse_range(text, flag: str) -> tuple[float, float, int]:
-    if isinstance(text, (list, tuple)) and len(text) == 3:
-        lo, hi, steps = text
-        return float(lo), float(hi), int(steps)
+def _parse_range(text: str, flag: str) -> tuple[float, float, int]:
     try:
-        lo, hi, steps = str(text).split(":")
+        lo, hi, steps = text.split(":")
         return float(lo), float(hi), int(steps)
     except ValueError:
         raise ConfigError(f"{flag} expects LO:HI:STEPS, got {text!r}") from None
@@ -281,26 +298,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 _write_csv(stream, _CURVE_COLUMNS, curve)
         return 0
 
-    ranges: dict[str, tuple[float, float, int]] = {}
-    for axis, flag_value in (("lambda_b", args.range_lambda_b),
-                             ("lambda_m", args.range_lambda_m),
-                             ("mu", args.range_mu),
-                             ("temperature", args.range_temp)):
-        if flag_value is not None:
-            ranges[axis] = _parse_range(flag_value, f"--range-{axis}")
-    fixed: dict[str, float] = {}
-    if "lambda_b" not in ranges:
-        if args.lambda_b is None:
-            raise ConfigError("lambda_b needs a value or a range")
-        fixed["lambda_b"] = float(args.lambda_b)
-    if "lambda_m" not in ranges:
-        fixed["lambda_m"] = 0.0 if args.lambda_m is None else float(args.lambda_m)
-    if "mu" not in ranges:
-        if args.mu is None:
-            raise ConfigError("mu needs a value or a range")
-        fixed["mu"] = float(args.mu)
+    ranges = {axis: _parse_range(text, flag) for axis, flag in _RANGE_FLAGS
+              if (text := getattr(args, _dest(flag))) is not None}
+    values = {"lambda_b": args.lambda_b,
+              "lambda_m": 0.0 if args.lambda_m is None else args.lambda_m,
+              "mu": args.mu}
     if "temperature" not in ranges:
-        fixed["temperature"] = _resolve_temperature(args)
+        values["temperature"] = _resolve_temperature(args)
+    # an axis with neither value nor range is left for scan to reject
+    fixed = {axis: value for axis, value in values.items()
+             if value is not None and axis not in ranges}
 
     rows = phase_diagram.scan(ranges, fixed, tol=args.tol)
     with _output(args.out) as stream:
@@ -471,10 +478,7 @@ def _gaps_from_failure(grid, dispersion, exc: NotConverged):
 
 # Flags whose values (ranges, comma lists) may start with "-", which argparse
 # would otherwise mistake for an option string.
-_GLUED_FLAGS = frozenset({
-    "--range-lambda-b", "--range-lambda-m", "--range-mu", "--range-temp",
-    "--lambda-b-bar", "--seeds",
-})
+_GLUED_FLAGS = frozenset({flag for _, flag in _RANGE_FLAGS} | {"--lambda-b-bar", "--seeds"})
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
@@ -496,8 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = _normalize_argv(list(sys.argv[1:] if argv is None else argv))
     parser = build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config(parser, argv))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -513,9 +516,6 @@ def main(argv: list[str] | None = None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except GapEquationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -57,7 +57,6 @@ from .errors import (
     NotApplicable,
     SingularDenominator,
     ZeroCoupling,
-    ZeroEnergy,
 )
 
 # Half-width, in reduced units, of the band around the tangency curve inside
@@ -379,11 +378,8 @@ def _mixed_residual(w: float, dm: float, db: float, params: ModelParams) -> floa
     t = tanh_half(w - params.mu, params.beta)
     r1 = abs(w - params.lambda_b * t) / max(1.0, abs(params.lambda_b))
     omega_eff = params.mu + dm
-    if w > 0.0:
-        r2 = abs(dm - params.lambda_m * (1.0 - t * omega_eff / w))
-        r2 /= max(1.0, abs(params.lambda_m))
-    else:
-        r2 = 0.0
+    r2 = (abs(dm - params.lambda_m * (1.0 - t * omega_eff / w))
+          / max(1.0, abs(params.lambda_m)))
     r3 = abs(w * w - omega_eff * omega_eff - db * db) / max(1.0, w * w)
     return max(r1, r2, r3)
 
@@ -397,8 +393,6 @@ def _lift(w: float, phase: PhaseLabel, params: ModelParams, tol: float,
     if nonneg and omega_eff < 0.0:
         raise NotAdmissible(f"effective energy mu + delta_m = {omega_eff:.6g} < 0 "
                             "(restricted mixing angle)")
-    if omega_eff == 0.0 and db == 0.0:  # a guard: omega_eff = 0 gives db = w > 0
-        raise ZeroEnergy("degenerate zero-energy scale")
     return GapSolution(
         delta_m=dm,
         delta_b=db,
@@ -443,7 +437,7 @@ def solve_all(params: ModelParams, tol: float = 1e-10,
         try:
             solutions.append(
                 _lift(w, phase, params, tol, require_nonneg_effective_energy))
-        except (SingularDenominator, ConstraintViolation, NotAdmissible, ZeroEnergy) as exc:
+        except (SingularDenominator, ConstraintViolation, NotAdmissible) as exc:
             notes.append(f"root w_bar = {w:.9g} dropped: {exc}")
 
     return SolveReport(
@@ -466,32 +460,29 @@ def classify_region(params: ModelParams) -> RegionLabel:
     latter at strongly negative ``lambda_m`` (``C+``).  Attractive channel
     (lambda_b < 0): the admissible band is
     ``-2 mu <= lambda_m <= -mu T / (|lambda_b| + 2 T)`` (upper bound taken
-    in the limit at T = 0 and T = inf), split into ``B-`` below
-    ``-(lambda_b + 4 mu)/4`` and ``A-`` above.  Comparisons are plain IEEE
-    inequalities, so exact boundary points deterministically join the closed
-    side.
+    in the limit at T = inf), split into ``B-`` below
+    ``-(lambda_b + 4 mu)/4`` and ``A-`` above.  Each bound is evaluated in a
+    form whose intermediates stay finite for energies up to a quarter of the
+    largest double.  Comparisons are plain IEEE inequalities, so exact boundary
+    points deterministically join the closed side.
     """
     lb, lm, mu, T = params.lambda_b, params.lambda_m, params.mu, params.temperature
     if lb > 0.0:
         if lb <= mu:
             return RegionLabel.NONE
-        low_t_side = lm > -(lb + mu) / 2.0
-        near_tc_side = lm < (lb - 4.0 * mu) / 4.0
+        low_t_side = lm > -(lb / 2.0 + mu / 2.0)
+        near_tc_side = lm < lb / 4.0 - mu
         if low_t_side and near_tc_side:
             return RegionLabel.B_PLUS
         if low_t_side:
             return RegionLabel.A_PLUS
         return RegionLabel.C_PLUS
     if lb < 0.0:
-        if T == 0.0:
-            upper = -0.0
-        elif math.isinf(T):
-            upper = -mu / 2.0
-        else:
-            upper = -mu * T / (abs(lb) + 2.0 * T)
+        # -0.0 at T = 0; inf / inf would be NaN, so T = inf takes its limit
+        upper = -mu / 2.0 if math.isinf(T) else -mu * (T / (abs(lb) + 2.0 * T))
         if not (-2.0 * mu <= lm <= upper):
             return RegionLabel.NONE
-        if lm < -(lb + 4.0 * mu) / 4.0:
+        if lm < -(lb / 4.0 + mu):
             return RegionLabel.B_MINUS
         return RegionLabel.A_MINUS
     return RegionLabel.NONE

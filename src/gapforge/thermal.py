@@ -261,9 +261,7 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 
 def smearing_scaling_check(profile: Callable, v: Callable,
-                           kappas: Iterable[float], *,
-                           extent: float = 6.0,
-                           points: int = 2001) -> SmearingScalingResult:
+                           kappas: Iterable[float]) -> SmearingScalingResult:
     """Decay exponent of I(kappa) = iint exp(-2 kappa (p+p')**2) G(p) G(p') dp dp'.
 
     ``G = v * profile``.  Substituting u = p + p' turns the double integral
@@ -286,7 +284,8 @@ def smearing_scaling_check(profile: Callable, v: Callable,
             f"kappa range [{kap[0]:g}, {kap[-1]:g}] spans < 2 decades"
         )
 
-    p = np.linspace(-extent, extent, points)
+    extent = 6.0
+    p = np.linspace(-extent, extent, 2001)
     wp = _trapezoid_weights(p)
     g_p = np.asarray(v(p), dtype=float) * np.asarray(profile(p), dtype=float)
 
@@ -301,7 +300,7 @@ def smearing_scaling_check(profile: Callable, v: Callable,
 
     weighted = wp * g_p
     corr = np.empty(u.size)
-    # 64-row chunks keep each temporary near 1 MB at the default 2001 points
+    # 64-row chunks keep each temporary near 1 MB at 2001 points
     for lo in range(0, u.size, 64):
         shift = u[lo:lo + 64, None] - p[None, :]
         corr[lo:lo + 64] = (np.asarray(v(shift), dtype=float)

@@ -186,6 +186,16 @@ def test_as_dict_round_trip():
                       "validity_margin"}
 
 
+@pytest.mark.parametrize("params", [ModelParams(1e-300, 0.0, 0.0, 1e10),
+                                    ModelParams(5e-324, 0.0, 0.0, 1.0)])
+def test_a_temperature_beyond_the_largest_double_in_units_is_its_limit(params):
+    # T over the units of the energies overflows: it is taken as T = inf
+    sol = regime_IA(params)
+    assert sol.valid is False
+    assert sol.validity_margin == 0.0
+    assert sol.w_bar == params.lambda_b
+
+
 # ---------------------------------------------------------------------------
 # structural identity on every emitted regime solution
 

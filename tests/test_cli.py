@@ -569,3 +569,153 @@ def test_kernel_solve_reads_grid_flags_from_the_config(tmp_path, capsys):
     defaults = run_cli(capsys, "kernel-solve", *model)
     assert from_config == from_flags
     assert from_flags[1] != defaults[1]
+
+
+# ---------------------------------------------------------------------------
+# a config file is parsed like the flags it stands for
+
+_POINT = {"lambda_b": 5, "mu": 1, "temp": 0.01}
+_SHELL = {"lambda_b": 4, "mu": 1, "temp": 0.5, "epsilon": 0.05}
+_POINT_FLAGS = ("--lambda-b", "5", "--mu", "1", "--temp", "0.01")
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, named, same_as",
+    [
+        (("verify",), {"regime": "IA", **_POINT}, 0, None,
+         ("verify", "--regime", "IA", *_POINT_FLAGS)),
+        (("solve",), {**_POINT, "format": "xml"}, 2, "--format", None),
+        # "no" is not false: it used to switch the equilibrium curve on
+        (("scan",), {**_POINT, "equilibrium": "no", "lambda_b_bar": "1.2:5:3"}, 2,
+         "--equilibrium", None),
+        (("kernel-solve",), {**_SHELL, "grid_points": 1.5}, 2, "--grid-points", None),
+        (("kernel-solve",), {**_SHELL, "max_iters": 10.5}, 2, "--max-iters", None),
+        (("solve",), {**_POINT, "lambda_b": [1, 2]}, 2, "--lambda-b", None),
+        (("solve",), {**_POINT, "tol": None}, 0, None, ("solve", *_POINT_FLAGS)),
+        (("scan", "--range-lambda-b", "0:1:zz", "--mu", "1", "--temp", "0.3"), None,
+         2, "--range-lambda-b", None),
+        (("scan", "--range-temp", "0:1:x", "--lambda-b", "1", "--mu", "1"), None,
+         2, "--range-temp", None),
+    ],
+    ids=["regime", "format-xml", "equilibrium-no", "grid-points-float",
+         "max-iters-float", "lambda-b-list", "tol-null", "range-lambda-b", "range-temp"],
+)
+def test_config_values_and_ranges_are_checked_like_flags(tmp_path, capsys, argv, config,
+                                                         code, named, same_as):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(cfg))
+    got = run_cli(capsys, *argv)
+    assert got[0] == code
+    assert "Traceback" not in got[2]
+    if named is not None:  # the error names the real flag
+        assert named in got[2].replace(":", " ").split()
+    if same_as is not None:
+        assert got == run_cli(capsys, *same_as)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("solve", {"lambda_b": 5, "lambda_m": -0.5, "mu": 1, "temp": 0.01,
+                   "format": "csv"}),
+        ("scan", {"range_lambda_b": "-2:5:4", "lambda_m": -0.4, "mu": 1,
+                  "range_temp": "0.3:2:3", "format": "json"}),
+        ("scan", {"equilibrium": True, "lambda_b_bar": "1.2:5:4"}),
+        ("verify", {"regime": "IB", "lambda_b": 10, "mu": 1, "temp": 0.4}),
+        ("kernel-solve", {**_SHELL, "grid_points": 120, "seeds": "-0.5,2.0"}),
+    ],
+    ids=["solve", "scan", "scan-equilibrium", "verify", "kernel-solve"],
+)
+def test_a_config_file_gives_the_bytes_of_its_flags(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    flags = []
+    for key, value in config.items():
+        flags.append("--" + key.replace("_", "-"))
+        if value is not True:
+            flags.append(str(value))
+    from_config = run_cli(capsys, command, "--config", str(cfg))
+    assert from_config[0] in (0, 3)
+    assert from_config == run_cli(capsys, command, *flags)
+
+
+# ---------------------------------------------------------------------------
+# kernel-solve setups
+
+
+def _write_kernel_csv(path, momenta, matrix):
+    with open(path, "w") as fh:
+        fh.write(",".join(repr(float(p)) for p in momenta) + "\n")
+        for row in matrix:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def test_kernel_solve_with_only_a_mean_field_kernel_has_no_pairing(tmp_path, capsys):
+    import numpy as np
+
+    momenta = np.linspace(0.0, 2.0, 21)
+    path = tmp_path / "vm.csv"
+    _write_kernel_csv(path, momenta, 0.1 * np.exp(-np.subtract.outer(momenta, momenta) ** 2))
+    code, out, err = run_cli(
+        capsys, "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+        "--kernel-m-csv", str(path),
+    )
+    assert code == 0
+    summary = json.loads(err)
+    assert summary["converged"] is True
+    assert summary["grid_points"] == momenta.size
+    assert summary["branches"][0]["delta_b_peak"] == 0.0
+    delta_m = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert any(delta_m)
+
+
+def test_kernel_solve_refuses_kernels_on_different_momenta(tmp_path, capsys):
+    import numpy as np
+
+    pairing, mean_field = tmp_path / "vb.csv", tmp_path / "vm.csv"
+    _write_kernel_csv(pairing, np.linspace(0.0, 2.0, 5), np.eye(5))
+    _write_kernel_csv(mean_field, np.linspace(0.0, 3.0, 5), np.eye(5))
+    code, _, err = run_cli(
+        capsys, "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+        "--kernel-b-csv", str(pairing), "--kernel-m-csv", str(mean_field),
+    )
+    assert code == 2
+    assert "momenta differ" in err
+
+
+def test_kernel_solve_scalar_init_is_from_scalar(capsys):
+    params = ModelParams(4.0, 0.0, 1.0, 0.5)
+    grid = kernel_solver.shell_aligned_grid(1.0, 0.05, n_shell=40, p_max=3.0, n_outer=80)
+    gaps = kernel_solver.self_consistent_solve(
+        grid, kernel_solver.shell_kernels(params, 0.05), kernel_solver.PARABOLIC, params,
+        kernel_solver.IterationControls(init=kernel_solver.FromScalar()))
+    code, out, _ = run_cli(
+        capsys,
+        "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+        "--epsilon", "0.05", "--grid-points", "120", "--init", "scalar",
+    )
+    assert code == 0
+    columns = (grid.points, gaps.delta_m, gaps.delta_b, gaps.w_bar)
+    assert out.splitlines()[1:] == [
+        ",".join(repr(float(col[i])) for col in columns) for i in range(grid.points.size)]
+
+
+def test_kernel_solve_refuses_an_empty_seed_list(capsys):
+    code, _, err = run_cli(
+        capsys, "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+        "--epsilon", "0.05", "--seeds", ",",
+    )
+    assert code == 2
+    assert "--seeds is empty" in err
+
+
+def test_verify_reports_a_singular_closed_form_as_a_solver_error(capsys):
+    # lambda_b + lambda_m = 0: the closed-form delta_m has no value
+    code, _, err = run_cli(
+        capsys, "verify", "--regime", "IA", "--lambda-b", "2", "--lambda-m", "-2",
+        "--mu", "1", "--temp", "0.01",
+    )
+    assert code == 1
+    assert "lambda_b + lambda_m = 0" in err

@@ -72,6 +72,16 @@ def test_attractive_band_widens_as_temperature_drops():
     assert classify_region(_params(-2.0, -0.6, 1.0, math.inf)) is RegionLabel.B_MINUS
 
 
+def test_region_bounds_do_not_overflow_at_extreme_scale():
+    # the labels of the unit points, which the bounds used to lose to an
+    # overflow (none for the first, A+ for the second)
+    c = 1e200
+    assert classify_region(_params(-1.0, -0.5, 1.0, 1.0)) is RegionLabel.A_MINUS
+    assert classify_region(_params(-c, -0.5 * c, c, c)) is RegionLabel.A_MINUS
+    assert classify_region(_params(1.7, -0.1, 0.5, 1.0)) is RegionLabel.B_PLUS
+    assert classify_region(_params(1.7e308, -1e307, 0.5e308, 1.0)) is RegionLabel.B_PLUS
+
+
 # ---------------------------------------------------------------------------
 # multiplicity classes
 
