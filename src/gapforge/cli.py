@@ -216,12 +216,17 @@ def _output(path: str | None):
     """The ``--out`` file, or stdout when there is none.
 
     Enter it only once the result is computed: opening truncates the file,
-    so a run that fails before then leaves an existing file as it was.
+    so a run that fails before then leaves an existing file as it was.  A
+    path that cannot be opened is a :class:`ConfigError` naming it.
     """
     if not path:
         yield sys.stdout
         return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from None
+    with fh:
         yield fh
 
 

@@ -19,6 +19,10 @@ Scale-free analysis uses "barred" quantities ``Q_bar = beta * Q / 2``.  They
 are undefined at zero temperature, where :func:`to_reduced` raises.
 
 All types here are immutable value objects and safe to share across threads.
+The dataclasses are frozen and slotted: they have no ``__dict__`` (use
+:func:`dataclasses.asdict` or ``as_dict``, not ``vars``), assigning to a
+field raises :class:`dataclasses.FrozenInstanceError`, and
+:func:`dataclasses.replace` builds a changed copy.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelParams:
     """The four model energies: pairing and mean-field couplings, mu, T.
 
@@ -181,7 +185,7 @@ def tanh_half(x, beta: float):
     return float(out) if arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BogoliubovCoefficients:
     """Real rotation coefficients (c, s) with mixing angle phi.
 
@@ -243,7 +247,7 @@ class RegionLabel(str, Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapSolution:
     """One converged solution of the coupled gap system.
 
@@ -273,7 +277,7 @@ class GapSolution:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveReport:
     """All solutions found at one parameter point.
 

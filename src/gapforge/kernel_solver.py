@@ -281,10 +281,15 @@ def load_kernel_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
     Rows index k, columns index p; blank lines are skipped.  Raises
     :class:`ConfigError` with the physical line number on any malformed
-    content.  numpy's C parser reads the file; only when it refuses the
-    content does the row-by-row reader run, to name the faulty line.
+    content, and naming the path when the file cannot be opened.  numpy's C
+    parser reads the file; only when it refuses the content does the
+    row-by-row reader run, to name the faulty line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read kernel file: {exc.strerror}") from None
+    with fh:
         header_line = next(
             (k for k, line in enumerate(fh, start=1) if line.rstrip("\r\n")), 0)
         if not header_line:

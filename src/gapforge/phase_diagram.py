@@ -18,7 +18,10 @@ from them.
 
 Scans walk a row-major lattice over (lambda_b, lambda_m, mu, temperature) in
 that fixed axis order, solve every point with
-:func:`~gapforge.scalar_gap.solve_all`, and emit one :class:`ScanRow` each.
+:func:`~gapforge.scalar_gap.solve_all`, and emit one :class:`ScanRow` each:
+a ``NamedTuple`` record in :data:`SCAN_COLUMNS` order, which the writers
+pass on as it is; ``row._asdict()`` gives its JSON object
+(:func:`dataclasses.asdict` does not apply to it).
 The one piece of work points share, the pure mean-field root, which depends
 on (lambda_m, temperature) alone, comes from ``solve_all``'s bounded cache,
 so a lattice at fixed lambda_m and T solves it once, and one whose
@@ -32,13 +35,12 @@ effect.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
-import operator
 import os
-from dataclasses import dataclass, fields
 from enum import Enum
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -93,11 +95,11 @@ def multiplicity_class(params: ModelParams) -> MultiplicityClass:
     return MultiplicityClass.NO_SOLUTION
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One lattice point of a scan, flattened for delimited output.
 
-    Solution columns hold ``None`` (empty CSV field, JSON null) when the
+    A tuple in :data:`SCAN_COLUMNS` order with named fields.  Solution
+    columns hold ``None`` (empty CSV field, JSON null) when the
     corresponding branch does not exist — never a placeholder zero.  The
     ``error`` column is set, and all physics columns cleared, for points
     whose evaluation raised.
@@ -120,27 +122,28 @@ class ScanRow:
     error: str | None
 
 
-SCAN_COLUMNS = tuple(f.name for f in fields(ScanRow))
+SCAN_COLUMNS = ScanRow._fields
+
+_NO_BRANCH = (None, None, None)  # delta_m, delta_b, w_bar of a missing branch
 
 
 def _evaluate_point(lb: float, lm: float, mu: float, T: float,
                     tol: float) -> ScanRow:
-    base = dict.fromkeys(SCAN_COLUMNS)
-    base.update(lambda_b=float(lb), lambda_m=float(lm), mu=float(mu), temperature=float(T))
     try:
         report = solve_all(ModelParams(lb, lm, mu, T), tol=tol)
     except GapEquationError as exc:
-        base["error"] = str(exc)
-        return ScanRow(**base)
-    pure = report.pure
-    base.update(region=report.region, multiplicity=report.multiplicity,
-                delta_m_pure=pure.delta_m, w_bar_pure=pure.w_bar)
-    for sol in report.mixed:
-        slot = "upper" if sol.phase is PhaseLabel.MIXED_UPPER else "lower"
-        base.update({f"delta_m_{slot}": sol.delta_m,
-                     f"delta_b_{slot}": sol.delta_b,
-                     f"w_bar_{slot}": sol.w_bar})
-    return ScanRow(**base)
+        return ScanRow(lb, lm, mu, T, None, None, None, None,
+                       *_NO_BRANCH, *_NO_BRANCH, str(exc))
+    pure, *mixed = report.solutions
+    lower = upper = _NO_BRANCH
+    for sol in mixed:
+        branch = (sol.delta_m, sol.delta_b, sol.w_bar)
+        if sol.phase is PhaseLabel.MIXED_UPPER:
+            upper = branch
+        else:
+            lower = branch
+    return ScanRow(lb, lm, mu, T, report.region, report.multiplicity,
+                   pure.delta_m, pure.w_bar, *lower, *upper, None)
 
 
 def _worker_count() -> int:
@@ -178,22 +181,21 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
     if missing:
         raise ConfigError(f"unspecified scan parameters: {sorted(missing)}")
 
-    axes: list[np.ndarray] = []
+    axes: list[list[float]] = []
     for name in _AXES:
         if name in fixed:
-            axes.append(np.array([float(fixed[name])]))
+            axes.append([float(fixed[name])])
             continue
         lo, hi, steps = ranges[name]
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigError(f"range for {name} must be finite, got ({lo}, {hi})")
         if int(steps) < 1:
             raise ConfigError(f"range for {name} needs steps >= 1, got {steps}")
-        axes.append(np.linspace(lo, hi, int(steps)))
+        # Python floats, so no numpy scalar reaches ModelParams or the rows
+        axes.append(np.linspace(lo, hi, int(steps)).tolist())
 
-    points = [(lb, lm, mu, T)
-              for lb in axes[0] for lm in axes[1] for mu in axes[2] for T in axes[3]]
     _worker_count()  # validated for compatibility; evaluation is serial
-    return [_evaluate_point(*pt, tol) for pt in points]
+    return [_evaluate_point(*pt, tol) for pt in itertools.product(*axes)]
 
 
 def equilibrium_curve(lo: float, hi: float,
@@ -224,12 +226,11 @@ def write_scan_csv(rows: Iterable[ScanRow], stream: IO[str]) -> None:
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SCAN_COLUMNS)
-    writer.writerows(map(operator.attrgetter(*SCAN_COLUMNS), rows))
+    writer.writerows(rows)
 
 
 def write_scan_json(rows: Iterable[ScanRow], stream: IO[str]) -> None:
     """JSON mirror of the CSV: an array of one object per row."""
     # a region label is a str, which json writes as its value
-    values = map(operator.attrgetter(*SCAN_COLUMNS), rows)
-    json.dump([dict(zip(SCAN_COLUMNS, row)) for row in values], stream, indent=2)
+    json.dump([dict(zip(SCAN_COLUMNS, row)) for row in rows], stream, indent=2)
     stream.write("\n")

@@ -63,6 +63,9 @@ from .errors import (
 # which the two repulsive roots count as one degenerate root.
 TANGENCY_BAND = 1e-5
 
+# The pairing-free branch has delta_b = 0, so its modes are not rotated.
+_UNROTATED = BogoliubovCoefficients(1.0, 0.0, 0.0)
+
 _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
 _SIGN_BIT = 1 << 63
@@ -367,7 +370,7 @@ def _pure_solution(params: ModelParams) -> GapSolution:
         delta_m=dm,
         delta_b=0.0,
         w_bar=w,
-        coeffs=BogoliubovCoefficients(1.0, 0.0, 0.0),
+        coeffs=_UNROTATED,
         phase=PhaseLabel.PURE_MEAN_FIELD,
         residual=residual,
         delta_b_sign_ambiguous=False,
@@ -462,9 +465,10 @@ def classify_region(params: ModelParams) -> RegionLabel:
     ``-2 mu <= lambda_m <= -mu T / (|lambda_b| + 2 T)`` (upper bound taken
     in the limit at T = inf), split into ``B-`` below
     ``-(lambda_b + 4 mu)/4`` and ``A-`` above.  Each bound is evaluated in a
-    form whose intermediates stay finite for energies up to a quarter of the
-    largest double.  Comparisons are plain IEEE inequalities, so exact boundary
-    points deterministically join the closed side.
+    form whose intermediates stay finite up to the largest double; where
+    ``|lambda_b| + 2 T`` overflows, the upper attractive bound is taken in
+    units of a power of two.  Comparisons are plain IEEE inequalities, so
+    exact boundary points deterministically join the closed side.
     """
     lb, lm, mu, T = params.lambda_b, params.lambda_m, params.mu, params.temperature
     if lb > 0.0:
@@ -479,7 +483,16 @@ def classify_region(params: ModelParams) -> RegionLabel:
         return RegionLabel.C_PLUS
     if lb < 0.0:
         # -0.0 at T = 0; inf / inf would be NaN, so T = inf takes its limit
-        upper = -mu / 2.0 if math.isinf(T) else -mu * (T / (abs(lb) + 2.0 * T))
+        if math.isinf(T):
+            upper = -mu / 2.0
+        else:
+            t, denom = T, abs(lb) + 2.0 * T
+            if math.isinf(denom):
+                # the ratio is scale-free: take it in units of 2**e instead
+                e = scale_exponent(lb, T)
+                t = math.ldexp(T, -e)
+                denom = math.ldexp(abs(lb), -e) + 2.0 * t
+            upper = -mu * (t / denom)
         if not (-2.0 * mu <= lm <= upper):
             return RegionLabel.NONE
         if lm < -(lb / 4.0 + mu):

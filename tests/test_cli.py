@@ -544,6 +544,26 @@ def test_out_file_is_left_intact_when_the_command_fails(tmp_path, capsys, argv):
     assert target.read_text() == "precious\n"
 
 
+def test_out_in_a_missing_directory_is_a_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "solve", "--lambda-b", "5", "--mu", "1", "--temp", "0.01",
+        "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
+def test_missing_kernel_csv_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "missing.csv"
+    code, _, err = run_cli(
+        capsys, "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+        "--kernel-b-csv", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err
+
+
 @pytest.mark.parametrize("command", ["solve", "scan", "verify", "kernel-solve"])
 def test_every_flag_is_a_config_key(tmp_path, command):
     commands = next(a for a in build_parser()._actions

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -174,6 +176,72 @@ def test_report_round_trip_dict():
     assert [s["phase"] for s in payload["solutions"]] == [
         "pure_mean_field", "mixed_lower", "mixed_upper"]
     assert payload["solutions"][1]["coeffs"].keys() == {"c", "s", "phi"}
+
+
+# ---------------------------------------------------------------------------
+# the value types are frozen, slotted dataclasses
+
+
+def _report():
+    from gapforge.scalar_gap import solve_all
+
+    return solve_all(ModelParams(4.0, 0.0, 1.0, 0.5))
+
+
+def _values():
+    report = _report()
+    return [report.params, report.pure.coeffs, report.mixed[0], report]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_value_types_are_frozen_and_have_no_dict(index):
+    value = _values()[index]
+    name = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, getattr(value, name))
+    assert not hasattr(value, "__dict__")
+
+
+def test_equal_values_hash_equal():
+    assert ModelParams(4, 0, 1, 0.5) == ModelParams(4.0, 0.0, 1.0, 0.5)
+    assert hash(ModelParams(4, 0, 1, -0.0)) == hash(ModelParams(4.0, 0.0, 1.0, 0.0))
+    assert _report() == _report()
+    assert hash(_report()) == hash(_report())
+    assert len({ModelParams(4.0, 0.0, 1.0, 0.5), ModelParams(4.0, 0.0, 1.0, 0.5)}) == 1
+
+
+def test_replace_builds_a_changed_copy():
+    report = _report()
+    params = dataclasses.replace(report.params, mu=2)
+    assert params == ModelParams(4.0, 0.0, 2.0, 0.5) and type(params.mu) is float
+    with pytest.raises(NegativeChemicalPotential):
+        dataclasses.replace(report.params, mu=-1.0)
+    # the corruption a benchmark self-test plants into a report
+    bad = dataclasses.replace(report.solutions[1], w_bar=report.solutions[1].w_bar * 1.01)
+    planted = dataclasses.replace(report, solutions=(report.solutions[0], bad,
+                                                     *report.solutions[2:]))
+    assert planted.solutions[1].w_bar == report.solutions[1].w_bar * 1.01
+    assert planted.solutions[2] is report.solutions[2]
+
+
+def test_asdict_and_as_dict_agree():
+    report = _report()
+    assert dataclasses.asdict(report.params) == {
+        "lambda_b": 4.0, "lambda_m": 0.0, "mu": 1.0, "temperature": 0.5}
+    sol = report.mixed[0]
+    expected = sol.as_dict()
+    plain = dataclasses.asdict(sol)
+    assert plain["coeffs"] == expected["coeffs"]
+    assert plain["phase"] is sol.phase and expected["phase"] == sol.phase.value
+    assert report.as_dict()["params"] == dataclasses.asdict(report.params)
+
+
+def test_report_pickle_round_trip():
+    report = _report()
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report
+    assert copy.as_dict() == report.as_dict()
+    assert copy.solutions[0].phase is PhaseLabel.PURE_MEAN_FIELD
 
 
 # ---------------------------------------------------------------------------

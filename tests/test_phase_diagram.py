@@ -17,6 +17,7 @@ from gapforge.phase_diagram import (
     SCAN_COLUMNS,
     MultiplicityClass,
     RegionLabel,
+    ScanRow,
     classify_region,
     equilibrium_curve,
     multiplicity_class,
@@ -80,6 +81,31 @@ def test_region_bounds_do_not_overflow_at_extreme_scale():
     assert classify_region(_params(-c, -0.5 * c, c, c)) is RegionLabel.A_MINUS
     assert classify_region(_params(1.7, -0.1, 0.5, 1.0)) is RegionLabel.B_PLUS
     assert classify_region(_params(1.7e308, -1e307, 0.5e308, 1.0)) is RegionLabel.B_PLUS
+
+
+@pytest.mark.parametrize("values", [
+    (-1e308, -0.1, 1.0, 1e308),  # |lambda_b| + 2T overflows
+    (-1.0, -1e-309, 1e-308, 1.0),  # its twin scaled by 1e-308
+])
+def test_attractive_upper_bound_survives_an_overflowing_sum(values):
+    # the upper bound is -mu/3 at T = |lambda_b|, and lambda_m lies above it
+    assert classify_region(_params(*values)) is RegionLabel.NONE
+
+
+@pytest.mark.parametrize("values, shift, label", [
+    ((-1.0, -0.3, 1.0, 1.0), 1023, RegionLabel.NONE),
+    ((-1.0, -0.34, 1.0, 1.0), 1023, RegionLabel.A_MINUS),
+    ((-3.0, -0.2, 1.0, 1.0), 1022, RegionLabel.A_MINUS),  # on the bound
+    ((-3.0, -0.3, 1.0, 1.0), 1022, RegionLabel.B_MINUS),
+    ((-1.0, -0.5, 1.0, 3.0), 1022, RegionLabel.A_MINUS),
+])
+def test_attractive_labels_keep_where_the_bound_sum_overflows(values, shift, label):
+    # scaling by a power of two is exact, so the label of the unit point
+    # must hold where |lambda_b| + 2T passes the largest double
+    lb, lm, mu, T = (math.ldexp(v, shift) for v in values)
+    assert math.isinf(abs(lb) + 2.0 * T)
+    assert classify_region(_params(*values)) is label
+    assert classify_region(_params(lb, lm, mu, T)) is label
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +446,16 @@ def test_csv_matches_the_per_cell_reference():
     buffer = io.StringIO()
     write_scan_csv(rows, buffer)
     assert buffer.getvalue() == _reference_csv(rows)
+
+
+def test_scan_rows_are_records_in_column_order():
+    rows = _demo_rows()
+    buffer = io.StringIO()
+    write_scan_json(rows, buffer)
+    assert ScanRow._fields == SCAN_COLUMNS
+    assert [row._asdict() for row in rows] == json.loads(buffer.getvalue())
+    assert all(type(row.lambda_b) is float and type(row.temperature) is float
+               for row in rows)
 
 
 def test_json_output_mirrors_the_rows():
