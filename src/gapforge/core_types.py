@@ -32,8 +32,6 @@ from dataclasses import dataclass, asdict
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     InvalidParameter,
     NegativeChemicalPotential,
@@ -140,49 +138,27 @@ def ldexp_or_inf(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def fermi(x, beta: float):
-    """Occupation factor 1/(e^(beta*x) + 1), elementwise.
+def fermi(x: float, beta: float) -> float:
+    """Occupation factor 1/(e^(beta*x) + 1) of a real ``x``, as a ``float``.
 
     Exact limits are used at the distinguished temperatures: a step function
     at ``beta = inf`` (with value 1/2 at x = 0) and the constant 1/2 at
-    ``beta = 0``.  The exponent is clipped to avoid overflow.  A ``float``
-    (``numpy.float64`` included) is evaluated with :mod:`math` and gives a
-    ``float``; anything else goes through numpy.
+    ``beta = 0``.  The exponent is clipped to avoid overflow.
     """
-    if isinstance(x, float):
-        x = float(x)  # a numpy.float64 would keep numpy's arithmetic and warnings
-        if math.isinf(beta):
-            return 1.0 if x < 0.0 else 0.0 if x > 0.0 else 0.5
-        if beta == 0.0:
-            return 0.5
-        return 1.0 / (1.0 + math.exp(min(max(beta * x, -700.0), 700.0)))
-    arr = np.asarray(x, dtype=float)
+    x = float(x)  # an array scalar would keep its own arithmetic and warnings
     if math.isinf(beta):
-        out = np.where(arr < 0.0, 1.0, np.where(arr > 0.0, 0.0, 0.5))
-    elif beta == 0.0:
-        out = np.full_like(arr, 0.5)
-    else:
-        z = np.clip(beta * arr, -700.0, 700.0)
-        out = 1.0 / (1.0 + np.exp(z))
-    return float(out) if arr.ndim == 0 else out
+        return 1.0 if x < 0.0 else 0.0 if x > 0.0 else 0.5
+    if beta == 0.0:
+        return 0.5
+    return 1.0 / (1.0 + math.exp(min(max(beta * x, -700.0), 700.0)))
 
 
-def tanh_half(x, beta: float):
-    """tanh(beta*x/2) elementwise, with sign-function limit at beta = inf.
-
-    Like :func:`fermi`, a ``float`` is evaluated with :mod:`math`.
-    """
-    if isinstance(x, float):
-        x = float(x)
-        if math.isinf(beta):
-            return 1.0 if x > 0.0 else -1.0 if x < 0.0 else x - x  # 0.0, or nan
-        return math.tanh(0.5 * beta * x)
-    arr = np.asarray(x, dtype=float)
+def tanh_half(x: float, beta: float) -> float:
+    """tanh(beta*x/2) of a real ``x``, with sign-function limit at beta = inf."""
+    x = float(x)
     if math.isinf(beta):
-        out = np.sign(arr)
-    else:
-        out = np.tanh(0.5 * beta * arr)
-    return float(out) if arr.ndim == 0 else out
+        return 1.0 if x > 0.0 else -1.0 if x < 0.0 else x - x  # 0.0, or nan
+    return math.tanh(0.5 * beta * x)
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,8 +28,11 @@ so a lattice at fixed lambda_m and T solves it once, and one whose
 (lambda_m, T) plane fits the cache (256 points) once per pair; every row is
 the same as from a fresh solve.  Points that fail validation land in the
 row's ``error`` column; a scan never aborts half-way.  Evaluation is serial, so
-output order is deterministic; ``GAPFORGE_THREADS`` is validated but has no
-effect.
+output order is deterministic.
+
+Each ranged axis is a lattice of evenly spaced doubles, both ends included:
+the values of an array ``linspace``, built with :mod:`math` alone, so this
+module, like the rest of the scalar core, needs no array package.
 """
 
 from __future__ import annotations
@@ -38,11 +41,8 @@ import csv
 import itertools
 import json
 import math
-import os
 from enum import Enum
 from typing import IO, Iterable, Mapping, NamedTuple
-
-import numpy as np
 
 from .core_types import ModelParams, PhaseLabel, RegionLabel, to_reduced
 from .errors import ConfigError, DomainError, GapEquationError, ZeroTemperature
@@ -146,30 +146,41 @@ def _evaluate_point(lb: float, lm: float, mu: float, T: float,
                    pure.delta_m, pure.w_bar, *lower, *upper, None)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GAPFORGE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"GAPFORGE_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"GAPFORGE_THREADS must be >= 1, got {workers}")
-    return workers
+def _lattice(lo: float, hi: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced doubles from ``lo`` to ``hi``, both included.
+
+    Point ``i`` is ``i*step + lo`` and the last one is ``hi``; where ``step``
+    underflows to zero it is ``i/div*width + lo``.  These are the doubles an
+    array ``linspace(lo, hi, steps)`` gives, bit for bit.  A width
+    ``hi - lo`` that overflows, where ``linspace`` gives ``nan`` and
+    ``inf``, is walked in halves: each point is twice that of the range
+    ``(lo/2, hi/2)``, an exact scaling at those magnitudes.
+    """
+    div = steps - 1
+    width = hi - lo
+    if math.isinf(width):
+        return [2.0 * x for x in _lattice(0.5 * lo, 0.5 * hi, steps)]
+    if div == 0:
+        return [0.0 * width + lo]  # a zero lo takes the sign linspace gives it
+    step = width / div
+    if step == 0.0:
+        points = [i / div * width + lo for i in range(div)]
+    else:
+        points = [i * step + lo for i in range(div)]
+    points.append(hi)
+    return points
 
 
 def scan(ranges: Mapping[str, tuple[float, float, int]],
          fixed: Mapping[str, float], tol: float = 1e-10) -> list[ScanRow]:
     """Row-major lattice scan; every parameter set exactly once.
 
-    ``ranges`` maps axis names to ``(lo, hi, steps)`` triples sampled with
-    ``numpy.linspace``; ``fixed`` pins the remaining axes.  Axis order in
-    the output is always lambda_b, then lambda_m, then mu, then temperature
-    — independent of mapping order.  Points are evaluated serially: the
-    solver holds the GIL, so threads cannot speed it up.  The
-    GAPFORGE_THREADS environment variable is still validated (a bad value
-    raises :class:`ConfigError`) but changes nothing.
+    ``ranges`` maps axis names to ``(lo, hi, steps)`` triples sampled at
+    evenly spaced points, both ends included, also where the width
+    ``hi - lo`` overflows; ``fixed`` pins the remaining axes.  Axis order
+    in the output is always lambda_b, then lambda_m, then mu, then
+    temperature — independent of mapping order.  Points are evaluated
+    serially: the solver holds the GIL, so threads cannot speed it up.
     """
     overlap = set(ranges) & set(fixed)
     if overlap:
@@ -191,10 +202,8 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
             raise ConfigError(f"range for {name} must be finite, got ({lo}, {hi})")
         if int(steps) < 1:
             raise ConfigError(f"range for {name} needs steps >= 1, got {steps}")
-        # Python floats, so no numpy scalar reaches ModelParams or the rows
-        axes.append(np.linspace(lo, hi, int(steps)).tolist())
+        axes.append(_lattice(float(lo), float(hi), int(steps)))
 
-    _worker_count()  # validated for compatibility; evaluation is serial
     return [_evaluate_point(*pt, tol) for pt in itertools.product(*axes)]
 
 
@@ -203,7 +212,8 @@ def equilibrium_curve(lo: float, hi: float,
     """Sample the tangency curve: (lambda_b_bar, mu_e_bar, x_e) triples.
 
     The reduced coupling range must sit strictly above 1, where the curve
-    exists; ``mu_e_bar`` is strictly increasing across the returned list.
+    exists, and is sampled at ``steps`` evenly spaced points, both ends
+    included; ``mu_e_bar`` is strictly increasing across the returned list.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 1.0 < lo <= hi:
         raise DomainError(
@@ -211,11 +221,8 @@ def equilibrium_curve(lo: float, hi: float,
         )
     if int(steps) < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    out = []
-    for value in np.linspace(lo, hi, int(steps)):
-        mu_e, x_e = equilibrium_mu(float(value))
-        out.append((float(value), mu_e, x_e))
-    return out
+    return [(value, *equilibrium_mu(value))
+            for value in _lattice(float(lo), float(hi), int(steps))]
 
 
 def write_scan_csv(rows: Iterable[ScanRow], stream: IO[str]) -> None:

@@ -81,58 +81,55 @@ def _from_key(key: int) -> float:
     return _F64.unpack(_U64.pack(key if key >= 0 else _SIGN_BIT - key))[0]
 
 
-def _bracketed_root(f, lo: float, hi: float, slope: bool = False) -> float:
+def _bracketed_root(f, lo: float, hi: float) -> float:
     """The root of a function rising through zero on ``[lo, hi]``.
 
-    ``f`` must be negative below the root and non-negative from it up to
-    ``hi``; ``f(lo)`` is never evaluated, so a bracket end known to be
-    negative only analytically still works.  Returns a double ``b`` in
-    ``(lo, hi]`` with ``f(b) >= 0`` whose predecessor is ``lo`` or gives
-    ``f < 0``: a sign change at adjacent doubles.
+    ``f(x)`` returns the pair ``(f(x), f'(x))``.  ``f`` must be negative
+    below the root and non-negative from it up to ``hi``; ``f(lo)`` is never
+    evaluated, so a bracket end known to be negative only analytically still
+    works.  Returns a double ``b`` in ``(lo, hi]`` with ``f(b) >= 0`` whose
+    predecessor is ``lo`` or gives ``f < 0``: a sign change at adjacent
+    doubles.
 
-    Without ``slope`` it bisects the doubles' order keys rather than their
-    values, so it ends within 64 steps whatever the magnitudes, one unit in
-    the last place from the root even next to a tiny or huge bracket end.
-    With ``slope``, ``f(x)`` returns the pair ``(f(x), f'(x))`` and each
-    step is a Newton step from the latest iterate, starting at ``hi``: on a
-    defect convex up to ``hi`` the iterates fall monotonically onto the
+    Each step is a Newton step from the latest iterate, starting at ``hi``:
+    on a defect convex up to ``hi`` the iterates fall monotonically onto the
     root (Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
     1995, ch. 5).  A Newton point outside the bracket, or a step longer
-    than half the one before the last, is replaced by a key bisection.  A
-    step of at most one ulp means the iterate sits in the defect's rounding
-    zone; from there probes 1, 2, 4, ... ulps away walk towards the other
-    bracket end until the sign changes, starting with the neighbouring
-    double.  After 64 evaluations the rest is key bisection, so a root
-    costs at most 128.
+    than half the one before the last, is replaced by a bisection of the
+    doubles' order keys rather than their values, which halves the count of
+    doubles in the bracket whatever the magnitudes.  A step of at most one
+    ulp means the iterate sits in the defect's rounding zone; from there
+    probes 1, 2, 4, ... ulps away walk towards the other bracket end until
+    the sign changes, starting with the neighbouring double.  After 64
+    evaluations the rest is key bisection, which ends within 64 more steps,
+    so a root costs at most 128.
     """
     a, b = lo, hi
-    if slope:
-        x = hi
-        step = prev = math.inf  # the last two steps
-        nudge = 0.0  # ulps of the next probe, once Newton has stalled
-        for _ in range(64):
-            fx, dfx = f(x)
-            if fx < 0.0:
-                a = x
-            else:
-                b = x
-            if math.nextafter(a, b) == b:
-                return b
-            y = x - fx / dfx if dfx else math.nan
-            if nudge or abs(y - x) <= math.ulp(x):
-                nudge = 2.0 * nudge or 1.0
-                y = x - nudge * math.ulp(x) if x == b else x + nudge * math.ulp(x)
-            elif not 2.0 * abs(y - x) <= abs(prev):
-                y = math.nan
-            if not a < y < b:
-                y = _from_key((_order_key(a) + _order_key(b)) // 2)
-            prev, step = step, y - x
-            x = y
+    x = hi
+    step = prev = math.inf  # the last two steps
+    nudge = 0.0  # ulps of the next probe, once Newton has stalled
+    for _ in range(64):
+        fx, dfx = f(x)
+        if fx < 0.0:
+            a = x
+        else:
+            b = x
+        if math.nextafter(a, b) == b:
+            return b
+        y = x - fx / dfx if dfx else math.nan
+        if nudge or abs(y - x) <= math.ulp(x):
+            nudge = 2.0 * nudge or 1.0
+            y = x - nudge * math.ulp(x) if x == b else x + nudge * math.ulp(x)
+        elif not 2.0 * abs(y - x) <= abs(prev):
+            y = math.nan
+        if not a < y < b:
+            y = _from_key((_order_key(a) + _order_key(b)) // 2)
+        prev, step = step, y - x
+        x = y
     a, b = _order_key(a), _order_key(b)
     while b - a > 1:
         mid = (a + b) // 2
-        value = f(_from_key(mid))
-        if (value[0] if slope else value) < 0.0:
+        if f(_from_key(mid))[0] < 0.0:
             a = mid
         else:
             b = mid
@@ -160,7 +157,7 @@ def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel
     if lb < 0.0:
         if mb == 0.0:
             return []
-        return [(_bracketed_root(f, 0.0, min(mb, -lb), slope=True),
+        return [(_bracketed_root(f, 0.0, min(mb, -lb)),
                  PhaseLabel.MIXED_LOWER)]
     if lb <= 1.0:
         # slope bound: lb*tanh(x - mb) < x for all x > 0 when lb <= 1, mb >= 0
@@ -171,7 +168,7 @@ def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel
         return [(x_min, PhaseLabel.TANGENT)]
     if not distance < 0.0:  # above the curve; NaN once lb overflows
         return []
-    upper = (_bracketed_root(f, x_min, lb, slope=True), PhaseLabel.MIXED_UPPER)
+    upper = (_bracketed_root(f, x_min, lb), PhaseLabel.MIXED_UPPER)
     if mb == 0.0:
         return [upper]  # the lower bracket holds only the trivial node x = 0
 
@@ -181,7 +178,7 @@ def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel
         value, slope = f(-y)
         return value, -slope
 
-    return [(-_bracketed_root(mirrored, -x_min, -mb, slope=True),
+    return [(-_bracketed_root(mirrored, -x_min, -mb),
              PhaseLabel.MIXED_LOWER), upper]
 
 
@@ -347,7 +344,7 @@ def _pure_root(lm: float, beta: float) -> float:
         if math.isinf(hi) and g(sys.float_info.max)[0] < 0.0:
             s = math.inf
         else:
-            s = _bracketed_root(g, lo, min(hi, sys.float_info.max), slope=True)
+            s = _bracketed_root(g, lo, min(hi, sys.float_info.max))
     if math.isinf(s):
         raise DomainError(
             f"the pure-branch root for lambda_m = {lm!r} is not a finite double")

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core_types import BogoliubovCoefficients, ModelParams, bogoliubov_from_gaps, tanh_half
+from .core_types import BogoliubovCoefficients, ModelParams, bogoliubov_from_gaps
 from .errors import FitFailed, InvalidParameter, MomentumOffGrid
 
 
@@ -55,6 +55,11 @@ def mode_state(p: float, omega_eff: float, delta_b: float) -> ModeState:
     )
 
 
+def _tanh_half(x: np.ndarray, beta: float) -> np.ndarray:
+    """tanh(beta*x/2) elementwise, with its sign-function limit at beta = inf."""
+    return np.sign(x) if math.isinf(beta) else np.tanh(0.5 * beta * x)
+
+
 def _mode_terms(omega_eff, delta_b, params: ModelParams,
                 jacobian: bool = False) -> tuple[np.ndarray, ...]:
     """Occupation and twice the pairing amplitude of every mode, elementwise.
@@ -69,7 +74,7 @@ def _mode_terms(omega_eff, delta_b, params: ModelParams,
     taking dt/dw_bar = beta (1 - t**2)/2, which is 0 at T = 0.
     """
     w = np.hypot(omega_eff, delta_b)
-    t = tanh_half(w - params.mu, params.beta)
+    t = _tanh_half(w - params.mu, params.beta)
     nonzero = w > 0.0
     safe_w = np.where(nonzero, w, 1.0)
     e = np.where(nonzero, omega_eff / safe_w, 1.0)

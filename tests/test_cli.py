@@ -230,8 +230,6 @@ def test_scan_honours_thread_env(capsys, monkeypatch):
     code, threaded, _ = run_cli(capsys, *argv)
     assert code == 0
     assert threaded == serial
-    monkeypatch.setenv("GAPFORGE_THREADS", "many")
-    assert run_cli(capsys, *argv)[0] == 2
 
 
 def test_scan_runs_are_byte_identical_across_processes(tmp_path):
@@ -245,6 +243,21 @@ def test_scan_runs_are_byte_identical_across_processes(tmp_path):
     second = subprocess.run(argv, capture_output=True, env=env, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.count(b"\n") == 13  # header + 12 lattice points
+
+
+def test_scan_of_an_overflowing_width_warns_of_nothing_and_errs_nowhere(tmp_path):
+    out = tmp_path / "scan.json"
+    argv = [
+        sys.executable, "-W", "error::RuntimeWarning", "-m", "gapforge",
+        "scan", "--range-lambda-b=-1e308:1e308:5", "--range-mu", "0:1e308:3",
+        "--lambda-m", "-0.1", "--temp", "1e308", "--format", "json", "--out", str(out),
+    ]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    rows = json.loads(out.read_text())
+    assert [row["lambda_b"] for row in rows[::3]] == [-1e308, -5e307, 0.0, 5e307, 1e308]
+    assert all(row["error"] is None for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from gapforge.errors import (
     NegativeTemperature,
     ZeroTemperature,
 )
+from gapforge.thermal import _tanh_half
 
 
 def test_beta_at_distinguished_temperatures():
@@ -74,11 +75,6 @@ def test_fermi_limits_and_midpoint():
     assert fermi(-1e6, 10.0) == 1.0  # 1/(1 + e^-700) rounds to exactly 1.0
 
 
-def test_fermi_vectorized():
-    out = fermi(np.array([-1.0, 0.0, 1.0]), math.inf)
-    assert out.tolist() == [1.0, 0.5, 0.0]
-
-
 def test_tanh_half_limits():
     assert tanh_half(0.7, math.inf) == 1.0
     assert tanh_half(-0.7, math.inf) == -1.0
@@ -95,9 +91,14 @@ def test_tanh_half_limits():
     (0.25, 2.0), (-1.5, 0.7),
 ])
 def test_scalar_thermal_factors_match_the_array_path(x, beta):
-    for func in (fermi, tanh_half):
-        with np.errstate(over="ignore"):  # numpy's product overflows to inf
-            expected = func(np.array([x]), beta)[0]
+    with np.errstate(over="ignore"):  # numpy's product overflows to inf
+        # thermal's array evaluation, and the Fermi factor written out here
+        expected_t = _tanh_half(np.array([x]), beta)[0]
+        if math.isinf(beta):
+            expected_f = np.heaviside(-x, 0.5)  # the T = 0 step
+        else:
+            expected_f = 1.0 / (1.0 + np.exp(np.clip(beta * np.float64(x), -700.0, 700.0)))
+    for func, expected in ((fermi, expected_f), (tanh_half, expected_t)):
         for arg in (x, np.float64(x)):
             got = func(arg, beta)
             assert type(got) is float

@@ -4,8 +4,11 @@ import csv
 import io
 import json
 import math
+import random
+import struct
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -307,6 +310,53 @@ def test_scan_configuration_errors():
         )
 
 
+_LATTICE_EDGES = [
+    (0.0, 1.0, 1), (2.5, -7.0, 1), (-0.0, 3.0, 1), (-0.0, -3.0, 1), (0.0, -0.0, 1),
+    (1.5, 1.5, 1), (1.5, 1.5, 4), (-0.0, 0.0, 3), (0.0, -0.0, 3),
+    (0.0, 5e-324, 3), (-5e-324, 5e-324, 7), (0.0, 1e-310, 4), (1e-310, 0.0, 9),
+    (0.0, 2.2250738585072014e-308, 11), (-1.0, 1.0, 2), (5.0, -3.0, 6),
+    (0.0, 1.7976931348623157e308, 5), (-1.7976931348623157e308, 0.0, 4),
+    (8e307, 1.7976931348623157e308, 3), (0.1, 0.7, 100), (1.2, 5.0, 40),
+]
+
+
+def _random_double(rng):
+    if rng.random() < 0.5:  # any finite bit pattern
+        while True:
+            x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            if math.isfinite(x):
+                return x
+    return rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-320, 300)
+
+
+def test_lattice_matches_linspace_bit_for_bit():
+    rng = random.Random(20261018)
+    cases = list(_LATTICE_EDGES)
+    while len(cases) < 3000:
+        lo, hi = _random_double(rng), _random_double(rng)
+        if rng.random() < 0.05:
+            hi = lo
+        if math.isfinite(hi - lo):
+            cases.append((lo, hi, rng.choice([1, 2, 3, rng.randint(1, 200)])))
+    for lo, hi, steps in cases:
+        with np.errstate(over="ignore"):  # numpy also forms the last point, then drops it
+            want = np.linspace(lo, hi, steps).tolist()
+        got = phase_diagram._lattice(lo, hi, steps)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (lo, hi, steps)
+
+
+def test_scan_walks_an_overflowing_width_in_halves():
+    top = 1.7976931348623157e308
+    assert phase_diagram._lattice(-1e308, 1e308, 5) == [-1e308, -5e307, 0.0, 5e307, 1e308]
+    assert phase_diagram._lattice(top, -top, 3) == [top, 0.0, -top]
+    assert phase_diagram._lattice(-top, top, 1) == [-top]
+    rows = scan({"lambda_b": (-1e308, 1e308, 5), "mu": (0.0, 1e308, 3)},
+                {"lambda_m": -0.1, "temperature": 1e308})
+    assert [row.lambda_b for row in rows[::3]] == [-1e308, -5e307, 0.0, 5e307, 1e308]
+    assert [row.mu for row in rows[:3]] == [0.0, 5e307, 1e308]
+    assert all(row.error is None for row in rows)
+
+
 def test_scan_is_deterministic_across_worker_counts(monkeypatch):
     ranges = {"lambda_b": (-2.0, 5.0, 4), "temperature": (0.3, 2.0, 3)}
     fixed = {"lambda_m": -0.4, "mu": 1.0}
@@ -323,10 +373,10 @@ def _scan_recording_pure_brackets(ranges, fixed):
     kernel = scalar_gap._bracketed_root
     pure_brackets = []
 
-    def recording(f, lo, hi, slope=False):
+    def recording(f, lo, hi):
         if f.__qualname__.startswith("_pure_root."):
             pure_brackets.append((lo, hi))
-        return kernel(f, lo, hi, slope)
+        return kernel(f, lo, hi)
 
     scalar_gap._pure_root.cache_clear()
     with mock.patch.object(scalar_gap, "_bracketed_root", recording):
@@ -367,16 +417,6 @@ def test_scan_rows_do_not_depend_on_the_pure_root_cache():
     with mock.patch.object(phase_diagram, "solve_all", uncached):
         fresh = scan(ranges, {})
     assert fresh == cached
-
-
-def test_bad_thread_count_is_a_config_error(monkeypatch):
-    fixed = dict(lambda_b=4.0, lambda_m=0.0, mu=1.0, temperature=0.5)
-    monkeypatch.setenv("GAPFORGE_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        scan({}, fixed)
-    monkeypatch.setenv("GAPFORGE_THREADS", "0")
-    with pytest.raises(ConfigError):
-        scan({}, fixed)
 
 
 # ---------------------------------------------------------------------------
