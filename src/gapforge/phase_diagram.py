@@ -171,6 +171,18 @@ def _lattice(lo: float, hi: float, steps: int) -> list[float]:
     return points
 
 
+def _step_count(steps) -> int | None:
+    """``steps`` as an int when it is a whole number >= 1, else None.
+
+    A whole float such as ``3.0`` counts; ``2.7``, ``nan`` and ``inf`` do not.
+    """
+    try:
+        count = int(steps)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return count if count == steps and count >= 1 else None
+
+
 def scan(ranges: Mapping[str, tuple[float, float, int]],
          fixed: Mapping[str, float], tol: float = 1e-10) -> list[ScanRow]:
     """Row-major lattice scan; every parameter set exactly once.
@@ -200,9 +212,11 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
         lo, hi, steps = ranges[name]
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigError(f"range for {name} must be finite, got ({lo}, {hi})")
-        if int(steps) < 1:
-            raise ConfigError(f"range for {name} needs steps >= 1, got {steps}")
-        axes.append(_lattice(float(lo), float(hi), int(steps)))
+        count = _step_count(steps)
+        if count is None:
+            raise ConfigError(
+                f"range for {name} needs a whole number of steps >= 1, got {steps!r}")
+        axes.append(_lattice(float(lo), float(hi), count))
 
     return [_evaluate_point(*pt, tol) for pt in itertools.product(*axes)]
 
@@ -219,10 +233,11 @@ def equilibrium_curve(lo: float, hi: float,
         raise DomainError(
             f"equilibrium curve needs 1 < lo <= hi finite, got ({lo!r}, {hi!r})"
         )
-    if int(steps) < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    count = _step_count(steps)
+    if count is None:
+        raise DomainError(f"steps must be a whole number >= 1, got {steps!r}")
     return [(value, *equilibrium_mu(value))
-            for value in _lattice(float(lo), float(hi), int(steps))]
+            for value in _lattice(float(lo), float(hi), count)]
 
 
 def write_scan_csv(rows: Iterable[ScanRow], stream: IO[str]) -> None:

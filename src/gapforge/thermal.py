@@ -265,42 +265,70 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+# half-width of the p-grid of smearing_scaling_check; u = p + p' spans twice it
+_SMEARING_EXTENT = 6.0
+
+
+def _smearing_nodes(kap: np.ndarray) -> np.ndarray:
+    """The u-grid of :func:`smearing_scaling_check`: each u on its finest patch.
+
+    The patches are the coarse full support ``|u| <= 2 * _SMEARING_EXTENT`` at 2401
+    nodes and, for every width, 1201 nodes over ``|u| <= 10/sqrt(2 kappa)``,
+    fine enough to resolve exp(-2 kappa u**2) on its own scale.  They are
+    nested around u = 0, and the nodes of a coarser patch inside a finer one
+    add no resolution, so each patch keeps only its nodes outside the ranges
+    of all finer (smaller-step) patches; the finest keeps every node.
+    """
+    full = 2.0 * _SMEARING_EXTENT
+    patches = [(full, 2401)]
+    patches += [(min(10.0 / math.sqrt(2.0 * k), full), 1201) for k in kap]
+    patches.sort(key=lambda patch: patch[0] / (patch[1] - 1))  # by step, stably
+    kept, covered = [], -1.0  # nothing covered yet: the finest keeps u = 0 too
+    for half, n in patches:
+        nodes = np.linspace(-half, half, n)
+        kept.append(nodes[np.abs(nodes) > covered])
+        covered = max(covered, half)
+    return np.unique(np.concatenate(kept))
+
+
 def smearing_scaling_check(profile: Callable, v: Callable,
                            kappas: Iterable[float]) -> SmearingScalingResult:
     """Decay exponent of I(kappa) = iint exp(-2 kappa (p+p')**2) G(p) G(p') dp dp'.
 
     ``G = v * profile``.  Substituting u = p + p' turns the double integral
     into ``int exp(-2 kappa u**2) H(u) du`` with H the correlation
-    ``int G(p) G(u - p) dp``, computed once; for a continuous H with
-    ``H(0) != 0`` the large-kappa behaviour is ``H(0) sqrt(pi / (2 kappa))``,
-    i.e. a log-log slope of -1/2 in this one-dimensional setting.
+    ``int G(p) G(u - p) dp``, computed once on the u-grid of
+    :func:`_smearing_nodes`, where every u is covered by the finest patch
+    that contains it; for a continuous H with ``H(0) != 0`` the large-kappa
+    behaviour is ``H(0) sqrt(pi / (2 kappa))``, i.e. a log-log slope of -1/2
+    in this one-dimensional setting.
 
     ``v`` and ``profile`` must accept numpy arrays.  Raises
-    :class:`FitFailed` when the kappa list spans less than two decades, or
-    the computed intensities are non-positive or fail to decrease — both
+    :class:`FitFailed` when a width is not finite or not positive, a width is
+    repeated, the kappa list spans less than two decades, or the computed
+    intensities are non-positive or fail to decrease; the last two are
     symptoms of an identically-vanishing profile or an under-resolved
     quadrature, from which no exponent should be quoted.
     """
     kap = np.sort(np.asarray(list(kappas), dtype=float))
+    if not np.all(np.isfinite(kap)):
+        raise FitFailed(
+            f"smearing widths must be finite, got {kap[~np.isfinite(kap)].tolist()}")
     if kap.size < 2 or np.any(kap <= 0.0):
         raise FitFailed("need at least two positive smearing widths")
+    repeated = kap[1:][np.diff(kap) == 0.0]
+    if repeated.size:
+        raise FitFailed(f"repeated smearing widths: {np.unique(repeated).tolist()}")
     if kap[-1] / kap[0] < 100.0:
         raise FitFailed(
             f"kappa range [{kap[0]:g}, {kap[-1]:g}] spans < 2 decades"
         )
 
-    extent = 6.0
-    p = np.linspace(-extent, extent, 2001)
+    p = np.linspace(-_SMEARING_EXTENT, _SMEARING_EXTENT, 2001)
     wp = _trapezoid_weights(p)
     g_p = np.asarray(v(p), dtype=float) * np.asarray(profile(p), dtype=float)
 
-    # u-grid: coarse full support plus, for every smearing width, a patch
-    # fine enough to resolve exp(-2*kappa*u**2) on its own scale
-    patches = [np.linspace(-2.0 * extent, 2.0 * extent, 2401)]
-    for k in kap:
-        half = min(10.0 / math.sqrt(2.0 * k), 2.0 * extent)
-        patches.append(np.linspace(-half, half, 1201))
-    u = np.unique(np.concatenate(patches))
+    u = _smearing_nodes(kap)
     wu = _trapezoid_weights(u)
 
     weighted = wp * g_p

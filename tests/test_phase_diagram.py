@@ -241,6 +241,16 @@ def test_equilibrium_curve_domain():
         equilibrium_curve(1.2, 5.0, 0)
 
 
+@pytest.mark.parametrize("steps", [2.7, 0.5, math.nan, math.inf])
+def test_equilibrium_curve_refuses_a_fractional_step_count(steps):
+    with pytest.raises(DomainError, match="whole number"):
+        equilibrium_curve(1.5, 3.0, steps)
+
+
+def test_equilibrium_curve_takes_a_whole_float_step_count():
+    assert equilibrium_curve(1.5, 3.0, 3.0) == equilibrium_curve(1.5, 3.0, 3)
+
+
 # ---------------------------------------------------------------------------
 # scans
 
@@ -291,6 +301,18 @@ def test_scan_crosses_the_transition():
     assert rows[-1].multiplicity == 0
     assert rows[-1].delta_b_upper is None
     assert rows[-1].delta_m_pure is not None  # the unpaired branch persists
+
+
+@pytest.mark.parametrize("steps", [2.7, 0.5, math.nan, math.inf])
+def test_scan_refuses_a_fractional_step_count(steps):
+    fixed = {"lambda_b": 4.0, "lambda_m": 0.0, "temperature": 0.5}
+    with pytest.raises(ConfigError, match="whole number"):
+        scan({"mu": (0.0, 1.0, steps)}, fixed)
+
+
+def test_scan_takes_a_whole_float_step_count():
+    fixed = {"lambda_b": 4.0, "lambda_m": 0.0, "temperature": 0.5}
+    assert scan({"mu": (0.0, 1.0, 3.0)}, fixed) == scan({"mu": (0.0, 1.0, 3)}, fixed)
 
 
 def test_scan_configuration_errors():

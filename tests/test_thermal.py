@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gapforge import thermal
 from gapforge.core_types import ModelParams, fermi
 from gapforge.errors import FitFailed, InvalidParameter, MomentumOffGrid, ZeroEnergy
 from gapforge.thermal import (
@@ -342,6 +343,94 @@ def test_smearing_check_requires_two_decades():
         smearing_scaling_check(ones, gaussian, [5.0])
     with pytest.raises(FitFailed):
         smearing_scaling_check(ones, gaussian, [-1.0, 1.0, 1000.0])
+
+
+@pytest.mark.parametrize("kappas, named", [
+    ([1.0, math.nan, 1000.0], "finite"),
+    ([1.0, math.inf], "finite"),
+    ([1.0, 1e4, math.nan], "finite"),
+    ([1.0, 1.0, 100.0], "repeated"),
+])
+def test_smearing_check_names_a_bad_width(kappas, named):
+    gaussian = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
+    ones = lambda p: np.ones_like(np.asarray(p, dtype=float))
+    with pytest.raises(FitFailed, match=named):
+        smearing_scaling_check(ones, gaussian, kappas)
+
+
+# The u-grid of smearing_scaling_check: the coarse patch and one patch per
+# width, as (half-width, node count); the step of a patch is 2*half/(n - 1)
+def _patches(kappas):
+    return [(12.0, 2401)] + [(min(10.0 / math.sqrt(2.0 * k), 12.0), 1201)
+                             for k in kappas]
+
+
+def _union_nodes(kappas):
+    return np.unique(np.concatenate([np.linspace(-h, h, n) for h, n in _patches(kappas)]))
+
+
+def _union_grid_intensities(profile, v, kappas):
+    """The smeared intensities on the union of every patch's nodes."""
+    p = np.linspace(-6.0, 6.0, 2001)
+    wp = thermal._trapezoid_weights(p)
+    u = _union_nodes(kappas)
+    wu = thermal._trapezoid_weights(u)
+    weighted = wp * v(p) * profile(p)
+    corr = np.array([np.dot(v(x - p) * profile(x - p), weighted) for x in u])
+    return np.array([np.sum(np.exp(-2.0 * k * u ** 2) * wu * corr) for k in kappas])
+
+
+def test_smearing_grid_keeps_only_the_finest_cover():
+    kappas = np.logspace(0.0, 4.0, 9)
+    assert _union_nodes(kappas).size == 13161
+    assert thermal._smearing_nodes(kappas).size == 6489
+
+
+@pytest.mark.parametrize("kappas", [np.logspace(0.0, 4.0, 9), [0.01, 1.0, 100.0],
+                                    [0.3, 2.0, 45.0, 3e3]])
+def test_every_smearing_gap_is_within_the_step_of_its_finest_cover(kappas):
+    u = thermal._smearing_nodes(np.asarray(kappas, dtype=float))
+    patches = _patches(kappas)
+    assert np.all(np.diff(u) > 0.0)
+    assert np.all(np.abs(u) <= max(h for h, _ in patches))
+    assert np.min(np.abs(u)) < 1e-15  # the finest patch keeps u = 0
+    for a, b in zip(u[:-1], u[1:]):
+        # the finest patch whose range holds the whole gap
+        step = min(2.0 * h / (n - 1) for h, n in patches if -h <= a and b <= h)
+        assert b - a <= step * (1.0 + 1e-9), (a, b, step)
+
+
+def test_widths_clamped_to_the_coarse_range_keep_the_coarse_step():
+    # kappa = 0.01 and 1 give patches coarser than the coarse one; only the
+    # kappa = 100 patch, |u| <= 1/sqrt(2), is finer
+    u = thermal._smearing_nodes(np.array([0.01, 1.0, 100.0]))
+    outside = u[np.abs(u) > 1.0]
+    np.testing.assert_allclose(np.diff(outside[outside > 0.0]), 0.01, rtol=1e-9)
+    assert outside.max() == 12.0
+
+
+@pytest.mark.parametrize("profile", ["demo_table", "gaussian"])
+def test_smearing_intensities_match_the_union_grid(profile):
+    kappas = np.logspace(0.0, 4.0, 9)
+    v = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
+    if profile == "demo_table":
+        prof = occupation_profile(_demo_table())
+    else:
+        prof = lambda p: np.ones_like(np.asarray(p, dtype=float))
+    result = smearing_scaling_check(prof, v, kappas)
+    reference = _union_grid_intensities(prof, v, kappas)
+    np.testing.assert_allclose(result.intensities, reference, rtol=5e-6)
+
+
+def test_gaussian_smearing_matches_the_analytic_intensity_closely():
+    kappas = np.logspace(0.0, 4.0, 9)
+    result = smearing_scaling_check(
+        lambda p: np.ones_like(np.asarray(p, dtype=float)),
+        lambda p: np.exp(-np.asarray(p, dtype=float) ** 2),
+        kappas,
+    )
+    oracle = [oracles.smearing_intensity_gaussian(k) for k in kappas]
+    np.testing.assert_allclose(result.intensities, oracle, rtol=2e-6)
 
 
 @pytest.mark.parametrize("with_origin_pairing", [False, True])
