@@ -45,7 +45,6 @@ from .core_types import (
     SolveReport,
     bogoliubov_from_gaps,
     fermi,
-    ldexp_or_inf,
     scale_exponent,
     tanh_half,
     to_reduced,
@@ -238,8 +237,9 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     checked against the structural bounds ``sign(delta_m) = sign(lambda_m)``
     and ``|delta_m| <= 2*|lambda_m|``; a violation means the inputs are not a
     consistent mixed branch.  Where the numerator would over- or underflow
-    the same quotient is evaluated in units of a power of two near the
-    largest energy, which is exact, so the shift holds at any energy scale.
+    the scale-free factor ``(lambda_b - mu)/(lambda_b + lambda_m)`` is
+    evaluated in units of a power of two near the largest energy and then
+    multiplied by ``lambda_m``, so the shift holds at any energy scale.
     """
     lambda_b, lambda_m, mu = params.lambda_b, params.lambda_m, params.mu
     if lambda_m == 0.0:
@@ -255,8 +255,10 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     else:
         e = scale_exponent(lambda_b, lambda_m, mu)
         lb, lm, m = (math.ldexp(v, -e) for v in (lambda_b, lambda_m, mu))
-        # infinite beyond the largest double: the checks below reject it
-        delta_m = ldexp_or_inf(lm * (lb - m) / (lb + lm), e)
+        # lambda_m multiplies unscaled: far below the largest energy it would
+        # lose its digits in these units.  Infinite beyond the largest
+        # double, where the checks below reject it.
+        delta_m = lambda_m * ((lb - m) / (lb + lm))
     if delta_m < 0.0 < lambda_m or lambda_m < 0.0 < delta_m:
         raise ConstraintViolation(
             f"delta_m = {delta_m:.6g} has the opposite sign of lambda_m = "
