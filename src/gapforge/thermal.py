@@ -20,12 +20,13 @@ combination survives unattenuated.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core_types import BogoliubovCoefficients, ModelParams, bogoliubov_from_gaps
+from .core_types import BogoliubovCoefficients, ModelParams, bogoliubov_from_gaps, tanh_half
 from .errors import FitFailed, InvalidParameter, MomentumOffGrid
 
 
@@ -94,15 +95,25 @@ def _mode_terms(omega_eff, delta_b, params: ModelParams,
 
 
 def occupation(mode: ModeState, params: ModelParams) -> float:
-    """Thermal occupation {p} = c**2 f + s**2 (1 - f), always in [0, 1]."""
-    brace, _ = _mode_terms(mode.omega_eff, mode.delta_b, params)
-    return float(brace)
+    """Thermal occupation {p} = c**2 f + s**2 (1 - f) = (1 - e t)/2, always in [0, 1].
+
+    ``e = omega_eff / w_bar`` and ``t = tanh(beta (w_bar - mu) / 2)``, as in
+    :func:`_mode_terms`, with :mod:`math` alone; a ``w_bar = 0`` mode is
+    unrotated (e = 1).
+    """
+    t = tanh_half(mode.w_bar - params.mu, params.beta)
+    e = mode.omega_eff / mode.w_bar if mode.w_bar > 0.0 else 1.0
+    return 0.5 * (1.0 - e * t)
 
 
 def pairing_amplitude(mode: ModeState, params: ModelParams) -> float:
-    """Anomalous expectation [p] = c s tanh(beta (w_bar - mu) / 2), in [-1/2, 1/2]."""
-    _, ratio = _mode_terms(mode.omega_eff, mode.delta_b, params)
-    return 0.5 * float(ratio)
+    """Anomalous expectation [p] = c s tanh(beta (w_bar - mu) / 2), in [-1/2, 1/2].
+
+    A ``w_bar = 0`` mode is unrotated and has none.
+    """
+    if not mode.w_bar > 0.0:
+        return 0.0
+    return mode.coeffs.c * mode.coeffs.s * tanh_half(mode.w_bar - params.mu, params.beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,6 +278,8 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 # half-width of the p-grid of smearing_scaling_check; u = p + p' spans twice it
 _SMEARING_EXTENT = 6.0
+# the largest width for which 2 * kappa, and so the patch of _smearing_nodes, is finite
+_MAX_SMEARING_WIDTH = sys.float_info.max / 2.0
 
 
 def _smearing_nodes(kap: np.ndarray) -> np.ndarray:
@@ -304,8 +317,9 @@ def smearing_scaling_check(profile: Callable, v: Callable,
     in this one-dimensional setting.
 
     ``v`` and ``profile`` must accept numpy arrays.  Raises
-    :class:`FitFailed` when a width is not finite or not positive, a width is
-    repeated, the kappa list spans less than two decades, or the computed
+    :class:`FitFailed` when a width is not finite, not positive or so large
+    that ``2 * kappa`` overflows, a width is repeated, the kappa list spans
+    less than two decades, or the computed
     intensities are non-positive or fail to decrease; the last two are
     symptoms of an identically-vanishing profile or an under-resolved
     quadrature, from which no exponent should be quoted.
@@ -314,6 +328,10 @@ def smearing_scaling_check(profile: Callable, v: Callable,
     if not np.all(np.isfinite(kap)):
         raise FitFailed(
             f"smearing widths must be finite, got {kap[~np.isfinite(kap)].tolist()}")
+    huge = kap[kap > _MAX_SMEARING_WIDTH]
+    if huge.size:
+        raise FitFailed(f"smearing widths above {_MAX_SMEARING_WIDTH!r} overflow 2*kappa, "
+                        f"got {huge.tolist()}")
     if kap.size < 2 or np.any(kap <= 0.0):
         raise FitFailed("need at least two positive smearing widths")
     repeated = kap[1:][np.diff(kap) == 0.0]
@@ -339,7 +357,8 @@ def smearing_scaling_check(profile: Callable, v: Callable,
         corr[lo:lo + 64] = (np.asarray(v(shift), dtype=float)
                             * np.asarray(profile(shift), dtype=float)) @ weighted
 
-    intensities = np.exp(-2.0 * kap[:, None] * u[None, :] ** 2) @ (wu * corr)
+    with np.errstate(over="ignore"):  # an exponent past -max is -inf, whose exp is 0
+        intensities = np.exp(-2.0 * kap[:, None] * u[None, :] ** 2) @ (wu * corr)
     if np.any(intensities <= 0.0):
         raise FitFailed("smeared intensity is not positive; nothing to fit")
     if np.any(np.diff(intensities) >= 0.0):

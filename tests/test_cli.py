@@ -245,6 +245,22 @@ def test_scan_runs_are_byte_identical_across_processes(tmp_path):
     assert first.stdout.count(b"\n") == 13  # header + 12 lattice points
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_scan_pinned_to_one_cpu_writes_the_bytes_of_a_forked_scan(tmp_path):
+    # 40x40 = 1600 points: forked wherever two CPUs are usable, in process when pinned
+    pin = "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+    run = "from gapforge.cli import main; sys.exit(main(sys.argv[1:]))"
+    lattice = ["scan", "--range-lambda-b", "0.5:10:40", "--range-mu", "0:5:40",
+               "--lambda-m", "0.3", "--temp", "0.3", "--out"]
+    outs = []
+    for name, code in (("forked", "import sys; " + run), ("pinned", pin + run)):
+        outs.append(tmp_path / f"{name}.csv")
+        subprocess.run([sys.executable, "-c", code, *lattice, str(outs[-1])], check=True)
+    forked, pinned = (out.read_bytes() for out in outs)
+    assert forked.count(b"\n") == 1601
+    assert forked == pinned
+
+
 def test_scan_of_an_overflowing_width_warns_of_nothing_and_errs_nowhere(tmp_path):
     out = tmp_path / "scan.json"
     argv = [

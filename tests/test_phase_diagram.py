@@ -1,11 +1,17 @@
 """Tests for region classification, multiplicity classes, and lattice scans."""
 
 import csv
+import errno
 import io
 import json
 import math
+import os
 import random
+import signal
 import struct
+import subprocess
+import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -379,15 +385,181 @@ def test_scan_walks_an_overflowing_width_in_halves():
     assert all(row.error is None for row in rows)
 
 
-def test_scan_is_deterministic_across_worker_counts(monkeypatch):
-    ranges = {"lambda_b": (-2.0, 5.0, 4), "temperature": (0.3, 2.0, 3)}
-    fixed = {"lambda_m": -0.4, "mu": 1.0}
-    monkeypatch.delenv("GAPFORGE_THREADS", raising=False)
-    serial = scan(ranges, fixed)
-    monkeypatch.setenv("GAPFORGE_THREADS", "4")
-    threaded = scan(ranges, fixed)
-    assert threaded == serial
-    assert threaded == scan(ranges, fixed)  # rerun: same bytes, same order
+# A lattice with error rows (mu < 0), rows missing a branch and five region labels
+_MIXED_RANGES = {"lambda_b": (-2.0, 5.0, 8), "mu": (-0.5, 3.0, 8)}
+_MIXED_FIXED = {"lambda_m": -0.4, "temperature": 0.3}
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+_FORK = os.fork
+
+
+def _counted_forks(monkeypatch):
+    """A list that grows by one for each os.fork the calling process makes."""
+    forks = []
+
+    def counting():
+        forks.append(None)
+        return _FORK()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_scan_equals_the_in_process_scan(monkeypatch, workers):
+    serial = scan(_MIXED_RANGES, _MIXED_FIXED)  # 64 points: below the threshold
+    assert sum(row.error is not None for row in serial) == 8
+    assert any(row.error is None and row.w_bar_upper is None for row in serial)
+    assert len({row.region for row in serial} - {None}) == 5
+    monkeypatch.setattr(phase_diagram, "_MIN_CHUNK", 4)
+    _usable_cpus(monkeypatch, workers)
+    forks = _counted_forks(monkeypatch)
+    forked = scan(_MIXED_RANGES, _MIXED_FIXED)
+    assert len(forks) == workers - 1
+    _assert_no_child_left()
+    assert len(forked) == len(serial)
+    for got, want in zip(forked, serial):
+        assert type(got) is ScanRow and got == want
+        assert got.region is want.region
+    for write in (write_scan_csv, write_scan_json):
+        texts = []
+        for rows in (forked, serial):
+            buf = io.StringIO()
+            write(rows, buf)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
+
+
+def test_a_scan_forks_from_twice_the_minimum_share(monkeypatch):
+    side = 2 * phase_diagram._MIN_CHUNK
+    fixed = {"lambda_m": 0.3, "mu": 1.0, "temperature": 0.3}
+
+    def no_fork():
+        raise AssertionError("os.fork called below the threshold")
+
+    _usable_cpus(monkeypatch, 64)
+    monkeypatch.setattr(os, "fork", no_fork)
+    below = scan({"lambda_b": (0.5, 10.0, side - 1)}, fixed)
+    assert len(below) == side - 1
+    forks = _counted_forks(monkeypatch)
+    at = scan({"lambda_b": (0.5, 10.0, side)}, fixed)
+    assert len(forks) == 1 and len(at) == side  # two shares of _MIN_CHUNK
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_one_usable_cpu_or_no_affinity_call_scans_in_process(monkeypatch, cpus):
+    serial = scan(_MIXED_RANGES, _MIXED_FIXED)
+    monkeypatch.setattr(phase_diagram, "_MIN_CHUNK", 4)
+    if cpus is None:  # as on macOS and Windows
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:  # as under taskset -c 0
+        _usable_cpus(monkeypatch, cpus)
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert scan(_MIXED_RANGES, _MIXED_FIXED) == serial
+
+
+def test_a_failed_fork_leaves_the_share_to_the_caller(monkeypatch):
+    serial = scan(_MIXED_RANGES, _MIXED_FIXED)
+    monkeypatch.setattr(phase_diagram, "_MIN_CHUNK", 4)
+    _usable_cpus(monkeypatch, 3)
+    calls = []
+
+    def second_fork_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "no process to spare")
+        return _FORK()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    assert scan(_MIXED_RANGES, _MIXED_FIXED) == serial
+    assert len(calls) == 2
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("failing", [6, 7], ids=["caller-share", "child-share"])
+def test_an_exception_in_any_share_surfaces_as_in_the_serial_scan(monkeypatch, workers,
+                                                                   failing):
+    # with 2 or 3 shares, point 6 is solved by the caller and point 7 by a child
+    point = scan(_MIXED_RANGES, _MIXED_FIXED)[failing]
+    assert point.error is None
+    solve = phase_diagram.solve_all
+
+    def planted(params, **kwargs):
+        if (params.lambda_b, params.mu) == (point.lambda_b, point.mu):
+            raise ZeroDivisionError("planted")
+        return solve(params, **kwargs)
+
+    monkeypatch.setattr(phase_diagram, "solve_all", planted)
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        scan(_MIXED_RANGES, _MIXED_FIXED)
+    monkeypatch.setattr(phase_diagram, "_MIN_CHUNK", 4)
+    _usable_cpus(monkeypatch, workers)
+    forks = _counted_forks(monkeypatch)
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        scan(_MIXED_RANGES, _MIXED_FIXED)
+    assert len(forks) == workers - 1
+    _assert_no_child_left()
+
+
+def test_a_caller_that_ignores_sigchld_still_gets_every_row(monkeypatch):
+    # the kernel then reaps the children itself, and waitpid finds none
+    serial = scan(_MIXED_RANGES, _MIXED_FIXED)
+    monkeypatch.setattr(phase_diagram, "_MIN_CHUNK", 4)
+    _usable_cpus(monkeypatch, 3)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert scan(_MIXED_RANGES, _MIXED_FIXED) == serial
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    _assert_no_child_left()
+
+
+def test_a_raising_caller_kills_its_busy_children(monkeypatch):
+    # the child stalls 20 s on its first point, 1; the caller raises on point 6
+    rows = scan(_MIXED_RANGES, _MIXED_FIXED)
+    stall, fail = [(row.lambda_b, row.mu) for row in (rows[1], rows[6])]
+    solve = phase_diagram.solve_all
+
+    def planted(params, **kwargs):
+        if (params.lambda_b, params.mu) == stall:
+            time.sleep(20.0)
+        elif (params.lambda_b, params.mu) == fail:
+            raise ZeroDivisionError("planted")
+        return solve(params, **kwargs)
+
+    monkeypatch.setattr(phase_diagram, "solve_all", planted)
+    monkeypatch.setattr(phase_diagram, "_MIN_CHUNK", 4)
+    _usable_cpus(monkeypatch, 2)
+    t0 = time.perf_counter()
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        scan(_MIXED_RANGES, _MIXED_FIXED)
+    assert time.perf_counter() - t0 < 10.0
+    _assert_no_child_left()
+
+
+def test_an_in_process_scan_loads_no_pickle():
+    src = os.path.dirname(os.path.dirname(phase_diagram.__file__))
+    probe = ("import sys; from gapforge.phase_diagram import scan; "
+             "scan({'lambda_b': (0.5, 10.0, 20)}, {'lambda_m': 0.3, 'mu': 1.0, 'temperature': 0.3}); "
+             "print(sorted({'pickle', 'signal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _scan_recording_pure_brackets(ranges, fixed):

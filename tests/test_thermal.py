@@ -1,6 +1,8 @@
 """Tests for mode diagonalization and thermal expectation values."""
 
 import math
+import sys
+import timeit
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 import oracles
 from gapforge import thermal
-from gapforge.core_types import ModelParams, fermi
+from gapforge.core_types import BogoliubovCoefficients, ModelParams, fermi
 from gapforge.errors import FitFailed, InvalidParameter, MomentumOffGrid, ZeroEnergy
 from gapforge.thermal import (
+    ModeState,
     ModeTable,
     bogoliubov_from_gaps,
     mode_state,
@@ -227,6 +230,32 @@ def test_table_matches_the_bogoliubov_reference(temperature):
         assert abs(table.pairings[i] - c * s * t) <= 1e-15
 
 
+@pytest.mark.parametrize("temperature", [0.5, 0.0, math.inf])
+def test_one_mode_expectations_match_the_table(temperature):
+    # the same grid as above; its origin is a w_bar = 0 mode, which
+    # mode_state refuses, so that mode is built unrotated by hand
+    params = ModelParams(lambda_b=4.0, lambda_m=0.0, mu=1.0, temperature=temperature)
+    momenta = np.linspace(0.0, 3.0, 25)
+    omega = momenta ** 2 - 1.2 * momenta
+    delta = 0.7 * np.sin(2.0 * momenta)
+    table = ModeTable.build(momenta, omega, delta, params)
+    assert omega[0] == delta[0] == 0.0
+    modes = [ModeState(0.0, 0.0, 0.0, 0.0, BogoliubovCoefficients(1.0, 0.0, 0.0))]
+    modes += [mode_state(p, w, d) for p, w, d in zip(momenta[1:], omega[1:], delta[1:])]
+    for i, mode in enumerate(modes):
+        assert abs(occupation(mode, params) - table.occupations[i]) <= 1e-15
+        assert abs(pairing_amplitude(mode, params) - table.pairings[i]) <= 1e-15
+    assert pairing_amplitude(modes[0], params) == 0.0
+
+
+def test_one_mode_expectations_are_scalar_fast():
+    # through the array path one call took ~16 us; with math alone it takes ~1 us
+    mode, params = mode_state(1.0, 3.0, 4.0), ModelParams(4.0, 0.0, 1.0, 0.5)
+    for fn in (occupation, pairing_amplitude):
+        best = min(timeit.repeat(lambda: fn(mode, params), number=2000, repeat=5)) / 2000
+        assert best < 4e-6, (fn.__name__, best)
+
+
 def test_table_build_validates_the_grid():
     with pytest.raises(InvalidParameter):
         ModeTable.build([1.0, 0.5], [0.0, 0.0], [1.0, 1.0], PARAMS)
@@ -356,6 +385,19 @@ def test_smearing_check_names_a_bad_width(kappas, named):
     ones = lambda p: np.ones_like(np.asarray(p, dtype=float))
     with pytest.raises(FitFailed, match=named):
         smearing_scaling_check(ones, gaussian, kappas)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_smearing_check_names_a_width_whose_double_overflows():
+    # 2 * 1e308 is inf: its patch had half-width 0 and its intensity was nan
+    gaussian = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
+    ones = lambda p: np.ones_like(np.asarray(p, dtype=float))
+    with pytest.raises(FitFailed, match=r"\[1e\+308\]"):
+        smearing_scaling_check(ones, gaussian, [1.0, 100.0, 1e308])
+    # the largest width whose double is finite still fits, warning-free
+    largest = sys.float_info.max / 2.0
+    result = smearing_scaling_check(ones, gaussian, [1.0, 100.0, largest])
+    assert np.all(np.isfinite(result.intensities)) and math.isfinite(result.slope)
 
 
 # The u-grid of smearing_scaling_check: the coarse patch and one patch per
