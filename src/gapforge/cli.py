@@ -441,7 +441,7 @@ def cmd_kernel_solve(args: argparse.Namespace) -> int:
             results = kernel_solver.branch_scan(
                 grid, kernels, dispersion, params, seeds, controls)
     except NotConverged as exc:
-        results = [_gaps_from_failure(grid, dispersion, exc)]
+        results = [exc.gaps]
         exit_code = 4
 
     summary = {
@@ -469,13 +469,6 @@ def cmd_kernel_solve(args: argparse.Namespace) -> int:
     # the summary goes to stdout only when the table does not
     _write_json(sys.stdout if args.out else sys.stderr, summary)
     return exit_code
-
-
-def _gaps_from_failure(grid, dispersion, exc: NotConverged):
-    dm, db = exc.gaps
-    w_bar = kernel_solver._w_bar(grid, dispersion, dm, db)  # noqa: SLF001
-    return kernel_solver.GapFunctions(delta_m=dm, delta_b=db, w_bar=w_bar,
-                                      residual=exc.residual, iterations=exc.iterations)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,11 @@ acts as a catch-all for "the model said no" as opposed to a genuine bug.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .kernel_solver import GapFunctions
+
 
 class GapEquationError(Exception):
     """Base class for all semantic errors raised by this package."""
@@ -84,12 +89,14 @@ class ConfigError(GapEquationError, ValueError):
 class NotConverged(GapEquationError):
     """Iterative solver exhausted its iteration budget.
 
-    Carries the last residual and iterate so callers can inspect or resume.
+    Carries the last residual and iterate so callers can inspect or resume:
+    ``gaps`` is a :class:`~gapforge.kernel_solver.GapFunctions` with its
+    ``w_bar``, its defect as ``residual`` and its iteration count.
     """
 
     def __init__(self, message: str, *, residual: float, iterations: int,
-                 gaps: tuple | None = None) -> None:
+                 gaps: GapFunctions | None = None) -> None:
         super().__init__(message)
         self.residual = float(residual)
         self.iterations = int(iterations)
-        self.gaps = gaps  # last iterate, e.g. (delta_m, delta_b) arrays
+        self.gaps = gaps

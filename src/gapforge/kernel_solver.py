@@ -7,7 +7,9 @@ The full problem couples two unknown functions of momentum through
     w_bar(p)   = hypot(omega(p) + delta_M(p), delta_B(p))
 
 with {p} the thermal occupation.  Solved by damped Picard iteration;
-:func:`branch_scan` adds Newton's method for the repelling branches.  The
+:func:`branch_scan` adds Newton's method for the repelling branches.  Both
+iterate one problem built once per solve, and every solution they emit
+reports its :func:`gap_rhs` defect as residual.  The
 narrow-shell separable kernel family (interaction confined to a band of
 half-width ``epsilon`` around the Fermi radius ``sqrt(mu)``) collapses, as
 ``epsilon -> 0``, onto the scalar Fermi-surface equations solved in
@@ -442,11 +444,6 @@ class GapFunctions:
     iterations: int = 0
 
 
-def _w_bar(grid: RadialGrid, dispersion: Callable,
-           dm: np.ndarray, db: np.ndarray) -> np.ndarray:
-    return np.hypot(_omega(grid, dispersion) + dm, db)
-
-
 def gap_rhs(gaps: GapFunctions, grid: RadialGrid, kernels: CoupledKernels,
             dispersion: Callable, params: ModelParams) -> GapFunctions:
     """One evaluation of the right-hand sides, with w_bar refreshed.
@@ -454,26 +451,31 @@ def gap_rhs(gaps: GapFunctions, grid: RadialGrid, kernels: CoupledKernels,
     The occupation brace is written as (1 - e t)/2 with e = omega_eff/w_bar
     (taken to be 1 on modes where w_bar vanishes — there delta_B is
     necessarily zero and the mode is unrotated).  The returned ``residual``
-    is the sup-norm change against the input gaps.
+    is the sup-norm change against the input gaps, the defect every emitted
+    solution reports.
     """
-    omega_eff = _omega(grid, dispersion) + gaps.delta_m
-    brace, ratio = _mode_terms(omega_eff, gaps.delta_b, params)
+    omega = _omega(grid, dispersion)
+    brace, ratio = _mode_terms(omega + gaps.delta_m, gaps.delta_b, params)
     new_dm = 2.0 * kernels.mean_field.apply(grid, brace)
     new_db = kernels.pairing.apply(grid, ratio)
-    if not (np.all(np.isfinite(new_dm)) and np.all(np.isfinite(new_db))):
-        raise NonFiniteIntegrand("gap update produced non-finite values")
-
-    change = max(
-        float(np.max(np.abs(new_dm - gaps.delta_m))),
-        float(np.max(np.abs(new_db - gaps.delta_b))),
-    )
+    _check_finite(new_dm, new_db)
     return GapFunctions(
         delta_m=new_dm,
         delta_b=new_db,
-        w_bar=_w_bar(grid, dispersion, new_dm, new_db),
-        residual=change,
+        w_bar=np.hypot(omega + new_dm, new_db),
+        residual=_sup_norm(new_dm - gaps.delta_m, new_db - gaps.delta_b),
         iterations=gaps.iterations,
     )
+
+
+def _check_finite(dm: np.ndarray, db: np.ndarray) -> None:
+    if not (np.all(np.isfinite(dm)) and np.all(np.isfinite(db))):
+        raise NonFiniteIntegrand("gap update produced non-finite values")
+
+
+def _sup_norm(*functions: np.ndarray) -> float:
+    """The largest magnitude on the grid of any of ``functions``."""
+    return max(float(np.max(np.abs(v))) for v in functions)
 
 
 def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
@@ -483,46 +485,39 @@ def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
                           ) -> GapFunctions:
     """Damped Picard iteration to a self-consistent gap pair.
 
-    Each step evaluates :func:`gap_rhs` at the current iterate.  Once its
-    ``residual`` (the sup-norm defect of the gap equations there) drops below
-    ``controls.tol`` that iterate is returned with that residual; otherwise
-    the iterate moves the fraction ``controls.damping`` of the way to the
+    The problem, the one Newton runs on in :func:`branch_scan`, is built once
+    per solve: each step maps the iterate to its right-hand sides through
+    :class:`_AmplitudeProblem`.  Once their sup-norm distance from the
+    iterate (its gap-equation defect) drops below ``controls.tol`` the
+    iterate is emitted with its :func:`gap_rhs` defect, the same number;
+    otherwise it moves the fraction ``controls.damping`` of the way to the
     right-hand side.  After ``controls.max_iters`` evaluations
-    :class:`NotConverged` is raised, carrying the last evaluated iterate in
-    ``.gaps`` and its defect.  The converged pairing function is sign-
-    canonicalized to be non-negative at its largest-magnitude point — both
-    signs solve the system, with the same defect.  ``on_iterate(iteration,
-    defect)`` is called once per step when provided; handy for convergence
-    diagnostics.
+    :class:`NotConverged` is raised, carrying the last evaluated iterate with
+    its defect in ``.gaps``.  The emitted pairing function is non-negative at
+    its largest-magnitude point — both signs solve the system, with the same
+    defect.  ``on_iterate(iteration, defect)`` is called once per step when
+    provided; handy for convergence diagnostics.
     """
+    problem = _AmplitudeProblem(grid, kernels, dispersion, params)
     alpha = controls.damping
     dm, db = controls.init.build(grid, params)
     for it in range(1, controls.max_iters + 1):
-        current = GapFunctions(dm, db, _w_bar(grid, dispersion, dm, db), 0.0, it)
-        rhs = gap_rhs(current, grid, kernels, dispersion, params)
+        new_dm, new_db = problem.lift(problem.image(dm, db))
+        _check_finite(new_dm, new_db)
+        defect = _sup_norm(new_dm - dm, new_db - db)
         if on_iterate is not None:
-            on_iterate(it, rhs.residual)
-        if rhs.residual < controls.tol:
-            return GapFunctions(dm, _canonical_sign(db), current.w_bar, rhs.residual, it)
-        dm = (1.0 - alpha) * dm + alpha * rhs.delta_m
-        db = (1.0 - alpha) * db + alpha * rhs.delta_b
+            on_iterate(it, defect)
+        if defect < controls.tol:
+            return problem.emit(dm, db, it)
+        if it == controls.max_iters:
+            break
+        dm = (1.0 - alpha) * dm + alpha * new_dm
+        db = (1.0 - alpha) * db + alpha * new_db
     raise NotConverged(
-        f"no fixed point after {controls.max_iters} iterations "
-        f"(last defect {rhs.residual:.3e})",
-        residual=rhs.residual, iterations=controls.max_iters,
-        gaps=(current.delta_m, current.delta_b),
+        f"no fixed point after {it} iterations (last defect {defect:.3e})",
+        residual=defect, iterations=it,
+        gaps=GapFunctions(dm, db, np.hypot(problem.omega + dm, db), defect, it),
     )
-
-
-def _sup_distance(a: GapFunctions, b: GapFunctions) -> float:
-    return max(
-        float(np.max(np.abs(a.delta_m - b.delta_m))),
-        float(np.max(np.abs(a.delta_b - b.delta_b))),
-    )
-
-
-def _amplitude(db: np.ndarray) -> float:
-    return float(np.max(np.abs(db)))
 
 
 def _canonical_sign(db: np.ndarray) -> np.ndarray:
@@ -537,7 +532,9 @@ class _AmplitudeProblem:
     two kernels, so each fixed point is delta_M = lift_M(x_M), delta_B =
     lift_B(x_B) with x = g(x).  Under separable kernels x is the two
     amplitudes (A, B) and the Jacobian of F is 2x2; under tabulated kernels
-    x is the gap functions themselves and the Jacobian is (2n)x(2n).
+    x is the gap functions themselves and the Jacobian is (2n)x(2n).  Built
+    once per solve: Picard steps on ``lift(image(dm, db))`` (bit for bit the
+    right-hand sides of ``gap_rhs``), Newton on F, and both :meth:`emit`.
     """
 
     def __init__(self, grid: RadialGrid, kernels: CoupledKernels,
@@ -569,18 +566,12 @@ class _AmplitudeProblem:
                           [b.block(ratio_dm, m), b.block(ratio_db, b)]])
         return np.eye(x.size) - jac_g
 
-    def sup_lifted(self, x: np.ndarray) -> float:
-        """Sup norm on the grid of the gap functions that ``x`` lifts to."""
-        return max(float(np.max(np.abs(v))) for v in self.lift(x))
-
-    def gap_functions(self, x: np.ndarray) -> GapFunctions:
-        """The gap functions ``x`` lifts to, sign-canonical, with their ``gap_rhs`` defect."""
-        grid, _, dispersion, _ = self.setup
-        dm, db = self.lift(x)
+    def emit(self, dm: np.ndarray, db: np.ndarray, iterations: int = 0) -> GapFunctions:
+        """The solution ``(dm, db)``: sign-canonical, with its ``gap_rhs`` defect."""
         db = _canonical_sign(db)
-        w_bar = _w_bar(grid, dispersion, dm, db)
+        w_bar = np.hypot(self.omega + dm, db)
         residual = gap_rhs(GapFunctions(dm, db, w_bar, 0.0), *self.setup).residual
-        return GapFunctions(dm, db, w_bar, residual)
+        return GapFunctions(dm, db, w_bar, residual, iterations)
 
 
 # bisection steps for the Newton start point, and the Newton step budget
@@ -614,9 +605,9 @@ def _newton(problem: _AmplitudeProblem, x: np.ndarray,
             tol: float) -> np.ndarray | None:
     """Newton's method on F(x) = 0; None unless a step shrinks below ``tol``.
 
-    The step is measured by :meth:`_AmplitudeProblem.sup_lifted`, on the
-    scale of the gap functions; once it falls below ``tol`` the quadratic
-    convergence has left the iterate at rounding level.
+    The step is measured by the sup norm of the gap functions it lifts to;
+    once it falls below ``tol`` the quadratic convergence has left the
+    iterate at rounding level.
     """
     for _ in range(_NEWTON_STEPS):
         f = problem.defect(x)
@@ -627,7 +618,7 @@ def _newton(problem: _AmplitudeProblem, x: np.ndarray,
         except np.linalg.LinAlgError:
             return None
         x = x - step
-        if problem.sup_lifted(step) <= tol:
+        if _sup_norm(*problem.lift(step)) <= tol:
             return x
     return None
 
@@ -642,7 +633,7 @@ def _repelling_branch(problem: _AmplitudeProblem, lo: np.ndarray, hi: np.ndarray
     x = None if start is None else _newton(problem, start, tol)
     if x is None:
         return None
-    gaps = problem.gap_functions(x)
+    gaps = problem.emit(*problem.lift(x))
     return gaps if gaps.residual <= tol else None
 
 
@@ -687,10 +678,11 @@ def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
         raise last_failure
 
     def is_new(sol: GapFunctions) -> bool:
-        return all(_sup_distance(sol, kept) >= 10.0 * controls.tol for kept in branches)
+        return all(_sup_norm(sol.delta_m - kept.delta_m, sol.delta_b - kept.delta_b)
+                   >= 10.0 * controls.tol for kept in branches)
 
     def amplitude(sol: GapFunctions) -> float:
-        return _amplitude(sol.delta_b)
+        return _sup_norm(sol.delta_b)
 
     branches: list[GapFunctions] = []
     for sol in converged:

@@ -282,6 +282,11 @@ _SMEARING_EXTENT = 6.0
 _MAX_SMEARING_WIDTH = sys.float_info.max / 2.0
 
 
+def _smearing_halves(kap: np.ndarray) -> list[float]:
+    """Each width's patch half-width, ``10/sqrt(2 kappa)`` within the full support."""
+    return [min(10.0 / math.sqrt(2.0 * k), 2.0 * _SMEARING_EXTENT) for k in kap]
+
+
 def _smearing_nodes(kap: np.ndarray) -> np.ndarray:
     """The u-grid of :func:`smearing_scaling_check`: each u on its finest patch.
 
@@ -292,9 +297,8 @@ def _smearing_nodes(kap: np.ndarray) -> np.ndarray:
     add no resolution, so each patch keeps only its nodes outside the ranges
     of all finer (smaller-step) patches; the finest keeps every node.
     """
-    full = 2.0 * _SMEARING_EXTENT
-    patches = [(full, 2401)]
-    patches += [(min(10.0 / math.sqrt(2.0 * k), full), 1201) for k in kap]
+    patches = [(2.0 * _SMEARING_EXTENT, 2401)]
+    patches += [(half, 1201) for half in _smearing_halves(kap)]
     patches.sort(key=lambda patch: patch[0] / (patch[1] - 1))  # by step, stably
     kept, covered = [], -1.0  # nothing covered yet: the finest keeps u = 0 too
     for half, n in patches:
@@ -312,9 +316,11 @@ def smearing_scaling_check(profile: Callable, v: Callable,
     into ``int exp(-2 kappa u**2) H(u) du`` with H the correlation
     ``int G(p) G(u - p) dp``, computed once on the u-grid of
     :func:`_smearing_nodes`, where every u is covered by the finest patch
-    that contains it; for a continuous H with ``H(0) != 0`` the large-kappa
-    behaviour is ``H(0) sqrt(pi / (2 kappa))``, i.e. a log-log slope of -1/2
-    in this one-dimensional setting.
+    that contains it; each width sums by the trapezoid rule over its own
+    patch only, so the gap to a coarser node never weights its edge node.
+    For a continuous H with ``H(0) != 0`` the large-kappa behaviour is
+    ``H(0) sqrt(pi / (2 kappa))``, i.e. a log-log slope of -1/2 in this
+    one-dimensional setting.
 
     ``v`` and ``profile`` must accept numpy arrays.  Raises
     :class:`FitFailed` when a width is not finite, not positive or so large
@@ -347,7 +353,6 @@ def smearing_scaling_check(profile: Callable, v: Callable,
     g_p = np.asarray(v(p), dtype=float) * np.asarray(profile(p), dtype=float)
 
     u = _smearing_nodes(kap)
-    wu = _trapezoid_weights(u)
 
     weighted = wp * g_p
     corr = np.empty(u.size)
@@ -357,8 +362,9 @@ def smearing_scaling_check(profile: Callable, v: Callable,
         corr[lo:lo + 64] = (np.asarray(v(shift), dtype=float)
                             * np.asarray(profile(shift), dtype=float)) @ weighted
 
-    with np.errstate(over="ignore"):  # an exponent past -max is -inf, whose exp is 0
-        intensities = np.exp(-2.0 * kap[:, None] * u[None, :] ** 2) @ (wu * corr)
+    patches = [np.abs(u) <= half for half in _smearing_halves(kap)]
+    intensities = np.array([np.exp(-2.0 * k * u[on] ** 2) @ (_trapezoid_weights(u[on]) * corr[on])
+                            for k, on in zip(kap, patches)])
     if np.any(intensities <= 0.0):
         raise FitFailed("smeared intensity is not positive; nothing to fit")
     if np.any(np.diff(intensities) >= 0.0):

@@ -449,8 +449,11 @@ def test_unconverged_solve_carries_the_defect_of_its_iterate():
     with pytest.raises(NotConverged) as info:
         self_consistent_solve(grid, kernels, PARABOLIC, PARAMS,
                               IterationControls(max_iters=4, init=SeededPairing(1.0)))
-    dm, db = info.value.gaps
-    last = GapFunctions(dm, db, np.hypot(grid.points ** 2 + dm, db), 0.0)
+    last = info.value.gaps
+    assert last.iterations == info.value.iterations == 4
+    assert last.residual == info.value.residual
+    np.testing.assert_array_equal(last.w_bar, np.hypot(grid.points ** 2 + last.delta_m,
+                                                       last.delta_b))
     assert info.value.residual == gap_rhs(last, grid, kernels, PARABOLIC, PARAMS).residual
 
 
@@ -468,9 +471,8 @@ def test_unconverged_solve_reports_its_last_iterate():
     err = info.value
     assert err.iterations == 3
     assert math.isfinite(err.residual) and err.residual > 0.0
-    dm, db = err.gaps
-    assert dm.shape == grid.points.shape
-    assert float(np.max(np.abs(db))) > 0.0
+    assert err.gaps.delta_m.shape == grid.points.shape
+    assert float(np.max(np.abs(err.gaps.delta_b))) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -564,20 +566,49 @@ def test_branch_scan_residuals_are_gap_rhs_defects_within_tol(lambda_m):
 
 
 def test_branch_scan_stays_within_its_gap_rhs_budget(monkeypatch):
+    # Picard and Newton steps evaluate the right-hand sides through
+    # _AmplitudeProblem.image, emitted solutions through gap_rhs: count both
     import gapforge.kernel_solver as ks
 
     grid, kernels, params = _acceptance_scan_setup()
     calls = []
-    real = ks.gap_rhs
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(ks, "gap_rhs", counting)
+    monkeypatch.setattr(ks, "gap_rhs", counting(ks.gap_rhs))
+    monkeypatch.setattr(ks._AmplitudeProblem, "image", counting(ks._AmplitudeProblem.image))
     branches = branch_scan(grid, kernels, PARABOLIC, params, [0.3, 2.0])
     assert len(branches) == 3
     assert len(calls) <= 300
+
+
+def test_a_picard_solve_builds_its_problem_once(monkeypatch):
+    # the dispersion and each kernel's factor are evaluated a fixed number of
+    # times per solve, not once per step
+    eps = 0.05
+    grid = shell_aligned_grid(1.0, eps, n_shell=60, p_max=3.0, n_outer=120)
+    counts = {"dispersion": 0, "factor": 0}
+
+    def dispersion(p):
+        counts["dispersion"] += 1
+        return PARABOLIC(p)
+
+    real_factor = SeparableKernel.factor
+
+    def factor(self, grid):
+        counts["factor"] += 1
+        return real_factor(self, grid)
+
+    monkeypatch.setattr(SeparableKernel, "factor", factor)
+    sol = self_consistent_solve(grid, shell_kernels(PARAMS, eps), dispersion, PARAMS,
+                                IterationControls(init=SeededPairing(1.0)))
+    assert sol.iterations >= 40
+    assert counts["dispersion"] <= 2
+    assert counts["factor"] <= 4
 
 
 def test_branch_scan_runs_no_search_within_one_basin(monkeypatch):

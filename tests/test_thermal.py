@@ -400,6 +400,18 @@ def test_smearing_check_names_a_width_whose_double_overflows():
     assert np.all(np.isfinite(result.intensities)) and math.isfinite(result.slope)
 
 
+@pytest.mark.parametrize("kappas", [[1.0, 100.0, 1e300], [1.0, 1e100, 1e200]])
+def test_smearing_slope_holds_across_widths_decades_apart(kappas):
+    # each width integrates over its own patch only: the edge node of a tiny
+    # patch, weighted by the gap to the next coarser node, outweighed the peak
+    gaussian = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
+    ones = lambda p: np.ones_like(np.asarray(p, dtype=float))
+    result = smearing_scaling_check(ones, gaussian, kappas)
+    assert result.slope == pytest.approx(-0.5, abs=1e-3)
+    oracle = [oracles.smearing_intensity_gaussian(k) for k in kappas]
+    np.testing.assert_allclose(result.intensities, oracle, rtol=1e-4)
+
+
 # The u-grid of smearing_scaling_check: the coarse patch and one patch per
 # width, as (half-width, node count); the step of a patch is 2*half/(n - 1)
 def _patches(kappas):
