@@ -21,11 +21,12 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from operator import itemgetter
 
 import numpy as np
 
-from . import asymptotics, kernel_solver, phase_diagram, scalar_gap
+from . import _forked, asymptotics, kernel_solver, phase_diagram, scalar_gap
 from .core_types import ModelParams, solution_checks
 from .errors import (
     ConfigError,
@@ -383,26 +384,51 @@ def _parse_init(text: str):
     raise ConfigError(f"--init must be zero, scalar or seed:VALUE, got {text!r}")
 
 
+# A mean-field CSV below this many bytes (~20 ms of parsing) is read after
+# the pairing one: a fork, its pickled matrix and the reap cost ~4 ms
+_MIN_FORKED_CSV = 1 << 20
+
+
+def _kernel_tables(path_b: str | None, path_m: str | None):
+    """``(momenta, matrix_b, matrix_m)`` of the given kernel CSVs; a missing one's matrix is None.
+
+    With both files, and a mean-field file of ``_MIN_FORKED_CSV`` bytes or
+    more, a forked child reads that one while this process reads the
+    pairing one (see :mod:`gapforge._forked`: not on one usable CPU).  The
+    tables, and any error, are those of reading the pairing file first.
+    """
+    paths = [path for path in (path_b, path_m) if path]
+    loads = [partial(kernel_solver.load_kernel_csv, path) for path in paths]
+    if len(loads) == 2 and _file_size(path_m) >= _MIN_FORKED_CSV:
+        tables = _forked.run(loads)
+    else:
+        tables = [load() for load in loads]
+    momenta = tables[0][0]
+    if len(tables) == 2:
+        if not np.array_equal(momenta, tables[1][0]):
+            raise ConfigError("pairing and mean-field kernel momenta differ")
+        return momenta, tables[0][1], tables[1][1]
+    return (momenta, tables[0][1], None) if path_b else (momenta, None, tables[0][1])
+
+
+def _file_size(path: str) -> int:
+    """``path``'s size in bytes; 0 when it cannot be read, for the loader to report."""
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return 0
+
+
 def _kernel_setup(args: argparse.Namespace, params: ModelParams):
     if args.kernel_b_csv or args.kernel_m_csv:
-        momenta = matrix_b = matrix_m = None
-        if args.kernel_b_csv:
-            momenta, matrix_b = kernel_solver.load_kernel_csv(args.kernel_b_csv)
-        if args.kernel_m_csv:
-            momenta_m, matrix_m = kernel_solver.load_kernel_csv(args.kernel_m_csv)
-            if momenta is None:
-                momenta = momenta_m
-            elif not np.array_equal(momenta, momenta_m):
-                raise ConfigError(
-                    "pairing and mean-field kernel momenta differ"
-                )
+        momenta, matrix_b, matrix_m = _kernel_tables(args.kernel_b_csv, args.kernel_m_csv)
         grid = kernel_solver.RadialGrid.from_points(momenta)
-        zero = np.zeros((momenta.size, momenta.size))
+        n = momenta.size
         kernels = kernel_solver.CoupledKernels(
             pairing=kernel_solver.TabulatedKernel(
-                matrix_b if matrix_b is not None else zero),
+                np.zeros((n, n)) if matrix_b is None else matrix_b),
             mean_field=kernel_solver.TabulatedKernel(
-                matrix_m if matrix_m is not None else zero),
+                np.zeros((n, n)) if matrix_m is None else matrix_m),
         )
         return grid, kernels
     if args.epsilon is None:

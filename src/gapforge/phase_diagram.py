@@ -30,15 +30,15 @@ the same as from a fresh solve.  Points that fail validation land in the
 row's ``error`` column; a scan never aborts half-way.
 
 A lattice of 1000 points or more is solved on every CPU the process may
-run on.  It is cut into ``n = min(len(os.sched_getaffinity(0)), points //
-_MIN_CHUNK)`` shares; the caller solves the first and ``n - 1`` forked
-processes the others, since the solver is pure Python and holds the GIL.
-Work grows with lambda_b, so the shares are round-robin (point ``i`` goes to
-share ``i % n``), not contiguous blocks.  Each child pickles its rows into a
-pipe; they are the values a serial scan computes, interleaved back into
-row-major order, so output stays reproducible byte for byte.  There is no
-knob: a smaller lattice, a single usable CPU (``taskset -c 0``) or a
-platform without ``os.sched_getaffinity`` scans in process.
+run on.  It is cut into ``n = min(usable CPUs, points // _MIN_CHUNK)``
+shares, which :func:`gapforge._forked.run` solves, the first in process and
+the others in forked children, since the solver is pure Python and holds
+the GIL; that helper states the rules (no knob, one usable CPU or no
+affinity call scans in process, a failed share is solved again here).  Work
+grows with lambda_b, so the shares are round-robin (point ``i`` goes to
+share ``i % n``), not contiguous blocks.  The rows are the values a serial
+scan computes, interleaved back into row-major order, so output stays
+reproducible byte for byte.
 
 Each ranged axis is a lattice of evenly spaced doubles, both ends included:
 the values of an array ``linspace``, built with :mod:`math` alone, so this
@@ -51,10 +51,11 @@ import csv
 import itertools
 import json
 import math
-import os
 from enum import Enum
+from functools import partial
 from typing import IO, Iterable, Mapping, NamedTuple
 
+from ._forked import run, usable_cpus
 from .core_types import ModelParams, PhaseLabel, RegionLabel, to_reduced
 from .errors import ConfigError, DomainError, GapEquationError, ZeroTemperature
 from .scalar_gap import (  # noqa: F401 - classify_region is re-exported
@@ -232,24 +233,22 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
         axes.append(_lattice(float(lo), float(hi), count))
 
     points = math.prod(map(len, axes))
-    workers = _worker_count(points)
-    if workers < 2:
+    n = min(usable_cpus(), points // _MIN_CHUNK)
+    if n < 2:
         return _rows(axes, tol)
-    return _forked_rows(axes, tol, points, workers)
+    # children send their rows as plain tuples, which pickle ~6x faster than ScanRow
+    shares = run([partial(_rows, axes, tol, 0, n)]
+                 + [partial(_plain_rows, axes, tol, share, n) for share in range(1, n)])
+    rows: list = [None] * points
+    rows[0::n] = shares[0]
+    for share in range(1, n):
+        rows[share::n] = map(ScanRow._make, shares[share])
+    return rows
 
 
 # A share below this many points (~25 ms of solving) gains too little over the
 # ~4 ms that a fork and its pickled rows cost
 _MIN_CHUNK = 500
-
-
-def _worker_count(points: int) -> int:
-    """Processes to scan ``points`` on: the usable CPUs, each with >= _MIN_CHUNK points."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call (macOS, Windows): scan in process
-        return 1
-    return min(cpus, points // _MIN_CHUNK)
 
 
 def _rows(axes: list[list[float]], tol: float, share: int = 0,
@@ -259,83 +258,10 @@ def _rows(axes: list[list[float]], tol: float, share: int = 0,
     return [_evaluate_point(*pt, tol) for pt in points]
 
 
-def _forked_rows(axes: list[list[float]], tol: float, points: int,
-                 n: int) -> list[ScanRow]:
-    """Rows of the whole lattice, share 0 solved here and shares 1..n-1 in forked children.
-
-    A share with no child (the fork failed) or whose child sends no rows (it
-    raised, or died) is solved here, so an exception surfaces exactly as
-    from a serial scan.  Every child is reaped before this returns or
-    raises; on an exception the children are killed first, so the raise
-    waits for no child still solving its share.
-    """
-    import signal
-
-    children: list[tuple[int, IO[bytes]]] = []
-    try:
-        for share in range(1, n):
-            try:
-                children.append(_fork_share(axes, tol, share, n))
-            except OSError:  # out of processes or descriptors: solve the rest here
-                break
-        rows: list = [None] * points
-        rows[0::n] = _rows(axes, tol, 0, n)
-        for share in range(1, n):
-            sent = _received(children[share - 1][1]) if share <= len(children) else None
-            rows[share::n] = _rows(axes, tol, share, n) if sent is None else sent
-        return rows
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, stream in children:
-            stream.close()
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
-                pass
-
-
-def _received(stream: IO[bytes]) -> list[ScanRow] | None:
-    """The rows a child pickled into ``stream``; None when it sent none (it raised, or died)."""
-    import pickle
-
-    try:
-        return list(map(ScanRow._make, pickle.load(stream)))
-    except (EOFError, pickle.UnpicklingError):  # nothing, or a cut-off pickle
-        return None
-
-
-def _fork_share(axes: list[list[float]], tol: float, share: int,
-                n: int) -> tuple[int, IO[bytes]]:
-    """Fork a child that pickles the rows of ``share`` into a pipe; its pid and the read end.
-
-    The child never returns: it leaves through ``os._exit``, so it runs no
-    exit handler and flushes none of the parent's buffers.  It sends the
-    rows as plain tuples, which pickle ~6x faster than the NamedTuple.
-    """
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as out:
-                pickle.dump(list(map(tuple, _rows(axes, tol, share, n))), out,
-                            pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
+def _plain_rows(axes: list[list[float]], tol: float, share: int,
+                shares: int) -> list[tuple]:
+    """:func:`_rows` as plain tuples."""
+    return list(map(tuple, _rows(axes, tol, share, shares)))
 
 
 def equilibrium_curve(lo: float, hi: float,

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from gapforge import kernel_solver
+from forks import FORK, assert_no_child_left, counted_forks, usable_cpus
+from gapforge import cli, kernel_solver
 from gapforge.cli import _apply_config, build_parser, main
 from gapforge.core_types import ModelParams
 from gapforge.phase_diagram import SCAN_COLUMNS, equilibrium_curve
@@ -721,6 +722,131 @@ def test_kernel_solve_refuses_kernels_on_different_momenta(tmp_path, capsys):
     )
     assert code == 2
     assert "momenta differ" in err
+
+
+# ---------------------------------------------------------------------------
+# kernel-solve: the mean-field CSV read in a forked child
+
+
+_TABULATED = ("kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+              "--init", "seed:2.0")
+
+
+def _shell_kernel_pair(directory, n):
+    """Symmetric Gaussian-shell pairing and mean-field CSVs on ``n`` momenta."""
+    import numpy as np
+
+    momenta = np.linspace(0.0, 3.0, n + 1)[1:]
+    g = np.exp(-0.5 * ((momenta - 1.0) / 0.1) ** 2)
+    shape = np.outer(g, g) / (0.1 * math.sqrt(math.pi))
+    pair = directory / "kb.csv", directory / "km.csv"
+    for path, coupling in zip(pair, (4.0, 0.3)):
+        _write_kernel_csv(path, momenta, coupling * shape)
+    return pair
+
+
+@pytest.fixture(scope="module")
+def large_pair(tmp_path_factory):
+    pair = _shell_kernel_pair(tmp_path_factory.mktemp("large"), 240)
+    assert all(path.stat().st_size >= cli._MIN_FORKED_CSV for path in pair)
+    return pair
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_kernel_solve_pinned_to_one_cpu_writes_the_bytes_of_a_forked_read(
+        tmp_path, large_pair):
+    pin = "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+    run = "from gapforge.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [*_TABULATED, "--kernel-b-csv", str(large_pair[0]),
+            "--kernel-m-csv", str(large_pair[1]), "--out"]
+    outs, stdouts = [], []
+    for name, code in (("forked", "import sys; " + run), ("pinned", pin + run)):
+        outs.append(tmp_path / f"{name}.csv")
+        proc = subprocess.run([sys.executable, "-c", code, *argv, str(outs[-1])],
+                              capture_output=True, check=True)
+        stdouts.append(proc.stdout)
+    forked, pinned = (out.read_bytes() for out in outs)
+    assert forked.count(b"\n") == 241
+    assert json.loads(stdouts[0])["converged"] is True
+    assert forked == pinned and stdouts[0] == stdouts[1]
+
+
+@pytest.mark.parametrize("case, forks", [
+    ("both", 1), ("mean-field only", 0), ("one cpu", 0), ("below the floor", 0)])
+def test_kernel_solve_forks_for_two_large_files_on_two_cpus(
+        tmp_path, capsys, monkeypatch, large_pair, case, forks):
+    pairing, mean_field = (large_pair if case != "below the floor"
+                           else _shell_kernel_pair(tmp_path, 40))
+    files = ("--kernel-m-csv", str(mean_field))
+    if case != "mean-field only":
+        files = ("--kernel-b-csv", str(pairing), *files)
+    usable_cpus(monkeypatch, 1 if case == "one cpu" else 2)
+    counted = counted_forks(monkeypatch)
+    code, out, err = run_cli(capsys, *_TABULATED, *files)
+    assert code == 0 and json.loads(err)["converged"] is True
+    assert len(counted) == forks
+    assert_no_child_left()
+    monkeypatch.setattr(os, "fork", FORK)
+    usable_cpus(monkeypatch, 1)
+    assert run_cli(capsys, *_TABULATED, *files) == (code, out, err)
+
+
+def _serial_and_forked(capsys, monkeypatch, *argv):
+    """``run_cli(*argv)`` on one usable CPU, then on two with a fork for any mean-field file."""
+    usable_cpus(monkeypatch, 1)
+    serial = run_cli(capsys, *argv)
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_MIN_FORKED_CSV", 0)
+    forks = counted_forks(monkeypatch)
+    forked = run_cli(capsys, *argv)
+    assert_no_child_left()
+    return serial, forked, len(forks)
+
+
+@pytest.mark.parametrize("mean_field, message", [
+    ("1.0,2.0,3.0\n0,0,0\n0,x,0\n0,0,0\n", "km.csv, line 3: "),
+    (None, "km.csv: cannot read kernel file: No such file or directory"),
+    ("1.0,2.0,3.0\n0,0,0\n0,0,0\n", "km.csv: kernel must be square — 3 momenta but 2 rows"),
+], ids=["malformed", "missing", "not-square"])
+def test_a_bad_mean_field_csv_read_by_a_child_fails_as_in_process(
+        tmp_path, capsys, monkeypatch, mean_field, message):
+    pairing, path = _shell_kernel_pair(tmp_path, 3)
+    if mean_field is None:
+        path.unlink()
+    else:
+        path.write_text(mean_field)
+    serial, forked, forks = _serial_and_forked(
+        capsys, monkeypatch, *_TABULATED, "--kernel-b-csv", str(pairing),
+        "--kernel-m-csv", str(path))
+    assert serial[0] == 2 and message in serial[2]
+    assert forked == serial and forks == 1
+
+
+def test_a_bad_pairing_csv_wins_over_a_bad_mean_field_one(tmp_path, capsys, monkeypatch):
+    pairing, mean_field = _shell_kernel_pair(tmp_path, 3)
+    pairing.write_text("1.0,2.0,3.0\n0,0,0\n0,0,x\n0,0,0\n")
+    mean_field.unlink()
+    serial, forked, forks = _serial_and_forked(
+        capsys, monkeypatch, *_TABULATED, "--kernel-b-csv", str(pairing),
+        "--kernel-m-csv", str(mean_field))
+    assert serial[0] == 2 and "kb.csv, line 3: " in serial[2]
+    assert forked == serial and forks == 1
+
+
+def test_a_child_that_sends_nothing_leaves_its_csv_to_the_parent(
+        tmp_path, capsys, monkeypatch):
+    import pickle
+
+    def refuse(*args, **kwargs):
+        raise pickle.PicklingError("planted")
+
+    pairing, mean_field = _shell_kernel_pair(tmp_path, 40)
+    monkeypatch.setattr(pickle, "dump", refuse)
+    serial, forked, forks = _serial_and_forked(
+        capsys, monkeypatch, *_TABULATED, "--kernel-b-csv", str(pairing),
+        "--kernel-m-csv", str(mean_field))
+    assert serial[0] == 0 and json.loads(serial[2])["converged"] is True
+    assert forked == serial and forks == 1
 
 
 def test_kernel_solve_scalar_init_is_from_scalar(capsys):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from forks import FORK, assert_no_child_left, counted_forks, usable_cpus
 from gapforge import phase_diagram, scalar_gap
 from gapforge.core_types import ModelParams, to_reduced
 from gapforge.errors import ConfigError, DomainError, ZeroTemperature
@@ -390,30 +391,6 @@ _MIXED_RANGES = {"lambda_b": (-2.0, 5.0, 8), "mu": (-0.5, 3.0, 8)}
 _MIXED_FIXED = {"lambda_m": -0.4, "temperature": 0.3}
 
 
-def _usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-_FORK = os.fork
-
-
-def _counted_forks(monkeypatch):
-    """A list that grows by one for each os.fork the calling process makes."""
-    forks = []
-
-    def counting():
-        forks.append(None)
-        return _FORK()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("workers", [2, 3])
 def test_forked_scan_equals_the_in_process_scan(monkeypatch, workers):
     serial = scan(_MIXED_RANGES, _MIXED_FIXED)  # 64 points: below the threshold
@@ -421,11 +398,11 @@ def test_forked_scan_equals_the_in_process_scan(monkeypatch, workers):
     assert any(row.error is None and row.w_bar_upper is None for row in serial)
     assert len({row.region for row in serial} - {None}) == 5
     monkeypatch.setattr(phase_diagram, "_MIN_CHUNK", 4)
-    _usable_cpus(monkeypatch, workers)
-    forks = _counted_forks(monkeypatch)
+    usable_cpus(monkeypatch, workers)
+    forks = counted_forks(monkeypatch)
     forked = scan(_MIXED_RANGES, _MIXED_FIXED)
     assert len(forks) == workers - 1
-    _assert_no_child_left()
+    assert_no_child_left()
     assert len(forked) == len(serial)
     for got, want in zip(forked, serial):
         assert type(got) is ScanRow and got == want
@@ -446,14 +423,14 @@ def test_a_scan_forks_from_twice_the_minimum_share(monkeypatch):
     def no_fork():
         raise AssertionError("os.fork called below the threshold")
 
-    _usable_cpus(monkeypatch, 64)
+    usable_cpus(monkeypatch, 64)
     monkeypatch.setattr(os, "fork", no_fork)
     below = scan({"lambda_b": (0.5, 10.0, side - 1)}, fixed)
     assert len(below) == side - 1
-    forks = _counted_forks(monkeypatch)
+    forks = counted_forks(monkeypatch)
     at = scan({"lambda_b": (0.5, 10.0, side)}, fixed)
     assert len(forks) == 1 and len(at) == side  # two shares of _MIN_CHUNK
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, None])
@@ -463,7 +440,7 @@ def test_one_usable_cpu_or_no_affinity_call_scans_in_process(monkeypatch, cpus):
     if cpus is None:  # as on macOS and Windows
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:  # as under taskset -c 0
-        _usable_cpus(monkeypatch, cpus)
+        usable_cpus(monkeypatch, cpus)
 
     def no_fork():
         raise AssertionError("os.fork called")
@@ -475,19 +452,19 @@ def test_one_usable_cpu_or_no_affinity_call_scans_in_process(monkeypatch, cpus):
 def test_a_failed_fork_leaves_the_share_to_the_caller(monkeypatch):
     serial = scan(_MIXED_RANGES, _MIXED_FIXED)
     monkeypatch.setattr(phase_diagram, "_MIN_CHUNK", 4)
-    _usable_cpus(monkeypatch, 3)
+    usable_cpus(monkeypatch, 3)
     calls = []
 
     def second_fork_fails():
         calls.append(None)
         if len(calls) == 2:
             raise BlockingIOError(errno.EAGAIN, "no process to spare")
-        return _FORK()
+        return FORK()
 
     monkeypatch.setattr(os, "fork", second_fork_fails)
     assert scan(_MIXED_RANGES, _MIXED_FIXED) == serial
     assert len(calls) == 2
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -508,25 +485,25 @@ def test_an_exception_in_any_share_surfaces_as_in_the_serial_scan(monkeypatch, w
     with pytest.raises(ZeroDivisionError, match="planted"):
         scan(_MIXED_RANGES, _MIXED_FIXED)
     monkeypatch.setattr(phase_diagram, "_MIN_CHUNK", 4)
-    _usable_cpus(monkeypatch, workers)
-    forks = _counted_forks(monkeypatch)
+    usable_cpus(monkeypatch, workers)
+    forks = counted_forks(monkeypatch)
     with pytest.raises(ZeroDivisionError, match="planted"):
         scan(_MIXED_RANGES, _MIXED_FIXED)
     assert len(forks) == workers - 1
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_caller_that_ignores_sigchld_still_gets_every_row(monkeypatch):
     # the kernel then reaps the children itself, and waitpid finds none
     serial = scan(_MIXED_RANGES, _MIXED_FIXED)
     monkeypatch.setattr(phase_diagram, "_MIN_CHUNK", 4)
-    _usable_cpus(monkeypatch, 3)
+    usable_cpus(monkeypatch, 3)
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         assert scan(_MIXED_RANGES, _MIXED_FIXED) == serial
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_raising_caller_kills_its_busy_children(monkeypatch):
@@ -544,12 +521,12 @@ def test_a_raising_caller_kills_its_busy_children(monkeypatch):
 
     monkeypatch.setattr(phase_diagram, "solve_all", planted)
     monkeypatch.setattr(phase_diagram, "_MIN_CHUNK", 4)
-    _usable_cpus(monkeypatch, 2)
+    usable_cpus(monkeypatch, 2)
     t0 = time.perf_counter()
     with pytest.raises(ZeroDivisionError, match="planted"):
         scan(_MIXED_RANGES, _MIXED_FIXED)
     assert time.perf_counter() - t0 < 10.0
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_an_in_process_scan_loads_no_pickle():
