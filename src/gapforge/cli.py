@@ -373,7 +373,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_init(text: str):
     if text == "zero":
-        return kernel_solver.ZeroPairing()
+        return kernel_solver.SeededPairing(0.0)
     if text == "scalar":
         return kernel_solver.FromScalar()
     if text.startswith("seed:"):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -59,9 +59,10 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if self.points.ndim != 1 or self.points.size < 2:
             raise InvalidParameter("radial grid needs at least two points")
-        if self.points[0] < 0.0 or np.any(np.diff(self.points) <= 0.0):
+        if (not np.all(np.isfinite(self.points)) or self.points[0] < 0.0
+                or np.any(np.diff(self.points) <= 0.0)):
             raise InvalidParameter(
-                "grid points must be non-negative and strictly increasing"
+                "grid points must be finite, non-negative and strictly increasing"
             )
         if np.any(self.weights <= 0.0):
             raise InvalidParameter("quadrature weights must be positive")
@@ -91,8 +92,9 @@ def shell_aligned_grid(mu: float, epsilon: float, *, n_shell: int = 200,
     band = shell_kernel(epsilon, mu)
     lo, hi = band.lo, band.hi
     root = math.sqrt(mu)
-    if p_max <= hi:
-        raise InvalidParameter(f"p_max = {p_max!r} must exceed the outer shell edge {hi:.6g}")
+    if not (math.isfinite(p_max) and p_max > hi):
+        raise InvalidParameter(
+            f"p_max = {p_max!r} must be finite and exceed the outer shell edge {hi:.6g}")
     n_shell = int(n_shell) + (int(n_shell) % 2)
     shell = np.linspace(lo, hi, n_shell + 1)
     shell[n_shell // 2] = root  # exact center, convenient for delta_B(sqrt(mu))
@@ -283,9 +285,10 @@ def load_kernel_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
     Rows index k, columns index p; blank lines are skipped.  Raises
     :class:`ConfigError` with the physical line number on any malformed
-    content, and naming the path when the file cannot be opened.  numpy's C
-    parser reads the file; only when it refuses the content does the
-    row-by-row reader run, to name the faulty line.
+    content, a non-finite momentum or entry included, and naming the path
+    when the file cannot be opened.  numpy's C parser reads the file; only
+    when it refuses the content, or reads a value that is not finite, does
+    the row-by-row reader run, to name the faulty line.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -300,6 +303,8 @@ def load_kernel_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         try:
             table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError:
+            table = None
+        if table is None or not np.all(np.isfinite(table)):
             fh.seek(0)
             return _read_kernel_rows(path, fh)
     momenta, matrix = table[0], table[1:]
@@ -330,6 +335,8 @@ def _read_kernel_rows(path: str, fh) -> tuple[np.ndarray, np.ndarray]:
             matrix[i] = [float(tok) for tok in row]
         except ValueError as exc:
             raise ConfigError(f"{path}, line {lineno}: {exc}") from None
+        if not np.all(np.isfinite(matrix[i])):
+            raise ConfigError(f"{path}, line {lineno}: kernel entries must be finite")
     _check_square(path, momenta, matrix)
     return momenta, matrix
 
@@ -338,6 +345,8 @@ def _check_momenta(path: str, lineno: int, momenta: np.ndarray) -> None:
     if momenta.size < 2:
         raise ConfigError(
             f"{path}, line {lineno}: need at least two momenta, found {momenta.size}")
+    if not np.all(np.isfinite(momenta)):
+        raise ConfigError(f"{path}, line {lineno}: momenta must be finite")
     if np.any(np.diff(momenta) <= 0.0) or momenta[0] < 0.0:
         raise ConfigError(
             f"{path}, line {lineno}: momenta must be non-negative and strictly increasing"
@@ -366,17 +375,10 @@ def _omega(grid: RadialGrid, dispersion: Callable) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ZeroPairing:
-    """Start from delta_M = delta_B = 0; the iteration stays on delta_B = 0."""
-
-    def build(self, grid: RadialGrid, params: ModelParams):
-        n = grid.points.size
-        return np.zeros(n), np.zeros(n)
-
-
-@dataclass(frozen=True)
 class SeededPairing:
-    """Start from a constant pairing amplitude; selects a nonzero branch basin."""
+    """Start from a constant pairing amplitude; selects a nonzero branch basin.
+
+    From 0 (the default) the iteration stays on delta_B = 0."""
 
     value: float
 
@@ -403,7 +405,7 @@ class FromScalar:
         return np.full(n, pick.delta_m), np.full(n, pick.delta_b)
 
 
-InitStrategy = Union[ZeroPairing, SeededPairing, FromScalar]
+InitStrategy = Union[SeededPairing, FromScalar]
 
 
 @dataclass(frozen=True)
@@ -411,7 +413,7 @@ class IterationControls:
     damping: float = 0.5
     max_iters: int = 2000
     tol: float = 1e-10
-    init: InitStrategy = field(default_factory=ZeroPairing)
+    init: InitStrategy = SeededPairing(0.0)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.damping <= 1.0:
@@ -420,6 +422,8 @@ class IterationControls:
             )
         if self.max_iters < 1:
             raise InvalidParameter("max_iters must be at least 1")
+        if not 0.0 < self.tol < math.inf:
+            raise InvalidParameter(f"tol must be finite and positive, got {self.tol!r}")
 
 
 # --------------------------------------------------------------------------

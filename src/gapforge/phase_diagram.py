@@ -207,6 +207,8 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
     or more (twice ``_MIN_CHUNK``) is split round-robin over
     ``min(usable CPUs, points // _MIN_CHUNK)`` processes (see the module
     docstring); the rows, and any exception, are those of a serial scan.
+    A ``tol`` that is not finite and non-negative is a :class:`ConfigError`
+    raised before any point is solved.
     """
     overlap = set(ranges) & set(fixed)
     if overlap:
@@ -217,6 +219,8 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
     missing = set(_AXES) - set(ranges) - set(fixed)
     if missing:
         raise ConfigError(f"unspecified scan parameters: {sorted(missing)}")
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"tol must be finite and non-negative, got {tol!r}")
 
     axes: list[list[float]] = []
     for name in _AXES:

@@ -52,6 +52,7 @@ from .core_types import (
 from .errors import (
     ConstraintViolation,
     DomainError,
+    InvalidParameter,
     NotAdmissible,
     NotApplicable,
     SingularDenominator,
@@ -419,13 +420,16 @@ def solve_all(params: ModelParams, tol: float = 1e-10,
     ``|c| >= sqrt(2)/2``) is enforced as an additional admissibility filter.
     ``tol`` is the rounding allowance of that admissibility test
     (:func:`recover_delta_b`); root finding and the tangency band do not
-    depend on it.
+    depend on it.  It must be finite and non-negative
+    (:class:`InvalidParameter` otherwise).
 
     A mixed solution's label names the bracket its root came from:
     ``mixed_upper`` for ``[x_min, lb]``, ``mixed_lower`` for ``[mb, x_min]``
     and for the attractive root, ``tangent`` on the band.  The T = 0 roots
     carry the label of their T -> 0+ limit.
     """
+    if not 0.0 <= tol < math.inf:
+        raise InvalidParameter(f"tol must be finite and non-negative, got {tol!r}")
     notes: list[str] = []
     solutions: list[GapSolution] = [_pure_solution(params)]
 

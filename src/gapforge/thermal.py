@@ -26,34 +26,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core_types import BogoliubovCoefficients, ModelParams, bogoliubov_from_gaps, tanh_half
+from .core_types import ModelParams, bogoliubov_from_gaps  # noqa: F401 - re-exported
 from .errors import FitFailed, InvalidParameter, MomentumOffGrid
-
-
-@dataclass(frozen=True)
-class ModeState:
-    """One momentum mode after diagonalization.
-
-    ``w_bar`` must equal ``hypot(omega_eff, delta_b)``; use
-    :func:`mode_state` to build consistent instances.
-    """
-
-    p: float
-    omega_eff: float
-    delta_b: float
-    w_bar: float
-    coeffs: BogoliubovCoefficients
-
-
-def mode_state(p: float, omega_eff: float, delta_b: float) -> ModeState:
-    """Consistent ModeState from the two gap values at momentum ``p``."""
-    return ModeState(
-        p=float(p),
-        omega_eff=float(omega_eff),
-        delta_b=float(delta_b),
-        w_bar=math.hypot(omega_eff, delta_b),
-        coeffs=bogoliubov_from_gaps(omega_eff, delta_b),
-    )
 
 
 def _tanh_half(x: np.ndarray, beta: float) -> np.ndarray:
@@ -94,28 +68,6 @@ def _mode_terms(omega_eff, delta_b, params: ModelParams,
     return brace, ratio, brace_dm, -0.5 * cross, cross, ratio_db
 
 
-def occupation(mode: ModeState, params: ModelParams) -> float:
-    """Thermal occupation {p} = c**2 f + s**2 (1 - f) = (1 - e t)/2, always in [0, 1].
-
-    ``e = omega_eff / w_bar`` and ``t = tanh(beta (w_bar - mu) / 2)``, as in
-    :func:`_mode_terms`, with :mod:`math` alone; a ``w_bar = 0`` mode is
-    unrotated (e = 1).
-    """
-    t = tanh_half(mode.w_bar - params.mu, params.beta)
-    e = mode.omega_eff / mode.w_bar if mode.w_bar > 0.0 else 1.0
-    return 0.5 * (1.0 - e * t)
-
-
-def pairing_amplitude(mode: ModeState, params: ModelParams) -> float:
-    """Anomalous expectation [p] = c s tanh(beta (w_bar - mu) / 2), in [-1/2, 1/2].
-
-    A ``w_bar = 0`` mode is unrotated and has none.
-    """
-    if not mode.w_bar > 0.0:
-        return 0.0
-    return mode.coeffs.c * mode.coeffs.s * tanh_half(mode.w_bar - params.mu, params.beta)
-
-
 @dataclass(frozen=True, eq=False)
 class ModeTable:
     """Occupations and pairing amplitudes tabulated on a half-axis grid.
@@ -146,9 +98,9 @@ class ModeTable:
         db = np.asarray(delta_b, dtype=float)
         if mom.ndim != 1 or mom.size == 0:
             raise InvalidParameter("momentum grid must be a non-empty 1-d array")
-        if mom[0] < 0.0 or np.any(np.diff(mom) <= 0.0):
+        if not np.all(np.isfinite(mom)) or mom[0] < 0.0 or np.any(np.diff(mom) <= 0.0):
             raise InvalidParameter(
-                "momentum grid must be non-negative and strictly increasing"
+                "momentum grid must be finite, non-negative and strictly increasing"
             )
         if oe.shape != mom.shape or db.shape != mom.shape:
             raise InvalidParameter("gap arrays must match the momentum grid shape")
@@ -237,21 +189,6 @@ def occupation_profile(table: ModeTable) -> Callable[[np.ndarray], np.ndarray]:
 
     def profile(p):
         return np.interp(np.abs(np.asarray(p, dtype=float)), mom, occ)
-
-    return profile
-
-
-def pairing_profile(table: ModeTable) -> Callable[[np.ndarray], np.ndarray]:
-    """Continuous odd interpolant of the tabulated pairing amplitudes.
-
-    Uses the strict odd extension sign(p) * interp(|p|): unlike the raw
-    table lookup it vanishes at the origin.
-    """
-    mom, pair = table.momenta, table.pairings
-
-    def profile(p):
-        p = np.asarray(p, dtype=float)
-        return np.sign(p) * np.interp(np.abs(p), mom, pair)
 
     return profile
 

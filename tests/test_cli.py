@@ -91,6 +91,12 @@ def test_solve_beta_is_an_alias_for_temperature(capsys):
         ("solve", "--lambda-b", "4", "--mu", "-1", "--temp", "1"),
         ("solve", "--lambda-b", "4", "--mu", "1", "--temp", "1", "--beta", "1"),
         ("solve", "--lambda-b", "4", "--mu", "1", "--beta", "-2"),
+        ("solve", "--lambda-b", "4", "--lambda-m", "3", "--mu", "1", "--temp", "0.3",
+         "--tol=nan"),
+        ("solve", "--lambda-b", "4", "--lambda-m", "3", "--mu", "1", "--temp", "0.3",
+         "--tol=inf"),
+        ("solve", "--lambda-b", "4", "--lambda-m", "3", "--mu", "1", "--temp", "0.3",
+         "--tol=-1"),
     ],
 )
 def test_solve_rejects_bad_input(capsys, argv):
@@ -456,14 +462,17 @@ def test_kernel_solve_tabulated_kernel_roundtrip(tmp_path, capsys):
 
 def test_kernel_solve_rejects_malformed_kernel_csv(tmp_path, capsys):
     path = tmp_path / "vb.csv"
-    path.write_text("0.0,1.0\n1,2\n3\n")
-    code, _, err = run_cli(
-        capsys,
-        "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
-        "--kernel-b-csv", str(path),
-    )
-    assert code == 2
-    assert "line 3" in err
+    for text, line in (("0.0,1.0\n1,2\n3\n", "line 3"),
+                       ("0.0,nan\n1,2\n3,4\n", "line 1"),
+                       ("0.0,1.0\n1,2\n3,inf\n", "line 3")):
+        path.write_text(text)
+        code, _, err = run_cli(
+            capsys,
+            "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+            "--kernel-b-csv", str(path),
+        )
+        assert code == 2, text
+        assert line in err, text
 
 
 @pytest.mark.parametrize(
@@ -475,6 +484,10 @@ def test_kernel_solve_rejects_malformed_kernel_csv(tmp_path, capsys):
         ("--epsilon", "0.05", "--seeds", "a,b"),
         ("--epsilon", "0.05", "--damping", "0"),
         ("--epsilon", "-0.1",),
+        ("--epsilon", "0.05", "--tol", "nan"),
+        ("--epsilon", "0.05", "--tol=-1"),
+        ("--epsilon", "0.05", "--p-max", "nan"),
+        ("--epsilon", "0.05", "--p-max", "inf"),
     ],
 )
 def test_kernel_solve_rejects_bad_setup(capsys, extra):
@@ -534,14 +547,17 @@ def test_kernel_solve_csv_matches_self_consistent_solve(capsys):
     gaps = kernel_solver.self_consistent_solve(
         grid, kernel_solver.shell_kernels(params, 0.05), kernel_solver.PARABOLIC, params,
         kernel_solver.IterationControls(init=kernel_solver.SeededPairing(1.0)))
-    _, out, _ = run_cli(
-        capsys,
-        "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
-        "--epsilon", "0.05", "--grid-points", "120", "--init", "seed:1.0",
-    )
+    argv = ("kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+            "--epsilon", "0.05", "--grid-points", "120")
+    _, out, _ = run_cli(capsys, *argv, "--init", "seed:1.0")
     columns = (grid.points, gaps.delta_m, gaps.delta_b, gaps.w_bar)
     assert out.splitlines()[1:] == [
         ",".join(repr(float(col[i])) for col in columns) for i in range(grid.points.size)]
+    # --init zero, and no --init, start from the constant seed 0
+    seeded = run_cli(capsys, *argv, "--init", "seed:0")
+    assert seeded[0] == 0
+    assert run_cli(capsys, *argv, "--init", "zero") == seeded
+    assert run_cli(capsys, *argv) == seeded
 
 
 @pytest.mark.parametrize(
@@ -552,6 +568,7 @@ def test_kernel_solve_csv_matches_self_consistent_solve(capsys):
         ("scan", "--equilibrium", "--lambda-b-bar", "0.5:2:3"),  # below the curve
         ("solve", "--lambda-b", "4", "--mu", "-1", "--temp", "1"),
         ("kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5"),
+        ("scan", "--lambda-b", "4", "--range-mu", "0:1:3", "--temp", "0.3", "--tol=nan"),
     ],
 )
 def test_out_file_is_left_intact_when_the_command_fails(tmp_path, capsys, argv):

@@ -26,7 +26,6 @@ from gapforge.kernel_solver import (
     SeparableKernel,
     ShellShape,
     TabulatedKernel,
-    ZeroPairing,
     branch_scan,
     gap_rhs,
     load_kernel_csv,
@@ -57,6 +56,9 @@ def test_grid_rejects_bad_points():
         RadialGrid.from_points([1.0, 0.5])
     with pytest.raises(InvalidParameter):
         RadialGrid.from_points([-0.1, 0.5])
+    for bad in ([0.0, math.nan, 1.0], [0.0, math.inf]):
+        with pytest.raises(InvalidParameter, match="finite"):
+            RadialGrid.from_points(bad)
     with pytest.raises(InvalidParameter):
         RadialGrid(points=np.array([0.0, 1.0]), weights=np.array([0.0, 1.0]))
 
@@ -86,6 +88,9 @@ def test_shell_aligned_grid_refuses_bands_crossing_zero():
         shell_aligned_grid(0.0004, 0.05)
     with pytest.raises(InvalidParameter):
         shell_aligned_grid(1.0, 0.1, p_max=1.05)
+    for p_max in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match="finite"):
+            shell_aligned_grid(1.0, 0.1, p_max=p_max)
     with pytest.raises(InvalidParameter):
         shell_aligned_grid(1.0, 0.0)
 
@@ -230,6 +235,10 @@ def test_kernel_csv_roundtrip(tmp_path):
         ("0.0,0.5,1.0\n1,2,3\n1,2\n1,2,3\n", "line 3"),
         ("0.0,0.5,1.0\n1,2,3\n1,x,3\n1,2,3\n", "line 3"),
         ("0.0,0.5,1.0\n1,2,3\n1,2,3\n", "square"),
+        ("0.0,nan,1.0\n1,2,3\n1,2,3\n1,2,3\n", "line 1: momenta must be finite"),
+        ("0.0,0.5,inf\n1,2,3\n1,2,3\n1,2,3\n", "line 1: momenta must be finite"),
+        ("0.0,0.5,1.0\n1,2,3\n1,-inf,3\n1,2,3\n", "line 3: kernel entries must be finite"),
+        ("0.0,0.5,1.0\n1,2,3\n1,2,3\n1,2,nan\n", "line 4: kernel entries must be finite"),
     ],
 )
 def test_kernel_csv_diagnostics(tmp_path, text, fragment):
@@ -282,11 +291,15 @@ def test_iteration_controls_validation():
         IterationControls(damping=1.2)
     with pytest.raises(InvalidParameter):
         IterationControls(max_iters=0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match="tol"):
+            IterationControls(tol=tol)
 
 
 def test_init_strategies_build_constant_profiles():
     grid = RadialGrid.uniform(3.0, 11)
-    dm, db = ZeroPairing().build(grid, PARAMS)
+    assert IterationControls().init == SeededPairing(0.0)
+    dm, db = SeededPairing(0.0).build(grid, PARAMS)
     assert np.all(dm == 0.0) and np.all(db == 0.0)
     dm, db = SeededPairing(0.7).build(grid, PARAMS)
     assert np.all(dm == 0.0) and np.all(db == 0.7)

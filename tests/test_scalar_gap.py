@@ -16,6 +16,7 @@ from gapforge.core_types import ModelParams, PhaseLabel
 from gapforge.errors import (
     ConstraintViolation,
     DomainError,
+    InvalidParameter,
     NotApplicable,
     NotAdmissible,
     SingularDenominator,
@@ -238,6 +239,10 @@ def test_solve_all_drops_inadmissible_root_with_note():
     assert report.multiplicity == 1
     assert report.mixed[0].phase is PhaseLabel.MIXED_UPPER
     assert any("dropped" in note for note in report.notes)
+    # a tolerance outside [0, inf) would admit that root, or drop the valid one
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(InvalidParameter, match="tol"):
+            solve_all(ModelParams(3.0, 1.0, 1.0, 0.3), tol=tol)
 
 
 def test_solve_all_zero_coupling_note_not_error():

@@ -2,7 +2,6 @@
 
 import math
 import sys
-import timeit
 
 import numpy as np
 import pytest
@@ -11,18 +10,13 @@ from hypothesis import strategies as st
 
 import oracles
 from gapforge import thermal
-from gapforge.core_types import BogoliubovCoefficients, ModelParams, fermi
+from gapforge.core_types import ModelParams, fermi
 from gapforge.errors import FitFailed, InvalidParameter, MomentumOffGrid, ZeroEnergy
 from gapforge.thermal import (
-    ModeState,
     ModeTable,
     bogoliubov_from_gaps,
-    mode_state,
-    occupation,
     occupation_profile,
-    pairing_amplitude,
     pairing_diagonal_term,
-    pairing_profile,
     quartic_expectation,
     smearing_scaling_check,
 )
@@ -80,59 +74,52 @@ def test_rotation_diagonalizes_every_mode(omega, delta):
         assert co.c >= math.sqrt(0.5) - 1e-12
 
 
-def test_mode_state_carries_consistent_energy():
-    m = mode_state(1.5, 3.0, 4.0)
-    assert m.w_bar == pytest.approx(5.0, abs=1e-15)
-    assert m.p == 1.5
-    assert m.coeffs.c ** 2 == pytest.approx(0.8, abs=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # Occupation and pairing amplitude
 
 
+def _one_mode(omega_eff, delta_b, params):
+    """The occupation and pairing amplitude of a one-mode table."""
+    table = ModeTable.build([1.0], [omega_eff], [delta_b], params)
+    return table.occupations[0], table.pairings[0]
+
+
 def test_occupation_is_half_at_infinite_temperature():
     params = ModelParams(lambda_b=4.0, lambda_m=0.0, mu=1.0, temperature=math.inf)
-    for mode in (mode_state(0.5, 3.0, 4.0), mode_state(2.0, -1.0, 0.3)):
-        assert occupation(mode, params) == pytest.approx(0.5, abs=1e-15)
+    for omega, delta in ((3.0, 4.0), (-1.0, 0.3)):
+        assert _one_mode(omega, delta, params)[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_unpaired_level_above_mu_is_empty_at_zero_temperature():
-    mode = mode_state(1.0, 2.0, 0.0)  # c = 1, s = 0, w_bar = 2
     params = ModelParams(lambda_b=4.0, lambda_m=0.0, mu=1.0, temperature=0.0)
-    assert occupation(mode, params) == 0.0
+    assert _one_mode(2.0, 0.0, params)[0] == 0.0  # c = 1, s = 0, w_bar = 2
 
 
 def test_occupation_hand_value():
     # c^2 = 0.8 and beta*(w_bar - mu) = ln 3 make every factor rational:
     # 0.8 * 1/4 + 0.2 * 3/4 = 0.35.
-    mode = mode_state(1.0, 3.0, 4.0)
     params = ModelParams(lambda_b=4.0, lambda_m=0.0, mu=5.0 - math.log(3.0), temperature=1.0)
-    assert occupation(mode, params) == pytest.approx(0.35, abs=1e-12)
+    assert _one_mode(3.0, 4.0, params)[0] == pytest.approx(0.35, abs=1e-12)
 
 
 def test_pairing_amplitude_vanishes_without_mixing():
-    mode = mode_state(1.0, 2.0, 0.0)
-    assert pairing_amplitude(mode, PARAMS) == 0.0
+    assert _one_mode(2.0, 0.0, PARAMS)[1] == 0.0
 
 
 def test_pairing_amplitude_dies_at_infinite_temperature():
-    mode = mode_state(1.0, 3.0, 4.0)
     params = ModelParams(lambda_b=4.0, lambda_m=0.0, mu=1.0, temperature=math.inf)
-    assert pairing_amplitude(mode, params) == 0.0
+    assert _one_mode(3.0, 4.0, params)[1] == 0.0
 
 
 def test_pairing_amplitude_hand_value():
     # cs = 0.4 and tanh(ln(3)/2) = 1/2 exactly, so [p] = 0.2.
-    mode = mode_state(1.0, 3.0, 4.0)
     params = ModelParams(lambda_b=4.0, lambda_m=0.0, mu=5.0 - math.log(3.0), temperature=1.0)
-    assert pairing_amplitude(mode, params) == pytest.approx(0.2, abs=1e-12)
+    assert _one_mode(3.0, 4.0, params)[1] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_pairing_amplitude_flips_sign_below_the_chemical_potential():
-    mode = mode_state(1.0, 3.0, 4.0)  # w_bar = 5
     params = ModelParams(lambda_b=4.0, lambda_m=0.0, mu=7.0, temperature=1.0)
-    assert pairing_amplitude(mode, params) < 0.0
+    assert _one_mode(3.0, 4.0, params)[1] < 0.0  # w_bar = 5
 
 
 @given(
@@ -143,12 +130,8 @@ def test_pairing_amplitude_flips_sign_below_the_chemical_potential():
 )
 @example(omega=1.9520347751384322e-14, delta=19.0, mu=0.0, temperature=0.5)
 def test_expectations_stay_in_their_ranges(omega, delta, mu, temperature):
-    if math.hypot(omega, delta) < 1e-9:
-        return
-    mode = mode_state(1.0, omega, delta)
     params = ModelParams(lambda_b=4.0, lambda_m=0.0, mu=mu, temperature=temperature)
-    n = occupation(mode, params)
-    a = pairing_amplitude(mode, params)
+    n, a = _one_mode(omega, delta, params)
     assert 0.0 <= n <= 1.0
     assert -0.5 <= a <= 0.5
 
@@ -182,8 +165,6 @@ def test_table_pairing_is_odd():
 def test_table_origin_keeps_raw_pairing_value():
     table = _demo_table(with_origin_pairing=True)
     assert table.pairing_at(0.0) != 0.0
-    prof = pairing_profile(table)
-    assert prof(0.0) == 0.0
 
 
 def test_table_rejects_off_grid_momenta():
@@ -230,32 +211,6 @@ def test_table_matches_the_bogoliubov_reference(temperature):
         assert abs(table.pairings[i] - c * s * t) <= 1e-15
 
 
-@pytest.mark.parametrize("temperature", [0.5, 0.0, math.inf])
-def test_one_mode_expectations_match_the_table(temperature):
-    # the same grid as above; its origin is a w_bar = 0 mode, which
-    # mode_state refuses, so that mode is built unrotated by hand
-    params = ModelParams(lambda_b=4.0, lambda_m=0.0, mu=1.0, temperature=temperature)
-    momenta = np.linspace(0.0, 3.0, 25)
-    omega = momenta ** 2 - 1.2 * momenta
-    delta = 0.7 * np.sin(2.0 * momenta)
-    table = ModeTable.build(momenta, omega, delta, params)
-    assert omega[0] == delta[0] == 0.0
-    modes = [ModeState(0.0, 0.0, 0.0, 0.0, BogoliubovCoefficients(1.0, 0.0, 0.0))]
-    modes += [mode_state(p, w, d) for p, w, d in zip(momenta[1:], omega[1:], delta[1:])]
-    for i, mode in enumerate(modes):
-        assert abs(occupation(mode, params) - table.occupations[i]) <= 1e-15
-        assert abs(pairing_amplitude(mode, params) - table.pairings[i]) <= 1e-15
-    assert pairing_amplitude(modes[0], params) == 0.0
-
-
-def test_one_mode_expectations_are_scalar_fast():
-    # through the array path one call took ~16 us; with math alone it takes ~1 us
-    mode, params = mode_state(1.0, 3.0, 4.0), ModelParams(4.0, 0.0, 1.0, 0.5)
-    for fn in (occupation, pairing_amplitude):
-        best = min(timeit.repeat(lambda: fn(mode, params), number=2000, repeat=5)) / 2000
-        assert best < 4e-6, (fn.__name__, best)
-
-
 def test_table_build_validates_the_grid():
     with pytest.raises(InvalidParameter):
         ModeTable.build([1.0, 0.5], [0.0, 0.0], [1.0, 1.0], PARAMS)
@@ -265,6 +220,9 @@ def test_table_build_validates_the_grid():
         ModeTable.build([0.0, 0.5], [0.0], [1.0, 1.0], PARAMS)
     with pytest.raises(InvalidParameter):
         ModeTable.build([], [], [], PARAMS)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match="finite"):
+            ModeTable.build([0.0, bad], [0.0, 0.0], [1.0, 1.0], PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +288,6 @@ def test_occupation_profile_interpolates_evenly():
     mid = prof(1.5)
     lo, hi = sorted([table.occupation_at(1.0), table.occupation_at(2.0)])
     assert lo <= mid <= hi
-
-
-def test_pairing_profile_is_odd_everywhere():
-    table = _demo_table()
-    prof = pairing_profile(table)
-    grid = np.array([0.25, 0.5, 1.7, 3.0])
-    np.testing.assert_allclose(prof(-grid), -prof(grid), atol=1e-15)
 
 
 def test_gaussian_smearing_matches_the_analytic_decay():
