@@ -379,8 +379,8 @@ def _parse_init(text: str):
     if text.startswith("seed:"):
         try:
             return kernel_solver.SeededPairing(float(text[5:]))
-        except ValueError:
-            raise ConfigError(f"bad seed value in --init {text!r}") from None
+        except ValueError:  # not a number, or InvalidParameter: not finite
+            raise ConfigError(f"--init seed must be a finite number, got {text!r}") from None
     raise ConfigError(f"--init must be zero, scalar or seed:VALUE, got {text!r}")
 
 
@@ -433,8 +433,10 @@ def _kernel_setup(args: argparse.Namespace, params: ModelParams):
         return grid, kernels
     if args.epsilon is None:
         raise ConfigError("kernel-solve needs --epsilon or a kernel CSV")
-    n_shell = max(2, args.grid_points // 3)
-    n_outer = max(2, args.grid_points - n_shell)
+    if args.grid_points < 6:  # the shell takes a third and needs 2 points
+        raise ConfigError(f"--grid-points must be at least 6, got {args.grid_points}")
+    n_shell = args.grid_points // 3
+    n_outer = args.grid_points - n_shell
     grid = kernel_solver.shell_aligned_grid(
         params.mu, args.epsilon, n_shell=n_shell, p_max=args.p_max,
         n_outer=n_outer)
@@ -452,9 +454,10 @@ def cmd_kernel_solve(args: argparse.Namespace) -> int:
     seeds = None
     if args.seeds is not None:
         try:
-            seeds = [float(tok) for tok in str(args.seeds).split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"--seeds expects comma-separated numbers, "
+            seeds = [kernel_solver.SeededPairing(float(tok)).value
+                     for tok in str(args.seeds).split(",") if tok.strip()]
+        except ValueError:  # not a number, or InvalidParameter: not finite
+            raise ConfigError(f"--seeds expects comma-separated finite numbers, "
                               f"got {args.seeds!r}") from None
         if not seeds:
             raise ConfigError("--seeds is empty")

@@ -378,9 +378,14 @@ def _omega(grid: RadialGrid, dispersion: Callable) -> np.ndarray:
 class SeededPairing:
     """Start from a constant pairing amplitude; selects a nonzero branch basin.
 
-    From 0 (the default) the iteration stays on delta_B = 0."""
+    From 0 (the default) the iteration stays on delta_B = 0.  The value
+    must be finite."""
 
     value: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise InvalidParameter(f"pairing seed must be finite, got {self.value!r}")
 
     def build(self, grid: RadialGrid, params: ModelParams):
         n = grid.points.size
@@ -664,14 +669,14 @@ def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
     when reached, comes first).  If every seed fails to converge the last
     :class:`NotConverged` is re-raised.
     """
-    seeds = [float(s) for s in seeds]
-    if not seeds:
+    inits = [SeededPairing(float(s)) for s in seeds]  # every seed checked before any solve
+    if not inits:
         raise InvalidParameter("branch_scan needs at least one seed")
 
     converged: list[GapFunctions] = []
     last_failure: NotConverged | None = None
-    for s in seeds:
-        ctl = dataclasses.replace(controls, init=SeededPairing(s))
+    for init in inits:
+        ctl = dataclasses.replace(controls, init=init)
         try:
             converged.append(
                 self_consistent_solve(grid, kernels, dispersion, params, ctl))

@@ -91,7 +91,8 @@ class ModeTable:
 
         A mode with ``omega_eff = delta_b = 0`` (e.g. the origin of a free
         dispersion with no pairing there) is unrotated rather than tripping
-        :class:`ZeroEnergy`: nothing needs diagonalizing.
+        :class:`ZeroEnergy`: nothing needs diagonalizing.  Momenta and gap
+        values must be finite.
         """
         mom = np.asarray(momenta, dtype=float)
         oe = np.asarray(omega_eff, dtype=float)
@@ -104,6 +105,8 @@ class ModeTable:
             )
         if oe.shape != mom.shape or db.shape != mom.shape:
             raise InvalidParameter("gap arrays must match the momentum grid shape")
+        if not (np.all(np.isfinite(oe)) and np.all(np.isfinite(db))):
+            raise InvalidParameter("gap values omega_eff and delta_b must be finite")
         occ, ratio = _mode_terms(oe, db, params)
         return cls(momenta=mom, params=params, occupations=occ, pairings=0.5 * ratio)
 
@@ -224,6 +227,11 @@ def _smearing_halves(kap: np.ndarray) -> list[float]:
     return [min(10.0 / math.sqrt(2.0 * k), 2.0 * _SMEARING_EXTENT) for k in kap]
 
 
+def _mirrored(half_axis: np.ndarray) -> np.ndarray:
+    """``-half_axis[::-1]`` joined to ``half_axis``, which starts at 0: symmetric bit for bit."""
+    return np.concatenate([-half_axis[:0:-1], half_axis])
+
+
 def _smearing_nodes(kap: np.ndarray) -> np.ndarray:
     """The u-grid of :func:`smearing_scaling_check`: each u on its finest patch.
 
@@ -232,17 +240,19 @@ def _smearing_nodes(kap: np.ndarray) -> np.ndarray:
     fine enough to resolve exp(-2 kappa u**2) on its own scale.  They are
     nested around u = 0, and the nodes of a coarser patch inside a finer one
     add no resolution, so each patch keeps only its nodes outside the ranges
-    of all finer (smaller-step) patches; the finest keeps every node.
+    of all finer (smaller-step) patches; the finest keeps every node.  Each
+    patch's u >= 0 half is built and the union mirrored, so the grid equals
+    its own negative, reversed, bit for bit.
     """
     patches = [(2.0 * _SMEARING_EXTENT, 2401)]
     patches += [(half, 1201) for half in _smearing_halves(kap)]
     patches.sort(key=lambda patch: patch[0] / (patch[1] - 1))  # by step, stably
     kept, covered = [], -1.0  # nothing covered yet: the finest keeps u = 0 too
     for half, n in patches:
-        nodes = np.linspace(-half, half, n)
-        kept.append(nodes[np.abs(nodes) > covered])
+        nodes = np.linspace(0.0, half, n // 2 + 1)
+        kept.append(nodes[nodes > covered])
         covered = max(covered, half)
-    return np.unique(np.concatenate(kept))
+    return _mirrored(np.unique(np.concatenate(kept)))
 
 
 def smearing_scaling_check(profile: Callable, v: Callable,
@@ -259,13 +269,16 @@ def smearing_scaling_check(profile: Callable, v: Callable,
     ``H(0) sqrt(pi / (2 kappa))``, i.e. a log-log slope of -1/2 in this
     one-dimensional setting.
 
-    ``v`` and ``profile`` must accept numpy arrays.  Raises
-    :class:`FitFailed` when a width is not finite, not positive or so large
-    that ``2 * kappa`` overflows, a width is repeated, the kappa list spans
-    less than two decades, or the computed
-    intensities are non-positive or fail to decrease; the last two are
-    symptoms of an identically-vanishing profile or an under-resolved
-    quadrature, from which no exponent should be quoted.
+    ``v`` and ``profile`` must accept numpy arrays, and ``G`` must be even,
+    as the occupation and a centred smearing are: then H is even too, so it
+    is computed on u >= 0 only and mirrored, on p- and u-grids symmetric
+    bit for bit.  Raises :class:`FitFailed` when a width is not finite, not
+    positive or so large that ``2 * kappa`` overflows, a width is repeated,
+    the kappa list spans less than two decades, ``G`` on the p-grid is not
+    exactly even, or the computed intensities are not finite (a nan or inf
+    in ``G``), not positive or fail to decrease; the last two are symptoms
+    of an identically-vanishing profile or an under-resolved quadrature,
+    from which no exponent should be quoted.
     """
     kap = np.sort(np.asarray(list(kappas), dtype=float))
     if not np.all(np.isfinite(kap)):
@@ -285,23 +298,29 @@ def smearing_scaling_check(profile: Callable, v: Callable,
             f"kappa range [{kap[0]:g}, {kap[-1]:g}] spans < 2 decades"
         )
 
-    p = np.linspace(-_SMEARING_EXTENT, _SMEARING_EXTENT, 2001)
+    p = _mirrored(np.linspace(0.0, _SMEARING_EXTENT, 1001))
     wp = _trapezoid_weights(p)
     g_p = np.asarray(v(p), dtype=float) * np.asarray(profile(p), dtype=float)
+    if not np.array_equal(g_p, g_p[::-1], equal_nan=True):  # a nan is caught below
+        raise FitFailed("v * profile must be even in p, and is not on the p-grid")
 
     u = _smearing_nodes(kap)
+    u_half = u[u.size // 2:]  # u >= 0, from u = 0
 
     weighted = wp * g_p
-    corr = np.empty(u.size)
+    corr_half = np.empty(u_half.size)
     # 64-row chunks keep each temporary near 1 MB at 2001 points
-    for lo in range(0, u.size, 64):
-        shift = u[lo:lo + 64, None] - p[None, :]
-        corr[lo:lo + 64] = (np.asarray(v(shift), dtype=float)
-                            * np.asarray(profile(shift), dtype=float)) @ weighted
+    for lo in range(0, u_half.size, 64):
+        shift = u_half[lo:lo + 64, None] - p[None, :]
+        corr_half[lo:lo + 64] = (np.asarray(v(shift), dtype=float)
+                                 * np.asarray(profile(shift), dtype=float)) @ weighted
+    corr = np.concatenate([corr_half[:0:-1], corr_half])  # H is even
 
     patches = [np.abs(u) <= half for half in _smearing_halves(kap)]
     intensities = np.array([np.exp(-2.0 * k * u[on] ** 2) @ (_trapezoid_weights(u[on]) * corr[on])
                             for k, on in zip(kap, patches)])
+    if not np.all(np.isfinite(intensities)):
+        raise FitFailed(f"smeared intensity is not finite: {intensities.tolist()}")
     if np.any(intensities <= 0.0):
         raise FitFailed("smeared intensity is not positive; nothing to fit")
     if np.any(np.diff(intensities) >= 0.0):

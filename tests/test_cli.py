@@ -500,6 +500,27 @@ def test_kernel_solve_rejects_bad_setup(capsys, extra):
     assert err != ""
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (("--init", "seed:nan"), "--init"),
+    (("--init", "seed:inf"), "--init"),
+    (("--seeds", "0.3,inf"), "--seeds"),
+    (("--seeds", "-inf"), "--seeds"),
+    (("--grid-points", "-5"), "--grid-points"),
+    (("--grid-points", "0"), "--grid-points"),
+    (("--grid-points", "5"), "--grid-points"),
+], ids=["seed-nan", "seed-inf", "seeds-inf", "seeds-minus-inf", "grid-points-minus-5",
+        "grid-points-0", "grid-points-5"])
+def test_kernel_solve_names_a_bad_seed_or_grid_budget(capsys, extra, flag):
+    # a non-finite seed ran and exited 1; a budget below 6 was clamped and exited 0
+    code, out, err = run_cli(
+        capsys,
+        "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+        "--epsilon", "0.05", *extra,
+    )
+    assert code == 2 and out == ""
+    assert flag in err
+
+
 # ---------------------------------------------------------------------------
 # outputs match the library, and --out is written only on success
 

@@ -305,6 +305,17 @@ def test_init_strategies_build_constant_profiles():
     assert np.all(dm == 0.0) and np.all(db == 0.7)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_pairing_seed_is_refused(bad):
+    with pytest.raises(InvalidParameter, match="finite"):
+        SeededPairing(bad)
+    # a branch scan checks every seed before it solves from any
+    grid = RadialGrid.uniform(3.0, 11)
+    with pytest.raises(InvalidParameter, match="finite"):
+        branch_scan(grid, shell_kernels(PARAMS, 0.1), PARABOLIC, PARAMS, [0.3, bad],
+                    IterationControls(max_iters=1))
+
+
 def test_from_scalar_init_prefers_the_top_mixed_branch():
     grid = RadialGrid.uniform(3.0, 11)
     dm, db = FromScalar().build(grid, PARAMS)

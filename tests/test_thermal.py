@@ -223,6 +223,11 @@ def test_table_build_validates_the_grid():
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidParameter, match="finite"):
             ModeTable.build([0.0, bad], [0.0, 0.0], [1.0, 1.0], PARAMS)
+        # gap values too: they gave nan occupations and pairings with a warning
+        with pytest.raises(InvalidParameter, match="finite"):
+            ModeTable.build([0.0, 1.0], [bad, 1.0], [0.0, 1.0], PARAMS)
+        with pytest.raises(InvalidParameter, match="finite"):
+            ModeTable.build([0.0, 1.0], [0.0, 1.0], [0.0, -bad], PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +368,46 @@ def test_smearing_slope_holds_across_widths_decades_apart(kappas):
     np.testing.assert_allclose(result.intensities, oracle, rtol=1e-4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_smearing_check_refuses_a_non_finite_profile(bad):
+    # nan passed both the positivity and the decrease check: the slope was nan
+    gaussian = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
+    constant = lambda p: np.full(np.shape(p), bad)
+    with pytest.raises(FitFailed, match="not finite"):
+        smearing_scaling_check(constant, gaussian, np.logspace(0.0, 4.0, 9))
+
+
+def test_smearing_check_refuses_a_profile_not_finite_beyond_the_p_grid():
+    # finite on |p| <= 6, where it is checked, but nan at the shifts u - p
+    gaussian = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
+    boxed = lambda p: np.where(np.abs(np.asarray(p, dtype=float)) <= 6.0, 1.0, np.nan)
+    with pytest.raises(FitFailed, match="intensity is not finite"):
+        smearing_scaling_check(boxed, gaussian, np.logspace(0.0, 4.0, 9))
+
+
+def test_smearing_check_refuses_an_uneven_smearing():
+    # the correlation is computed on u >= 0 only, which holds for an even G
+    shifted = lambda p: np.exp(-(np.asarray(p, dtype=float) - 0.3) ** 2)
+    ones = lambda p: np.ones_like(np.asarray(p, dtype=float))
+    with pytest.raises(FitFailed, match="even"):
+        smearing_scaling_check(ones, shifted, np.logspace(0.0, 4.0, 9))
+
+
+def test_smearing_correlation_runs_on_half_the_u_grid():
+    kappas = np.logspace(0.0, 4.0, 9)
+    seen = []
+
+    def counting_gaussian(p):
+        p = np.asarray(p, dtype=float)
+        seen.append(p.size)
+        return np.exp(-p ** 2)
+
+    smearing_scaling_check(lambda p: np.ones_like(np.asarray(p, dtype=float)),
+                           counting_gaussian, kappas)
+    u = thermal._smearing_nodes(kappas)
+    assert sum(seen) <= (u.size // 2 + 1) * 2001 + 2001
+
+
 # The u-grid of smearing_scaling_check: the coarse patch and one patch per
 # width, as (half-width, node count); the step of a patch is 2*half/(n - 1)
 def _patches(kappas):
@@ -403,6 +448,14 @@ def test_every_smearing_gap_is_within_the_step_of_its_finest_cover(kappas):
         # the finest patch whose range holds the whole gap
         step = min(2.0 * h / (n - 1) for h, n in patches if -h <= a and b <= h)
         assert b - a <= step * (1.0 + 1e-9), (a, b, step)
+
+
+@pytest.mark.parametrize("kappas", [np.logspace(0.0, 4.0, 9), [0.01, 1.0, 100.0],
+                                    [0.3, 2.0, 45.0, 3e3]])
+def test_smearing_grid_is_mirror_symmetric_bit_for_bit(kappas):
+    u = thermal._smearing_nodes(np.asarray(kappas, dtype=float))
+    assert u.size % 2 == 1 and u[u.size // 2] == 0.0
+    assert np.array_equal(u, -u[::-1])
 
 
 def test_widths_clamped_to_the_coarse_range_keep_the_coarse_step():
