@@ -247,23 +247,12 @@ def _write_csv(stream, header, rows) -> None:
 # solve
 
 
-def _required_checks_pass(sol, params, checks: dict) -> bool:
-    """All structural checks except the optional mixing-angle bound.
-
-    ``|c| >= sqrt(2)/2`` is only a theorem when the effective energy
-    ``mu + delta_m`` is non-negative; solutions below that line are still
-    self-consistent, so the bound must not fail them wholesale.
-    """
-    optional = () if params.mu + sol.delta_m >= 0.0 else ("mixing_angle_bound",)
-    return all(v for k, v in checks.items() if k not in optional)
-
-
 def _report_payload(report) -> dict:
     payload = report.as_dict()
     for sol, entry in zip(report.solutions, payload["solutions"]):
         checks = solution_checks(sol, report.params)
         entry["checks"] = checks
-        entry["checks_passed"] = _required_checks_pass(sol, report.params, checks)
+        entry["checks_passed"] = all(checks.values())
     return payload
 
 

@@ -287,26 +287,36 @@ class SolveReport:
         }
 
 
+def energy_identity_defect(w: float, eff: float, db: float) -> float:
+    """``|w**2 - eff**2 - db**2| / max(1, w**2)`` for ``w_bar``, ``mu + delta_m``, ``delta_b``.
+
+    Where the squares overflow the same ratio is taken in units of ``2**e``
+    near the largest energy, so it stays finite at any energy scale.
+    """
+    defect = abs(w * w - eff * eff - db * db) / max(1.0, w * w)
+    if math.isfinite(defect):
+        return defect
+    e = scale_exponent(w, eff, db)
+    w, eff, db = (math.ldexp(v, -e) for v in (w, eff, db))
+    return abs(w * w - eff * eff - db * db) / max(math.ldexp(1.0, -2 * e), w * w)
+
+
 def solution_checks(sol: GapSolution, params: ModelParams, tol: float = 1e-8) -> dict[str, bool]:
     """Evaluate the structural identities every emitted solution should satisfy.
 
-    Returns a name -> bool map; callers decide what to do with failures.  The
-    mixing-angle bound ``|c| >= sqrt(2)/2`` is reported but only holds when
-    the effective energy ``mu + delta_m`` is non-negative (it is optional for
-    mixed solutions unless the caller filtered on it).
+    Returns a name -> bool map of the checks that apply to ``sol``, so every
+    value must be true; callers decide what to do with failures.  A check
+    that is a theorem only on part of the solutions is reported only there:
+    the mixing-angle bound ``|c| >= sqrt(2)/2`` where the effective energy
+    ``mu + delta_m`` is non-negative, the Fermi-surface side on a mixed
+    solution with ``lambda_b != 0``, and the strict ordering above the
+    effective energy where ``delta_b > 0``.
     """
     c, s = sol.coeffs.c, sol.coeffs.s
     omega_eff = params.mu + sol.delta_m
     checks: dict[str, bool] = {}
     checks["coefficient_norm"] = abs(c * c + s * s - 1.0) <= 1e-12
-    w, eff, db = sol.w_bar, omega_eff, sol.delta_b
-    defect, unit = abs(w * w - (eff * eff + db * db)), 1.0
-    if not math.isfinite(defect):
-        # the squares overflowed: compare again in units of 2**e near the largest energy
-        e = scale_exponent(w, eff, db)
-        w, eff, db = (math.ldexp(v, -e) for v in (w, eff, db))
-        defect, unit = abs(w * w - (eff * eff + db * db)), math.ldexp(1.0, -2 * e)
-    checks["energy_identity"] = defect <= tol * max(unit, w * w)
+    checks["energy_identity"] = energy_identity_defect(sol.w_bar, omega_eff, sol.delta_b) <= tol
     if sol.w_bar != 0.0:
         checks["rotation_consistency"] = (
             abs((c * c - s * s) - omega_eff / sol.w_bar) <= tol
@@ -320,7 +330,8 @@ def solution_checks(sol: GapSolution, params: ModelParams, tol: float = 1e-8) ->
     else:
         checks["mean_field_sign"] = sol.delta_m == 0.0
         checks["mean_field_bound"] = True
-    checks["mixing_angle_bound"] = abs(c) >= math.sqrt(0.5) - 1e-12
+    if omega_eff >= 0.0:
+        checks["mixing_angle_bound"] = abs(c) >= math.sqrt(0.5) - 1e-12
     if sol.phase is not PhaseLabel.PURE_MEAN_FIELD:
         checks["pairing_below_quasienergy"] = sol.delta_b <= sol.w_bar + tol
         checks["quasienergy_above_coupling_bound"] = sol.w_bar <= abs(params.lambda_b) + tol

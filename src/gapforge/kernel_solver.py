@@ -42,7 +42,7 @@ from .errors import (
     NotConverged,
     ShellBelowZero,
 )
-from .thermal import ModeTable, _mode_terms, _trapezoid_weights
+from .thermal import ModeTable, _check_momenta, _mode_terms, _trapezoid_weights
 
 
 # --------------------------------------------------------------------------
@@ -59,11 +59,7 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if self.points.ndim != 1 or self.points.size < 2:
             raise InvalidParameter("radial grid needs at least two points")
-        if (not np.all(np.isfinite(self.points)) or self.points[0] < 0.0
-                or np.any(np.diff(self.points) <= 0.0)):
-            raise InvalidParameter(
-                "grid points must be finite, non-negative and strictly increasing"
-            )
+        _check_momenta(self.points)
         if np.any(self.weights <= 0.0):
             raise InvalidParameter("quadrature weights must be positive")
 
@@ -231,7 +227,11 @@ class TabulatedKernel:
 
     @property
     def is_symmetric(self) -> bool:
-        return bool(np.allclose(self.matrix, self.matrix.T, rtol=1e-12, atol=1e-12))
+        """Equal to its transpose to 1e-12 of its largest finite entry; infinities exactly."""
+        m = self.matrix
+        finite = np.isfinite(m)  # the mask alone: no |m| or copy of a large matrix
+        size = max(np.max(m, where=finite, initial=0.0), -np.min(m, where=finite, initial=0.0))
+        return bool(np.allclose(m, m.T, rtol=1e-12, atol=1e-12 * size))
 
     def factor(self, grid: RadialGrid) -> _Factor:
         """The matrix itself, with the grid's quadrature weights on its columns."""
@@ -308,7 +308,7 @@ def load_kernel_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
             fh.seek(0)
             return _read_kernel_rows(path, fh)
     momenta, matrix = table[0], table[1:]
-    _check_momenta(path, header_line, momenta)
+    _check_header(path, header_line, momenta)
     _check_square(path, momenta, matrix)
     return momenta, matrix
 
@@ -323,7 +323,7 @@ def _read_kernel_rows(path: str, fh) -> tuple[np.ndarray, np.ndarray]:
     except ValueError as exc:
         raise ConfigError(
             f"{path}, line {header_line}: bad momentum header ({exc})") from None
-    _check_momenta(path, header_line, momenta)
+    _check_header(path, header_line, momenta)
     n = momenta.size
     matrix = np.empty((len(rows) - 1, n))
     for i, (lineno, row) in enumerate(rows[1:]):
@@ -341,16 +341,14 @@ def _read_kernel_rows(path: str, fh) -> tuple[np.ndarray, np.ndarray]:
     return momenta, matrix
 
 
-def _check_momenta(path: str, lineno: int, momenta: np.ndarray) -> None:
+def _check_header(path: str, lineno: int, momenta: np.ndarray) -> None:
     if momenta.size < 2:
         raise ConfigError(
             f"{path}, line {lineno}: need at least two momenta, found {momenta.size}")
-    if not np.all(np.isfinite(momenta)):
-        raise ConfigError(f"{path}, line {lineno}: momenta must be finite")
-    if np.any(np.diff(momenta) <= 0.0) or momenta[0] < 0.0:
-        raise ConfigError(
-            f"{path}, line {lineno}: momenta must be non-negative and strictly increasing"
-        )
+    try:
+        _check_momenta(momenta)
+    except InvalidParameter as exc:
+        raise ConfigError(f"{path}, line {lineno}: {exc}") from None
 
 
 def _check_square(path: str, momenta: np.ndarray, matrix: np.ndarray) -> None:
@@ -657,13 +655,14 @@ def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
     function of that amplitude; converged results are deduplicated by
     sup-norm distance below ``10 * tol``.  Picard iteration can only land on
     attracting branches, and in the two-root band the smaller root repels.
-    So between each adjacent pair of attractors with distinct pairing
-    amplitudes one Newton solve of F = delta - G(delta) runs, started at the
-    sign change of the defect projected on the segment joining them (see
-    :class:`_AmplitudeProblem`).  Its result is kept when its gap-equation
-    defect is at most ``tol`` and it is not one of the attractors; a start
-    point with no sign change or a Newton solve that does not converge adds
-    nothing.  A branch found this way reports ``iterations == 0``.
+    So the deduplicated converged branches are the attractors, and between
+    each adjacent pair of them, by pairing amplitude, one Newton solve of
+    F = delta - G(delta) runs, started at the sign change of the defect
+    projected on the segment joining them (see :class:`_AmplitudeProblem`).
+    Its result is kept when its gap-equation defect is at most ``tol`` and
+    it is not one of the attractors; a start point with no sign change or a
+    Newton solve that does not converge adds nothing.  A branch found this
+    way reports ``iterations == 0``.
 
     Returns branches sorted by pairing amplitude (the delta_B = 0 branch,
     when reached, comes first).  If every seed fails to converge the last
@@ -698,13 +697,10 @@ def branch_scan(grid: RadialGrid, kernels: CoupledKernels,
         if is_new(sol):
             branches.append(sol)
 
-    # one attractor per distinct pairing amplitude, ascending
-    basins: dict[float, GapFunctions] = {}
-    for sol in sorted(branches, key=amplitude):
-        basins.setdefault(round(amplitude(sol), 6), sol)
-    if len(basins) >= 2:
+    attractors = sorted(branches, key=amplitude)
+    if len(attractors) >= 2:
         problem = _AmplitudeProblem(grid, kernels, dispersion, params)
-        amps = [problem.image(b.delta_m, b.delta_b) for b in basins.values()]
+        amps = [problem.image(b.delta_m, b.delta_b) for b in attractors]
         for lo, hi in zip(amps, amps[1:]):
             saddle = _repelling_branch(problem, lo, hi, controls.tol)
             if saddle is not None and is_new(saddle):

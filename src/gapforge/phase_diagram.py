@@ -8,9 +8,9 @@ Two complementary views of where solutions live:
   two asymptotic windows is available), ``A-``/``B-`` on the attractive
   side, ``none`` where no mixed solution is possible.  It lives in
   ``scalar_gap``, :class:`RegionLabel` in ``core_types``; both re-exported.
-* :func:`multiplicity_class` counts actual roots of the pairing-energy
-  equation via the reduced tangency distance, with the same band as the
-  root finder (repulsive side), or the exact root finder (attractive side).
+* :func:`multiplicity_class` counts the roots that
+  :func:`~gapforge.scalar_gap.pairing_energy_roots` returns, so it shares
+  the root finder's tangency band by construction.
 
 The two are cross-checked by tests, not merged: the region map may
 over-approximate near its boundaries, so consistency is only asserted away
@@ -56,55 +56,41 @@ from functools import partial
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from ._forked import run, usable_cpus
-from .core_types import ModelParams, PhaseLabel, RegionLabel, to_reduced
+from .core_types import ModelParams, PhaseLabel, RegionLabel
 from .errors import ConfigError, DomainError, GapEquationError, ZeroTemperature
 from .scalar_gap import (  # noqa: F401 - classify_region is re-exported
-    TANGENCY_BAND,
     classify_region,
     equilibrium_mu,
     pairing_energy_roots,
     solve_all,
-    tangency_distance,
 )
 
 _AXES = ("lambda_b", "lambda_m", "mu", "temperature")
 
 
 class MultiplicityClass(str, Enum):
+    """Root count of the pairing-energy equation; members listed by count."""
+
     NO_SOLUTION = "no_solution"
     UNIQUE = "unique"
     TWO = "two"
 
 
 def multiplicity_class(params: ModelParams) -> MultiplicityClass:
-    """Root count of the pairing-energy equation as a three-way class.
+    """The class of ``len(pairing_energy_roots(params))``.
 
-    Repulsive side: the reduced equation ``x = lb tanh(x - mb)`` has two
-    roots below the tangency curve ``mb = mb_e(lb)``, one on it and none
-    above, where "on it" is the band ``|tangency_distance| <= TANGENCY_BAND``
-    that :func:`~gapforge.scalar_gap.solve_all` uses too; ``lb <= 1``
-    (temperature at or past lambda_b / 2) never has any.  ``mu = 0``
-    degenerates to a single root.  Attractive side, and any ``lambda_b / T``
-    that overflows the reduced coupling: delegated to the exact root finder,
-    which returns at most one.  Positive temperature required:
-    the reduced variables live at T > 0.
+    The root finder alone decides the count, the tangency band included:
+    two roots below the tangency curve, the single tangent root on its band
+    and none above it on the repulsive side, at most one on the attractive
+    side.  ``lambda_b = 0``, where the pairing channel is inactive, has no
+    solution.  Positive temperature required: the reduced variables live
+    at T > 0.
     """
     if params.is_zero_temperature:
         raise ZeroTemperature("multiplicity classes are defined at T > 0")
     if params.lambda_b == 0.0:
         return MultiplicityClass.NO_SOLUTION
-    red = to_reduced(params)
-    if params.lambda_b < 0.0 or math.isinf(red.lambda_b_bar):
-        roots = pairing_energy_roots(params)
-        return MultiplicityClass.UNIQUE if roots else MultiplicityClass.NO_SOLUTION
-    if red.lambda_b_bar <= 1.0:
-        return MultiplicityClass.NO_SOLUTION
-    distance = tangency_distance(red.lambda_b_bar, red.mu_bar)
-    if red.mu_bar == 0.0 or abs(distance) <= TANGENCY_BAND:
-        return MultiplicityClass.UNIQUE
-    if distance < 0.0:
-        return MultiplicityClass.TWO
-    return MultiplicityClass.NO_SOLUTION
+    return list(MultiplicityClass)[len(pairing_energy_roots(params))]
 
 
 class ScanRow(NamedTuple):

@@ -44,6 +44,7 @@ from .core_types import (
     RegionLabel,
     SolveReport,
     bogoliubov_from_gaps,
+    energy_identity_defect,
     fermi,
     scale_exponent,
     tanh_half,
@@ -141,8 +142,9 @@ def tangency_distance(lambda_b_bar: float, mu_bar: float) -> float:
 
     It equals the minimum of the convex pairing defect, so it is negative
     below the curve (two roots), zero on it and positive above it (none).
-    :func:`solve_all` and :func:`~gapforge.phase_diagram.multiplicity_class`
-    both treat ``|distance| <= TANGENCY_BAND`` as the single tangent root.
+    The root finder alone treats ``|distance| <= TANGENCY_BAND`` as the
+    single tangent root; :func:`solve_all` and
+    :func:`~gapforge.phase_diagram.multiplicity_class` take its roots.
     """
     return mu_bar - equilibrium_mu(lambda_b_bar)[0]
 
@@ -221,7 +223,8 @@ def pairing_energy_roots(params: ModelParams) -> list[float]:
     found by guarded Newton steps from the bracket end where the convex
     defect is positive, except the tangent root, which is the defect's
     minimum ``x_min`` and so leaves a reduced defect of at most
-    :data:`TANGENCY_BAND`.
+    :data:`TANGENCY_BAND`.  Their count is what
+    :func:`~gapforge.phase_diagram.multiplicity_class` reports.
 
     Raises :class:`ZeroCoupling` for ``lambda_b == 0``.
     """
@@ -383,8 +386,7 @@ def _mixed_residual(w: float, dm: float, db: float, params: ModelParams) -> floa
     omega_eff = params.mu + dm
     r2 = (abs(dm - params.lambda_m * (1.0 - t * omega_eff / w))
           / max(1.0, abs(params.lambda_m)))
-    r3 = abs(w * w - omega_eff * omega_eff - db * db) / max(1.0, w * w)
-    return max(r1, r2, r3)
+    return max(r1, r2, energy_identity_defect(w, omega_eff, db))
 
 
 def _lift(w: float, phase: PhaseLabel, params: ModelParams, tol: float,

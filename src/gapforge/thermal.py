@@ -68,6 +68,17 @@ def _mode_terms(omega_eff, delta_b, params: ModelParams,
     return brace, ratio, brace_dm, -0.5 * cross, cross, ratio_db
 
 
+def _check_momenta(momenta: np.ndarray) -> None:
+    """Refuse a non-empty 1-d grid unless finite, non-negative and strictly increasing.
+
+    Each caller keeps its own rule on the number of points.
+    """
+    if not np.all(np.isfinite(momenta)):
+        raise InvalidParameter("momenta must be finite")
+    if momenta[0] < 0.0 or np.any(np.diff(momenta) <= 0.0):
+        raise InvalidParameter("momenta must be non-negative and strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class ModeTable:
     """Occupations and pairing amplitudes tabulated on a half-axis grid.
@@ -99,10 +110,7 @@ class ModeTable:
         db = np.asarray(delta_b, dtype=float)
         if mom.ndim != 1 or mom.size == 0:
             raise InvalidParameter("momentum grid must be a non-empty 1-d array")
-        if not np.all(np.isfinite(mom)) or mom[0] < 0.0 or np.any(np.diff(mom) <= 0.0):
-            raise InvalidParameter(
-                "momentum grid must be finite, non-negative and strictly increasing"
-            )
+        _check_momenta(mom)
         if oe.shape != mom.shape or db.shape != mom.shape:
             raise InvalidParameter("gap arrays must match the momentum grid shape")
         if not (np.all(np.isfinite(oe)) and np.all(np.isfinite(db))):

@@ -44,6 +44,21 @@ def test_solve_json_reports_every_branch(capsys):
     assert isinstance(upper["checks"], dict)
 
 
+def test_solve_reports_the_mixing_angle_bound_only_where_it_applies(capsys):
+    # |c| >= sqrt(2)/2 is a theorem only where mu + delta_m >= 0
+    code, out, _ = run_cli(capsys, "solve", "--lambda-b", "-2", "--lambda-m", "-1.5",
+                           "--mu", "1", "--temp", "0.3")
+    assert code == 0
+    lower, = [s for s in json.loads(out)["solutions"] if s["phase"] == "mixed_lower"]
+    assert 1.0 + lower["delta_m"] < 0.0
+    assert "mixing_angle_bound" not in lower["checks"]
+    assert lower["checks_passed"] is True
+    code, out, _ = run_cli(capsys, "solve", "--lambda-b", "5", "--mu", "1", "--temp", "0.01")
+    assert code == 0
+    assert all(s["checks"]["mixing_angle_bound"] is True
+               for s in json.loads(out)["solutions"])
+
+
 def test_solve_csv_format(capsys):
     code, out, _ = run_cli(
         capsys,

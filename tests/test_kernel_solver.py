@@ -1,5 +1,6 @@
 """Tests for the momentum-resolved gap solver and its kernel machinery."""
 
+import functools
 import math
 
 import numpy as np
@@ -175,6 +176,21 @@ def test_pairing_kernel_must_be_symmetric():
     with pytest.raises(InvalidParameter):
         CoupledKernels(pairing=asym, mean_field=asym)
     CoupledKernels(pairing=TabulatedKernel(np.eye(2)), mean_field=asym)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e13])
+def test_pairing_kernel_symmetry_is_relative_to_its_size(scale):
+    asym = TabulatedKernel(scale * np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(InvalidParameter):
+        CoupledKernels(pairing=asym, mean_field=asym)
+    # an infinite entry does not stretch the tolerance of the finite ones
+    with pytest.raises(InvalidParameter):
+        CoupledKernels(pairing=TabulatedKernel(scale * np.array(
+            [[0.0, 1.0, math.inf], [2.0, 0.0, 0.0], [math.inf, 0.0, 0.0]])), mean_field=asym)
+    # rounding-level asymmetry passes at any size, and so does a zero kernel
+    nearly = TabulatedKernel(scale * np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]))
+    CoupledKernels(pairing=nearly, mean_field=asym)
+    CoupledKernels(pairing=TabulatedKernel(np.zeros((2, 2))), mean_field=asym)
 
 
 def test_separable_and_tabulated_forms_agree_for_smooth_shapes():
@@ -503,22 +519,37 @@ def test_unconverged_solve_reports_its_last_iterate():
 # branch scanning
 
 
-def test_branch_scan_finds_all_three_branches():
-    eps = 0.05
-    grid = shell_aligned_grid(1.0, eps, n_shell=80, p_max=3.0, n_outer=160)
-    kernels = shell_kernels(PARAMS, eps)
-    branches = branch_scan(grid, kernels, PARABOLIC, PARAMS, [0.3, 2.0])
+@functools.lru_cache(maxsize=None)
+def _scaled_branch_scan(c):
+    """The three-branch scan at PARAMS, energies scaled by c and momenta by sqrt(c).
+
+    Returns the branches and their delta_B at the Fermi momentum.
+    """
+    root = math.sqrt(c)
+    params = ModelParams(4.0 * c, 0.0, c, temperature=0.5 * c)
+    eps = 0.05 * root
+    grid = shell_aligned_grid(params.mu, eps, n_shell=80, p_max=3.0 * root, n_outer=160)
+    branches = branch_scan(grid, shell_kernels(params, eps), PARABOLIC, params,
+                           [0.3 * c, 2.0 * c], IterationControls(tol=1e-10 * c))
+    i = grid.index_nearest(root)
+    return branches, [float(b.delta_b[i]) for b in branches]
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-8, 1e8])
+def test_branch_scan_finds_all_three_branches(c):
+    # the model is scale-free: every energy times c and every momentum times
+    # sqrt(c) gives the same branches, their gaps times c
+    branches, amps = _scaled_branch_scan(c)
     assert len(branches) == 3
-    i = grid.index_nearest(1.0)
-    amps = [float(b.delta_b[i]) for b in branches]
     report = solve_all(PARAMS)
-    assert amps[0] == pytest.approx(0.0, abs=1e-8)
-    assert amps[1] == pytest.approx(report.mixed[0].delta_b, abs=5e-3)
-    assert amps[2] == pytest.approx(report.mixed[-1].delta_b, abs=5e-3)
+    assert amps[0] == pytest.approx(0.0, abs=1e-8 * c)
+    assert amps[1] == pytest.approx(c * report.mixed[0].delta_b, abs=5e-3 * c)
+    assert amps[2] == pytest.approx(c * report.mixed[-1].delta_b, abs=5e-3 * c)
+    unit = _scaled_branch_scan(1.0)[1]
+    assert amps[1:] == pytest.approx([c * a for a in unit[1:]], rel=1e-6)
     # the middle branch repels: it can only come from the capture pass
     assert branches[1].iterations == 0
-    scale = max(1.0, amps[1])
-    assert branches[1].residual < 1e-4 * scale
+    assert branches[1].residual < 1e-4 * c * max(1.0, amps[1] / c)
 
 
 def test_branch_scan_deduplicates_identical_basins():

@@ -369,8 +369,7 @@ def test_solve_all_solutions_pass_structural_checks(lb, lm, mu, T):
     assert report.multiplicity == len(report.mixed) <= 2
     for sol in report.solutions:
         checks = solution_checks(sol, report.params)
-        optional = {"mixing_angle_bound"} if mu + sol.delta_m < 0 else set()
-        bad = {k: v for k, v in checks.items() if not v and k not in optional}
+        bad = {k: v for k, v in checks.items() if not v}
         assert not bad, (sol, bad)
 
 
@@ -385,6 +384,15 @@ def test_mixed_residuals_are_tiny(lb, lm, mu, T):
         if sol.phase is PhaseLabel.TANGENT:
             continue  # degenerate double root: defect only O(sqrt(tol))
         assert sol.residual < 1e-7
+
+
+@pytest.mark.parametrize("c", [1.0, 1e150, 1e200, 1e300])
+def test_stored_residual_keeps_the_energy_identity_where_the_squares_overflow(c):
+    # w_bar = 4, mu + delta_m = 1, delta_b = 2 breaks w**2 = eff**2 + delta_b**2
+    # by 11/16 of w**2; scaled by c, w**2 overflows from c ~ 1e154 on
+    params = ModelParams(4.0 * c, 0.0, c, 0.5 * c)
+    residual = scalar_gap._mixed_residual(4.0 * c, 0.0, 2.0 * c, params)
+    assert residual == pytest.approx(0.6875, abs=1e-12)
 
 
 def test_huge_coupling_lower_branch_is_the_true_root():
