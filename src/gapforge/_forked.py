@@ -2,7 +2,8 @@
 
 :func:`run` is the one place the package forks.  It serves work that is
 pure Python or holds the GIL, where threads would take turns: the shares of
-a large scan, and the second of two kernel CSVs.  Its rules:
+a large scan, the text of a large scan's CSV, and the second of two kernel
+CSVs.  Its rules:
 
 * It forks at most ``usable_cpus() - 1`` children, counting the CPUs from
   ``os.sched_getaffinity(0)``, so a process pinned to one CPU (``taskset -c

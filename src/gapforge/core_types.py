@@ -28,6 +28,7 @@ field raises :class:`dataclasses.FrozenInstanceError`, and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
 from enum import Enum
 from typing import NamedTuple
@@ -123,6 +124,9 @@ def to_reduced(params: ModelParams) -> ReducedParams:
         params.lambda_m * half_beta,
         params.mu * half_beta,
     )
+
+
+_MIN_NORMAL = sys.float_info.min
 
 
 def scale_exponent(*energies: float) -> int:
@@ -288,17 +292,27 @@ class SolveReport:
 
 
 def energy_identity_defect(w: float, eff: float, db: float) -> float:
-    """``|w**2 - eff**2 - db**2| / max(1, w**2)`` for ``w_bar``, ``mu + delta_m``, ``delta_b``.
+    """``|w**2 - eff**2 - db**2| / w**2`` for ``w_bar``, ``mu + delta_m``, ``delta_b``.
 
-    Where the squares overflow the same ratio is taken in units of ``2**e``
-    near the largest energy, so it stays finite at any energy scale.
+    Relative to the energies' own scale, so it reads the same at any scale:
+    where a square leaves the normal range (over- or underflow) the same
+    ratio is taken in units of ``2**e`` near the largest energy.  At
+    ``w_bar = 0``, or ``w_bar`` too far below the other energies for its
+    square to show in those units, it is 0 when all three are 0 and
+    infinite otherwise.
     """
-    defect = abs(w * w - eff * eff - db * db) / max(1.0, w * w)
-    if math.isfinite(defect):
-        return defect
+    ww = w * w
+    if ww >= _MIN_NORMAL:
+        defect = abs(ww - eff * eff - db * db) / ww
+        if defect < math.inf:
+            return defect
     e = scale_exponent(w, eff, db)
     w, eff, db = (math.ldexp(v, -e) for v in (w, eff, db))
-    return abs(w * w - eff * eff - db * db) / max(math.ldexp(1.0, -2 * e), w * w)
+    ww = w * w
+    excess = abs(ww - eff * eff - db * db)
+    if ww == 0.0:
+        return 0.0 if excess == 0.0 else math.inf
+    return excess / ww
 
 
 def solution_checks(sol: GapSolution, params: ModelParams, tol: float = 1e-8) -> dict[str, bool]:

@@ -40,6 +40,15 @@ share ``i % n``), not contiguous blocks.  The rows are the values a serial
 scan computes, interleaved back into row-major order, so output stays
 reproducible byte for byte.
 
+:func:`write_scan_csv` formats a large scan's text the same way, under the
+same rules: from ``2 * _MIN_CSV_SHARE`` rows on, ``n = min(usable CPUs,
+rows // _MIN_CSV_SHARE)`` shares go to :func:`gapforge._forked.run`.  The
+rows are dealt to them in blocks of ``_CSV_BLOCK``, round-robin, since rows
+at small lambda_b carry no branches and format faster.  The caller writes
+the header and then the blocks in row order, so the bytes are those of a
+serial write; a row that raises is left to a serial write, which raises for
+it after the same rows.
+
 Each ranged axis is a lattice of evenly spaced doubles, both ends included:
 the values of an array ``linspace``, built with :mod:`math` alone, so this
 module, like the rest of the scalar core, needs no array package.
@@ -48,6 +57,7 @@ module, like the rest of the scalar core, needs no array package.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -277,11 +287,47 @@ def write_scan_csv(rows: Iterable[ScanRow], stream: IO[str]) -> None:
     """CSV with a mandatory header, LF line endings, shortest-round-trip floats.
 
     :mod:`csv` writes ``None`` as an empty field, a float by its ``repr``
-    and a region label by its value.
+    and a region label by its value.  From ``2 * _MIN_CSV_SHARE`` rows on
+    the rows are formatted on every usable CPU (see the module docstring);
+    below that, on one usable CPU or without an affinity call, in process.
+    The bytes written, and a row's exception, are those of a serial write.
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SCAN_COLUMNS)
-    writer.writerows(rows)
+    rows = list(rows)
+    n = min(usable_cpus(), len(rows) // _MIN_CSV_SHARE)
+    if n < 2:
+        writer.writerows(rows)
+        return
+    starts = range(0, len(rows), _CSV_BLOCK)
+    try:
+        shares = run([partial(_csv_blocks, rows, starts[share::n]) for share in range(n)])
+    except Exception:  # a row that csv cannot write: a serial write raises for it
+        shares = None
+    if shares is None:
+        writer.writerows(rows)
+        return
+    blocks: list = [None] * len(starts)
+    for share in range(n):
+        blocks[share::n] = shares[share]
+    stream.writelines(blocks)
+
+
+# A share below this many rows (~8 ms of formatting) gains too little over the
+# ~5 ms that a fork, its pickled text and the reap cost
+_MIN_CSV_SHARE = 1000
+# Blocks this small deal rows whose cost drifts along the lattice evenly
+_CSV_BLOCK = 64
+
+
+def _csv_blocks(rows: list[ScanRow], starts: range) -> list[str]:
+    """The CSV text of ``rows[start:start + _CSV_BLOCK]`` for each start."""
+    texts = []
+    for start in starts:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows[start:start + _CSV_BLOCK])
+        texts.append(buffer.getvalue())
+    return texts
 
 
 def write_scan_json(rows: Iterable[ScanRow], stream: IO[str]) -> None:

@@ -48,7 +48,6 @@ from .core_types import (
     fermi,
     scale_exponent,
     tanh_half,
-    to_reduced,
 )
 from .errors import (
     ConstraintViolation,
@@ -184,18 +183,22 @@ def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel
              PhaseLabel.MIXED_LOWER), upper]
 
 
-def _mixed_roots(params: ModelParams) -> list[tuple[float, PhaseLabel]]:
-    """Physical quasi-particle energies solving the pairing equation, labelled."""
+def _mixed_roots(params: ModelParams, beta: float) -> list[tuple[float, PhaseLabel]]:
+    """Physical quasi-particle energies solving the pairing equation, labelled.
+
+    ``beta`` is ``params.beta``, read once by the caller.
+    """
     if params.lambda_b == 0.0:
         raise ZeroCoupling(
             "lambda_b = 0 forces a vanishing quasi-particle energy; "
             "only the trivial branch exists and it is signalled, not solved"
         )
-    beta = params.beta
     if beta == 0.0:
         return []  # tanh term vanishes identically: no positive root
-    red = None if math.isinf(beta) else to_reduced(params)
-    if red is None or math.isinf(red.lambda_b_bar):
+    # the barred values of core_types.to_reduced
+    half_beta = 0.5 * beta
+    lb_bar = params.lambda_b * half_beta
+    if math.isinf(lb_bar):  # T = 0, or lambda_b / T overflows
         # step-function limit of the tanh factor; each root is the T -> 0+
         # limit of the same branch.  Where lambda_b / T overflows the reduced
         # coupling these roots are exact to rounding: tanh is saturated at
@@ -210,7 +213,7 @@ def _mixed_roots(params: ModelParams) -> list[tuple[float, PhaseLabel]]:
     # w = 0 is the trivial node (it always solves the equation at mu = 0 but
     # carries no pairing); a root that underflows to it is dropped
     return [(two_t * x, phase)
-            for x, phase in _reduced_pairing_roots(red.lambda_b_bar, red.mu_bar)
+            for x, phase in _reduced_pairing_roots(lb_bar, params.mu * half_beta)
             if two_t * x > 0.0]
 
 
@@ -228,7 +231,7 @@ def pairing_energy_roots(params: ModelParams) -> list[float]:
 
     Raises :class:`ZeroCoupling` for ``lambda_b == 0``.
     """
-    return [w for w, _ in _mixed_roots(params)]
+    return [w for w, _ in _mixed_roots(params, params.beta)]
 
 
 def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
@@ -357,16 +360,16 @@ def _pure_root(lm: float, beta: float) -> float:
     return math.copysign(s, lm)
 
 
-def _pure_solution(params: ModelParams) -> GapSolution:
+def _pure_solution(params: ModelParams, beta: float) -> GapSolution:
     dm = pure_mean_field(params)
     lm = params.lambda_m
     w = params.mu + dm  # signed effective energy on the pairing-free branch
     # at T = 0 and lambda_m > 0 the root is delta_m = 0+, where the step
     # function occupies nothing; its midpoint value 1/2 belongs to no side
-    if dm == 0.0 and math.isinf(params.beta):
+    if dm == 0.0 and math.isinf(beta):
         occupation = 0.0
     else:
-        occupation = fermi(dm, params.beta)
+        occupation = fermi(dm, beta)
     # |dm - 2*lm*occupation| / max(1, |lm|), halved inside so 2*lm cannot overflow
     residual = abs(0.5 * dm - lm * occupation) / max(1.0, abs(lm)) * 2.0
     return GapSolution(
@@ -380,8 +383,9 @@ def _pure_solution(params: ModelParams) -> GapSolution:
     )
 
 
-def _mixed_residual(w: float, dm: float, db: float, params: ModelParams) -> float:
-    t = tanh_half(w - params.mu, params.beta)
+def _mixed_residual(w: float, dm: float, db: float, params: ModelParams,
+                    beta: float) -> float:
+    t = tanh_half(w - params.mu, beta)
     r1 = abs(w - params.lambda_b * t) / max(1.0, abs(params.lambda_b))
     omega_eff = params.mu + dm
     r2 = (abs(dm - params.lambda_m * (1.0 - t * omega_eff / w))
@@ -389,7 +393,7 @@ def _mixed_residual(w: float, dm: float, db: float, params: ModelParams) -> floa
     return max(r1, r2, energy_identity_defect(w, omega_eff, db))
 
 
-def _lift(w: float, phase: PhaseLabel, params: ModelParams, tol: float,
+def _lift(w: float, phase: PhaseLabel, params: ModelParams, beta: float, tol: float,
           nonneg: bool) -> GapSolution:
     """The mixed solution on the pairing root ``w``, or the error saying why it is dropped."""
     dm = mean_field_gap_given_w(w, params)
@@ -404,7 +408,7 @@ def _lift(w: float, phase: PhaseLabel, params: ModelParams, tol: float,
         w_bar=w,
         coeffs=bogoliubov_from_gaps(omega_eff, db),
         phase=phase,
-        residual=_mixed_residual(w, dm, db, params),
+        residual=_mixed_residual(w, dm, db, params, beta),
         delta_b_sign_ambiguous=db > 0.0,
     )
 
@@ -432,11 +436,12 @@ def solve_all(params: ModelParams, tol: float = 1e-10,
     """
     if not 0.0 <= tol < math.inf:
         raise InvalidParameter(f"tol must be finite and non-negative, got {tol!r}")
+    beta = params.beta
     notes: list[str] = []
-    solutions: list[GapSolution] = [_pure_solution(params)]
+    solutions: list[GapSolution] = [_pure_solution(params, beta)]
 
     try:
-        roots = _mixed_roots(params)
+        roots = _mixed_roots(params, beta)
     except ZeroCoupling:
         roots = []
         notes.append("pairing channel inactive (lambda_b = 0): no mixed branch")
@@ -444,7 +449,7 @@ def solve_all(params: ModelParams, tol: float = 1e-10,
     for w, phase in roots:
         try:
             solutions.append(
-                _lift(w, phase, params, tol, require_nonneg_effective_energy))
+                _lift(w, phase, params, beta, tol, require_nonneg_effective_energy))
         except (SingularDenominator, ConstraintViolation, NotAdmissible) as exc:
             notes.append(f"root w_bar = {w:.9g} dropped: {exc}")
 

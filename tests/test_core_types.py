@@ -11,6 +11,7 @@ from gapforge.core_types import (
     GapSolution,
     ModelParams,
     PhaseLabel,
+    energy_identity_defect,
     fermi,
     solution_checks,
     tanh_half,
@@ -159,6 +160,29 @@ def test_solution_checks_hold_where_the_squares_overflow(c):
     checks = solution_checks(good, params)
     assert all(checks.values()), checks
     assert not solution_checks(broken, params)["energy_identity"]
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-100, 1e-200, 1e-300, 1e150, 1e300])
+def test_energy_identity_defect_is_relative_at_any_scale(c):
+    # w_bar = 5.5c, mu + delta_m = 3c, delta_b = 4c breaks the identity by 21/121 of w_bar**2
+    assert energy_identity_defect(5.5 * c, 3.0 * c, 4.0 * c) == pytest.approx(21 / 121, rel=1e-12)
+    assert energy_identity_defect(5.0 * c, 3.0 * c, 4.0 * c) < 1e-15
+    c_, s_ = math.sqrt(0.8), math.sqrt(0.2)
+    params = ModelParams(6.0 * c, 1.0 * c, 2.0 * c, 0.5 * c)
+    good = _solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER)
+    broken = _solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER)
+    assert solution_checks(good, params)["energy_identity"]
+    assert not solution_checks(broken, params)["energy_identity"]
+
+
+@pytest.mark.parametrize("w, eff, db, defect", [
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0, math.inf),
+    (1e-200, 1.0, 0.0, math.inf),  # w_bar**2 does not show beside eff**2
+    (1.0, 1e200, 0.0, math.inf),
+])
+def test_energy_identity_defect_at_a_vanishing_quasienergy(w, eff, db, defect):
+    assert energy_identity_defect(w, eff, db) == defect
 
 
 def test_solution_checks_mean_field_sign():

@@ -664,6 +664,119 @@ def test_csv_matches_the_per_cell_reference():
     assert buffer.getvalue() == _reference_csv(rows)
 
 
+def _csv_rows():
+    """The mixed lattice's rows, each error message holding a comma, a quote and a newline."""
+    rows = scan(_MIXED_RANGES, _MIXED_FIXED)
+    assert any(row.error is None and row.w_bar_upper is None for row in rows)
+    assert len({row.region for row in rows} - {None}) == 5
+    return [row._replace(error=f'{row.error}, "quoted"\nnext line') if row.error else row
+            for row in rows]
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    write_scan_csv(rows, buffer)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_csv_equals_the_in_process_csv(monkeypatch, workers):
+    rows = _csv_rows()
+    serial = _csv_text(rows)  # 64 rows: below the floor
+    assert serial.count('"quoted""\nnext line"') == 8  # quoted by csv
+    monkeypatch.setattr(phase_diagram, "_MIN_CSV_SHARE", 4)
+    monkeypatch.setattr(phase_diagram, "_CSV_BLOCK", 5)
+    usable_cpus(monkeypatch, workers)
+    forks = counted_forks(monkeypatch)
+    assert _csv_text(rows) == serial
+    assert _csv_text(row for row in rows) == serial
+    assert len(forks) == 2 * (workers - 1)
+    assert_no_child_left()
+
+
+def test_csv_forks_from_twice_the_minimum_share(monkeypatch):
+    side = 2 * phase_diagram._MIN_CSV_SHARE
+    rows = _csv_rows() * (side // 64 + 1)
+
+    def no_fork():
+        raise AssertionError("os.fork called below the floor")
+
+    usable_cpus(monkeypatch, 64)
+    monkeypatch.setattr(os, "fork", no_fork)
+    _csv_text(rows[:side - 1])
+    forks = counted_forks(monkeypatch)
+    forked = _csv_text(rows[:side])
+    assert len(forks) == 1  # two shares of _MIN_CSV_SHARE
+    assert_no_child_left()
+    usable_cpus(monkeypatch, 1)
+    assert forked == _csv_text(rows[:side])
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_one_usable_cpu_or_no_affinity_call_writes_in_process(monkeypatch, cpus):
+    rows = _csv_rows()
+    serial = _csv_text(rows)
+    monkeypatch.setattr(phase_diagram, "_MIN_CSV_SHARE", 4)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        usable_cpus(monkeypatch, cpus)
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _csv_text(rows) == serial
+
+
+def test_a_failed_fork_leaves_the_csv_share_to_the_caller(monkeypatch):
+    rows = _csv_rows()
+    serial = _csv_text(rows)
+    monkeypatch.setattr(phase_diagram, "_MIN_CSV_SHARE", 4)
+    monkeypatch.setattr(phase_diagram, "_CSV_BLOCK", 5)
+    usable_cpus(monkeypatch, 3)
+    calls = []
+
+    def second_fork_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "no process to spare")
+        return FORK()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    assert _csv_text(rows) == serial
+    assert len(calls) == 2
+    assert_no_child_left()
+
+
+class _Unprintable:
+    def __str__(self):
+        raise ZeroDivisionError("planted")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("failing", [3, 8], ids=["caller-share", "child-share"])
+def test_a_row_that_raises_fails_as_in_the_serial_write(monkeypatch, workers, failing):
+    # blocks of 5 rows: row 3 is formatted by the caller, row 8 by the first child;
+    # row 40 raises too, after the serial write has stopped
+    rows = _csv_rows()
+    for i in (failing, 40):
+        rows[i] = rows[i]._replace(error=_Unprintable())
+    serial = io.StringIO()
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        write_scan_csv(rows, serial)
+    monkeypatch.setattr(phase_diagram, "_MIN_CSV_SHARE", 4)
+    monkeypatch.setattr(phase_diagram, "_CSV_BLOCK", 5)
+    usable_cpus(monkeypatch, workers)
+    forks = counted_forks(monkeypatch)
+    forked = io.StringIO()
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        write_scan_csv(rows, forked)
+    assert forked.getvalue() == serial.getvalue()
+    assert len(forks) == workers - 1
+    assert_no_child_left()
+
+
 def test_scan_rows_are_records_in_column_order():
     rows = _demo_rows()
     buffer = io.StringIO()

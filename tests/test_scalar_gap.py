@@ -391,7 +391,15 @@ def test_stored_residual_keeps_the_energy_identity_where_the_squares_overflow(c)
     # w_bar = 4, mu + delta_m = 1, delta_b = 2 breaks w**2 = eff**2 + delta_b**2
     # by 11/16 of w**2; scaled by c, w**2 overflows from c ~ 1e154 on
     params = ModelParams(4.0 * c, 0.0, c, 0.5 * c)
-    residual = scalar_gap._mixed_residual(4.0 * c, 0.0, 2.0 * c, params)
+    residual = scalar_gap._mixed_residual(4.0 * c, 0.0, 2.0 * c, params, params.beta)
+    assert residual == pytest.approx(0.6875, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-100, 1e-200, 1e-300])
+def test_stored_residual_keeps_the_energy_identity_below_unit_scale(c):
+    # the triple above, scaled so that w_bar**2 is far below 1 or underflows
+    params = ModelParams(4.0 * c, 0.0, c, 0.5 * c)
+    residual = scalar_gap._mixed_residual(4.0 * c, 0.0, 2.0 * c, params, params.beta)
     assert residual == pytest.approx(0.6875, abs=1e-12)
 
 
