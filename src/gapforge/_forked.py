@@ -2,8 +2,10 @@
 
 :func:`run` is the one place the package forks.  It serves work that is
 pure Python or holds the GIL, where threads would take turns: the shares of
-a large scan, the text of a large scan's CSV, and the second of two kernel
-CSVs.  Its rules:
+a large scan, the text of a large scan's CSV and the second of two kernel
+CSVs; and numpy work that calls user callables, the chunks of the smearing
+correlation, where threads would need ``v`` and ``profile`` to be
+thread-safe.  Its rules:
 
 * It forks at most ``usable_cpus() - 1`` children, counting the CPUs from
   ``os.sched_getaffinity(0)``, so a process pinned to one CPU (``taskset -c
@@ -20,6 +22,10 @@ CSVs.  Its rules:
   path.
 
 An in-process run imports neither :mod:`pickle` nor :mod:`signal`.
+
+A process whose BLAS keeps a thread pool forks too; the children run numpy
+and BLAS calls.  From Python 3.12 ``os.fork`` warns (``DeprecationWarning``)
+in any process with more than one thread; CI tests up to Python 3.11.
 """
 
 from __future__ import annotations

@@ -229,6 +229,8 @@ class TabulatedKernel:
     def is_symmetric(self) -> bool:
         """Equal to its transpose to 1e-12 of its largest finite entry; infinities exactly."""
         m = self.matrix
+        if np.array_equal(m, m.T):  # exactly symmetric, as a written symmetric kernel is
+            return True
         finite = np.isfinite(m)  # the mask alone: no |m| or copy of a large matrix
         size = max(np.max(m, where=finite, initial=0.0), -np.min(m, where=finite, initial=0.0))
         return bool(np.allclose(m, m.T, rtol=1e-12, atol=1e-12 * size))
@@ -291,7 +293,8 @@ def load_kernel_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     the row-by-row reader run, to name the faulty line.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8", also after seek(0)
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read kernel file: {exc.strerror}") from None
     with fh:

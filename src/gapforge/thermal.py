@@ -22,10 +22,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._forked import run, usable_cpus
 from .core_types import ModelParams, bogoliubov_from_gaps  # noqa: F401 - re-exported
 from .errors import FitFailed, InvalidParameter, MomentumOffGrid
 
@@ -280,13 +282,25 @@ def smearing_scaling_check(profile: Callable, v: Callable,
     ``v`` and ``profile`` must accept numpy arrays, and ``G`` must be even,
     as the occupation and a centred smearing are: then H is even too, so it
     is computed on u >= 0 only and mirrored, on p- and u-grids symmetric
-    bit for bit.  Raises :class:`FitFailed` when a width is not finite, not
-    positive or so large that ``2 * kappa`` overflows, a width is repeated,
-    the kappa list spans less than two decades, ``G`` on the p-grid is not
-    exactly even, or the computed intensities are not finite (a nan or inf
-    in ``G``), not positive or fail to decrease; the last two are symptoms
-    of an identically-vanishing profile or an under-resolved quadrature,
-    from which no exponent should be quoted.
+    bit for bit.
+
+    H is computed on every usable CPU: its u-rows go in 64-row chunks to
+    :func:`gapforge._forked.run`, one share in process and the others in
+    forked children, since ``v`` and ``profile`` are user callables that
+    need not be thread-safe.  There is no knob and no floor.  On one usable
+    CPU (``taskset -c 0``), or without ``os.sched_getaffinity``, it runs in
+    process.  Every chunk is the same product on the same block either way,
+    so the intensities and the slope are the same bit for bit; a share
+    whose child fails is computed again in process, and an exception in any
+    share is raised as by a serial run.
+
+    Raises :class:`FitFailed` when a width is not finite, not positive or
+    so large that ``2 * kappa`` overflows, a width is repeated, the kappa
+    list spans less than two decades, ``G`` on the p-grid is not exactly
+    even, or the computed intensities are not finite (a nan or inf in
+    ``G``), not positive or fail to decrease; the last two are symptoms of
+    an identically-vanishing profile or an under-resolved quadrature, from
+    which no exponent should be quoted.
     """
     kap = np.sort(np.asarray(list(kappas), dtype=float))
     if not np.all(np.isfinite(kap)):
@@ -315,13 +329,8 @@ def smearing_scaling_check(profile: Callable, v: Callable,
     u = _smearing_nodes(kap)
     u_half = u[u.size // 2:]  # u >= 0, from u = 0
 
-    weighted = wp * g_p
-    corr_half = np.empty(u_half.size)
-    # 64-row chunks keep each temporary near 1 MB at 2001 points
-    for lo in range(0, u_half.size, 64):
-        shift = u_half[lo:lo + 64, None] - p[None, :]
-        corr_half[lo:lo + 64] = (np.asarray(v(shift), dtype=float)
-                                 * np.asarray(profile(shift), dtype=float)) @ weighted
+    corr_half = _correlation(partial(_correlation_chunks, profile, v, u_half, p, wp * g_p),
+                             range(0, u_half.size, _CORRELATION_CHUNK))
     corr = np.concatenate([corr_half[:0:-1], corr_half])  # H is even
 
     patches = [np.abs(u) <= half for half in _smearing_halves(kap)]
@@ -336,6 +345,42 @@ def smearing_scaling_check(profile: Callable, v: Callable,
 
     slope = float(np.polyfit(np.log(kap), np.log(intensities), 1)[0])
     return SmearingScalingResult(slope=slope, kappas=kap, intensities=intensities)
+
+
+# 64-row chunks keep each temporary near 1 MB at 2001 points
+_CORRELATION_CHUNK = 64
+
+
+def _correlation_chunks(profile: Callable, v: Callable, u: np.ndarray, p: np.ndarray,
+                        weighted: np.ndarray, starts: Sequence[int]) -> list[np.ndarray]:
+    """``sum_p G(u - p) weighted(p)`` for the chunk of u-rows at each start."""
+    chunks = []
+    for lo in starts:
+        shift = u[lo:lo + _CORRELATION_CHUNK, None] - p[None, :]
+        chunks.append((np.asarray(v(shift), dtype=float)
+                       * np.asarray(profile(shift), dtype=float)) @ weighted)
+    return chunks
+
+
+def _correlation(chunks: Callable[[Sequence[int]], list[np.ndarray]],
+                 starts: range) -> np.ndarray:
+    """The chunks at ``starts``, joined in order: chunk k in share k mod n of
+    :func:`gapforge._forked.run`, n = min(usable CPUs, chunks).
+
+    If any share raises, every chunk is computed again in order, so the
+    exception is that of a serial run.
+    """
+    n = min(usable_cpus(), len(starts))
+    if n < 2:
+        return np.concatenate(chunks(starts))
+    try:
+        shares = run([partial(chunks, starts[share::n]) for share in range(n)])
+    except Exception:  # computed in order, the first chunk that raises raises again
+        return np.concatenate(chunks(starts))
+    ordered: list = [None] * len(starts)
+    for share in range(n):
+        ordered[share::n] = shares[share]
+    return np.concatenate(ordered)
 
 
 def pairing_diagonal_term(table: ModeTable, v: Callable,

@@ -193,6 +193,18 @@ def test_pairing_kernel_symmetry_is_relative_to_its_size(scale):
     CoupledKernels(pairing=TabulatedKernel(np.zeros((2, 2))), mean_field=asym)
 
 
+def test_an_exactly_symmetric_kernel_skips_the_tolerance_check(monkeypatch):
+    p = np.linspace(0.0, 3.0, 601)[1:]
+    shell = np.exp(-0.5 * ((p - 1.0) / 0.1) ** 2)
+    kernel = TabulatedKernel(np.outer(shell, shell))
+
+    def no_allclose(*args, **kwargs):
+        raise AssertionError("np.allclose called on an exactly symmetric kernel")
+
+    monkeypatch.setattr(np, "allclose", no_allclose)
+    assert kernel.is_symmetric
+
+
 def test_separable_and_tabulated_forms_agree_for_smooth_shapes():
     # A plain callable shape has no exact band quadrature, so both forms
     # integrate with the grid's trapezoid weights and must match.
@@ -230,7 +242,7 @@ def test_tabulated_shell_with_measure_columns_matches_separable():
 
 def _write(tmp_path, text):
     path = tmp_path / "kernel.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -272,6 +284,24 @@ def test_kernel_csv_reports_physical_line_numbers(tmp_path):
         load_kernel_csv(path)
     path = _write(tmp_path, "\r\n0.0,1.0\r\n\r\n1,2\r\n3\r\n")
     with pytest.raises(ConfigError, match="line 5: expected 2 columns"):
+        load_kernel_csv(path)
+
+
+def test_kernel_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+    text = "0.0,0.5,1.0\n1,2,3\n2,4,6\n3,6,9\n"
+    plain = load_kernel_csv(_write(tmp_path, text))
+    marked = load_kernel_csv(_write(tmp_path, "\ufeff" + text))
+    for got, want in zip(marked, plain):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_csv_with_a_byte_order_mark_names_the_bad_line(tmp_path):
+    path = _write(tmp_path, "\ufeff0.0,0.5,1.0\n\n1,2,3\n1,x,3\n1,2,3\n")
+    with pytest.raises(ConfigError, match="line 4"):
+        load_kernel_csv(path)
+    path = _write(tmp_path, "\ufeff0.0,0.5,0.4\n1,2,3\n1,2,3\n1,2,3\n")
+    with pytest.raises(ConfigError, match="line 1: momenta"):
         load_kernel_csv(path)
 
 

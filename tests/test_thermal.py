@@ -1,6 +1,8 @@
 """Tests for mode diagonalization and thermal expectation values."""
 
+import errno
 import math
+import os
 import sys
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from forks import FORK, assert_no_child_left, counted_forks, usable_cpus
 from gapforge import thermal
 from gapforge.core_types import ModelParams, fermi
 from gapforge.errors import FitFailed, InvalidParameter, MomentumOffGrid, ZeroEnergy
@@ -393,19 +396,131 @@ def test_smearing_check_refuses_an_uneven_smearing():
         smearing_scaling_check(ones, shifted, np.logspace(0.0, 4.0, 9))
 
 
-def test_smearing_correlation_runs_on_half_the_u_grid():
-    kappas = np.logspace(0.0, 4.0, 9)
-    seen = []
-
-    def counting_gaussian(p):
+def _counting_gaussian(seen):
+    """A Gaussian smearing that records the size of every argument it sees."""
+    def gaussian(p):
         p = np.asarray(p, dtype=float)
         seen.append(p.size)
         return np.exp(-p ** 2)
 
+    return gaussian
+
+
+def test_smearing_correlation_runs_on_half_the_u_grid(monkeypatch):
+    # on one usable CPU every evaluation is made here, where it is counted
+    kappas = np.logspace(0.0, 4.0, 9)
+    seen = []
+    usable_cpus(monkeypatch, 1)
     smearing_scaling_check(lambda p: np.ones_like(np.asarray(p, dtype=float)),
-                           counting_gaussian, kappas)
+                           _counting_gaussian(seen), kappas)
     u = thermal._smearing_nodes(kappas)
     assert sum(seen) <= (u.size // 2 + 1) * 2001 + 2001
+
+
+def test_a_forked_smearing_correlation_leaves_the_caller_its_share(monkeypatch):
+    kappas = np.logspace(0.0, 4.0, 9)
+    seen = []
+    usable_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    smearing_scaling_check(lambda p: np.ones_like(np.asarray(p, dtype=float)),
+                           _counting_gaussian(seen), kappas)
+    assert len(forks) == 1
+    assert_no_child_left()
+    rows = thermal._smearing_nodes(kappas).size // 2 + 1
+    starts = range(0, rows, thermal._CORRELATION_CHUNK)
+    mine = sum(min(thermal._CORRELATION_CHUNK, rows - lo) for lo in starts[0::2])
+    assert sum(seen) <= mine * 2001 + 2001
+
+
+def _smearing_bytes(profile, kappas):
+    """The intensities' bytes and the slope's repr under a Gaussian smearing."""
+    v = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
+    if profile == "demo_table":
+        prof = occupation_profile(_demo_table())
+    else:
+        prof = lambda p: np.ones_like(np.asarray(p, dtype=float))
+    result = smearing_scaling_check(prof, v, kappas)
+    return result.intensities.tobytes(), repr(result.slope)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kappas", [np.logspace(0.0, 4.0, 9), [0.01, 1.0, 100.0]],
+                         ids=["nine-decades", "three-widths"])
+@pytest.mark.parametrize("profile", ["demo_table", "gaussian"])
+def test_a_forked_smearing_check_gives_the_bytes_of_one_cpu(monkeypatch, profile, kappas,
+                                                            workers):
+    usable_cpus(monkeypatch, 1)
+    serial = _smearing_bytes(profile, kappas)
+    usable_cpus(monkeypatch, workers)
+    forks = counted_forks(monkeypatch)
+    assert _smearing_bytes(profile, kappas) == serial
+    assert len(forks) == workers - 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_one_usable_cpu_or_no_affinity_call_smears_in_process(monkeypatch, cpus):
+    kappas = np.logspace(0.0, 4.0, 9)
+    usable_cpus(monkeypatch, 2)
+    forked = _smearing_bytes("demo_table", kappas)
+    if cpus is None:  # as on macOS and Windows
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:  # as under taskset -c 0
+        usable_cpus(monkeypatch, cpus)
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _smearing_bytes("demo_table", kappas) == forked
+
+
+def test_a_failed_fork_leaves_the_smearing_share_to_the_caller(monkeypatch):
+    kappas = np.logspace(0.0, 4.0, 9)
+    usable_cpus(monkeypatch, 1)
+    serial = _smearing_bytes("demo_table", kappas)
+    usable_cpus(monkeypatch, 3)
+    calls = []
+
+    def second_fork_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "no process to spare")
+        return FORK()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    assert _smearing_bytes("demo_table", kappas) == serial
+    assert len(calls) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_smearing_that_raises_fails_as_in_the_serial_run(monkeypatch, workers):
+    # chunk 1 is a child's and raises first in a serial run; chunk `workers`
+    # is the caller's second and raises first in the caller
+    kappas = np.logspace(0.0, 4.0, 9)
+    u = thermal._smearing_nodes(kappas)
+    u_half = u[u.size // 2:]
+    failing = {1: "chunk 1", workers: f"chunk {workers}"}
+
+    def planted(p):
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 2:  # a chunk of u-rows: p[:, 1000] is u itself, as p-grid[1000] = 0
+            chunk = int(np.searchsorted(u_half, p[0, 1000])) // thermal._CORRELATION_CHUNK
+            if chunk in failing:
+                raise ZeroDivisionError(failing[chunk])
+        return np.exp(-p ** 2)
+
+    ones = lambda p: np.ones_like(np.asarray(p, dtype=float))
+    usable_cpus(monkeypatch, 1)
+    with pytest.raises(ZeroDivisionError, match="chunk 1$"):
+        smearing_scaling_check(ones, planted, kappas)
+    usable_cpus(monkeypatch, workers)
+    forks = counted_forks(monkeypatch)
+    with pytest.raises(ZeroDivisionError, match="chunk 1$"):
+        smearing_scaling_check(ones, planted, kappas)
+    assert len(forks) == workers - 1
+    assert_no_child_left()
 
 
 # The u-grid of smearing_scaling_check: the coarse patch and one patch per
