@@ -1,11 +1,9 @@
 """Independent calls on every usable CPU: the first here, the others in forked children.
 
 :func:`run` is the one place the package forks.  It serves work that is
-pure Python or holds the GIL, where threads would take turns: the shares of
-a large scan, the text of a large scan's CSV and the second of two kernel
-CSVs; and numpy work that calls user callables, the chunks of the smearing
-correlation, where threads would need ``v`` and ``profile`` to be
-thread-safe.  Its rules:
+pure Python or holds the GIL, where threads would take turns, and has three
+users: the shares of a large scan, the text of a large scan's CSV and the
+second of two kernel CSVs.  Its rules:
 
 * It forks at most ``usable_cpus() - 1`` children, counting the CPUs from
   ``os.sched_getaffinity(0)``, so a process pinned to one CPU (``taskset -c

@@ -1,6 +1,5 @@
 """Tests for mode diagonalization and thermal expectation values."""
 
-import errno
 import math
 import os
 import sys
@@ -11,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from forks import FORK, assert_no_child_left, counted_forks, usable_cpus
+from forks import counted_forks, usable_cpus
 from gapforge import thermal
 from gapforge.core_types import ModelParams, fermi
 from gapforge.errors import FitFailed, InvalidParameter, MomentumOffGrid, ZeroEnergy
@@ -368,7 +367,7 @@ def test_smearing_slope_holds_across_widths_decades_apart(kappas):
     result = smearing_scaling_check(ones, gaussian, kappas)
     assert result.slope == pytest.approx(-0.5, abs=1e-3)
     oracle = [oracles.smearing_intensity_gaussian(k) for k in kappas]
-    np.testing.assert_allclose(result.intensities, oracle, rtol=1e-4)
+    np.testing.assert_allclose(result.intensities, oracle, rtol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -406,193 +405,120 @@ def _counting_gaussian(seen):
     return gaussian
 
 
-def test_smearing_correlation_runs_on_half_the_u_grid(monkeypatch):
-    # on one usable CPU every evaluation is made here, where it is counted
-    kappas = np.logspace(0.0, 4.0, 9)
+def test_smearing_check_evaluates_g_once_per_lattice_point():
+    # 2001 p-points, then 2000 m + A + 1 lattice points per width: 270 911 in all,
+    # where one evaluation per (u, p) pair took ~6.5 M
     seen = []
-    usable_cpus(monkeypatch, 1)
     smearing_scaling_check(lambda p: np.ones_like(np.asarray(p, dtype=float)),
-                           _counting_gaussian(seen), kappas)
-    u = thermal._smearing_nodes(kappas)
-    assert sum(seen) <= (u.size // 2 + 1) * 2001 + 2001
-
-
-def test_a_forked_smearing_correlation_leaves_the_caller_its_share(monkeypatch):
-    kappas = np.logspace(0.0, 4.0, 9)
-    seen = []
-    usable_cpus(monkeypatch, 2)
-    forks = counted_forks(monkeypatch)
-    smearing_scaling_check(lambda p: np.ones_like(np.asarray(p, dtype=float)),
-                           _counting_gaussian(seen), kappas)
-    assert len(forks) == 1
-    assert_no_child_left()
-    rows = thermal._smearing_nodes(kappas).size // 2 + 1
-    starts = range(0, rows, thermal._CORRELATION_CHUNK)
-    mine = sum(min(thermal._CORRELATION_CHUNK, rows - lo) for lo in starts[0::2])
-    assert sum(seen) <= mine * 2001 + 2001
-
-
-def _smearing_bytes(profile, kappas):
-    """The intensities' bytes and the slope's repr under a Gaussian smearing."""
-    v = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
-    if profile == "demo_table":
-        prof = occupation_profile(_demo_table())
-    else:
-        prof = lambda p: np.ones_like(np.asarray(p, dtype=float))
-    result = smearing_scaling_check(prof, v, kappas)
-    return result.intensities.tobytes(), repr(result.slope)
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("kappas", [np.logspace(0.0, 4.0, 9), [0.01, 1.0, 100.0]],
-                         ids=["nine-decades", "three-widths"])
-@pytest.mark.parametrize("profile", ["demo_table", "gaussian"])
-def test_a_forked_smearing_check_gives_the_bytes_of_one_cpu(monkeypatch, profile, kappas,
-                                                            workers):
-    usable_cpus(monkeypatch, 1)
-    serial = _smearing_bytes(profile, kappas)
-    usable_cpus(monkeypatch, workers)
-    forks = counted_forks(monkeypatch)
-    assert _smearing_bytes(profile, kappas) == serial
-    assert len(forks) == workers - 1
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("cpus", [1, None])
-def test_one_usable_cpu_or_no_affinity_call_smears_in_process(monkeypatch, cpus):
-    kappas = np.logspace(0.0, 4.0, 9)
-    usable_cpus(monkeypatch, 2)
-    forked = _smearing_bytes("demo_table", kappas)
-    if cpus is None:  # as on macOS and Windows
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:  # as under taskset -c 0
-        usable_cpus(monkeypatch, cpus)
-
-    def no_fork():
-        raise AssertionError("os.fork called")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert _smearing_bytes("demo_table", kappas) == forked
-
-
-def test_a_failed_fork_leaves_the_smearing_share_to_the_caller(monkeypatch):
-    kappas = np.logspace(0.0, 4.0, 9)
-    usable_cpus(monkeypatch, 1)
-    serial = _smearing_bytes("demo_table", kappas)
-    usable_cpus(monkeypatch, 3)
-    calls = []
-
-    def second_fork_fails():
-        calls.append(None)
-        if len(calls) == 2:
-            raise BlockingIOError(errno.EAGAIN, "no process to spare")
-        return FORK()
-
-    monkeypatch.setattr(os, "fork", second_fork_fails)
-    assert _smearing_bytes("demo_table", kappas) == serial
-    assert len(calls) == 2
-    assert_no_child_left()
+                           _counting_gaussian(seen), np.logspace(0.0, 4.0, 9))
+    assert sum(seen) <= 300_000
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_smearing_that_raises_fails_as_in_the_serial_run(monkeypatch, workers):
-    # chunk 1 is a child's and raises first in a serial run; chunk `workers`
-    # is the caller's second and raises first in the caller
-    kappas = np.logspace(0.0, 4.0, 9)
-    u = thermal._smearing_nodes(kappas)
-    u_half = u[u.size // 2:]
-    failing = {1: "chunk 1", workers: f"chunk {workers}"}
+    # the check runs in process on any number of usable CPUs: v sees the p-grid,
+    # then each width's lattice in turn, and its first exception is raised as it is
+    calls = []
 
     def planted(p):
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 2:  # a chunk of u-rows: p[:, 1000] is u itself, as p-grid[1000] = 0
-            chunk = int(np.searchsorted(u_half, p[0, 1000])) // thermal._CORRELATION_CHUNK
-            if chunk in failing:
-                raise ZeroDivisionError(failing[chunk])
-        return np.exp(-p ** 2)
+        calls.append(None)
+        if len(calls) in (4, 8):  # the lattices of kappa = 10 and 1e3
+            raise ZeroDivisionError(f"call {len(calls)}")
+        return np.exp(-np.asarray(p, dtype=float) ** 2)
 
     ones = lambda p: np.ones_like(np.asarray(p, dtype=float))
-    usable_cpus(monkeypatch, 1)
-    with pytest.raises(ZeroDivisionError, match="chunk 1$"):
-        smearing_scaling_check(ones, planted, kappas)
     usable_cpus(monkeypatch, workers)
     forks = counted_forks(monkeypatch)
-    with pytest.raises(ZeroDivisionError, match="chunk 1$"):
-        smearing_scaling_check(ones, planted, kappas)
-    assert len(forks) == workers - 1
-    assert_no_child_left()
+    with pytest.raises(ZeroDivisionError, match="^call 4$"):
+        smearing_scaling_check(ones, planted, np.logspace(0.0, 4.0, 9))
+    assert forks == []
 
 
-# The u-grid of smearing_scaling_check: the coarse patch and one patch per
-# width, as (half-width, node count); the step of a patch is 2*half/(n - 1)
-def _patches(kappas):
-    return [(12.0, 2401)] + [(min(10.0 / math.sqrt(2.0 * k), 12.0), 1201)
-                             for k in kappas]
+@pytest.mark.parametrize("cpus", [1, None])
+def test_one_usable_cpu_or_no_affinity_call_smears_in_process(monkeypatch, cpus):
+    # as on any number of usable CPUs
+    kappas = np.logspace(0.0, 4.0, 9)
+    v = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
+    profile = occupation_profile(_demo_table())
+    usable_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    on_two = smearing_scaling_check(profile, v, kappas)
+    assert forks == []
+    if cpus is None:  # as on macOS and Windows
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:  # as under taskset -c 0
+        usable_cpus(monkeypatch, cpus)
+    result = smearing_scaling_check(profile, v, kappas)
+    assert np.array_equal(result.intensities, on_two.intensities)
+    assert result.slope == on_two.slope
 
 
-def _union_nodes(kappas):
-    return np.unique(np.concatenate([np.linspace(-h, h, n) for h, n in _patches(kappas)]))
-
-
-def _union_grid_intensities(profile, v, kappas):
-    """The smeared intensities on the union of every patch's nodes."""
+def _brute_force_intensities(profile, v, kappas):
+    """Each width's intensity on its own nodes, with G evaluated at every (u, p) pair."""
     p = np.linspace(-6.0, 6.0, 2001)
-    wp = thermal._trapezoid_weights(p)
-    u = _union_nodes(kappas)
-    wu = thermal._trapezoid_weights(u)
+    wp = np.full(p.size, 0.006)
+    wp[[0, -1]] = 0.003
     weighted = wp * v(p) * profile(p)
-    corr = np.array([np.dot(v(x - p) * profile(x - p), weighted) for x in u])
-    return np.array([np.sum(np.exp(-2.0 * k * u ** 2) * wu * corr) for k in kappas])
+    intensities = []
+    for k in kappas:
+        _, u = thermal._smearing_lattice(k)
+        corr = np.concatenate([(v(x[:, None] - p) * profile(x[:, None] - p)) @ weighted
+                               for x in np.array_split(u, u.size // 256 + 1)])
+        wu = np.full(u.size, u[1] - u[0])
+        wu[[0, -1]] *= 0.5
+        intensities.append(np.sum(np.exp(-2.0 * k * u ** 2) * wu * corr))
+    return np.array(intensities)
 
 
-def test_smearing_grid_keeps_only_the_finest_cover():
-    kappas = np.logspace(0.0, 4.0, 9)
-    assert _union_nodes(kappas).size == 13161
-    assert thermal._smearing_nodes(kappas).size == 6489
-
-
-@pytest.mark.parametrize("kappas", [np.logspace(0.0, 4.0, 9), [0.01, 1.0, 100.0],
-                                    [0.3, 2.0, 45.0, 3e3]])
-def test_every_smearing_gap_is_within_the_step_of_its_finest_cover(kappas):
-    u = thermal._smearing_nodes(np.asarray(kappas, dtype=float))
-    patches = _patches(kappas)
-    assert np.all(np.diff(u) > 0.0)
-    assert np.all(np.abs(u) <= max(h for h, _ in patches))
-    assert np.min(np.abs(u)) < 1e-15  # the finest patch keeps u = 0
-    for a, b in zip(u[:-1], u[1:]):
-        # the finest patch whose range holds the whole gap
-        step = min(2.0 * h / (n - 1) for h, n in patches if -h <= a and b <= h)
-        assert b - a <= step * (1.0 + 1e-9), (a, b, step)
-
-
-@pytest.mark.parametrize("kappas", [np.logspace(0.0, 4.0, 9), [0.01, 1.0, 100.0],
-                                    [0.3, 2.0, 45.0, 3e3]])
-def test_smearing_grid_is_mirror_symmetric_bit_for_bit(kappas):
-    u = thermal._smearing_nodes(np.asarray(kappas, dtype=float))
-    assert u.size % 2 == 1 and u[u.size // 2] == 0.0
-    assert np.array_equal(u, -u[::-1])
-
-
-def test_widths_clamped_to_the_coarse_range_keep_the_coarse_step():
-    # kappa = 0.01 and 1 give patches coarser than the coarse one; only the
-    # kappa = 100 patch, |u| <= 1/sqrt(2), is finer
-    u = thermal._smearing_nodes(np.array([0.01, 1.0, 100.0]))
-    outside = u[np.abs(u) > 1.0]
-    np.testing.assert_allclose(np.diff(outside[outside > 0.0]), 0.01, rtol=1e-9)
-    assert outside.max() == 12.0
-
-
+@pytest.mark.parametrize("kappas", [np.logspace(0.0, 4.0, 9), [1.0, 100.0, 1e300]],
+                         ids=["lattice", "direct"])
 @pytest.mark.parametrize("profile", ["demo_table", "gaussian"])
-def test_smearing_intensities_match_the_union_grid(profile):
-    kappas = np.logspace(0.0, 4.0, 9)
+def test_smearing_intensities_match_a_brute_force_sum(profile, kappas):
+    # kappa = 1e300 has ~600 nodes a step h/m ~ 1e-152 apart: too sparse a
+    # lattice, so its G is evaluated at each (u, p) pair, as here
     v = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
     if profile == "demo_table":
         prof = occupation_profile(_demo_table())
     else:
         prof = lambda p: np.ones_like(np.asarray(p, dtype=float))
     result = smearing_scaling_check(prof, v, kappas)
-    reference = _union_grid_intensities(prof, v, kappas)
-    np.testing.assert_allclose(result.intensities, reference, rtol=5e-6)
+    reference = _brute_force_intensities(prof, v, kappas)
+    np.testing.assert_allclose(result.intensities, reference, rtol=1e-12)
+
+
+_WIDTH_LISTS = [np.logspace(0.0, 4.0, 9), [0.01, 1.0, 100.0], [0.3, 2.0, 45.0, 3e3],
+                [1.0, 100.0, 1e300]]
+
+
+@pytest.mark.parametrize("kappas", _WIDTH_LISTS)
+def test_each_width_steps_by_a_divisor_of_the_p_step(kappas):
+    # h/m divides the p-step h = 0.006 and is never coarser than h/4 or than
+    # 1201 nodes across |u| <= half
+    h = 0.006
+    for k in kappas:
+        m, u = thermal._smearing_lattice(k)
+        half = min(10.0 / math.sqrt(2.0 * k), 12.0)
+        step = h / m
+        assert step <= min(h / 4.0, 2.0 * half / 1200.0)
+        np.testing.assert_allclose(np.diff(u), step, rtol=1e-9)
+        assert half - step < u[-1] <= half
+
+
+@pytest.mark.parametrize("kappas", _WIDTH_LISTS)
+def test_smearing_grid_is_mirror_symmetric_bit_for_bit(kappas):
+    for k in kappas:
+        _, u = thermal._smearing_lattice(k)
+        assert u.size % 2 == 1 and u[u.size // 2] == 0.0
+        assert np.array_equal(u, -u[::-1])
+
+
+def test_widths_clamped_to_the_coarse_range_keep_the_coarse_step():
+    # kappa = 0.01 and 0.3 would reach past |u| = 12, where the p-grid's
+    # correlation ends: their patches stop there, a step h/4 apart, the coarsest
+    for k in (0.01, 0.3):
+        m, u = thermal._smearing_lattice(k)
+        assert m == 4
+        assert 12.0 - 0.0015 < u[-1] <= 12.0
 
 
 def test_gaussian_smearing_matches_the_analytic_intensity_closely():
@@ -603,7 +529,21 @@ def test_gaussian_smearing_matches_the_analytic_intensity_closely():
         kappas,
     )
     oracle = [oracles.smearing_intensity_gaussian(k) for k in kappas]
-    np.testing.assert_allclose(result.intensities, oracle, rtol=2e-6)
+    np.testing.assert_allclose(result.intensities, oracle, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kappas", [[1.0, 100.0, 1e4], [0.01, 1.0, 100.0],
+                                    [0.3, 2.0, 45.0, 3e3]])
+def test_gaussian_smearing_matches_the_analytic_intensity_on_any_width_list(kappas):
+    # a width whose patch held a finer one crossed a jump in node spacing there,
+    # off by 1.4e-5 to 1.9e-5 relative
+    result = smearing_scaling_check(
+        lambda p: np.ones_like(np.asarray(p, dtype=float)),
+        lambda p: np.exp(-np.asarray(p, dtype=float) ** 2),
+        kappas,
+    )
+    oracle = [oracles.smearing_intensity_gaussian(k) for k in kappas]
+    np.testing.assert_allclose(result.intensities, oracle, rtol=1e-12)
 
 
 @pytest.mark.parametrize("with_origin_pairing", [False, True])
