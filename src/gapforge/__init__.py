@@ -15,7 +15,6 @@ from .core_types import (
     PhaseLabel,
     SolveReport,
     solution_checks,
-    to_reduced,
     validate,
 )
 from .errors import GapEquationError, NotConverged
@@ -53,7 +52,6 @@ __all__ = [
     "scan",
     "solution_checks",
     "solve_all",
-    "to_reduced",
     "validate",
     "__version__",
 ]

@@ -13,11 +13,6 @@ Temperature conventions
 factors then take their exact step/sign limits instead of overflowing.
 ``T == inf`` is likewise allowed and means ``beta = 0``.
 
-Reduced variables
------------------
-Scale-free analysis uses "barred" quantities ``Q_bar = beta * Q / 2``.  They
-are undefined at zero temperature, where :func:`to_reduced` raises.
-
 All types here are immutable value objects and safe to share across threads.
 The dataclasses are frozen and slotted: they have no ``__dict__`` (use
 :func:`dataclasses.asdict` or ``as_dict``, not ``vars``), assigning to a
@@ -31,14 +26,12 @@ import math
 import sys
 from dataclasses import dataclass, asdict
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import (
     InvalidParameter,
     NegativeChemicalPotential,
     NegativeTemperature,
     ZeroEnergy,
-    ZeroTemperature,
 )
 
 
@@ -81,14 +74,6 @@ class ModelParams:
         return self.temperature == 0.0
 
 
-class ReducedParams(NamedTuple):
-    """Barred (dimensionless) couplings and chemical potential."""
-
-    lambda_b_bar: float
-    lambda_m_bar: float
-    mu_bar: float
-
-
 def validate(params: ModelParams) -> ModelParams:
     """Check parameter ranges and return ``params`` itself.
 
@@ -108,22 +93,6 @@ def validate(params: ModelParams) -> ModelParams:
     if math.isnan(temp) or temp < 0.0:
         raise NegativeTemperature(f"temperature must be >= 0, got {temp!r}")
     return params
-
-
-def to_reduced(params: ModelParams) -> ReducedParams:
-    """Return the barred values ``beta * Q / 2`` for the couplings and mu.
-
-    Raises :class:`ZeroTemperature` at T = 0 where these diverge.  At
-    infinite temperature all barred values are zero.
-    """
-    if params.temperature == 0.0:
-        raise ZeroTemperature("reduced (barred) variables are undefined at T = 0")
-    half_beta = 0.5 * params.beta
-    return ReducedParams(
-        params.lambda_b * half_beta,
-        params.lambda_m * half_beta,
-        params.mu * half_beta,
-    )
 
 
 _MIN_NORMAL = sys.float_info.min
@@ -240,6 +209,13 @@ class GapSolution:
     solutions always have ``w_bar > 0``; for the pure mean-field branch the
     signed effective energy ``mu + delta_m`` is stored (it may be negative),
     which keeps ``w_bar**2 == (mu + delta_m)**2 + delta_b**2`` exact.
+
+    ``residual`` is the largest of three relative defects: the pairing
+    equation relative to ``|lambda_b|``, the mean-field equation relative
+    to ``|lambda_m|`` and the energy identity relative to ``w_bar**2``.
+    Each is a ratio of energies, so it does not change when every energy is
+    scaled.  On the pure branch, where ``delta_b = 0``, only the mean-field
+    defect can be nonzero.
     """
 
     delta_m: float

@@ -46,7 +46,6 @@ from .core_types import (
     bogoliubov_from_gaps,
     energy_identity_defect,
     fermi,
-    scale_exponent,
     tanh_half,
 )
 from .errors import (
@@ -195,7 +194,6 @@ def _mixed_roots(params: ModelParams, beta: float) -> list[tuple[float, PhaseLab
         )
     if beta == 0.0:
         return []  # tanh term vanishes identically: no positive root
-    # the barred values of core_types.to_reduced
     half_beta = 0.5 * beta
     lb_bar = params.lambda_b * half_beta
     if math.isinf(lb_bar):  # T = 0, or lambda_b / T overflows
@@ -240,32 +238,24 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     On any root of the pairing equation the thermal factor equals
     ``w_bar / lambda_b``, which makes the mean-field condition linear with
     the closed form ``lambda_m*(lambda_b - mu)/(lambda_b + lambda_m)`` —
-    independent of temperature and of ``w_bar`` itself.  The result is
-    checked against the structural bounds ``sign(delta_m) = sign(lambda_m)``
-    and ``|delta_m| <= 2*|lambda_m|``; a violation means the inputs are not a
-    consistent mixed branch.  Where the numerator would over- or underflow
-    the scale-free factor ``(lambda_b - mu)/(lambda_b + lambda_m)`` is
-    evaluated in units of a power of two near the largest energy and then
-    multiplied by ``lambda_m``, so the shift holds at any energy scale.
+    independent of temperature and of ``w_bar`` itself.  It is evaluated as
+    ``lambda_m`` times the scale-free ratio of the halved differences, which
+    stay finite up to the largest double, so scaling every energy by a power
+    of two scales the shift by it exactly.  The result is checked against
+    the structural bounds ``sign(delta_m) = sign(lambda_m)`` and
+    ``|delta_m| <= 2*|lambda_m|``; a violation means the inputs are not a
+    consistent mixed branch.
     """
     lambda_b, lambda_m, mu = params.lambda_b, params.lambda_m, params.mu
     if lambda_m == 0.0:
         return 0.0
-    denom = lambda_b + lambda_m
+    denom = 0.5 * lambda_b + 0.5 * lambda_m
     if denom == 0.0:
         raise SingularDenominator(
             "lambda_b + lambda_m = 0: the mean-field condition degenerates"
         )
-    numerator = lambda_m * (lambda_b - mu)
-    if 1e-290 <= abs(numerator) <= 1e290:
-        delta_m = numerator / denom
-    else:
-        e = scale_exponent(lambda_b, lambda_m, mu)
-        lb, lm, m = (math.ldexp(v, -e) for v in (lambda_b, lambda_m, mu))
-        # lambda_m multiplies unscaled: far below the largest energy it would
-        # lose its digits in these units.  Infinite beyond the largest
-        # double, where the checks below reject it.
-        delta_m = lambda_m * ((lb - m) / (lb + lm))
+    # infinite where the ratio overflows; the bound below rejects it
+    delta_m = lambda_m * ((0.5 * lambda_b - 0.5 * mu) / denom)
     if delta_m < 0.0 < lambda_m or lambda_m < 0.0 < delta_m:
         raise ConstraintViolation(
             f"delta_m = {delta_m:.6g} has the opposite sign of lambda_m = "
@@ -370,8 +360,9 @@ def _pure_solution(params: ModelParams, beta: float) -> GapSolution:
         occupation = 0.0
     else:
         occupation = fermi(dm, beta)
-    # |dm - 2*lm*occupation| / max(1, |lm|), halved inside so 2*lm cannot overflow
-    residual = abs(0.5 * dm - lm * occupation) / max(1.0, abs(lm)) * 2.0
+    # |dm - 2*lm*occupation| / |lm|, halved inside so 2*lm cannot overflow;
+    # at lm = 0 the root is dm = 0 exactly
+    residual = abs(0.5 * dm - lm * occupation) / (abs(lm) or 1.0) * 2.0
     return GapSolution(
         delta_m=dm,
         delta_b=0.0,
@@ -385,11 +376,12 @@ def _pure_solution(params: ModelParams, beta: float) -> GapSolution:
 
 def _mixed_residual(w: float, dm: float, db: float, params: ModelParams,
                     beta: float) -> float:
+    lb, lm = params.lambda_b, params.lambda_m
     t = tanh_half(w - params.mu, beta)
-    r1 = abs(w - params.lambda_b * t) / max(1.0, abs(params.lambda_b))
+    r1 = abs(w - lb * t) / abs(lb)
     omega_eff = params.mu + dm
-    r2 = (abs(dm - params.lambda_m * (1.0 - t * omega_eff / w))
-          / max(1.0, abs(params.lambda_m)))
+    # delta_m is exactly 0 where lambda_m = 0
+    r2 = abs(dm - lm * (1.0 - t * omega_eff / w)) / (abs(lm) or 1.0)
     return max(r1, r2, energy_identity_defect(w, omega_eff, db))
 
 
@@ -472,15 +464,17 @@ def classify_region(params: ModelParams) -> RegionLabel:
     (``B+``), only the former at large ``lambda_m`` (``A+``), only the
     latter at strongly negative ``lambda_m`` (``C+``).  Attractive channel
     (lambda_b < 0): the admissible band is
-    ``-2 mu <= lambda_m <= -mu T / (|lambda_b| + 2 T)`` (upper bound taken
-    in the limit at T = inf), split into ``B-`` below
-    ``-(lambda_b + 4 mu)/4`` and ``A-`` above.  Each bound is evaluated in a
-    form whose intermediates stay finite up to the largest double; where
-    ``|lambda_b| + 2 T`` overflows, the upper attractive bound is taken in
-    units of a power of two.  Comparisons are plain IEEE inequalities, so
-    exact boundary points deterministically join the closed side.
+    ``-2 mu <= lambda_m <= -mu T / (|lambda_b| + 2 T)``, split into ``B-``
+    below ``-(lambda_b + 4 mu)/4`` and ``A-`` above.  The upper bound is
+    evaluated as ``-(mu/2) / (1 + |lb|)`` in the reduced coupling
+    ``lb = beta*lambda_b/2``, which takes its limits ``-0.0`` at T = 0 and
+    ``-mu/2`` at T = inf with no special case, and its T = 0 limit wherever
+    ``lb`` overflows, as the roots do.  Every bound is scale-free and its
+    intermediates stay finite up to the largest double.  Comparisons are
+    plain IEEE inequalities, so exact boundary points deterministically
+    join the closed side.
     """
-    lb, lm, mu, T = params.lambda_b, params.lambda_m, params.mu, params.temperature
+    lb, lm, mu = params.lambda_b, params.lambda_m, params.mu
     if lb > 0.0:
         if lb <= mu:
             return RegionLabel.NONE
@@ -492,17 +486,7 @@ def classify_region(params: ModelParams) -> RegionLabel:
             return RegionLabel.A_PLUS
         return RegionLabel.C_PLUS
     if lb < 0.0:
-        # -0.0 at T = 0; inf / inf would be NaN, so T = inf takes its limit
-        if math.isinf(T):
-            upper = -mu / 2.0
-        else:
-            t, denom = T, abs(lb) + 2.0 * T
-            if math.isinf(denom):
-                # the ratio is scale-free: take it in units of 2**e instead
-                e = scale_exponent(lb, T)
-                t = math.ldexp(T, -e)
-                denom = math.ldexp(abs(lb), -e) + 2.0 * t
-            upper = -mu * (t / denom)
+        upper = -0.5 * mu / (1.0 - lb * (0.5 * params.beta))
         if not (-2.0 * mu <= lm <= upper):
             return RegionLabel.NONE
         if lm < -(lb / 4.0 + mu):

@@ -15,14 +15,12 @@ from gapforge.core_types import (
     fermi,
     solution_checks,
     tanh_half,
-    to_reduced,
     validate,
 )
 from gapforge.errors import (
     InvalidParameter,
     NegativeChemicalPotential,
     NegativeTemperature,
-    ZeroTemperature,
 )
 from gapforge.thermal import _tanh_half
 
@@ -52,17 +50,6 @@ def test_validate_normalizes_negative_zero_temperature():
     out = validate(ModelParams(1, 0, 1, -0.0))
     assert out.temperature == 0.0
     assert out.is_zero_temperature
-
-
-def test_to_reduced_values_and_zero_t_guard():
-    red = to_reduced(ModelParams(4.0, 1.0, 2.0, 0.5))
-    assert red.lambda_b_bar == 4.0
-    assert red.lambda_m_bar == 1.0
-    assert red.mu_bar == 2.0
-    with pytest.raises(ZeroTemperature):
-        to_reduced(ModelParams(4.0, 1.0, 2.0, 0.0))
-    red_hot = to_reduced(ModelParams(4.0, 1.0, 2.0, math.inf))
-    assert red_hot == (0.0, 0.0, 0.0)
 
 
 def test_fermi_limits_and_midpoint():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from forks import FORK, assert_no_child_left, counted_forks, usable_cpus
 from gapforge import phase_diagram, scalar_gap
-from gapforge.core_types import ModelParams, to_reduced
+from gapforge.core_types import ModelParams
 from gapforge.errors import ConfigError, DomainError, ZeroTemperature
 from gapforge.phase_diagram import (
     SCAN_COLUMNS,
@@ -36,6 +36,7 @@ from gapforge.phase_diagram import (
     write_scan_json,
 )
 from gapforge.scalar_gap import equilibrium_mu, pairing_energy_roots, solve_all
+from oracles import tangency_point
 
 
 def _params(lb, lm, mu, T=0.5):
@@ -178,16 +179,21 @@ def test_multiplicity_requires_positive_temperature():
 )
 def test_multiplicity_class_counts_actual_roots(lb, mu, temperature):
     params = _params(lb, 0.0, mu, temperature)
-    red = to_reduced(params)
-    if red.lambda_b_bar > 1.0:
-        mu_e, _ = equilibrium_mu(red.lambda_b_bar)
-        assume(abs(red.mu_bar - mu_e) > 1e-6)
-    assume(abs(red.lambda_b_bar - 1.0) > 1e-9)
+    # the reduced values, and the count the convex defect gives them: none
+    # for lb <= 1 or above the tangency curve, one at mb = 0, two below it
+    lb_bar, mu_bar = lb / (2.0 * temperature), mu / (2.0 * temperature)
+    assume(abs(lb_bar - 1.0) > 1e-9)
+    if lb_bar <= 1.0:
+        count = 0
+    else:
+        mu_e, _ = tangency_point(lb_bar)
+        assume(abs(mu_bar - mu_e) > 1e-6)
+        count = 0 if mu_bar > mu_e else 1 if mu_bar == 0.0 else 2
     expected = {
         0: MultiplicityClass.NO_SOLUTION,
         1: MultiplicityClass.UNIQUE,
         2: MultiplicityClass.TWO,
-    }[len(pairing_energy_roots(params))]
+    }[count]
     assert multiplicity_class(params) is expected
 
 

@@ -373,6 +373,17 @@ def test_solve_all_solutions_pass_structural_checks(lb, lm, mu, T):
         assert not bad, (sol, bad)
 
 
+@pytest.mark.xfail(strict=True, reason="a subnormal pairing root is lifted although "
+                   "mu + delta_m cancels to 0; a residual gate would drop it")
+def test_a_subnormal_mixed_root_meets_its_own_equations():
+    # w_bar = 1e-323 exceeds |lambda_b| = 5e-324, and r1 = 2; solution_checks
+    # passes it, since mu + delta_m is exactly 0 and the checks are absolute
+    params = ModelParams(-5e-324, -0.5, 2.225073858507e-311, 0.75)
+    for sol in solve_all(params).mixed:
+        assert sol.w_bar <= abs(params.lambda_b)
+        assert sol.residual <= 1e-8
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     lb=st.floats(0.2, 6), lm=st.floats(-3, 3),
@@ -616,6 +627,38 @@ def test_solutions_scale_with_the_energies(lb, lm, mu, T, exponent):
     for got, want in zip(_energies(scaled), _energies(base)):
         for g, w in zip(got, want):
             assert abs(g / c - w) <= 1e-9 * scale
+
+
+_COUPLING = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lb=_COUPLING, lm=_COUPLING, mu=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    T=st.one_of(st.sampled_from([0.0, math.inf]), st.floats(1e-3, 1e3)),
+    k=st.integers(-900, 900),
+)
+# mu + delta_m cancels here; a range switch of the mean-field shift once
+# rounded it differently at 2**900 and moved delta_b by 1.1e-11
+@example(lb=-0.0027911384, lm=-564.09982, mu=15.659459, T=0.7, k=900)
+def test_solutions_scale_exactly_by_a_power_of_two(lb, lm, mu, T, k):
+    """Scaling every input energy by c = 2**k scales every output energy by c,
+    bit for bit, and leaves every label and residual as it was."""
+    c = math.ldexp(1.0, k)
+    # exact while every scaled input and output is a normal double or zero
+    assume(all(abs(v * c) >= 2.0 ** -1021 for v in (lb, lm, mu, T) if v))
+    base = solve_all(ModelParams(lb, lm, mu, T))
+    assume(all(not v or sys.float_info.min <= abs(v * c) < math.inf
+               for energies in _energies(base) for v in energies))
+    scaled = solve_all(ModelParams(lb * c, lm * c, mu * c, T * c))
+    assert [s.phase for s in scaled.solutions] == [s.phase for s in base.solutions]
+    assert scaled.region is base.region
+    assert scaled.multiplicity == base.multiplicity
+    assert len(scaled.notes) == len(base.notes)
+    assert [s.residual for s in scaled.solutions] == [s.residual for s in base.solutions]
+    assert [s.coeffs for s in scaled.solutions] == [s.coeffs for s in base.solutions]
+    assert _energies(scaled) == [tuple(v * c for v in energies)
+                                 for energies in _energies(base)]
 
 
 @pytest.mark.parametrize("c", [1e160, 1e-200])
