@@ -78,7 +78,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--temp", type=float, default=None, help="temperature")
     sub.add_argument("--beta", type=float, default=None,
                      help="inverse temperature (alternative to --temp)")
-    sub.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tabulated mean-field kernel")
     kernel.add_argument("--damping", type=float, default=0.5)
     kernel.add_argument("--max-iters", type=int, default=2000)
+    kernel.add_argument("--tol", type=float, default=1e-10,
+                        help="Picard stopping tolerance on the gap-equation defect")
     kernel.add_argument("--init", default="zero",
                         help="zero | scalar | seed:VALUE")
     kernel.add_argument("--seeds", default=None,
@@ -258,7 +259,7 @@ def _report_payload(report) -> dict:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    payload = _report_payload(scalar_gap.solve_all(params, tol=args.tol))
+    payload = _report_payload(scalar_gap.solve_all(params))
     with _output(args.out) as stream:
         if args.format == "json":
             _write_json(stream, payload)
@@ -304,7 +305,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     fixed = {axis: value for axis, value in values.items()
              if value is not None and axis not in ranges}
 
-    rows = phase_diagram.scan(ranges, fixed, tol=args.tol)
+    rows = phase_diagram.scan(ranges, fixed)
     with _output(args.out) as stream:
         if args.format == "json":
             phase_diagram.write_scan_json(rows, stream)
@@ -326,7 +327,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    report = scalar_gap.solve_all(params, tol=args.tol)
+    report = scalar_gap.solve_all(params)
     mixed = report.mixed
     tol = _VERIFY_TOLERANCES[args.regime]
     header = f"{'quantity':<10}{'closed_form':>16}{'numeric':>16}{'rel_err':>12}{'tol':>10}  status"

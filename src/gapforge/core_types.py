@@ -97,6 +97,10 @@ def validate(params: ModelParams) -> ModelParams:
 
 _MIN_NORMAL = sys.float_info.min
 
+# The one stated bound: solve_all drops a mixed solution whose residual exceeds
+# it, and solution_checks holds each identity to it, relative to its energy
+RESIDUAL_BOUND = 1e-8
+
 
 def scale_exponent(*energies: float) -> int:
     """``e`` with ``2**(e-1) <= max |energy| < 2**e``: exact units free of over- and underflow."""
@@ -271,15 +275,15 @@ def energy_identity_defect(w: float, eff: float, db: float) -> float:
     """``|w**2 - eff**2 - db**2| / w**2`` for ``w_bar``, ``mu + delta_m``, ``delta_b``.
 
     Relative to the energies' own scale, so it reads the same at any scale:
-    where a square leaves the normal range (over- or underflow) the same
-    ratio is taken in units of ``2**e`` near the largest energy.  At
-    ``w_bar = 0``, or ``w_bar`` too far below the other energies for its
-    square to show in those units, it is 0 when all three are 0 and
-    infinite otherwise.
+    where a square of a nonzero energy leaves the normal range (over- or
+    underflow; a difference that underflows is exact) the same ratio is
+    taken in units of ``2**e`` near the largest energy.  At ``w_bar = 0``,
+    or ``w_bar`` too far below the other energies for its square to show in
+    those units, it is 0 when all three are 0 and infinite otherwise.
     """
-    ww = w * w
-    if ww >= _MIN_NORMAL:
-        defect = abs(ww - eff * eff - db * db) / ww
+    ww, ee, dd = w * w, eff * eff, db * db
+    if ww >= _MIN_NORMAL and (ee >= _MIN_NORMAL or not eff) and (dd >= _MIN_NORMAL or not db):
+        defect = abs(ww - ee - dd) / ww
         if defect < math.inf:
             return defect
     e = scale_exponent(w, eff, db)
@@ -291,7 +295,7 @@ def energy_identity_defect(w: float, eff: float, db: float) -> float:
     return excess / ww
 
 
-def solution_checks(sol: GapSolution, params: ModelParams, tol: float = 1e-8) -> dict[str, bool]:
+def solution_checks(sol: GapSolution, params: ModelParams) -> dict[str, bool]:
     """Evaluate the structural identities every emitted solution should satisfy.
 
     Returns a name -> bool map of the checks that apply to ``sol``, so every
@@ -300,32 +304,35 @@ def solution_checks(sol: GapSolution, params: ModelParams, tol: float = 1e-8) ->
     the mixing-angle bound ``|c| >= sqrt(2)/2`` where the effective energy
     ``mu + delta_m`` is non-negative, the Fermi-surface side on a mixed
     solution with ``lambda_b != 0``, and the strict ordering above the
-    effective energy where ``delta_b > 0``.
+    effective energy where ``delta_b > 0``.  Each holds to
+    :data:`RESIDUAL_BOUND` relative to its energy, at every energy scale.
     """
     c, s = sol.coeffs.c, sol.coeffs.s
     omega_eff = params.mu + sol.delta_m
+    slack = 1.0 + RESIDUAL_BOUND
     checks: dict[str, bool] = {}
     checks["coefficient_norm"] = abs(c * c + s * s - 1.0) <= 1e-12
-    checks["energy_identity"] = energy_identity_defect(sol.w_bar, omega_eff, sol.delta_b) <= tol
+    checks["energy_identity"] = (
+        energy_identity_defect(sol.w_bar, omega_eff, sol.delta_b) <= RESIDUAL_BOUND)
     if sol.w_bar != 0.0:
         checks["rotation_consistency"] = (
-            abs((c * c - s * s) - omega_eff / sol.w_bar) <= tol
-            and abs(2.0 * c * s - sol.delta_b / sol.w_bar) <= tol
+            abs((c * c - s * s) - omega_eff / sol.w_bar) <= RESIDUAL_BOUND
+            and abs(2.0 * c * s - sol.delta_b / sol.w_bar) <= RESIDUAL_BOUND
         )
     else:
         checks["rotation_consistency"] = sol.delta_b == 0.0
     if params.lambda_m != 0.0:
         checks["mean_field_sign"] = sol.delta_m * params.lambda_m >= 0.0
-        checks["mean_field_bound"] = abs(sol.delta_m) <= 2.0 * abs(params.lambda_m) + tol
+        checks["mean_field_bound"] = abs(sol.delta_m) <= 2.0 * abs(params.lambda_m) * slack
     else:
         checks["mean_field_sign"] = sol.delta_m == 0.0
         checks["mean_field_bound"] = True
     if omega_eff >= 0.0:
         checks["mixing_angle_bound"] = abs(c) >= math.sqrt(0.5) - 1e-12
     if sol.phase is not PhaseLabel.PURE_MEAN_FIELD:
-        checks["pairing_below_quasienergy"] = sol.delta_b <= sol.w_bar + tol
-        checks["quasienergy_above_coupling_bound"] = sol.w_bar <= abs(params.lambda_b) + tol
-        band = tol * max(1.0, params.mu)
+        checks["pairing_below_quasienergy"] = sol.delta_b <= sol.w_bar * slack
+        checks["quasienergy_above_coupling_bound"] = sol.w_bar <= abs(params.lambda_b) * slack
+        band = RESIDUAL_BOUND * params.mu
         if params.lambda_b > 0:
             checks["fermi_surface_side"] = sol.w_bar > params.mu - band
         elif params.lambda_b < 0:

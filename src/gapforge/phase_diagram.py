@@ -10,7 +10,7 @@ Two complementary views of where solutions live:
   ``scalar_gap``, :class:`RegionLabel` in ``core_types``; both re-exported.
 * :func:`multiplicity_class` counts the roots that
   :func:`~gapforge.scalar_gap.pairing_energy_roots` returns, so it shares
-  the root finder's tangency band by construction.
+  the root finder's tangency test by construction.
 
 The two are cross-checked by tests, not merged: the region map may
 over-approximate near its boundaries, so consistency is only asserted away
@@ -89,12 +89,12 @@ class MultiplicityClass(str, Enum):
 def multiplicity_class(params: ModelParams) -> MultiplicityClass:
     """The class of ``len(pairing_energy_roots(params))``.
 
-    The root finder alone decides the count, the tangency band included:
-    two roots below the tangency curve, the single tangent root on its band
-    and none above it on the repulsive side, at most one on the attractive
-    side.  ``lambda_b = 0``, where the pairing channel is inactive, has no
-    solution.  Positive temperature required: the reduced variables live
-    at T > 0.
+    The root finder alone decides the count: two roots below the tangency
+    curve, the single tangent root on it to rounding and none above it on
+    the repulsive side, at most one on the attractive side.
+    ``lambda_b = 0``, where the pairing channel is inactive, has no
+    solution.  Positive temperature required: the reduced variables live at
+    T > 0.
     """
     if params.is_zero_temperature:
         raise ZeroTemperature("multiplicity classes are defined at T > 0")
@@ -135,10 +135,9 @@ SCAN_COLUMNS = ScanRow._fields
 _NO_BRANCH = (None, None, None)  # delta_m, delta_b, w_bar of a missing branch
 
 
-def _evaluate_point(lb: float, lm: float, mu: float, T: float,
-                    tol: float) -> ScanRow:
+def _evaluate_point(lb: float, lm: float, mu: float, T: float) -> ScanRow:
     try:
-        report = solve_all(ModelParams(lb, lm, mu, T), tol=tol)
+        report = solve_all(ModelParams(lb, lm, mu, T))
     except GapEquationError as exc:
         return ScanRow(lb, lm, mu, T, None, None, None, None,
                        *_NO_BRANCH, *_NO_BRANCH, str(exc))
@@ -192,7 +191,7 @@ def _step_count(steps) -> int | None:
 
 
 def scan(ranges: Mapping[str, tuple[float, float, int]],
-         fixed: Mapping[str, float], tol: float = 1e-10) -> list[ScanRow]:
+         fixed: Mapping[str, float]) -> list[ScanRow]:
     """Row-major lattice scan; every parameter set exactly once.
 
     ``ranges`` maps axis names to ``(lo, hi, steps)`` triples sampled at
@@ -203,8 +202,6 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
     or more (twice ``_MIN_CHUNK``) is split round-robin over
     ``min(usable CPUs, points // _MIN_CHUNK)`` processes (see the module
     docstring); the rows, and any exception, are those of a serial scan.
-    A ``tol`` that is not finite and non-negative is a :class:`ConfigError`
-    raised before any point is solved.
     """
     overlap = set(ranges) & set(fixed)
     if overlap:
@@ -215,8 +212,6 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
     missing = set(_AXES) - set(ranges) - set(fixed)
     if missing:
         raise ConfigError(f"unspecified scan parameters: {sorted(missing)}")
-    if not 0.0 <= tol < math.inf:
-        raise ConfigError(f"tol must be finite and non-negative, got {tol!r}")
 
     axes: list[list[float]] = []
     for name in _AXES:
@@ -235,10 +230,10 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
     points = math.prod(map(len, axes))
     n = min(usable_cpus(), points // _MIN_CHUNK)
     if n < 2:
-        return _rows(axes, tol)
+        return _rows(axes)
     # children send their rows as plain tuples, which pickle ~6x faster than ScanRow
-    shares = run([partial(_rows, axes, tol, 0, n)]
-                 + [partial(_plain_rows, axes, tol, share, n) for share in range(1, n)])
+    shares = run([partial(_rows, axes, 0, n)]
+                 + [partial(_plain_rows, axes, share, n) for share in range(1, n)])
     rows: list = [None] * points
     rows[0::n] = shares[0]
     for share in range(1, n):
@@ -251,17 +246,15 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
 _MIN_CHUNK = 500
 
 
-def _rows(axes: list[list[float]], tol: float, share: int = 0,
-          shares: int = 1) -> list[ScanRow]:
+def _rows(axes: list[list[float]], share: int = 0, shares: int = 1) -> list[ScanRow]:
     """Rows of lattice points ``share``, ``share + shares``, ... in row-major order."""
     points = itertools.islice(itertools.product(*axes), share, None, shares)
-    return [_evaluate_point(*pt, tol) for pt in points]
+    return [_evaluate_point(*pt) for pt in points]
 
 
-def _plain_rows(axes: list[list[float]], tol: float, share: int,
-                shares: int) -> list[tuple]:
+def _plain_rows(axes: list[list[float]], share: int, shares: int) -> list[tuple]:
     """:func:`_rows` as plain tuples."""
-    return list(map(tuple, _rows(axes, tol, share, shares)))
+    return list(map(tuple, _rows(axes, share, shares)))
 
 
 def equilibrium_curve(lo: float, hi: float,

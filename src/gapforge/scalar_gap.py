@@ -20,8 +20,8 @@ is strictly convex on ``(mb, lb]`` with its minimum at
 ``f(mb) = mb >= 0`` and ``f(lb) > 0``, the sign of that distance gives the
 root count and the brackets: below the curve one root in ``[mb, x_min]``
 (the lower branch, absent at ``mb = 0`` where it is the trivial node) and
-one in ``[x_min, lb]`` (the upper branch); within :data:`TANGENCY_BAND` of
-the curve the single degenerate root ``x_min``; above it none.  For
+one in ``[x_min, lb]`` (the upper branch); within the distance's rounding
+bound the single degenerate root ``x_min``; above it none.  For
 ``lambda_b < 0`` the defect is strictly increasing and there is exactly one
 root in ``(0, min(mb, |lb|))`` whenever ``mu > 0``.  On each bracket the
 defect is convex towards the end where it is positive, so every root,
@@ -37,6 +37,7 @@ import struct
 import sys
 
 from .core_types import (
+    RESIDUAL_BOUND,
     BogoliubovCoefficients,
     GapSolution,
     ModelParams,
@@ -51,16 +52,14 @@ from .core_types import (
 from .errors import (
     ConstraintViolation,
     DomainError,
-    InvalidParameter,
     NotAdmissible,
     NotApplicable,
     SingularDenominator,
     ZeroCoupling,
 )
 
-# Half-width, in reduced units, of the band around the tangency curve inside
-# which the two repulsive roots count as one degenerate root.
-TANGENCY_BAND = 1e-5
+# Rounding allowance of recover_delta_b's test, in units of the larger square
+_ADMISSIBLE_SLACK = 1e-10
 
 # The pairing-free branch has delta_b = 0, so its modes are not rotated.
 _UNROTATED = BogoliubovCoefficients(1.0, 0.0, 0.0)
@@ -140,9 +139,14 @@ def tangency_distance(lambda_b_bar: float, mu_bar: float) -> float:
 
     It equals the minimum of the convex pairing defect, so it is negative
     below the curve (two roots), zero on it and positive above it (none).
-    The root finder alone treats ``|distance| <= TANGENCY_BAND`` as the
-    single tangent root; :func:`solve_all` and
-    :func:`~gapforge.phase_diagram.multiplicity_class` take its roots.
+    Its rounding error is at most ``16 * ulp(max(lb, mb))``.  An error in
+    ``theta = asinh(sqrt(lb - 1))`` moves ``lb*tanh(theta) - theta`` only to
+    second order, as its derivative ``lb*sech(theta)**2 - 1`` vanishes
+    there; ``tanh``, the product and the two differences add about 3 ulps
+    of values at most ``max(lb, mb)``, and 16 spares a factor of 5 for the
+    libm (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    ch. 3).  It is absolute, as ``x_e - theta`` cancels near ``lb = 1``.
+    Only within it does the root finder report the tangent root ``x_min``.
     """
     return mu_bar - equilibrium_mu(lambda_b_bar)[0]
 
@@ -164,7 +168,7 @@ def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel
         return []
     distance = tangency_distance(lb, mb)
     x_min = mb + math.asinh(math.sqrt(lb - 1.0))  # = mb + arccosh(sqrt(lb))
-    if abs(distance) <= TANGENCY_BAND:
+    if abs(distance) <= 16.0 * math.ulp(max(lb, mb)):  # its rounding bound
         return [(x_min, PhaseLabel.TANGENT)]
     if not distance < 0.0:  # above the curve; NaN once lb overflows
         return []
@@ -219,12 +223,12 @@ def pairing_energy_roots(params: ModelParams) -> list[float]:
     """All positive quasi-particle energies satisfying the pairing equation.
 
     Sorted ascending.  For ``lambda_b > 0`` there are 0, 1 (at ``mu = 0``,
-    or on the tangency band) or 2 of them; for ``lambda_b < 0`` at most one.
+    or on the tangency curve) or 2 of them; for ``lambda_b < 0`` at most one.
     Each root is the sign change of the reduced defect at adjacent doubles,
     found by guarded Newton steps from the bracket end where the convex
     defect is positive, except the tangent root, which is the defect's
-    minimum ``x_min`` and so leaves a reduced defect of at most
-    :data:`TANGENCY_BAND`.  Their count is what
+    minimum ``x_min``, reported where :func:`tangency_distance` lies within
+    its rounding bound.  Their count is what
     :func:`~gapforge.phase_diagram.multiplicity_class` reports.
 
     Raises :class:`ZeroCoupling` for ``lambda_b == 0``.
@@ -269,8 +273,7 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     return delta_m
 
 
-def recover_delta_b(w_bar: float, delta_m: float, params: ModelParams,
-                    tol: float = 1e-10) -> float:
+def recover_delta_b(w_bar: float, delta_m: float, params: ModelParams) -> float:
     """Pairing gap from the energy identity, non-negative representative.
 
     Returns ``sqrt(w_bar**2 - (mu + delta_m)**2)``; both signs solve the
@@ -285,7 +288,7 @@ def recover_delta_b(w_bar: float, delta_m: float, params: ModelParams,
         return 0.0
     rw, re = w_bar / scale, eff / scale
     radicand = rw * rw - re * re
-    if radicand < -tol * max(1.0, rw * rw):
+    if radicand < -_ADMISSIBLE_SLACK:
         raise NotAdmissible(
             f"w_bar = {w_bar:.6g} lies below the effective energy "
             f"|mu + delta_m| = {abs(eff):.6g}: no mixed phase"
@@ -385,27 +388,30 @@ def _mixed_residual(w: float, dm: float, db: float, params: ModelParams,
     return max(r1, r2, energy_identity_defect(w, omega_eff, db))
 
 
-def _lift(w: float, phase: PhaseLabel, params: ModelParams, beta: float, tol: float,
+def _lift(w: float, phase: PhaseLabel, params: ModelParams, beta: float,
           nonneg: bool) -> GapSolution:
     """The mixed solution on the pairing root ``w``, or the error saying why it is dropped."""
     dm = mean_field_gap_given_w(w, params)
-    db = recover_delta_b(w, dm, params, tol)
+    db = recover_delta_b(w, dm, params)
     omega_eff = params.mu + dm
     if nonneg and omega_eff < 0.0:
         raise NotAdmissible(f"effective energy mu + delta_m = {omega_eff:.6g} < 0 "
                             "(restricted mixing angle)")
+    residual = _mixed_residual(w, dm, db, params, beta)
+    if not residual <= RESIDUAL_BOUND:
+        raise NotAdmissible(f"residual {residual:.6g} exceeds {RESIDUAL_BOUND:g}")
     return GapSolution(
         delta_m=dm,
         delta_b=db,
         w_bar=w,
         coeffs=bogoliubov_from_gaps(omega_eff, db),
         phase=phase,
-        residual=_mixed_residual(w, dm, db, params, beta),
+        residual=residual,
         delta_b_sign_ambiguous=db > 0.0,
     )
 
 
-def solve_all(params: ModelParams, tol: float = 1e-10,
+def solve_all(params: ModelParams,
               require_nonneg_effective_energy: bool = False) -> SolveReport:
     """Enumerate every self-consistent solution at one parameter point.
 
@@ -416,18 +422,19 @@ def solve_all(params: ModelParams, tol: float = 1e-10,
     rather than an error.  With ``require_nonneg_effective_energy`` the
     optional restriction ``mu + delta_m >= 0`` (equivalently
     ``|c| >= sqrt(2)/2``) is enforced as an additional admissibility filter.
-    ``tol`` is the rounding allowance of that admissibility test
-    (:func:`recover_delta_b`); root finding and the tangency band do not
-    depend on it.  It must be finite and non-negative
-    (:class:`InvalidParameter` otherwise).
+    Last, a mixed solution whose stored residual exceeds
+    :data:`~gapforge.core_types.RESIDUAL_BOUND` is dropped with a note
+    naming it.  Where ``w_bar - mu`` falls below an ulp of ``mu`` the gate
+    cannot mend the lift: ``(1e20, 0, 1, 1)`` still emits ``delta_b = 0``
+    (residual 1e-20), and ``(4, 0, 1, 1e-300)`` loses a real lower branch;
+    both need the root solved as its offset from ``mb``.
 
     A mixed solution's label names the bracket its root came from:
     ``mixed_upper`` for ``[x_min, lb]``, ``mixed_lower`` for ``[mb, x_min]``
-    and for the attractive root, ``tangent`` on the band.  The T = 0 roots
-    carry the label of their T -> 0+ limit.
+    and for the attractive root, ``tangent`` where the point lies on the
+    tangency curve to rounding.  The T = 0 roots carry the label of their
+    T -> 0+ limit.
     """
-    if not 0.0 <= tol < math.inf:
-        raise InvalidParameter(f"tol must be finite and non-negative, got {tol!r}")
     beta = params.beta
     notes: list[str] = []
     solutions: list[GapSolution] = [_pure_solution(params, beta)]
@@ -441,7 +448,7 @@ def solve_all(params: ModelParams, tol: float = 1e-10,
     for w, phase in roots:
         try:
             solutions.append(
-                _lift(w, phase, params, beta, tol, require_nonneg_effective_energy))
+                _lift(w, phase, params, beta, require_nonneg_effective_energy))
         except (SingularDenominator, ConstraintViolation, NotAdmissible) as exc:
             notes.append(f"root w_bar = {w:.9g} dropped: {exc}")
 
@@ -501,9 +508,9 @@ def equilibrium_mu(lambda_b_bar: float) -> tuple[float, float]:
     For ``lb = lambda_b_bar >= 1`` returns ``(mu_e_bar, x_e)`` where
     ``mu_e_bar = lb*tanh(theta) - theta`` with ``theta = arccosh(sqrt(lb))``,
     and ``x_e = lb*tanh(theta)`` is the degenerate root location.  At
-    ``mu_bar = mu_e_bar`` (and within ``TANGENCY_BAND`` of it) the root
-    finder returns the single tangent root ``x_e``; two roots exist below
-    the curve, none above.
+    ``mu_bar = mu_e_bar``, to the rounding bound of :func:`tangency_distance`,
+    the root finder returns the single tangent root ``x_e``; two roots exist
+    below the curve, none above.
     """
     lb = float(lambda_b_bar)
     if lb < 1.0:

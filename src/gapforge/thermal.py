@@ -235,8 +235,6 @@ _P_SIDE = 1000
 _P_STEP = _SMEARING_EXTENT / _P_SIDE
 # the largest width for which 2 * kappa, and so its patch, is finite
 _MAX_SMEARING_WIDTH = sys.float_info.max / 2.0
-# u-rows per block of the direct correlation: near 1 MB at 2001 p-points
-_ROW_BLOCK = 64
 
 
 def _mirrored(half_axis: np.ndarray) -> np.ndarray:
@@ -267,29 +265,23 @@ def _smearing_lattice(kappa: float) -> tuple[int, np.ndarray]:
 
 
 def _smeared_intensity(g: Callable[[np.ndarray], np.ndarray], kappa: float,
-                       p: np.ndarray, weighted: np.ndarray) -> float:
+                       weighted: np.ndarray) -> float:
     """int exp(-2 kappa u**2) H(u) du by the trapezoid rule on the width's own lattice.
 
     ``weighted`` is ``G`` on the p-grid times its trapezoid weights, even bit
     for bit, so ``H(u) = sum_j weighted_j G(u + p_j)`` with u + p_j a
-    lattice point.  While the p-windows of neighbouring rows overlap,
-    ``m <= rows``, G is evaluated once on the ``2000 m + rows`` lattice
-    points they reach, and the rows ``a = r + m q`` of residue r are the
-    valid correlation of every m-th of them with ``weighted``.  Past that,
-    above kappa ~ 1e6, G is evaluated at each ``u - p_j`` in blocks of
-    ``_ROW_BLOCK`` rows.
+    lattice point.  The rows ``a = r + m q`` of residue ``r < min(m, rows)``
+    reach the points ``(r + m q) h/m``, q from -1000 on and a float, so a
+    huge m cannot overflow: H there is the valid correlation of G on them
+    with ``weighted``, each point evaluated once.
     """
     m, u = _smearing_lattice(kappa)
     rows = u.size // 2 + 1  # u >= 0, from u = 0
-    if m <= rows:
-        lattice = g(np.arange(-_P_SIDE * m, _P_SIDE * m + rows) * (_P_STEP / m))
-        corr = np.empty(rows)
-        for r in range(m):
-            corr[r::m] = np.correlate(lattice[r::m], weighted, "valid")
-    else:
-        u_half = u[rows - 1:]
-        corr = np.concatenate([g(u_half[lo:lo + _ROW_BLOCK, None] - p) @ weighted
-                               for lo in range(0, rows, _ROW_BLOCK)])
+    q = np.arange(-_P_SIDE, _P_SIDE + (rows - 1) // m + 1, dtype=float)
+    corr = np.empty(rows)
+    for r in range(min(m, rows)):
+        nodes = q[:2 * _P_SIDE + (rows - 1 - r) // m + 1]
+        corr[r::m] = np.correlate(g((r + m * nodes) * (_P_STEP / m)), weighted, "valid")
     weights = _trapezoid_weights(u) * np.concatenate([corr[:0:-1], corr])  # H is even
     return float(np.exp(-(math.sqrt(2.0 * kappa) * u) ** 2) @ weights)
 
@@ -304,12 +296,11 @@ def smearing_scaling_check(profile: Callable, v: Callable,
     (2001 points, step h = 0.006, on |p| <= 6).  Each width integrates over
     its own uniform patch, the lattice of :func:`_smearing_lattice`, whose
     step h/m divides h: every u - p is a lattice point, so ``G`` is
-    evaluated once per lattice point rather than once per (u, p) pair,
-    ~271 000 times in all for nine widths in [1, 1e4].  The uniform
-    trapezoid rule converges geometrically on a smooth, decaying integrand
-    and has no jump in node spacing to cross.  Widths above kappa ~ 1e6,
-    whose lattice would hold more points than there are (u, p) pairs,
-    evaluate ``G`` at each pair directly.  For a continuous H with ``H(0) != 0`` the
+    evaluated once per lattice point a u >= 0 row reaches, never more often
+    than once per (u, p) pair: ~271 000 times in all for nine widths in
+    [1, 1e4].  The uniform trapezoid rule converges
+    geometrically on a smooth, decaying integrand and has no jump in node
+    spacing to cross.  For a continuous H with ``H(0) != 0`` the
     large-kappa behaviour is ``H(0) sqrt(pi / (2 kappa))``, i.e. a log-log
     slope of -1/2 in this one-dimensional setting.
 
@@ -353,7 +344,7 @@ def smearing_scaling_check(profile: Callable, v: Callable,
         raise FitFailed("v * profile must be even in p, and is not on the p-grid")
 
     weighted = _trapezoid_weights(p) * g_p
-    intensities = np.array([_smeared_intensity(g, k, p, weighted) for k in kap])
+    intensities = np.array([_smeared_intensity(g, k, weighted) for k in kap])
     if not np.all(np.isfinite(intensities)):
         raise FitFailed(f"smeared intensity is not finite: {intensities.tolist()}")
     if np.any(intensities <= 0.0):

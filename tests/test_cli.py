@@ -106,6 +106,7 @@ def test_solve_beta_is_an_alias_for_temperature(capsys):
         ("solve", "--lambda-b", "4", "--mu", "-1", "--temp", "1"),
         ("solve", "--lambda-b", "4", "--mu", "1", "--temp", "1", "--beta", "1"),
         ("solve", "--lambda-b", "4", "--mu", "1", "--beta", "-2"),
+        # the scalar solver has no tolerance to set
         ("solve", "--lambda-b", "4", "--lambda-m", "3", "--mu", "1", "--temp", "0.3",
          "--tol=nan"),
         ("solve", "--lambda-b", "4", "--lambda-m", "3", "--mu", "1", "--temp", "0.3",
@@ -604,7 +605,7 @@ def test_kernel_solve_csv_matches_self_consistent_solve(capsys):
         ("scan", "--equilibrium", "--lambda-b-bar", "0.5:2:3"),  # below the curve
         ("solve", "--lambda-b", "4", "--mu", "-1", "--temp", "1"),
         ("kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5"),
-        ("scan", "--lambda-b", "4", "--range-mu", "0:1:3", "--temp", "0.3", "--tol=nan"),
+        ("scan", "--lambda-b", "4", "--range-mu", "0:inf:3", "--temp", "0.3"),
     ],
 )
 def test_out_file_is_left_intact_when_the_command_fails(tmp_path, capsys, argv):
@@ -643,7 +644,9 @@ def test_every_flag_is_a_config_key(tmp_path, command):
     flags = [flag for action in commands.choices[command]._actions
              for flag in action.option_strings
              if flag.startswith("--") and flag not in ("--help", "--config")]
-    assert "--lambda-b" in flags and "--tol" in flags
+    assert "--lambda-b" in flags
+    # the Picard stopping tolerance; the scalar solver takes none
+    assert ("--tol" in flags) == (command == "kernel-solve")
     keys = [flag[2:].replace("-", "_") for flag in flags]
     cfg = tmp_path / "all.json"
     cfg.write_text(json.dumps(dict.fromkeys(keys)))
@@ -683,7 +686,9 @@ _POINT_FLAGS = ("--lambda-b", "5", "--mu", "1", "--temp", "0.01")
         (("kernel-solve",), {**_SHELL, "grid_points": 1.5}, 2, "--grid-points", None),
         (("kernel-solve",), {**_SHELL, "max_iters": 10.5}, 2, "--max-iters", None),
         (("solve",), {**_POINT, "lambda_b": [1, 2]}, 2, "--lambda-b", None),
-        (("solve",), {**_POINT, "tol": None}, 0, None, ("solve", *_POINT_FLAGS)),
+        (("kernel-solve",), {**_SHELL, "grid_points": 30, "tol": None}, 0, None,
+         ("kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+          "--epsilon", "0.05", "--grid-points", "30")),
         (("scan", "--range-lambda-b", "0:1:zz", "--mu", "1", "--temp", "0.3"), None,
          2, "--range-lambda-b", None),
         (("scan", "--range-temp", "0:1:x", "--lambda-b", "1", "--mu", "1"), None,

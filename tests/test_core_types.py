@@ -149,6 +149,23 @@ def test_solution_checks_hold_where_the_squares_overflow(c):
     assert not solution_checks(broken, params)["energy_identity"]
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-20])
+def test_solution_check_bounds_are_relative_to_the_energies(c):
+    # the upper branch with every energy tripled: w_bar ~ 12c exceeds
+    # |lambda_b| = 4c, and delta_m ~ 0.63c exceeds 2*|lambda_m| = 0.6c, by far
+    # more than an absolute allowance of 1e-8 at c = 1e-20
+    from gapforge.scalar_gap import solve_all
+
+    params = ModelParams(4.0 * c, 0.3 * c, 1.0 * c, 0.3 * c)
+    upper = solve_all(params).mixed[-1]
+    assert all(solution_checks(upper, params).values())
+    tripled = dataclasses.replace(upper, delta_m=3.0 * upper.delta_m,
+                                  delta_b=3.0 * upper.delta_b, w_bar=3.0 * upper.w_bar)
+    checks = solution_checks(tripled, params)
+    assert not checks["quasienergy_above_coupling_bound"]
+    assert not checks["mean_field_bound"]
+
+
 @pytest.mark.parametrize("c", [1.0, 1e-100, 1e-200, 1e-300, 1e150, 1e300])
 def test_energy_identity_defect_is_relative_at_any_scale(c):
     # w_bar = 5.5c, mu + delta_m = 3c, delta_b = 4c breaks the identity by 21/121 of w_bar**2

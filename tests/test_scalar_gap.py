@@ -16,7 +16,6 @@ from gapforge.core_types import ModelParams, PhaseLabel
 from gapforge.errors import (
     ConstraintViolation,
     DomainError,
-    InvalidParameter,
     NotApplicable,
     NotAdmissible,
     SingularDenominator,
@@ -34,6 +33,7 @@ from gapforge.scalar_gap import (
 )
 
 from oracles import (
+    bisect,
     mixed_delta_m,
     pairing_defect,
     pure_gap,
@@ -108,12 +108,8 @@ def test_every_root_satisfies_the_equation(lb, mu, T):
     assert len(roots) <= 2
     if lb < 0:
         assert len(roots) <= 1
-    # a lone root of a repulsive coupling may be a degenerate tangency, where
-    # the defect is only bounded by sqrt(tol) in reduced units
-    loose = len(roots) == 1 and lb > 0
     for w in sorted(roots):
-        bound = (2 * T * 2e-5 + 1e-7) if loose else 1e-7 * max(1.0, abs(lb))
-        assert abs(pairing_defect(w, lb, mu, T)) < bound
+        assert abs(pairing_defect(w, lb, mu, T)) < 1e-7 * max(1.0, abs(lb))
         assert 0.0 < w <= abs(lb) + 1e-9
 
 
@@ -239,10 +235,6 @@ def test_solve_all_drops_inadmissible_root_with_note():
     assert report.multiplicity == 1
     assert report.mixed[0].phase is PhaseLabel.MIXED_UPPER
     assert any("dropped" in note for note in report.notes)
-    # a tolerance outside [0, inf) would admit that root, or drop the valid one
-    for tol in (math.nan, math.inf, -1.0):
-        with pytest.raises(InvalidParameter, match="tol"):
-            solve_all(ModelParams(3.0, 1.0, 1.0, 0.3), tol=tol)
 
 
 def test_solve_all_zero_coupling_note_not_error():
@@ -373,15 +365,65 @@ def test_solve_all_solutions_pass_structural_checks(lb, lm, mu, T):
         assert not bad, (sol, bad)
 
 
-@pytest.mark.xfail(strict=True, reason="a subnormal pairing root is lifted although "
-                   "mu + delta_m cancels to 0; a residual gate would drop it")
 def test_a_subnormal_mixed_root_meets_its_own_equations():
-    # w_bar = 1e-323 exceeds |lambda_b| = 5e-324, and r1 = 2; solution_checks
-    # passes it, since mu + delta_m is exactly 0 and the checks are absolute
+    # w_bar = 1e-323 exceeds |lambda_b| = 5e-324, and r1 = 2: the residual
+    # gate drops that root
     params = ModelParams(-5e-324, -0.5, 2.225073858507e-311, 0.75)
     for sol in solve_all(params).mixed:
         assert sol.w_bar <= abs(params.lambda_b)
         assert sol.residual <= 1e-8
+
+
+@pytest.mark.parametrize("params, residual", [
+    ((-5e-324, -0.5, 2.225073858507e-311, 0.75), "2"),  # subnormal root above |lambda_b|
+    ((-1.87e-221, -1.0, 0.375, 0.0), "0.625"),  # mu + delta_m cancels
+    ((-4.0, 0.0, 1.0, 1e-300), "0.75"),  # w_bar rounds to mu: no such root
+    ((4.0, 0.0, 1.0, 1e-300), "1.25"),  # w_bar - mu below an ulp of mu: delta_b = 0
+])
+def test_the_residual_gate_drops_a_lower_root_that_misses_its_equations(params, residual):
+    report = solve_all(ModelParams(*params))
+    assert PhaseLabel.MIXED_LOWER not in [s.phase for s in report.mixed]
+    assert report.multiplicity == len(report.mixed)
+    assert [note.split(": ", 1)[1] for note in report.notes] == [
+        f"residual {residual} exceeds 1e-08"]
+    assert all(s.residual <= 1e-8 for s in report.solutions)
+
+
+@pytest.mark.parametrize("d, phases", [
+    (5e-6, []),  # above the curve: no root
+    (-9e-6, [PhaseLabel.MIXED_LOWER, PhaseLabel.MIXED_UPPER]),  # 6.4e-3 apart
+    (-1e-12, [PhaseLabel.MIXED_LOWER, PhaseLabel.MIXED_UPPER]),  # 2.1e-6 apart
+])
+def test_the_root_count_is_exact_next_to_the_tangency_curve(d, phases):
+    # at T = 1/2 the reduced values are the raw ones; lambda_b_bar = 4
+    mu_e, x_e = equilibrium_mu(4.0)
+    params = ModelParams(4.0, 0.0, mu_e + d, 0.5)
+    report = solve_all(params)
+    assert [s.phase for s in report.mixed] == phases
+    assert multiplicity_class(params) is list(MultiplicityClass)[len(phases)]
+    for sol in report.mixed:
+        assert abs(pairing_defect(sol.w_bar, 4.0, params.mu, 0.5)) <= 1e-8 * 4.0
+        assert sol.residual <= 1e-12
+    if len(phases) == 2:
+        # each bracket of the convex defect holds one root, found independently
+        lower, upper = (s.w_bar for s in report.mixed)
+        defect = lambda x: pairing_defect(x, 4.0, params.mu, 0.5)  # noqa: E731
+        # the defect's slope at a root is ~sqrt(|d|), which bounds the oracle's accuracy
+        assert lower == pytest.approx(bisect(defect, params.mu, x_e), abs=1e-9)
+        assert upper == pytest.approx(bisect(defect, x_e, 4.0), abs=1e-9)
+        assert lower < x_e < upper
+
+
+@pytest.mark.parametrize("lb_bar", [1.5, 4.0, 12.0])
+@pytest.mark.parametrize("d", [-1e-6, -1e-9, -1e-12])
+def test_roots_next_to_the_tangency_curve_cost_at_most_128_evaluations(lb_bar, d):
+    # near a double root Newton converges only linearly; the kernel's own cap holds
+    params = ModelParams(lb_bar, 0.0, equilibrium_mu(lb_bar)[0] + d, 0.5)
+    calls = _kernel_calls(params)
+    assert len(calls) == 2
+    for f, lo, hi, root, seen in calls:
+        assert len(seen) <= 128
+        assert f(root)[0] >= 0.0 > f(math.nextafter(root, lo))[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -392,8 +434,6 @@ def test_a_subnormal_mixed_root_meets_its_own_equations():
 def test_mixed_residuals_are_tiny(lb, lm, mu, T):
     report = solve_all(ModelParams(lb, lm, mu, T))
     for sol in report.mixed:
-        if sol.phase is PhaseLabel.TANGENT:
-            continue  # degenerate double root: defect only O(sqrt(tol))
         assert sol.residual < 1e-7
 
 
@@ -641,6 +681,9 @@ _COUPLING = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)
 # mu + delta_m cancels here; a range switch of the mean-field shift once
 # rounded it differently at 2**900 and moved delta_b by 1.1e-11
 @example(lb=-0.0027911384, lm=-564.09982, mu=15.659459, T=0.7, k=900)
+# delta_b**2 is subnormal at 2**-494 while w_bar**2 is not: the energy identity
+# once took the unit-scale path there and stored a different residual
+@example(lb=0.001, lm=128.0, mu=0.0, T=0.0, k=-494)
 def test_solutions_scale_exactly_by_a_power_of_two(lb, lm, mu, T, k):
     """Scaling every input energy by c = 2**k scales every output energy by c,
     bit for bit, and leaves every label and residual as it was."""
