@@ -6,6 +6,8 @@ Four subcommands: ``solve`` (one parameter point, every branch), ``scan``
 (momentum-resolved self-consistency).  A JSON config file can pre-load any
 flag of the chosen subcommand (keys are the flag names with dashes as
 underscores); its values are parsed as flags, and explicit flags win.
+Importing this module loads numpy; ``kernel_solver`` and ``thermal`` load
+only when ``kernel-solve`` runs, ``asymptotics`` only when ``verify`` runs.
 
 Exit codes: 0 success; 2 bad input (flags, config, parameter validation,
 regime preconditions); 3 verification mismatch; 4 kernel solver failed to
@@ -24,9 +26,9 @@ import sys
 from functools import partial
 from operator import itemgetter
 
-import numpy as np
+import numpy as np  # module level while perfbench requires it: ROADMAP items 1 and 5
 
-from . import _forked, asymptotics, kernel_solver, phase_diagram, scalar_gap
+from . import _forked, phase_diagram, scalar_gap
 from .core_types import ModelParams, solution_checks
 from .errors import (
     ConfigError,
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel.add_argument("--epsilon", type=float, default=None,
                         help="shell half-width for separable kernels")
     kernel.add_argument("--grid-points", type=int, default=600,
-                        help="total grid budget (one third resolves the shell)")
+                        help="grid intervals, not points (one third resolves the shell)")
     kernel.add_argument("--p-max", type=float, default=3.0)
     kernel.add_argument("--kernel-b-csv", default=None,
                         help="tabulated pairing kernel (header row of momenta)")
@@ -319,6 +321,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import asymptotics
     params = _resolve_params(args)
     closed = getattr(asymptotics, f"regime_{args.regime}")(params)
     if not closed.valid:
@@ -362,6 +365,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_init(text: str):
+    from . import kernel_solver
     if text == "zero":
         return kernel_solver.SeededPairing(0.0)
     if text == "scalar":
@@ -387,6 +391,7 @@ def _kernel_tables(path_b: str | None, path_m: str | None):
     pairing one (see :mod:`gapforge._forked`: not on one usable CPU).  The
     tables, and any error, are those of reading the pairing file first.
     """
+    from . import kernel_solver
     paths = [path for path in (path_b, path_m) if path]
     loads = [partial(kernel_solver.load_kernel_csv, path) for path in paths]
     if len(loads) == 2 and _file_size(path_m) >= _MIN_FORKED_CSV:
@@ -410,6 +415,7 @@ def _file_size(path: str) -> int:
 
 
 def _kernel_setup(args: argparse.Namespace, params: ModelParams):
+    from . import kernel_solver
     if args.kernel_b_csv or args.kernel_m_csv:
         momenta, matrix_b, matrix_m = _kernel_tables(args.kernel_b_csv, args.kernel_m_csv)
         grid = kernel_solver.RadialGrid.from_points(momenta)
@@ -423,7 +429,7 @@ def _kernel_setup(args: argparse.Namespace, params: ModelParams):
         return grid, kernels
     if args.epsilon is None:
         raise ConfigError("kernel-solve needs --epsilon or a kernel CSV")
-    if args.grid_points < 6:  # the shell takes a third and needs 2 points
+    if args.grid_points < 6:  # the shell takes a third and needs 2 intervals
         raise ConfigError(f"--grid-points must be at least 6, got {args.grid_points}")
     n_shell = args.grid_points // 3
     n_outer = args.grid_points - n_shell
@@ -434,6 +440,7 @@ def _kernel_setup(args: argparse.Namespace, params: ModelParams):
 
 
 def cmd_kernel_solve(args: argparse.Namespace) -> int:
+    from . import kernel_solver
     params = _resolve_params(args)
     grid, kernels = _kernel_setup(args, params)
     controls = kernel_solver.IterationControls(

@@ -537,6 +537,19 @@ def test_kernel_solve_names_a_bad_seed_or_grid_budget(capsys, extra, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("budget, points", [(6, 7), (30, 31), (31, 32), (33, 35), (600, 601)])
+def test_the_grid_budget_counts_intervals(capsys, budget, points):
+    # N intervals give N + 1 points, one more when the shell's N // 3 is odd
+    # and is rounded up to even so that the Fermi radius is a grid point
+    code, out, err = run_cli(
+        capsys,
+        "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+        "--epsilon", "0.05", "--grid-points", str(budget), "--init", "seed:1.0",
+    )
+    assert code == 0
+    assert json.loads(err)["grid_points"] == points == len(out.splitlines()) - 1
+
+
 # ---------------------------------------------------------------------------
 # outputs match the library, and --out is written only on success
 
@@ -941,3 +954,51 @@ def test_verify_reports_a_singular_closed_form_as_a_solver_error(capsys):
     )
     assert code == 1
     assert "lambda_b + lambda_m = 0" in err
+
+
+# ---------------------------------------------------------------------------
+# start-up: a command loads only the modules it runs
+
+
+_LATE_MODULES = ("gapforge.kernel_solver", "gapforge.thermal", "gapforge.asymptotics")
+
+
+def _fresh_python(*args):
+    """``python *args`` in a new interpreter that imports this tree's gapforge."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+_SHELL_ARGV = ("kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+               "--epsilon", "0.05", "--grid-points", "30", "--init", "seed:1.0")
+_VERIFY_ARGV = ("verify", "--regime", "IA", "--lambda-b", "5", "--mu", "1", "--temp", "0.01")
+
+
+@pytest.mark.parametrize("argv, late", [
+    ((), ()),
+    (("solve", "--lambda-b", "5", "--mu", "1", "--temp", "0.01"), ()),
+    (("scan", "--range-lambda-b", "1:5:3", "--mu", "1", "--temp", "0.3"), ()),
+    (_VERIFY_ARGV, ("gapforge.asymptotics",)),
+    (_SHELL_ARGV, ("gapforge.kernel_solver", "gapforge.thermal")),
+], ids=["import", "solve", "scan", "verify", "kernel-solve"])
+def test_each_command_loads_only_the_modules_it_runs(argv, late):
+    # numpy stays a module-level import of the CLI while perfbench requires it
+    probe = ("import contextlib, io, sys; from gapforge.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n"
+             "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             f"print(code, 'numpy' in sys.modules, *(m for m in {_LATE_MODULES!r} "
+             "if m in sys.modules))")
+    proc = _fresh_python("-c", probe, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", *late]
+
+
+@pytest.mark.parametrize("argv", [_SHELL_ARGV, _VERIFY_ARGV], ids=["kernel-solve", "verify"])
+def test_a_fresh_process_writes_what_an_in_process_run_writes(capsys, argv):
+    # in process the test modules have imported every module already; only a
+    # new interpreter shows that a command imports what it loads late
+    run = "import sys; from gapforge.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = _fresh_python("-c", run, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
