@@ -8,8 +8,11 @@ The full problem couples two unknown functions of momentum through
 
 with {p} the thermal occupation.  Solved by damped Picard iteration;
 :func:`branch_scan` adds Newton's method for the repelling branches.  Both
-iterate one problem built once per solve, and every solution they emit
-reports its :func:`gap_rhs` defect as residual.  The
+iterate one problem built once per solve, in which every kernel is a
+low-rank factor (:class:`_Factor`; a degenerate-kernel method, Atkinson, *The
+Numerical Solution of Integral Equations of the Second Kind*, 1997, ch. 2),
+and every solution they emit reports its :func:`gap_rhs` defect, taken on
+the full kernels, as residual.  The
 narrow-shell separable kernel family (interaction confined to a band of
 half-width ``epsilon`` around the Fermi radius ``sqrt(mu)``) collapses, as
 ``epsilon -> 0``, onto the scalar Fermi-surface equations solved in
@@ -60,8 +63,10 @@ class RadialGrid:
         if self.points.ndim != 1 or self.points.size < 2:
             raise InvalidParameter("radial grid needs at least two points")
         _check_momenta(self.points)
-        if np.any(self.weights <= 0.0):
-            raise InvalidParameter("quadrature weights must be positive")
+        w = self.weights
+        if w.shape != self.points.shape or not np.all((0.0 < w) & (w < math.inf)):
+            raise InvalidParameter(
+                "quadrature weights must be finite and positive, one per point")
 
     @classmethod
     def from_points(cls, points: Sequence[float]) -> "RadialGrid":
@@ -161,35 +166,55 @@ def shell_kernel(epsilon: float, mu: float) -> ShellShape:
 
 @dataclass(eq=False)
 class _Factor:
-    """A kernel's action on one grid, ``apply(v) = lift(rows @ (weights * v))``.
+    """A kernel's action on one grid, ``apply(v) = basis @ (rows @ v)``.
 
-    A separable kernel has rank one: ``basis`` is its shape column, ``rows``
-    the row ``coupling * sigma`` and ``weights`` None.  A tabulated kernel is
-    its own factor: ``basis`` None (the identity), ``rows`` its matrix and
-    ``weights`` the grid's quadrature weights, kept apart from the matrix so
-    that no weighted copy of it is made.
+    ``basis`` is n x r and ``rows`` r x n, with the quadrature weights folded
+    into ``rows``.  A separable kernel has r = 1: its shape column and the
+    row ``coupling * sigma``.  A tabulated kernel has its numerical rank.
     """
 
-    basis: np.ndarray | None
+    basis: np.ndarray
     rows: np.ndarray
-    weights: np.ndarray | None = None
-
-    def _weighted(self, v: np.ndarray) -> np.ndarray:
-        return v if self.weights is None else self.weights * v
 
     def amplitudes(self, v: np.ndarray) -> np.ndarray:
-        return self.rows @ self._weighted(v)
+        return self.rows @ v
 
     def lift(self, x: np.ndarray) -> np.ndarray:
-        return x if self.basis is None else self.basis * x
+        return self.basis @ x
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.lift(self.amplitudes(v))
 
     def block(self, d: np.ndarray, col: "_Factor") -> np.ndarray:
-        """``rows @ diag(weights * d) @ col.basis``: one block of the amplitude Jacobian."""
-        m = self.rows * self._weighted(d)
-        return m if col.basis is None else m @ col.basis[:, None]
+        """``rows @ diag(d) @ col.basis``: one block of the amplitude Jacobian."""
+        return (self.rows * d) @ col.basis
+
+
+# first rank, test columns, relative bound (rounding) and seed of _range_factor
+_RANK_START, _RANK_PROBES, _RANK_TOL, _RANK_SEED = 16, 4, 1e-14, 20110217
+
+
+def _range_factor(matrix: np.ndarray, weights: np.ndarray) -> _Factor:
+    """``matrix @ diag(weights)`` as ``Q @ (Q.T @ matrix @ diag(weights))``.
+
+    The randomized range finder of Halko, Martinsson & Tropp, SIAM Rev. 53
+    (2011) 217, alg. 4.1 with the check of their sec. 4.3: Q is an
+    orthonormal basis of the image of r fixed-seed Gaussian columns, and r
+    doubles from ``_RANK_START`` until Q misses at most ``_RANK_TOL`` of
+    ``_RANK_PROBES`` further image columns (Frobenius norm), or reaches n,
+    where Q is the identity.  Below n no n x n matrix is built.
+    """
+    n = weights.size
+    rng = np.random.default_rng(_RANK_SEED)
+    r = _RANK_START
+    while r < n:
+        image = matrix @ (weights[:, None] * rng.standard_normal((n, r + _RANK_PROBES)))
+        q = np.linalg.qr(image[:, :r])[0]
+        probe = image[:, r:]
+        if np.linalg.norm(probe - q @ (q.T @ probe)) <= _RANK_TOL * np.linalg.norm(probe):
+            return _Factor(q, (q.T @ matrix) * weights)
+        r *= 2
+    return _Factor(np.eye(n), matrix * weights)
 
 
 @dataclass(frozen=True)
@@ -208,7 +233,7 @@ class SeparableKernel:
     def factor(self, grid: RadialGrid) -> _Factor:
         """Rank one: the shape column times the row ``coupling * sigma``."""
         shape = np.asarray(self.shape(grid.points), dtype=float)
-        return _Factor(shape, self.coupling * self.measure(grid)[None, :])
+        return _Factor(shape[:, None], self.coupling * self.measure(grid)[None, :])
 
     def apply(self, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
         """Integrate V(k, .) against ``values`` sampled on the grid."""
@@ -217,35 +242,45 @@ class SeparableKernel:
 
 @dataclass(frozen=True, eq=False)
 class TabulatedKernel:
-    """V(k_i, p_j) as a square matrix over the solve grid."""
+    """V(k_i, p_j) as a square matrix over the solve grid, every entry finite."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+        m = self.matrix
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidParameter("tabulated kernel must be a square matrix")
+        bad = np.argwhere(~np.isfinite(m))
+        if bad.size:
+            i, j = bad[0]
+            raise InvalidParameter(
+                f"tabulated kernel entry ({i}, {j}) is {float(m[i, j])}, not finite")
 
     @property
     def is_symmetric(self) -> bool:
-        """Equal to its transpose to 1e-12 of its largest finite entry; infinities exactly."""
+        """Equal to its transpose to 1e-12 of its largest entry."""
         m = self.matrix
         if np.array_equal(m, m.T):  # exactly symmetric, as a written symmetric kernel is
             return True
-        finite = np.isfinite(m)  # the mask alone: no |m| or copy of a large matrix
-        size = max(np.max(m, where=finite, initial=0.0), -np.min(m, where=finite, initial=0.0))
+        size = max(np.max(m), -np.min(m))  # no |m| or copy of a large matrix
         return bool(np.allclose(m, m.T, rtol=1e-12, atol=1e-12 * size))
 
-    def factor(self, grid: RadialGrid) -> _Factor:
-        """The matrix itself, with the grid's quadrature weights on its columns."""
+    def _check_grid(self, grid: RadialGrid) -> None:
         if self.matrix.shape[0] != grid.points.size:
             raise InvalidParameter(
                 f"kernel is {self.matrix.shape[0]}x{self.matrix.shape[1]} but the "
                 f"grid has {grid.points.size} points"
             )
-        return _Factor(None, self.matrix, grid.weights)
+
+    def factor(self, grid: RadialGrid) -> _Factor:
+        """The matrix, quadrature weights on its columns, at its numerical rank."""
+        self._check_grid(grid)
+        return _range_factor(self.matrix, grid.weights)
 
     def apply(self, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-        return self.factor(grid).apply(values)
+        """The full matrix against ``values``: no factor's truncation enters."""
+        self._check_grid(grid)
+        return self.matrix @ (grid.weights * values)
 
 
 KernelSpec = Union[SeparableKernel, TabulatedKernel]
@@ -498,15 +533,16 @@ def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
     The problem, the one Newton runs on in :func:`branch_scan`, is built once
     per solve: each step maps the iterate to its right-hand sides through
     :class:`_AmplitudeProblem`.  Once their sup-norm distance from the
-    iterate (its gap-equation defect) drops below ``controls.tol`` the
-    iterate is emitted with its :func:`gap_rhs` defect, the same number;
-    otherwise it moves the fraction ``controls.damping`` of the way to the
-    right-hand side.  After ``controls.max_iters`` evaluations
-    :class:`NotConverged` is raised, carrying the last evaluated iterate with
-    its defect in ``.gaps``.  The emitted pairing function is non-negative at
-    its largest-magnitude point — both signs solve the system, with the same
-    defect.  ``on_iterate(iteration, defect)`` is called once per step when
-    provided; handy for convergence diagnostics.
+    iterate (its factored defect) drops below ``controls.tol`` the iterate is
+    emitted if its :func:`gap_rhs` defect, the same number under separable
+    kernels, is at most ``controls.tol`` too; otherwise it moves the fraction
+    ``controls.damping`` of the way to the right-hand side.  After
+    ``controls.max_iters`` evaluations :class:`NotConverged` is raised,
+    carrying the last evaluated iterate with its :func:`gap_rhs` defect in
+    ``.gaps``.  The emitted pairing function is non-negative at its
+    largest-magnitude point — both signs solve the system, with the same
+    defect.  ``on_iterate(iteration, defect)`` is called once per step with
+    the factored defect when provided; handy for convergence diagnostics.
     """
     problem = _AmplitudeProblem(grid, kernels, dispersion, params)
     alpha = controls.damping
@@ -518,15 +554,18 @@ def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
         if on_iterate is not None:
             on_iterate(it, defect)
         if defect < controls.tol:
-            return problem.emit(dm, db, it)
+            gaps = problem.emit(dm, db, it)
+            if gaps.residual <= controls.tol:
+                return gaps
         if it == controls.max_iters:
             break
         dm = (1.0 - alpha) * dm + alpha * new_dm
         db = (1.0 - alpha) * db + alpha * new_db
+    last = GapFunctions(dm, db, np.hypot(problem.omega + dm, db), 0.0, it)
+    residual = gap_rhs(last, *problem.setup).residual
     raise NotConverged(
-        f"no fixed point after {it} iterations (last defect {defect:.3e})",
-        residual=defect, iterations=it,
-        gaps=GapFunctions(dm, db, np.hypot(problem.omega + dm, db), defect, it),
+        f"no fixed point after {it} iterations (last defect {residual:.3e})",
+        residual=residual, iterations=it, gaps=dataclasses.replace(last, residual=residual),
     )
 
 
@@ -540,11 +579,12 @@ class _AmplitudeProblem:
 
     :func:`gap_rhs` maps every pair of gap functions into the ranges of the
     two kernels, so each fixed point is delta_M = lift_M(x_M), delta_B =
-    lift_B(x_B) with x = g(x).  Under separable kernels x is the two
-    amplitudes (A, B) and the Jacobian of F is 2x2; under tabulated kernels
-    x is the gap functions themselves and the Jacobian is (2n)x(2n).  Built
-    once per solve: Picard steps on ``lift(image(dm, db))`` (bit for bit the
-    right-hand sides of ``gap_rhs``), Newton on F, and both :meth:`emit`.
+    lift_B(x_B) with x = g(x) in r_M + r_B unknowns, the kernels' ranks
+    (:class:`_Factor`): the two amplitudes (A, B) under separable kernels,
+    2 x 16 under the benchmark's tabulated ones.  Built once per solve:
+    Picard steps on ``lift(image(dm, db))`` (the right-hand sides of
+    ``gap_rhs``, bit for bit under separable kernels), Newton on F, and both
+    :meth:`emit`, whose residual is the ``gap_rhs`` defect.
     """
 
     def __init__(self, grid: RadialGrid, kernels: CoupledKernels,

@@ -64,6 +64,13 @@ def test_grid_rejects_bad_points():
         RadialGrid(points=np.array([0.0, 1.0]), weights=np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("weights", [[1.0, math.nan, 1.0], [1.0, math.inf, 1.0],
+                                     [1.0, -1.0, 1.0], [1.0, 1.0], [[1.0, 1.0, 1.0]]])
+def test_grid_refuses_weights_of_another_shape_not_finite_or_not_positive(weights):
+    with pytest.raises(InvalidParameter, match="quadrature weights"):
+        RadialGrid(points=np.array([0.0, 1.0, 2.0]), weights=np.array(weights))
+
+
 def test_index_nearest_picks_the_closest_point():
     grid = RadialGrid.uniform(3.0, 31)
     assert grid.points[grid.index_nearest(1.02)] == pytest.approx(1.0)
@@ -169,6 +176,14 @@ def test_tabulated_kernel_checks_grid_size():
     grid = RadialGrid.uniform(1.0, 5)
     with pytest.raises(InvalidParameter):
         kernel.apply(grid, np.zeros(5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tabulated_kernel_refuses_a_non_finite_entry_by_its_position(bad):
+    matrix = np.eye(3)
+    matrix[2, 1] = bad
+    with pytest.raises(InvalidParameter, match=r"entry \(2, 1\)"):
+        TabulatedKernel(matrix)
 
 
 def test_pairing_kernel_must_be_symmetric():
@@ -752,6 +767,102 @@ def test_branch_scan_serves_tabulated_kernels():
         want_dm = 2.0 * kernels.mean_field.matrix @ (h * brace)
         assert np.max(np.abs(want_db - b.delta_b)) <= 1e-10
         assert np.max(np.abs(want_dm - b.delta_m)) <= 1e-10
+
+
+def _gaussian_shell_kernels(n):
+    """Symmetric Gaussian-shell pairing and mean-field kernels on n momenta in (0, 3].
+
+    g(k) g(p) exp(-(k - p)**2 / (2 * 0.2**2)) / int g**2 with g of width 0.05
+    at the Fermi radius 1, times the couplings 4 and 0.3: numerical rank ~10.
+    """
+    p = np.linspace(0.0, 3.0, n + 1)[1:]
+    g = np.exp(-0.5 * ((p - 1.0) / 0.05) ** 2)
+    shape = np.outer(g, g) * np.exp(-0.5 * ((p[:, None] - p[None, :]) / 0.2) ** 2)
+    shape /= 0.05 * math.sqrt(math.pi)
+    return RadialGrid.from_points(p), 4.0 * shape, 0.3 * shape
+
+
+def _dense_picard(grid, kernel_b, kernel_m, params, seed, tol):
+    """Damped (1/2) Picard on the full matrices, stopping on the sup-norm defect."""
+    h, omega = grid.weights, grid.points ** 2
+    dm, db = np.zeros(omega.size), np.full(omega.size, seed)
+    for it in range(1, 2001):
+        eff = omega + dm
+        w = np.hypot(eff, db)
+        t = np.tanh(0.5 * params.beta * (w - params.mu))
+        new_db = kernel_b @ (h * db / w * t)
+        new_dm = 2.0 * kernel_m @ (h * 0.5 * (1.0 - eff / w * t))
+        if max(np.max(np.abs(new_dm - dm)), np.max(np.abs(new_db - db))) < tol:
+            return dm, db, it
+        dm, db = 0.5 * (dm + new_dm), 0.5 * (db + new_db)
+    raise AssertionError("dense reference did not converge")
+
+
+def test_a_tabulated_kernel_is_factored_at_its_numerical_rank():
+    params = ModelParams(4.0, 0.3, 1.0, temperature=0.5)
+    grid, kernel_b, kernel_m = _gaussian_shell_kernels(600)
+    kernels = CoupledKernels(TabulatedKernel(kernel_b), TabulatedKernel(kernel_m))
+    for kernel in (kernels.pairing, kernels.mean_field):
+        factor = kernel.factor(grid)
+        assert factor.basis.shape[1] == factor.rows.shape[0] <= 32
+        v = np.random.default_rng(5).normal(size=600)
+        full = kernel.apply(grid, v)
+        assert np.max(np.abs(factor.apply(v) - full)) <= 1e-13 * np.max(np.abs(full))
+    controls = IterationControls(init=SeededPairing(2.0))
+    sol = self_consistent_solve(grid, kernels, PARABOLIC, params, controls)
+    dm, db, iterations = _dense_picard(grid, kernel_b, kernel_m, params, 2.0, controls.tol)
+    assert sol.iterations == iterations
+    scale = np.max(np.abs(db))
+    assert np.max(np.abs(sol.delta_b - db)) <= 1e-12 * scale
+    assert np.max(np.abs(sol.delta_m - dm)) <= 1e-12 * scale
+    assert sol.residual == gap_rhs(sol, grid, kernels, PARABOLIC, params).residual
+    assert sol.residual <= controls.tol
+
+
+def test_a_full_rank_kernel_is_factored_exactly():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(50, 50))
+    kernel = TabulatedKernel(a + a.T)
+    grid = RadialGrid.uniform(3.0, 50)
+    factor = kernel.factor(grid)
+    assert factor.basis.shape == (50, 50)
+    v = rng.normal(size=50)
+    np.testing.assert_allclose(factor.apply(v), kernel.apply(grid, v), rtol=1e-12, atol=1e-12)
+
+
+def test_a_zero_tabulated_kernel_still_solves():
+    # kernel-solve fills the channel of a missing CSV with zeros
+    params = ModelParams(4.0, 0.0, 1.0, temperature=0.5)
+    grid, kernel_b, _ = _gaussian_shell_kernels(150)
+    kernels = CoupledKernels(TabulatedKernel(kernel_b), TabulatedKernel(np.zeros((150, 150))))
+    sol = self_consistent_solve(grid, kernels, PARABOLIC, params,
+                                IterationControls(init=SeededPairing(2.0)))
+    assert np.all(sol.delta_m == 0.0)
+    assert np.max(sol.delta_b) > 1.0
+    assert sol.residual <= 1e-10
+
+
+def test_a_factored_defect_below_tol_is_not_enough_to_converge(monkeypatch):
+    # a factor truncated far above rounding: Picard's factored defect falls
+    # below tol, but gap_rhs, on the full matrix, never does
+    import gapforge.kernel_solver as ks
+
+    monkeypatch.setattr(ks, "_RANK_TOL", 1.0)
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(60, 60))
+    grid = RadialGrid.uniform(3.0, 60)
+    kernels = CoupledKernels(TabulatedKernel(np.zeros((60, 60))),
+                             TabulatedKernel(0.05 * (a + a.T)))
+    assert kernels.mean_field.factor(grid).basis.shape[1] == 16
+    defects = []
+    with pytest.raises(NotConverged) as info:
+        self_consistent_solve(grid, kernels, PARABOLIC, PARAMS,
+                              IterationControls(max_iters=200),
+                              on_iterate=lambda it, defect: defects.append(defect))
+    assert min(defects) < 1e-10
+    last = info.value.gaps
+    assert info.value.residual == last.residual == gap_rhs(
+        last, grid, kernels, PARABOLIC, PARAMS).residual > 1e-10
 
 
 @pytest.mark.parametrize("tabulated", [False, True])
