@@ -32,7 +32,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -54,24 +55,20 @@ from .thermal import ModeTable, _check_momenta, _mode_terms, _trapezoid_weights
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing momenta p_i >= 0 with quadrature weights for int dp."""
+    """At least two strictly increasing momenta p_i >= 0; ``weights`` is their trapezoid rule."""
 
     points: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.points.ndim != 1 or self.points.size < 2:
             raise InvalidParameter("radial grid needs at least two points")
         _check_momenta(self.points)
-        w = self.weights
-        if w.shape != self.points.shape or not np.all((0.0 < w) & (w < math.inf)):
-            raise InvalidParameter(
-                "quadrature weights must be finite and positive, one per point")
+        object.__setattr__(self, "weights", _trapezoid_weights(self.points))
 
     @classmethod
     def from_points(cls, points: Sequence[float]) -> "RadialGrid":
-        pts = np.asarray(points, dtype=float)
-        return cls(points=pts, weights=_trapezoid_weights(pts))
+        return cls(np.asarray(points, dtype=float))
 
     @classmethod
     def uniform(cls, p_max: float, n: int) -> "RadialGrid":
@@ -129,9 +126,9 @@ class ShellShape:
 
         Interior trapezoid over the covered sub-grid plus rectangle slivers
         for the partially covered edge cells, so sum sigma_i * 1 equals
-        ``height * (hi - lo)`` exactly however the grid falls.  A grid that
-        puts no point inside the band integrates it as zero — resolve the
-        shell before solving on it.
+        ``height * (hi - lo)`` to one rounding however the grid falls.  A grid
+        that puts no point inside the band integrates it as zero — resolve
+        the shell before solving on it.
         """
         pts = np.asarray(points, dtype=float)
         sigma = np.zeros(pts.shape)
@@ -139,9 +136,6 @@ class ShellShape:
         if inside.size == 0:
             return sigma
         sub = pts[inside]
-        if inside.size == 1:
-            sigma[inside[0]] = self.height * (self.hi - self.lo)
-            return sigma
         w = _trapezoid_weights(sub)
         w[0] += sub[0] - self.lo
         w[-1] += self.hi - sub[-1]
@@ -168,9 +162,9 @@ def shell_kernel(epsilon: float, mu: float) -> ShellShape:
 class _Factor:
     """A kernel's action on one grid, ``apply(v) = basis @ (rows @ v)``.
 
-    ``basis`` is n x r and ``rows`` r x n, with the quadrature weights folded
+    ``basis`` is n x r and ``rows`` r x n, with the grid's quadrature folded
     into ``rows``.  A separable kernel has r = 1: its shape column and the
-    row ``coupling * sigma``.  A tabulated kernel has its numerical rank.
+    row ``coupling * sigma``; a tabulated kernel K, Q and ``(Q.T @ K) * w``.
     """
 
     basis: np.ndarray
@@ -194,27 +188,28 @@ class _Factor:
 _RANK_START, _RANK_PROBES, _RANK_TOL, _RANK_SEED = 16, 4, 1e-14, 20110217
 
 
-def _range_factor(matrix: np.ndarray, weights: np.ndarray) -> _Factor:
-    """``matrix @ diag(weights)`` as ``Q @ (Q.T @ matrix @ diag(weights))``.
+def _range_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``matrix`` as ``Q @ (Q.T @ matrix)``: the pair ``(Q, Q.T @ matrix)``.
 
     The randomized range finder of Halko, Martinsson & Tropp, SIAM Rev. 53
     (2011) 217, alg. 4.1 with the check of their sec. 4.3: Q is an
     orthonormal basis of the image of r fixed-seed Gaussian columns, and r
     doubles from ``_RANK_START`` until Q misses at most ``_RANK_TOL`` of
     ``_RANK_PROBES`` further image columns (Frobenius norm), or reaches n,
-    where Q is the identity.  Below n no n x n matrix is built.
+    where Q is the identity.  Below n no n x n matrix is built.  No grid
+    enters: K @ diag(w) has the range of K for any weights w > 0.
     """
-    n = weights.size
+    n = matrix.shape[0]
     rng = np.random.default_rng(_RANK_SEED)
     r = _RANK_START
     while r < n:
-        image = matrix @ (weights[:, None] * rng.standard_normal((n, r + _RANK_PROBES)))
+        image = matrix @ rng.standard_normal((n, r + _RANK_PROBES))
         q = np.linalg.qr(image[:, :r])[0]
         probe = image[:, r:]
         if np.linalg.norm(probe - q @ (q.T @ probe)) <= _RANK_TOL * np.linalg.norm(probe):
-            return _Factor(q, (q.T @ matrix) * weights)
+            return q, q.T @ matrix
         r *= 2
-    return _Factor(np.eye(n), matrix * weights)
+    return np.eye(n), matrix
 
 
 @dataclass(frozen=True)
@@ -272,10 +267,15 @@ class TabulatedKernel:
                 f"grid has {grid.points.size} points"
             )
 
+    @cached_property  # on the first factor call: a kernel never solved is never factored
+    def _range(self) -> tuple[np.ndarray, np.ndarray]:
+        return _range_factor(self.matrix)
+
     def factor(self, grid: RadialGrid) -> _Factor:
-        """The matrix, quadrature weights on its columns, at its numerical rank."""
+        """The range factor, with the grid's weights on its coefficients' columns."""
         self._check_grid(grid)
-        return _range_factor(self.matrix, grid.weights)
+        basis, coeffs = self._range
+        return _Factor(basis, coeffs * grid.weights)
 
     def apply(self, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
         """The full matrix against ``values``: no factor's truncation enters."""

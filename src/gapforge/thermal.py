@@ -218,14 +218,9 @@ class SmearingScalingResult:
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.empty(x.shape)
-    if x.size == 1:
-        w[0] = 0.0
-        return w
-    w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    w[0] = 0.5 * (x[1] - x[0])
-    w[-1] = 0.5 * (x[-1] - x[-2])
-    return w
+    """Trapezoid weights on increasing points: half the span from each point's
+    left neighbour to its right one, the point itself at an end (0 for one point)."""
+    return 0.5 * (np.concatenate([x[1:], x[-1:]]) - np.concatenate([x[:1], x[:-1]]))
 
 
 # the p-grid of smearing_scaling_check: 2001 points a step _P_STEP apart on
@@ -367,7 +362,7 @@ def pairing_diagonal_term(table: ModeTable, v: Callable,
     grid with the odd extension folded in ([p][-p] = -[p]**2 for p > 0).
     """
     mom = table.momenta
-    wp = _trapezoid_weights(mom) if mom.size > 1 else np.ones(1)
+    wp = _trapezoid_weights(mom)
     v_plus = np.asarray(v(mom), dtype=float)
     v_minus = np.asarray(v(-mom), dtype=float)
     pair = table.pairings

@@ -449,6 +449,21 @@ def test_kernel_solve_reports_non_convergence(capsys):
     assert summary["branches"][0]["iterations"] == 5
 
 
+def test_kernel_solve_needs_a_smaller_damping_at_some_points(capsys):
+    # here Picard steps of 0.5 (the default) or 1 still oscillate after 2000
+    # iterations; a step of 0.2 reaches the scalar mixed_lower branch
+    code, _, err = run_cli(
+        capsys,
+        "kernel-solve", "--lambda-b", "-4", "--lambda-m", "-0.9", "--mu", "1",
+        "--temp", "0.5", "--epsilon", "0.05", "--grid-points", "120",
+        "--init", "seed:1.0", "--damping", "0.2",
+    )
+    assert code == 0
+    branch = json.loads(err)["branches"][0]
+    (scalar,) = solve_all(ModelParams(-4.0, -0.9, 1.0, 0.5)).mixed
+    assert branch["delta_b_peak"] == pytest.approx(scalar.delta_b, abs=1e-2)
+
+
 def test_kernel_solve_tabulated_kernel_roundtrip(tmp_path, capsys):
     import numpy as np
 

@@ -60,15 +60,13 @@ def test_grid_rejects_bad_points():
     for bad in ([0.0, math.nan, 1.0], [0.0, math.inf]):
         with pytest.raises(InvalidParameter, match="finite"):
             RadialGrid.from_points(bad)
-    with pytest.raises(InvalidParameter):
-        RadialGrid(points=np.array([0.0, 1.0]), weights=np.array([0.0, 1.0]))
 
 
-@pytest.mark.parametrize("weights", [[1.0, math.nan, 1.0], [1.0, math.inf, 1.0],
-                                     [1.0, -1.0, 1.0], [1.0, 1.0], [[1.0, 1.0, 1.0]]])
-def test_grid_refuses_weights_of_another_shape_not_finite_or_not_positive(weights):
-    with pytest.raises(InvalidParameter, match="quadrature weights"):
-        RadialGrid(points=np.array([0.0, 1.0, 2.0]), weights=np.array(weights))
+def test_a_grid_is_its_momenta():
+    points = np.array([0.0, 0.5, 2.0, 2.25])
+    np.testing.assert_array_equal(RadialGrid(points).weights, [0.25, 1.0, 0.875, 0.125])
+    with pytest.raises(TypeError):
+        RadialGrid(points=points, weights=np.ones(4))
 
 
 def test_index_nearest_picks_the_closest_point():
@@ -817,6 +815,35 @@ def test_a_tabulated_kernel_is_factored_at_its_numerical_rank():
     assert np.max(np.abs(sol.delta_m - dm)) <= 1e-12 * scale
     assert sol.residual == gap_rhs(sol, grid, kernels, PARABOLIC, params).residual
     assert sol.residual <= controls.tol
+
+
+def test_a_tabulated_kernel_is_factored_once_for_every_seed(monkeypatch):
+    import gapforge.kernel_solver as ks
+
+    calls = []
+    real = ks._range_factor
+    monkeypatch.setattr(ks, "_range_factor", lambda m: calls.append(m) or real(m))
+    params = ModelParams(4.0, 0.2, 1.0, temperature=0.5)
+    grid = shell_aligned_grid(params.mu, 0.05, n_shell=40, p_max=3.0, n_outer=80)
+    kernels = _tabulated_shell(params, 0.05, grid)
+    assert len(branch_scan(grid, kernels, PARABOLIC, params, [0.3, 2.0])) == 3
+    assert len(calls) == 2
+    assert calls[0] is kernels.mean_field.matrix and calls[1] is kernels.pairing.matrix
+
+
+def test_a_range_factor_serves_a_non_uniform_grid():
+    # the factor is found without the grid; its weights, 14.5 times larger
+    # off the shell than on it here, only scale its coefficients
+    grid = shell_aligned_grid(1.0, 0.05, n_shell=200, p_max=3.0, n_outer=400)
+    assert grid.points.size == 601 and np.ptp(np.log(grid.weights)) > np.log(14.0)
+    p = grid.points
+    g = np.exp(-0.5 * ((p - 1.0) / 0.05) ** 2)
+    kernel = TabulatedKernel(np.outer(g, g) * np.exp(-0.5 * ((p[:, None] - p) / 0.2) ** 2))
+    v = np.random.default_rng(6).normal(size=p.size)
+    full = kernel.apply(grid, v)
+    factor = kernel.factor(grid)
+    assert factor.basis.shape[1] < p.size
+    assert np.max(np.abs(factor.apply(v) - full)) <= 1e-13 * np.max(np.abs(full))
 
 
 def test_a_full_rank_kernel_is_factored_exactly():

@@ -566,6 +566,13 @@ def test_pairing_diagonal_term_matches_the_per_mode_sum(with_origin_pairing):
     assert np.array_equal(pairing_diagonal_term(table, v, kappas), reference)
 
 
+def test_pairing_diagonal_term_of_one_mode_is_zero():
+    # one point has no width: the trapezoid rule gives it weight 0, not 1
+    table = ModeTable.build([0.5], [0.3], [0.4], ModelParams(4.0, 0.0, 1.0, 0.5))
+    out = pairing_diagonal_term(table, np.ones_like, [1.0, 10.0, 100.0])
+    assert np.array_equal(out, np.zeros(3))
+
+
 def test_pairing_diagonal_term_ignores_the_smearing_width():
     table = _demo_table()
     kappas = np.logspace(0.0, 4.0, 9)
