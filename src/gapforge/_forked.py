@@ -1,20 +1,20 @@
-"""Independent calls on every usable CPU: the first here, the others in forked children.
+"""A function mapped over items on every usable CPU: one share here, the others in forked children.
 
-:func:`run` is the one place the package forks.  It serves work that is
-pure Python or holds the GIL, where threads would take turns, and has three
-users: the shares of a large scan, the text of a large scan's CSV and the
-second of two kernel CSVs.  Its rules:
+:func:`run` is the one place the package forks, and the one place work is
+dealt to shares and put back in order.  It serves work that is pure Python
+or holds the GIL, where threads would take turns: the points of a large
+scan, the blocks of a large scan's CSV and two kernel CSVs.  Its rules:
 
 * It forks at most ``usable_cpus() - 1`` children, counting the CPUs from
   ``os.sched_getaffinity(0)``, so a process pinned to one CPU (``taskset -c
-  0``), or on a platform without that call (macOS, Windows), runs every
-  call in process, in order.  There is no knob.
-* Each child pickles its call's result into a pipe and leaves through
+  0``), or on a platform without that call (macOS, Windows), maps every
+  item in process, in order.  There is no knob.
+* Each child pickles its share's results into a pipe and leaves through
   ``os._exit``: it runs no exit handler and flushes none of the caller's
   buffers.
-* A call whose child could not be forked (out of processes or
-  descriptors), or sent nothing (it raised, or died), is run again here, so
-  its result, or its exception, is that of a serial run.
+* A share whose child could not be forked (out of processes or
+  descriptors), or sent nothing (it raised, or died), is mapped again here,
+  so its results, or its exception, are those of a serial map.
 * On an exception the children are killed first (``SIGKILL``), so the
   raise waits for no child still at work; every child is reaped on every
   path.
@@ -32,6 +32,7 @@ import os
 from typing import IO, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 def usable_cpus() -> int:
@@ -42,28 +43,37 @@ def usable_cpus() -> int:
         return 1
 
 
-def run(calls: Sequence[Callable[[], T]]) -> list[T]:
-    """``[call() for call in calls]``, with calls ``1 .. usable_cpus() - 1`` in forked children.
+def run(fn: Callable[[T], R], items: Sequence[T], shares: int) -> list[R]:
+    """``[fn(item) for item in items]``, dealt over at most ``shares`` processes.
 
-    Results come back in the order of ``calls``; so does the first
-    exception, as from a serial run.
+    With ``n = min(shares, len(items), usable_cpus())``, share ``k`` maps
+    ``fn`` over ``items[k::n]``: share 0 here, the others in forked
+    children.  Dealing item by item evens out a cost that drifts along the
+    items.  The results come back in item order.  Where items raise, the
+    exception is that of the first share, in share order, that raised: a
+    serial map's when one item raises, but with two, the one in the lower
+    share, which need not be the earlier item.
     """
-    forks = min(len(calls), usable_cpus()) - 1
-    if forks < 1:
-        return [call() for call in calls]
+    n = min(shares, len(items), usable_cpus())
+    if n < 2:
+        return [fn(item) for item in items]
     import signal
+
+    def share(k: int) -> list[R]:
+        return [fn(item) for item in items[k::n]]
 
     children: list[tuple[int, IO[bytes]]] = []
     try:
-        for call in calls[1:1 + forks]:
+        for k in range(1, n):
             try:
-                children.append(_fork(call))
-            except OSError:  # out of processes or descriptors: run the rest here
+                children.append(_fork(share, k))
+            except OSError:  # out of processes or descriptors: map the rest here
                 break
-        results = [calls[0]()]
-        for i, call in enumerate(calls[1:], start=1):
-            sent = _received(children[i - 1][1]) if i <= len(children) else None
-            results.append(call() if sent is None else sent[0])
+        results: list = [None] * len(items)
+        results[0::n] = share(0)
+        for k in range(1, n):
+            sent = _received(children[k - 1][1]) if k <= len(children) else None
+            results[k::n] = share(k) if sent is None else sent[0]
         return results
     except BaseException:
         for pid, _ in children:
@@ -88,8 +98,8 @@ def _received(stream: IO[bytes]) -> tuple | None:
         return None
 
 
-def _fork(call: Callable[[], object]) -> tuple[int, IO[bytes]]:
-    """Fork a child that pickles ``call()`` into a pipe; its pid and the read end."""
+def _fork(share: Callable[[int], object], k: int) -> tuple[int, IO[bytes]]:
+    """Fork a child that pickles ``share(k)`` into a pipe; its pid and the read end."""
     import pickle
 
     read_fd, write_fd = os.pipe()
@@ -104,7 +114,7 @@ def _fork(call: Callable[[], object]) -> tuple[int, IO[bytes]]:
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as out:
-                pickle.dump(call(), out, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(share(k), out, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)

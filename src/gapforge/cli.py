@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from functools import partial
 from operator import itemgetter
 
 import numpy as np  # module level while perfbench requires it: ROADMAP items 1 and 5
@@ -393,11 +392,8 @@ def _kernel_tables(path_b: str | None, path_m: str | None):
     """
     from . import kernel_solver
     paths = [path for path in (path_b, path_m) if path]
-    loads = [partial(kernel_solver.load_kernel_csv, path) for path in paths]
-    if len(loads) == 2 and _file_size(path_m) >= _MIN_FORKED_CSV:
-        tables = _forked.run(loads)
-    else:
-        tables = [load() for load in loads]
+    shares = 2 if len(paths) == 2 and _file_size(path_m) >= _MIN_FORKED_CSV else 1
+    tables = _forked.run(kernel_solver.load_kernel_csv, paths, shares)
     momenta = tables[0][0]
     if len(tables) == 2:
         if not np.array_equal(momenta, tables[1][0]):

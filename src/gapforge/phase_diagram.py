@@ -29,25 +29,14 @@ so a lattice at fixed lambda_m and T solves it once, and one whose
 the same as from a fresh solve.  Points that fail validation land in the
 row's ``error`` column; a scan never aborts half-way.
 
-A lattice of 1000 points or more is solved on every CPU the process may
-run on.  It is cut into ``n = min(usable CPUs, points // _MIN_CHUNK)``
-shares, which :func:`gapforge._forked.run` solves, the first in process and
-the others in forked children, since the solver is pure Python and holds
-the GIL; that helper states the rules (no knob, one usable CPU or no
-affinity call scans in process, a failed share is solved again here).  Work
-grows with lambda_b, so the shares are round-robin (point ``i`` goes to
-share ``i % n``), not contiguous blocks.  The rows are the values a serial
-scan computes, interleaved back into row-major order, so output stays
-reproducible byte for byte.
-
-:func:`write_scan_csv` formats a large scan's text the same way, under the
-same rules: from ``2 * _MIN_CSV_SHARE`` rows on, ``n = min(usable CPUs,
-rows // _MIN_CSV_SHARE)`` shares go to :func:`gapforge._forked.run`.  The
-rows are dealt to them in blocks of ``_CSV_BLOCK``, round-robin, since rows
-at small lambda_b carry no branches and format faster.  The caller writes
-the header and then the blocks in row order, so the bytes are those of a
-serial write; a row that raises is left to a serial write, which raises for
-it after the same rows.
+A lattice of 1000 points or more is solved, and a CSV of 2000 rows or more
+formatted, on every CPU the process may run on: :func:`gapforge._forked.run`
+deals the points, or the ``_CSV_BLOCK``-row blocks, round-robin over
+``points // _MIN_CHUNK`` or ``rows // _MIN_CSV_SHARE`` shares at most, since
+the solver is pure Python and holds the GIL and a point's cost grows with
+lambda_b.  Rows and text come back in row-major order, so output is that of
+a serial scan byte for byte; ``run`` states the rules (no knob, one usable
+CPU or no affinity call runs in process, a failed share runs again here).
 
 Each ranged axis is a lattice of evenly spaced doubles, both ends included:
 the values of an array ``linspace``, built with :mod:`math` alone, so this
@@ -62,7 +51,6 @@ import itertools
 import json
 import math
 from enum import Enum
-from functools import partial
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from ._forked import run, usable_cpus
@@ -135,12 +123,17 @@ SCAN_COLUMNS = ScanRow._fields
 _NO_BRANCH = (None, None, None)  # delta_m, delta_b, w_bar of a missing branch
 
 
-def _evaluate_point(lb: float, lm: float, mu: float, T: float) -> ScanRow:
+def _evaluate_point(point: tuple[float, float, float, float]) -> tuple:
+    """The :class:`ScanRow` fields of ``(lambda_b, lambda_m, mu, temperature)``.
+
+    A plain tuple, which a forked share pickles ~6x faster than a ScanRow.
+    """
+    lb, lm, mu, T = point
     try:
         report = solve_all(ModelParams(lb, lm, mu, T))
     except GapEquationError as exc:
-        return ScanRow(lb, lm, mu, T, None, None, None, None,
-                       *_NO_BRANCH, *_NO_BRANCH, str(exc))
+        return (lb, lm, mu, T, None, None, None, None,
+                *_NO_BRANCH, *_NO_BRANCH, str(exc))
     pure, *mixed = report.solutions
     lower = upper = _NO_BRANCH
     for sol in mixed:
@@ -149,8 +142,8 @@ def _evaluate_point(lb: float, lm: float, mu: float, T: float) -> ScanRow:
             upper = branch
         else:
             lower = branch
-    return ScanRow(lb, lm, mu, T, report.region, report.multiplicity,
-                   pure.delta_m, pure.w_bar, *lower, *upper, None)
+    return (lb, lm, mu, T, report.region, report.multiplicity,
+            pure.delta_m, pure.w_bar, *lower, *upper, None)
 
 
 def _lattice(lo: float, hi: float, steps: int) -> list[float]:
@@ -199,9 +192,10 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
     ``hi - lo`` overflows; ``fixed`` pins the remaining axes.  Axis order
     in the output is always lambda_b, then lambda_m, then mu, then
     temperature — independent of mapping order.  A lattice of 1000 points
-    or more (twice ``_MIN_CHUNK``) is split round-robin over
-    ``min(usable CPUs, points // _MIN_CHUNK)`` processes (see the module
-    docstring); the rows, and any exception, are those of a serial scan.
+    or more (twice ``_MIN_CHUNK``) is dealt over at most
+    ``points // _MIN_CHUNK`` processes (see the module docstring); the rows
+    are those of a serial scan, and an exception is the one that
+    :func:`gapforge._forked.run` states.
     """
     overlap = set(ranges) & set(fixed)
     if overlap:
@@ -227,34 +221,13 @@ def scan(ranges: Mapping[str, tuple[float, float, int]],
                 f"range for {name} needs a whole number of steps >= 1, got {steps!r}")
         axes.append(_lattice(float(lo), float(hi), count))
 
-    points = math.prod(map(len, axes))
-    n = min(usable_cpus(), points // _MIN_CHUNK)
-    if n < 2:
-        return _rows(axes)
-    # children send their rows as plain tuples, which pickle ~6x faster than ScanRow
-    shares = run([partial(_rows, axes, 0, n)]
-                 + [partial(_plain_rows, axes, share, n) for share in range(1, n)])
-    rows: list = [None] * points
-    rows[0::n] = shares[0]
-    for share in range(1, n):
-        rows[share::n] = map(ScanRow._make, shares[share])
-    return rows
+    points = list(itertools.product(*axes))
+    return list(map(ScanRow._make, run(_evaluate_point, points, len(points) // _MIN_CHUNK)))
 
 
 # A share below this many points (~25 ms of solving) gains too little over the
 # ~4 ms that a fork and its pickled rows cost
 _MIN_CHUNK = 500
-
-
-def _rows(axes: list[list[float]], share: int = 0, shares: int = 1) -> list[ScanRow]:
-    """Rows of lattice points ``share``, ``share + shares``, ... in row-major order."""
-    points = itertools.islice(itertools.product(*axes), share, None, shares)
-    return [_evaluate_point(*pt) for pt in points]
-
-
-def _plain_rows(axes: list[list[float]], share: int, shares: int) -> list[tuple]:
-    """:func:`_rows` as plain tuples."""
-    return list(map(tuple, _rows(axes, share, shares)))
 
 
 def equilibrium_curve(lo: float, hi: float,
@@ -282,28 +255,24 @@ def write_scan_csv(rows: Iterable[ScanRow], stream: IO[str]) -> None:
     :mod:`csv` writes ``None`` as an empty field, a float by its ``repr``
     and a region label by its value.  From ``2 * _MIN_CSV_SHARE`` rows on
     the rows are formatted on every usable CPU (see the module docstring);
-    below that, on one usable CPU or without an affinity call, in process.
-    The bytes written, and a row's exception, are those of a serial write.
+    below that, on one usable CPU or without an affinity call, they are
+    streamed in process.  The bytes written, and a row's exception, are
+    those of a serial write.
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SCAN_COLUMNS)
     rows = list(rows)
-    n = min(usable_cpus(), len(rows) // _MIN_CSV_SHARE)
-    if n < 2:
-        writer.writerows(rows)
-        return
-    starts = range(0, len(rows), _CSV_BLOCK)
-    try:
-        shares = run([partial(_csv_blocks, rows, starts[share::n]) for share in range(n)])
-    except Exception:  # a row that csv cannot write: a serial write raises for it
-        shares = None
-    if shares is None:
-        writer.writerows(rows)
-        return
-    blocks: list = [None] * len(starts)
-    for share in range(n):
-        blocks[share::n] = shares[share]
-    stream.writelines(blocks)
+    shares = len(rows) // _MIN_CSV_SHARE
+    if min(shares, usable_cpus()) >= 2:
+        blocks = [rows[start:start + _CSV_BLOCK] for start in range(0, len(rows), _CSV_BLOCK)]
+        try:
+            texts = run(_csv_text, blocks, shares)
+        except Exception:  # a row that csv cannot write: a serial write raises for it
+            pass
+        else:
+            stream.writelines(texts)
+            return
+    writer.writerows(rows)
 
 
 # A share below this many rows (~8 ms of formatting) gains too little over the
@@ -313,14 +282,11 @@ _MIN_CSV_SHARE = 1000
 _CSV_BLOCK = 64
 
 
-def _csv_blocks(rows: list[ScanRow], starts: range) -> list[str]:
-    """The CSV text of ``rows[start:start + _CSV_BLOCK]`` for each start."""
-    texts = []
-    for start in starts:
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(rows[start:start + _CSV_BLOCK])
-        texts.append(buffer.getvalue())
-    return texts
+def _csv_text(rows: list[ScanRow]) -> str:
+    """The CSV text of ``rows``."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def write_scan_json(rows: Iterable[ScanRow], stream: IO[str]) -> None:

@@ -304,11 +304,16 @@ def pure_mean_field(params: ModelParams) -> float:
     ``1 - e**-2``), and the root lies in ``(0, lambda_m]`` for
     ``lambda_m > 0`` and in ``[2*lambda_m, lambda_m)`` for ``lambda_m < 0``.
     Guarded Newton steps from the end of that bracket farther from zero
-    polish it to a sign change at adjacent doubles.  The chemical potential
-    cancels from this branch entirely, so the root depends on
-    ``(lambda_m, T)`` alone and is cached for the 256 latest pairs.  Exact
-    limits: ``lambda_m`` at infinite temperature; ``0`` (from above) for
-    ``lambda_m > 0`` and ``2*lambda_m`` for ``lambda_m < 0`` at T = 0.
+    polish it to a sign change at adjacent doubles.  For ``lambda_m > 0``
+    that end is also at most ``W(2*beta*lambda_m)/beta``, since ``beta*d``
+    solves ``z*(1 + e^z) = 2*beta*lambda_m`` below Lambert's W, so Newton
+    starts near the root at low temperature too: at most 9 evaluations
+    with ``lambda_m`` from 1e-300 to 1e300, against 37 from ``lambda_m``.
+    The chemical potential cancels from this branch entirely, so the root
+    depends on ``(lambda_m, T)`` alone and is cached for the 256 latest
+    pairs.  Exact limits: ``lambda_m`` at infinite temperature; ``0`` (from
+    above) for ``lambda_m > 0`` and ``2*lambda_m`` for ``lambda_m < 0`` at
+    T = 0.
 
     Raises :class:`DomainError` where the root exceeds the largest double,
     which takes ``lambda_m < -max_double/2``.
@@ -341,7 +346,12 @@ def _pure_root(lm: float, beta: float) -> float:
             e = math.exp(z)
             return s * (0.5 + 0.5 * e) - m, 0.5 + 0.5 * e * (1.0 + z)
 
-        lo, hi = (0.0, m) if lm > 0.0 else (m, 2.0 * m)
+        if lm > 0.0:
+            # z = beta*s solves z*(1 + e^z) = c = 2*beta*lambda_m, so z < W(c);
+            # beta*m is formed first, as 2*beta may overflow
+            lo, hi = 0.0, min(m, _lambert_w_bound(2.0 * (beta * m)) / beta)
+        else:
+            lo, hi = m, 2.0 * m
         # only where 2|lambda_m| overflows can the root lie beyond the bracket
         if math.isinf(hi) and g(sys.float_info.max)[0] < 0.0:
             s = math.inf
@@ -351,6 +361,20 @@ def _pure_root(lm: float, beta: float) -> float:
         raise DomainError(
             f"the pure-branch root for lambda_m = {lm!r} is not a finite double")
     return math.copysign(s, lm)
+
+
+def _lambert_w_bound(c: float) -> float:
+    """An upper bound on Lambert's W(c), the root of w*e^w = c; inf unless e < c < inf.
+
+    W(c) <= ln c - ln ln c + e/(e - 1) * ln ln c / ln c for c > e, with
+    equality at c = e (Hoorfar & Hassani, J. Inequal. Pure Appl. Math. 9
+    (2008), art. 51).
+    """
+    if not math.e < c < math.inf:
+        return math.inf
+    log_c = math.log(c)
+    log_log_c = math.log(log_c)
+    return log_c - log_log_c + math.e / (math.e - 1.0) * log_log_c / log_c
 
 
 def _pure_solution(params: ModelParams, beta: float) -> GapSolution:

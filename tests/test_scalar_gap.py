@@ -620,6 +620,54 @@ def test_pure_root_at_subnormal_coupling(lm):
     assert pure_mean_field(ModelParams(1.0, lm, 1.0, 1.0)) == math.copysign(found, lm)
 
 
+def test_pure_root_needs_few_evaluations_at_any_temperature():
+    # Newton from lambda_m took up to 37 evaluations where beta*lambda_m is large
+    kernel = scalar_gap._bracketed_root
+    counts = []
+
+    def recording(f, lo, hi):
+        seen = []
+        root = kernel(lambda x: seen.append(x) or f(x), lo, hi)
+        counts.append(len(seen))
+        assert f(root)[0] >= 0.0
+        below = math.nextafter(root, lo)
+        assert below == lo or f(below)[0] < 0.0
+        return root
+
+    with mock.patch.object(scalar_gap, "_bracketed_root", recording):
+        for i in range(-300, 301, 3):
+            lm = 10.0 ** i
+            for j in range(-3, 301, 6):  # beta*lambda_m from 1e-3 to 1e297
+                beta = 10.0 ** j / lm
+                if 0.0 < beta < math.inf:
+                    scalar_gap._pure_root.cache_clear()
+                    scalar_gap._pure_root(lm, beta)
+        scalar_gap._pure_root.cache_clear()
+        scalar_gap._pure_root(1e-250, 1.7e308)  # 2*beta overflows, 2*(beta*lambda_m) does not
+    scalar_gap._pure_root.cache_clear()
+    assert len(counts) > 7000 and max(counts) <= 10
+
+
+def _lambert_w(c: float) -> float:
+    """W(c) for c >= e by Newton on w + ln w = ln c, from w = ln c."""
+    w, log_c = math.log(c), math.log(c)
+    for _ in range(50):
+        step = (w + math.log(w) - log_c) / (1.0 + 1.0 / w)
+        w -= step
+        if abs(step) <= 1e-17 * w:
+            break
+    return w
+
+
+def test_the_lambert_w_bound_lies_above_w():
+    # the bound is exact at c = e and grows away from W faster than W does
+    for k in range(2000):
+        c = math.e * math.exp(10.0 ** (-12 + 14.85 * k / 1999))  # up to ~1.4e308
+        assert _lambert_w(c) <= scalar_gap._lambert_w_bound(c), c
+    for c in (math.e, 1.0, 0.0, -1.0, math.inf, math.nan):
+        assert scalar_gap._lambert_w_bound(c) == math.inf
+
+
 def test_pure_root_beyond_the_largest_double_is_an_error():
     # s*(1 + e^-s) = 2e308 puts the root at about -2e308, past the largest double
     for T in (1.0, 0.0):
