@@ -76,9 +76,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lambda-m", type=float, default=None,
                      help="mean-field-channel coupling (default 0)")
     sub.add_argument("--mu", type=float, default=None, help="chemical potential")
-    sub.add_argument("--temp", type=float, default=None, help="temperature")
-    sub.add_argument("--beta", type=float, default=None,
-                     help="inverse temperature (alternative to --temp)")
+    sub.add_argument("--temp", type=float, default=None,
+                     help="temperature (0 and inf are the exact limits)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coupled mean-field / pairing gap equations: solvers, "
                     "phase maps, kernel-level self-consistency.",
     )
-    parser.add_argument("--config", default=None,
-                        help="JSON file pre-loading flags of the subcommand")
     commands = parser.add_subparsers(dest="command", required=True)
 
     solve = commands.add_parser("solve", help="all branches at one parameter point")
@@ -143,14 +140,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """``argv`` with the --config JSON inserted as flags after the subcommand.
+    """``argv`` with the subcommand's --config JSON inserted as flags after it.
 
-    The accepted keys are the ``dest`` names of the subcommand's own flags;
-    each becomes ``--flag=value``, so argparse checks it like a typed flag,
-    and an explicit flag, coming later, wins.  ``true`` gives a bare switch,
-    ``false`` and ``null`` give nothing.
+    The subcommand is ``argv[0]``; anything else is left for argparse to
+    reject.  The accepted keys are the ``dest`` names of the subcommand's
+    own flags; each becomes ``--flag=value``, so argparse checks it like a
+    typed flag, and an explicit flag, coming later, wins.  ``true`` gives a
+    bare switch, ``false`` and ``null`` give nothing.
     """
-    path = None
+    subparsers = next(action for action in parser._actions  # noqa: SLF001
+                      if isinstance(action, argparse._SubParsersAction))
+    if not argv or argv[0] not in subparsers.choices:
+        return argv
+    command, path = argv[0], None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
             path = argv[i + 1]
@@ -158,11 +160,6 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             path = token.split("=", 1)[1]
     if path is None:
         return argv
-    subparsers = next(action for action in parser._actions  # noqa: SLF001
-                      if isinstance(action, argparse._SubParsersAction))
-    command = next((token for token in argv if token in subparsers.choices), None)
-    if command is None:
-        raise ConfigError("--config requires a subcommand")
     try:
         with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
@@ -186,21 +183,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             flags.append(flag)
         elif value is not False and value is not None:
             flags.append(f"{flag}={value}")
-    at = argv.index(command) + 1
-    return argv[:at] + flags + argv[at:]
-
-
-def _resolve_temperature(args: argparse.Namespace) -> float:
-    if args.temp is not None and args.beta is not None:
-        raise ConfigError("--temp and --beta are mutually exclusive")
-    if args.temp is not None:
-        return float(args.temp)
-    if args.beta is not None:
-        beta = float(args.beta)
-        if beta < 0.0:
-            raise ConfigError(f"--beta must be non-negative, got {beta}")
-        return math.inf if beta == 0.0 else (0.0 if math.isinf(beta) else 1.0 / beta)
-    raise ConfigError("one of --temp / --beta is required")
+    return [command, *flags, *argv[1:]]
 
 
 def _resolve_params(args: argparse.Namespace) -> ModelParams:
@@ -208,10 +191,11 @@ def _resolve_params(args: argparse.Namespace) -> ModelParams:
         raise ConfigError("--lambda-b is required")
     if args.mu is None:
         raise ConfigError("--mu is required")
-    temperature = _resolve_temperature(args)
+    if args.temp is None:
+        raise ConfigError("--temp is required")
     lambda_m = 0.0 if args.lambda_m is None else args.lambda_m
     return ModelParams(lambda_b=args.lambda_b, lambda_m=lambda_m,
-                       mu=args.mu, temperature=temperature)
+                       mu=args.mu, temperature=args.temp)
 
 
 @contextlib.contextmanager
@@ -299,9 +283,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
               if (text := getattr(args, _dest(flag))) is not None}
     values = {"lambda_b": args.lambda_b,
               "lambda_m": 0.0 if args.lambda_m is None else args.lambda_m,
-              "mu": args.mu}
-    if "temperature" not in ranges:
-        values["temperature"] = _resolve_temperature(args)
+              "mu": args.mu, "temperature": args.temp}
     # an axis with neither value nor range is left for scan to reject
     fixed = {axis: value for axis, value in values.items()
              if value is not None and axis not in ranges}

@@ -162,8 +162,8 @@ def bogoliubov_from_gaps(omega_eff: float, delta_b: float) -> BogoliubovCoeffici
     ``2 c s = delta_b / w_bar`` with ``w_bar = hypot(omega_eff, delta_b)``.
     For ``omega_eff >= 0`` (and ``delta_b >= 0``) the angle stays in
     ``[0, pi/4]`` so ``c >= sqrt(2)/2``; a negative effective energy pushes
-    ``phi`` past ``pi/4``, which is exactly the restricted-mixing-angle
-    violation the admissibility filters watch for.
+    ``phi`` past ``pi/4``, so :func:`solution_checks` states that bound
+    only where ``omega_eff >= 0``.
 
     Raises :class:`ZeroEnergy` when both arguments vanish (the rotation is
     then undefined along with the quasi-particle energy).
@@ -206,8 +206,8 @@ class GapSolution:
 
     ``delta_b`` is stored non-negative; the pairing gap enters the equations
     only through its square, so ``+delta_b`` and ``-delta_b`` are physically
-    equivalent.  ``delta_b_sign_ambiguous`` records that both signs are valid
-    whenever ``delta_b > 0``.
+    equivalent.  The property ``delta_b_sign_ambiguous`` reads true, both
+    signs being valid, whenever ``delta_b > 0``.
 
     ``w_bar`` is the quasi-particle energy at the Fermi surface.  Mixed
     solutions always have ``w_bar > 0``; for the pure mean-field branch the
@@ -228,12 +228,16 @@ class GapSolution:
     coeffs: BogoliubovCoefficients
     phase: PhaseLabel
     residual: float
-    delta_b_sign_ambiguous: bool
+
+    @property
+    def delta_b_sign_ambiguous(self) -> bool:
+        return self.delta_b > 0.0
 
     def as_dict(self) -> dict:
         d = asdict(self)
         d["coeffs"] = self.coeffs.as_dict()
         d["phase"] = self.phase.value
+        d["delta_b_sign_ambiguous"] = self.delta_b_sign_ambiguous
         return d
 
 
@@ -242,16 +246,20 @@ class SolveReport:
     """All solutions found at one parameter point.
 
     ``solutions`` lists the pure mean-field branch first, then mixed
-    solutions ordered by increasing ``w_bar``.  ``multiplicity`` counts the
-    mixed solutions; ``notes`` records roots that were found but dropped
-    (for example because the pairing amplitude would be imaginary there).
+    solutions ordered by increasing ``w_bar``.  The property
+    ``multiplicity`` counts the mixed solutions; ``notes`` records roots
+    that were found but dropped (for example because the pairing amplitude
+    would be imaginary there).
     """
 
     params: ModelParams
     solutions: tuple[GapSolution, ...]
     region: RegionLabel
-    multiplicity: int
     notes: tuple[str, ...] = ()
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.solutions) - 1
 
     @property
     def pure(self) -> GapSolution:

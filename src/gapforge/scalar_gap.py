@@ -277,10 +277,11 @@ def recover_delta_b(w_bar: float, delta_m: float, params: ModelParams) -> float:
     """Pairing gap from the energy identity, non-negative representative.
 
     Returns ``sqrt(w_bar**2 - (mu + delta_m)**2)``; both signs solve the
-    system, the caller tracks the ambiguity.  Raises :class:`NotAdmissible`
-    when the radicand is negative beyond rounding, i.e. the root supports no
-    mixed phase.  The test is performed in units of the larger energy so it
-    stays meaningful when the squares would underflow.
+    system, as ``GapSolution.delta_b_sign_ambiguous`` reports.  Raises
+    :class:`NotAdmissible` when the radicand is negative beyond rounding,
+    i.e. the root supports no mixed phase.  The test is performed in units
+    of the larger energy so it stays meaningful when the squares would
+    underflow.
     """
     eff = params.mu + delta_m
     scale = max(abs(w_bar), abs(eff))
@@ -397,7 +398,6 @@ def _pure_solution(params: ModelParams, beta: float) -> GapSolution:
         coeffs=_UNROTATED,
         phase=PhaseLabel.PURE_MEAN_FIELD,
         residual=residual,
-        delta_b_sign_ambiguous=False,
     )
 
 
@@ -412,15 +412,11 @@ def _mixed_residual(w: float, dm: float, db: float, params: ModelParams,
     return max(r1, r2, energy_identity_defect(w, omega_eff, db))
 
 
-def _lift(w: float, phase: PhaseLabel, params: ModelParams, beta: float,
-          nonneg: bool) -> GapSolution:
+def _lift(w: float, phase: PhaseLabel, params: ModelParams, beta: float) -> GapSolution:
     """The mixed solution on the pairing root ``w``, or the error saying why it is dropped."""
     dm = mean_field_gap_given_w(w, params)
     db = recover_delta_b(w, dm, params)
     omega_eff = params.mu + dm
-    if nonneg and omega_eff < 0.0:
-        raise NotAdmissible(f"effective energy mu + delta_m = {omega_eff:.6g} < 0 "
-                            "(restricted mixing angle)")
     residual = _mixed_residual(w, dm, db, params, beta)
     if not residual <= RESIDUAL_BOUND:
         raise NotAdmissible(f"residual {residual:.6g} exceeds {RESIDUAL_BOUND:g}")
@@ -431,27 +427,27 @@ def _lift(w: float, phase: PhaseLabel, params: ModelParams, beta: float,
         coeffs=bogoliubov_from_gaps(omega_eff, db),
         phase=phase,
         residual=residual,
-        delta_b_sign_ambiguous=db > 0.0,
     )
 
 
-def solve_all(params: ModelParams,
-              require_nonneg_effective_energy: bool = False) -> SolveReport:
+def solve_all(params: ModelParams) -> SolveReport:
     """Enumerate every self-consistent solution at one parameter point.
 
     The pure mean-field branch always comes first.  Each root of the pairing
     equation is then lifted to a full mixed solution when admissible; roots
     whose pairing amplitude would be imaginary, or whose mean-field shift
     violates its structural bounds, are dropped with an explanatory note
-    rather than an error.  With ``require_nonneg_effective_energy`` the
-    optional restriction ``mu + delta_m >= 0`` (equivalently
-    ``|c| >= sqrt(2)/2``) is enforced as an additional admissibility filter.
-    Last, a mixed solution whose stored residual exceeds
-    :data:`~gapforge.core_types.RESIDUAL_BOUND` is dropped with a note
-    naming it.  Where ``w_bar - mu`` falls below an ulp of ``mu`` the gate
-    cannot mend the lift: ``(1e20, 0, 1, 1)`` still emits ``delta_b = 0``
-    (residual 1e-20), and ``(4, 0, 1, 1e-300)`` loses a real lower branch;
-    both need the root solved as its offset from ``mb``.
+    rather than an error.  Every lifted root is kept whatever the sign of
+    its effective energy ``mu + delta_m``; a caller holding to the
+    restricted mixing angle ``|c| >= sqrt(2)/2`` keeps the solutions with
+    ``mu + delta_m >= 0``.  Last, a mixed solution whose stored residual
+    exceeds :data:`~gapforge.core_types.RESIDUAL_BOUND` is dropped with a
+    note naming it.  Where ``w_bar - mu`` falls below an ulp of ``mu`` the
+    gate cannot mend the lift: ``(1e20, 0, 1, 1)`` still emits
+    ``delta_b = 0`` (residual 1e-20), ``(4, 0, 1, 1e-300)`` loses a real
+    lower branch, and ``(-1e10, 0, 1, 1e-6)`` emits a ``mixed_lower`` with
+    ``delta_b = 0`` that does not exist (its root lies below ``mu``); all
+    need the root solved as its offset from ``mb``.
 
     A mixed solution's label names the bracket its root came from:
     ``mixed_upper`` for ``[x_min, lb]``, ``mixed_lower`` for ``[mb, x_min]``
@@ -471,8 +467,7 @@ def solve_all(params: ModelParams,
 
     for w, phase in roots:
         try:
-            solutions.append(
-                _lift(w, phase, params, beta, require_nonneg_effective_energy))
+            solutions.append(_lift(w, phase, params, beta))
         except (SingularDenominator, ConstraintViolation, NotAdmissible) as exc:
             notes.append(f"root w_bar = {w:.9g} dropped: {exc}")
 
@@ -480,7 +475,6 @@ def solve_all(params: ModelParams,
         params=params,
         solutions=tuple(solutions),
         region=classify_region(params),
-        multiplicity=len(solutions) - 1,
         notes=tuple(notes),
     )
 

@@ -95,7 +95,6 @@ class ModeTable:
     """
 
     momenta: np.ndarray
-    params: ModelParams
     occupations: np.ndarray
     pairings: np.ndarray
 
@@ -120,7 +119,7 @@ class ModeTable:
         if not (np.all(np.isfinite(oe)) and np.all(np.isfinite(db))):
             raise InvalidParameter("gap values omega_eff and delta_b must be finite")
         occ, ratio = _mode_terms(oe, db, params)
-        return cls(momenta=mom, params=params, occupations=occ, pairings=0.5 * ratio)
+        return cls(momenta=mom, occupations=occ, pairings=0.5 * ratio)
 
     def index(self, p: float) -> int:
         """Grid index of |p|; MomentumOffGrid when |p| is not a grid point."""
@@ -146,15 +145,18 @@ class ModeTable:
 class QuarticTerms:
     """The three Wick contractions of a four-operator expectation.
 
-    Fields hold the signed contributions as they enter the sum, so
-    ``total = pairing + direct + exchange`` (``direct`` already carries its
-    minus sign).
+    Fields hold the signed contributions as they enter the sum, so the
+    property ``total`` is ``pairing + direct + exchange`` (``direct``
+    already carries its minus sign).
     """
 
     pairing: float
     direct: float
     exchange: float
-    total: float
+
+    @property
+    def total(self) -> float:
+        return self.pairing + self.direct + self.exchange
 
 
 def _mode_key(table: ModeTable, p: float) -> tuple[int, int]:
@@ -190,8 +192,7 @@ def quartic_expectation(table: ModeTable, q: float, q_prime: float,
         direct = -table.occupation_at(p) * table.occupation_at(p_prime)
     if kp == kqp and kpp == kq:
         exchange = table.occupation_at(p) * table.occupation_at(p_prime)
-    return QuarticTerms(pairing, direct, exchange,
-                        pairing + direct + exchange)
+    return QuarticTerms(pairing, direct, exchange)
 
 
 def occupation_profile(table: ModeTable) -> Callable[[np.ndarray], np.ndarray]:

@@ -189,15 +189,17 @@ def test_structural_bounds_hold_over_a_random_sweep():
             lm = rng.uniform(-3.0, 3.0)
             params = ModelParams(lb, lm, rng.uniform(0.0, 4.0),
                                  temperature=rng.uniform(0.05, 5.0))
-            report = solve_all(params, require_nonneg_effective_energy=True)
+            report = solve_all(params)
             for sol in report.solutions:
                 assert sol.delta_m * lm > 0.0 or (sol.delta_m == 0.0 and lm == 0.0)
                 assert abs(sol.delta_m) <= 2.0 * abs(lm) + 1e-12
             for sol in report.mixed:
-                mixed_seen += 1
                 assert sol.w_bar <= abs(lb) * (1.0 + 1e-12)
                 assert (sol.w_bar > params.mu) == (lb > 0.0)
-                assert math.sqrt(0.5) - 1e-12 <= abs(sol.coeffs.c) <= 1.0 + 1e-12
+                assert abs(sol.coeffs.c) <= 1.0 + 1e-12
+                if params.mu + sol.delta_m >= 0.0:  # the restricted mixing angle
+                    mixed_seen += 1
+                    assert abs(sol.coeffs.c) >= math.sqrt(0.5) - 1e-12
         assert mixed_seen >= 50
 
 

@@ -86,15 +86,11 @@ def test_solve_writes_to_file(tmp_path, capsys):
     assert json.loads(target.read_text())["multiplicity"] == 2
 
 
-def test_solve_beta_is_an_alias_for_temperature(capsys):
-    code_t, out_t, _ = run_cli(
-        capsys, "solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5"
-    )
-    code_b, out_b, _ = run_cli(
-        capsys, "solve", "--lambda-b", "4", "--mu", "1", "--beta", "2.0"
-    )
-    assert code_t == code_b == 0
-    assert out_t == out_b
+@pytest.mark.parametrize("temp, multiplicity", [("inf", 0), ("0", 1)])
+def test_solve_takes_the_temperature_limits_as_temp(capsys, temp, multiplicity):
+    code, out, _ = run_cli(capsys, "solve", "--lambda-b", "4", "--mu", "1", "--temp", temp)
+    assert code == 0
+    assert json.loads(out)["multiplicity"] == multiplicity
 
 
 @pytest.mark.parametrize(
@@ -163,6 +159,18 @@ def test_config_must_be_valid_json(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
     assert code == 2
     assert "JSON" in err
+
+
+def test_the_temperature_and_the_config_have_one_spelling(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "solve", "--lambda-b", "4", "--mu", "1", "--beta", "2")
+    assert (code, out) == (2, "") and "--beta" in err.split()
+    cfg = tmp_path / "point.json"
+    cfg.write_text(json.dumps({"lambda_b": 4, "mu": 1, "beta": 2}))
+    code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+    assert (code, out) == (2, "") and "['beta']" in err
+    cfg.write_text(json.dumps({"lambda_b": 4, "mu": 1, "temp": 0.5}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "solve", "--lambda-b", "4")
+    assert (code, out) == (2, "") and "Traceback" not in err
 
 
 def test_config_missing_file(capsys):

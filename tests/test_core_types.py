@@ -115,7 +115,7 @@ def _solution(delta_m, delta_b, w_bar, c, s, phase):
     return GapSolution(
         delta_m=delta_m, delta_b=delta_b, w_bar=w_bar,
         coeffs=BogoliubovCoefficients(c=c, s=s, phi=phi),
-        phase=phase, residual=0.0, delta_b_sign_ambiguous=delta_b > 0,
+        phase=phase, residual=0.0,
     )
 
 
@@ -251,6 +251,13 @@ def test_replace_builds_a_changed_copy():
                                                      *report.solutions[2:]))
     assert planted.solutions[1].w_bar == report.solutions[1].w_bar * 1.01
     assert planted.solutions[2] is report.solutions[2]
+    # the counts and flags derived from a copy are the copy's own
+    assert report.multiplicity == 2
+    assert dataclasses.replace(report, solutions=report.solutions[:1]).multiplicity == 0
+    unpaired = dataclasses.replace(report.solutions[1], delta_b=0.0)
+    assert report.solutions[1].delta_b_sign_ambiguous
+    assert not unpaired.delta_b_sign_ambiguous
+    assert not unpaired.as_dict()["delta_b_sign_ambiguous"]
 
 
 def test_asdict_and_as_dict_agree():

@@ -243,36 +243,43 @@ def test_solve_all_zero_coupling_note_not_error():
     assert any("pairing channel inactive" in n for n in report.notes)
 
 
-def test_solve_all_restricted_mixing_angle_filter():
-    # lambda_m = -1.5 puts mu + delta_m below zero on the mixed branch
-    free = solve_all(ModelParams(4.0, -1.5, 1.0, 0.5))
-    assert free.multiplicity == 2
-    restricted = solve_all(ModelParams(4.0, -1.5, 1.0, 0.5),
-                           require_nonneg_effective_energy=True)
-    assert restricted.multiplicity == 0
-    assert sum("restricted mixing angle" in n for n in restricted.notes) == 2
+def test_solve_all_keeps_a_negative_effective_energy():
+    # lambda_m = -1.5 puts mu + delta_m = -0.8 below zero on both mixed branches
+    report = solve_all(ModelParams(4.0, -1.5, 1.0, 0.5))
+    assert report.multiplicity == 2 and report.notes == ()
+    assert all(1.0 + s.delta_m < 0.0 for s in report.mixed)
+    with pytest.raises(TypeError):
+        solve_all(ModelParams(4.0, -1.5, 1.0, 0.5), require_nonneg_effective_energy=True)
 
 
-@pytest.mark.parametrize("params, nonneg, notes", [
-    ((4.0, -4.0, 1.0, 0.5), False, [  # singular denominator
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("params", [(-1e10, 0.0, 1.0, 1e-3), (-1e6, 0.0, 1.0, 1e-6),
+                                    (-1e10, 0.0, 1.0, 1e-6)])
+def test_an_attractive_root_below_mu_lifts_to_no_branch(params):
+    # with lambda_m = 0, delta_m = 0 and the lone root lies in (0, min(mb, |lb|)),
+    # so w_bar < mu = |mu + delta_m| and delta_b**2 < 0: no mixed branch exists.
+    # Today w_bar rounds to within the admissible slack of mu and a mixed_lower
+    # with delta_b = 0 is emitted.
+    assert solve_all(ModelParams(*params)).multiplicity == 0
+
+
+@pytest.mark.parametrize("params, notes", [
+    ((4.0, -4.0, 1.0, 0.5), [  # singular denominator
         "root w_bar = 1.35176711 dropped: lambda_b + lambda_m = 0: "
         "the mean-field condition degenerates",
         "root w_bar = 3.9793887 dropped: lambda_b + lambda_m = 0: "
         "the mean-field condition degenerates"]),
-    ((-2.0, 3.0, 1.0, 0.5), False, [  # sign constraint
+    ((-2.0, 3.0, 1.0, 0.5), [  # sign constraint
         "root w_bar = 0.658188081 dropped: delta_m = -9 has the opposite sign "
         "of lambda_m = 3; no consistent mixed branch here"]),
-    ((-2.0, 1.5, 1.0, 0.5), False, [  # sign constraint: the bound
+    ((-2.0, 1.5, 1.0, 0.5), [  # sign constraint: the bound
         "root w_bar = 0.658188081 dropped: |delta_m| = 9 exceeds 2*|lambda_m| = 3"]),
-    ((3.0, 1.0, 1.0, 0.3), False, [  # imaginary amplitude
+    ((3.0, 1.0, 1.0, 0.3), [  # imaginary amplitude
         "root w_bar = 1.27138538 dropped: w_bar = 1.27139 lies below the "
         "effective energy |mu + delta_m| = 1.5: no mixed phase"]),
-    ((4.0, -1.5, 1.0, 0.5), True, [  # restricted mixing angle
-        f"root w_bar = {w} dropped: effective energy mu + delta_m = -0.8 < 0 "
-        "(restricted mixing angle)" for w in ("1.35176711", "3.9793887")]),
-])
-def test_drop_notes_keep_their_text(params, nonneg, notes):
-    report = solve_all(ModelParams(*params), require_nonneg_effective_energy=nonneg)
+], ids=[f"params{i}-False-notes{i}" for i in range(4)])  # the ids the suite has always printed
+def test_drop_notes_keep_their_text(params, notes):
+    report = solve_all(ModelParams(*params))
     assert list(report.notes) == notes
 
 
