@@ -312,7 +312,8 @@ def solution_checks(sol: GapSolution, params: ModelParams) -> dict[str, bool]:
     the mixing-angle bound ``|c| >= sqrt(2)/2`` where the effective energy
     ``mu + delta_m`` is non-negative, the Fermi-surface side on a mixed
     solution with ``lambda_b != 0``, and the strict ordering above the
-    effective energy where ``delta_b > 0``.  Each holds to
+    effective energy where ``delta_b > 0``, which excuses equality only for
+    a gap too small to move ``w_bar``.  Each holds to
     :data:`RESIDUAL_BOUND` relative to its energy, at every energy scale.
     """
     c, s = sol.coeffs.c, sol.coeffs.s
@@ -346,5 +347,8 @@ def solution_checks(sol: GapSolution, params: ModelParams) -> dict[str, bool]:
         elif params.lambda_b < 0:
             checks["fermi_surface_side"] = sol.w_bar < params.mu + band
         if sol.delta_b > 0.0:
-            checks["strictly_above_effective_energy"] = sol.w_bar > omega_eff
+            # where delta_b**2 < 2*w*ulp(w) a correctly rounded w_bar may equal it
+            w = sol.w_bar
+            checks["strictly_above_effective_energy"] = w > omega_eff or (
+                0.0 < w == omega_eff and sol.delta_b < math.sqrt(2.0 * math.ulp(w) / w) * w)
     return checks

@@ -23,10 +23,11 @@ root count and the brackets: below the curve one root in ``[mb, x_min]``
 one in ``[x_min, lb]`` (the upper branch); within the distance's rounding
 bound the single degenerate root ``x_min``; above it none.  For
 ``lambda_b < 0`` the defect is strictly increasing and there is exactly one
-root in ``(0, min(mb, |lb|))`` whenever ``mu > 0``.  On each bracket the
-defect is convex towards the end where it is positive, so every root,
-and the root of the pure branch, is polished by the same guarded Newton
-iteration from that end, which ends on adjacent doubles.
+root in ``(0, min(mb, |lb|))`` whenever ``mu > 0``.  That root and the lower
+one are solved in ``u = x - mb``, as ``w_bar - mu = 2T*u`` keeps its precision
+where ``w_bar`` rounds to ``mu``.  On each bracket the defect is convex towards
+the end where it is positive, so every root, and the root of the pure branch,
+is polished by the same guarded Newton iteration from that end.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ from .errors import (
     SingularDenominator,
     ZeroCoupling,
 )
-
-# Rounding allowance of recover_delta_b's test, in units of the larger square
-_ADMISSIBLE_SLACK = 1e-10
 
 # The pairing-free branch has delta_b = 0, so its modes are not rotated.
 _UNROTATED = BogoliubovCoefficients(1.0, 0.0, 0.0)
@@ -152,44 +150,49 @@ def tangency_distance(lambda_b_bar: float, mu_bar: float) -> float:
 
 
 def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel]]:
-    """Roots ``x > 0`` of ``x = lb*tanh(x - mb)``, ascending, each with its branch."""
+    """Offsets ``u = x - mb`` of the roots ``x > 0`` of ``x = lb*tanh(x - mb)``, labelled."""
     def f(x: float) -> tuple[float, float]:
         u = x - mb
         e = math.exp(-2.0 * abs(u))  # sech(u)**2 = 4e/(1 + e)**2, free of overflow
         return x - lb * math.tanh(u), 1.0 - 4.0 * lb * e / ((1.0 + e) * (1.0 + e))
 
+    def g(u: float) -> tuple[float, float]:
+        e = math.exp(-2.0 * abs(u))
+        return u + mb - lb * math.tanh(u), 1.0 - 4.0 * lb * e / ((1.0 + e) * (1.0 + e))
+
     if lb < 0.0:
         if mb == 0.0:
             return []
-        return [(_bracketed_root(f, 0.0, min(mb, -lb)),
+        # g rises through the root and is convex on u < 0; g(0) = mb > 0
+        return [(_bracketed_root(g, -mb, min(0.0, -lb - mb)),
                  PhaseLabel.MIXED_LOWER)]
     if lb <= 1.0:
         # slope bound: lb*tanh(x - mb) < x for all x > 0 when lb <= 1, mb >= 0
         return []
     distance = tangency_distance(lb, mb)
-    x_min = mb + math.asinh(math.sqrt(lb - 1.0))  # = mb + arccosh(sqrt(lb))
+    u_min = math.asinh(math.sqrt(lb - 1.0))  # = x_min - mb = arccosh(sqrt(lb))
     if abs(distance) <= 16.0 * math.ulp(max(lb, mb)):  # its rounding bound
-        return [(x_min, PhaseLabel.TANGENT)]
+        return [(u_min, PhaseLabel.TANGENT)]
     if not distance < 0.0:  # above the curve; NaN once lb overflows
         return []
-    upper = (_bracketed_root(f, x_min, lb), PhaseLabel.MIXED_UPPER)
+    upper = (_bracketed_root(f, mb + u_min, lb) - mb, PhaseLabel.MIXED_UPPER)
     if mb == 0.0:
         return [upper]  # the lower bracket holds only the trivial node x = 0
 
     def mirrored(y: float) -> tuple[float, float]:
-        # f falls through the lower root; f(-y) rises through it, convex up
-        # to its value mb at y = -mb, where Newton starts
-        value, slope = f(-y)
+        # g falls through the lower root; g(-y) rises through it, convex
+        # up to its value mb at y = 0, where Newton starts
+        value, slope = g(-y)
         return value, -slope
 
-    return [(-_bracketed_root(mirrored, -x_min, -mb),
-             PhaseLabel.MIXED_LOWER), upper]
+    return [(-_bracketed_root(mirrored, -u_min, 0.0), PhaseLabel.MIXED_LOWER), upper]
 
 
-def _mixed_roots(params: ModelParams, beta: float) -> list[tuple[float, PhaseLabel]]:
-    """Physical quasi-particle energies solving the pairing equation, labelled.
+def _mixed_roots(params: ModelParams,
+                 beta: float) -> list[tuple[float, float, PhaseLabel]]:
+    """Pairing roots as ``(w_bar, w_bar - mu, label)``; ``beta`` is ``params.beta``.
 
-    ``beta`` is ``params.beta``, read once by the caller.
+    Away from T = 0 the offset is ``2T*u`` and ``w_bar`` is ``mu + 2T*u``.
     """
     if params.lambda_b == 0.0:
         raise ZeroCoupling(
@@ -199,24 +202,24 @@ def _mixed_roots(params: ModelParams, beta: float) -> list[tuple[float, PhaseLab
     if beta == 0.0:
         return []  # tanh term vanishes identically: no positive root
     half_beta = 0.5 * beta
-    lb_bar = params.lambda_b * half_beta
-    if math.isinf(lb_bar):  # T = 0, or lambda_b / T overflows
+    lb, mu = params.lambda_b, params.mu
+    lb_bar, mb_bar = lb * half_beta, mu * half_beta
+    if math.isinf(lb_bar) or math.isinf(mb_bar):  # T = 0, or lambda_b/T or mu/T overflows
         # step-function limit of the tanh factor; each root is the T -> 0+
-        # limit of the same branch.  Where lambda_b / T overflows the reduced
-        # coupling these roots are exact to rounding: tanh is saturated at
-        # the upper root, and the lower one lies within rounding of mu.
-        lb, mu = params.lambda_b, params.mu
+        # limit of the same branch.  Where an energy over T overflows these
+        # roots are exact to rounding: tanh is saturated at the upper and the
+        # attractive root, and the lower one lies within rounding of mu.
         if lb > 0.0 and lb > mu:
-            return [(lb, PhaseLabel.MIXED_UPPER)]
+            return [(lb, lb - mu, PhaseLabel.MIXED_UPPER)]
         if lb < 0.0 and -lb < mu:
-            return [(-lb, PhaseLabel.MIXED_LOWER)]
+            return [(-lb, -lb - mu, PhaseLabel.MIXED_LOWER)]
         return []
     two_t = 2.0 * params.temperature
     # w = 0 is the trivial node (it always solves the equation at mu = 0 but
-    # carries no pairing); a root that underflows to it is dropped
-    return [(two_t * x, phase)
-            for x, phase in _reduced_pairing_roots(lb_bar, params.mu * half_beta)
-            if two_t * x > 0.0]
+    # carries no pairing); a root that rounds to it is dropped
+    return [(mu + two_t * u, two_t * u, phase)
+            for u, phase in _reduced_pairing_roots(lb_bar, mb_bar)
+            if mu + two_t * u > 0.0]
 
 
 def pairing_energy_roots(params: ModelParams) -> list[float]:
@@ -233,7 +236,7 @@ def pairing_energy_roots(params: ModelParams) -> list[float]:
 
     Raises :class:`ZeroCoupling` for ``lambda_b == 0``.
     """
-    return [w for w, _ in _mixed_roots(params, params.beta)]
+    return [w for w, _, _ in _mixed_roots(params, params.beta)]
 
 
 def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
@@ -245,10 +248,10 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     independent of temperature and of ``w_bar`` itself.  It is evaluated as
     ``lambda_m`` times the scale-free ratio of the halved differences, which
     stay finite up to the largest double, so scaling every energy by a power
-    of two scales the shift by it exactly.  The result is checked against
-    the structural bounds ``sign(delta_m) = sign(lambda_m)`` and
-    ``|delta_m| <= 2*|lambda_m|``; a violation means the inputs are not a
-    consistent mixed branch.
+    of two scales the shift by it exactly.  That ratio ``delta_m/lambda_m``
+    is the occupation brace ``1 - e*t`` of the mean-field equation, which
+    lies in ``[0, 2]``; a ratio outside it, the sign or the bound of
+    ``delta_m`` broken, means the inputs are not a consistent mixed branch.
     """
     lambda_b, lambda_m, mu = params.lambda_b, params.lambda_m, params.mu
     if lambda_m == 0.0:
@@ -259,42 +262,38 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
             "lambda_b + lambda_m = 0: the mean-field condition degenerates"
         )
     # infinite where the ratio overflows; the bound below rejects it
-    delta_m = lambda_m * ((0.5 * lambda_b - 0.5 * mu) / denom)
-    if delta_m < 0.0 < lambda_m or lambda_m < 0.0 < delta_m:
+    ratio = (0.5 * lambda_b - 0.5 * mu) / denom
+    delta_m = lambda_m * ratio
+    if not 0.0 <= ratio <= 2.0:
         raise ConstraintViolation(
             f"delta_m = {delta_m:.6g} has the opposite sign of lambda_m = "
-            f"{params.lambda_m:.6g}; no consistent mixed branch here"
-        )
-    if abs(delta_m) > 2.0 * abs(params.lambda_m) * (1.0 + 1e-12):
-        raise ConstraintViolation(
-            f"|delta_m| = {abs(delta_m):.6g} exceeds 2*|lambda_m| = "
-            f"{2.0 * abs(params.lambda_m):.6g}"
-        )
+            f"{lambda_m:.6g}; no consistent mixed branch here" if ratio < 0.0 else
+            f"|delta_m| = {abs(delta_m):.6g} exceeds 2*|lambda_m| = {2.0 * abs(lambda_m):.6g}")
     return delta_m
 
 
-def recover_delta_b(w_bar: float, delta_m: float, params: ModelParams) -> float:
+def recover_delta_b(offset: float, delta_m: float, params: ModelParams) -> float:
     """Pairing gap from the energy identity, non-negative representative.
 
-    Returns ``sqrt(w_bar**2 - (mu + delta_m)**2)``; both signs solve the
-    system, as ``GapSolution.delta_b_sign_ambiguous`` reports.  Raises
-    :class:`NotAdmissible` when the radicand is negative beyond rounding,
-    i.e. the root supports no mixed phase.  The test is performed in units
-    of the larger energy so it stays meaningful when the squares would
-    underflow.
+    ``offset`` is the root's ``w_bar - mu``.  Returns the root of
+    ``w_bar**2 - (mu + delta_m)**2 = (offset - delta_m)*(w_bar + mu + delta_m)``;
+    both signs solve the system, as ``GapSolution.delta_b_sign_ambiguous``
+    reports.  Raises :class:`NotAdmissible` when either factor is negative:
+    the root supports no mixed phase.  The first factor's sign is exact even
+    where ``w_bar`` rounds to ``mu + delta_m``.  The second is halved, so it
+    stays finite, and one division by the larger keeps the product in range.
     """
-    eff = params.mu + delta_m
-    scale = max(abs(w_bar), abs(eff))
-    if scale == 0.0:
-        return 0.0
-    rw, re = w_bar / scale, eff / scale
-    radicand = rw * rw - re * re
-    if radicand < -_ADMISSIBLE_SLACK:
+    w_bar, eff = params.mu + offset, params.mu + delta_m
+    below, above = offset - delta_m, 0.5 * w_bar + 0.5 * eff
+    if below < 0.0 or above < 0.0:
         raise NotAdmissible(
             f"w_bar = {w_bar:.6g} lies below the effective energy "
             f"|mu + delta_m| = {abs(eff):.6g}: no mixed phase"
         )
-    return scale * math.sqrt(max(radicand, 0.0))
+    small, large = sorted((below, above))
+    if small == 0.0:  # also -0.0, which is never returned
+        return 0.0
+    return math.sqrt(2.0 * small / large) * large
 
 
 def pure_mean_field(params: ModelParams) -> float:
@@ -401,10 +400,10 @@ def _pure_solution(params: ModelParams, beta: float) -> GapSolution:
     )
 
 
-def _mixed_residual(w: float, dm: float, db: float, params: ModelParams,
-                    beta: float) -> float:
+def _mixed_residual(w: float, offset: float, dm: float, db: float,
+                    params: ModelParams, beta: float) -> float:
     lb, lm = params.lambda_b, params.lambda_m
-    t = tanh_half(w - params.mu, beta)
+    t = tanh_half(offset, beta)
     r1 = abs(w - lb * t) / abs(lb)
     omega_eff = params.mu + dm
     # delta_m is exactly 0 where lambda_m = 0
@@ -412,22 +411,20 @@ def _mixed_residual(w: float, dm: float, db: float, params: ModelParams,
     return max(r1, r2, energy_identity_defect(w, omega_eff, db))
 
 
-def _lift(w: float, phase: PhaseLabel, params: ModelParams, beta: float) -> GapSolution:
-    """The mixed solution on the pairing root ``w``, or the error saying why it is dropped."""
+def _lift(w: float, offset: float, phase: PhaseLabel, params: ModelParams,
+          beta: float) -> GapSolution:
+    """The mixed solution on the root ``w``, ``offset = w - mu``, or the error saying why not.
+
+    The pairing residual takes that offset, so it is a backward error of the root.
+    """
     dm = mean_field_gap_given_w(w, params)
-    db = recover_delta_b(w, dm, params)
+    db = recover_delta_b(offset, dm, params)
     omega_eff = params.mu + dm
-    residual = _mixed_residual(w, dm, db, params, beta)
+    residual = _mixed_residual(w, offset, dm, db, params, beta)
     if not residual <= RESIDUAL_BOUND:
         raise NotAdmissible(f"residual {residual:.6g} exceeds {RESIDUAL_BOUND:g}")
-    return GapSolution(
-        delta_m=dm,
-        delta_b=db,
-        w_bar=w,
-        coeffs=bogoliubov_from_gaps(omega_eff, db),
-        phase=phase,
-        residual=residual,
-    )
+    return GapSolution(delta_m=dm, delta_b=db, w_bar=w,
+                       coeffs=bogoliubov_from_gaps(omega_eff, db), phase=phase, residual=residual)
 
 
 def solve_all(params: ModelParams) -> SolveReport:
@@ -442,12 +439,11 @@ def solve_all(params: ModelParams) -> SolveReport:
     restricted mixing angle ``|c| >= sqrt(2)/2`` keeps the solutions with
     ``mu + delta_m >= 0``.  Last, a mixed solution whose stored residual
     exceeds :data:`~gapforge.core_types.RESIDUAL_BOUND` is dropped with a
-    note naming it.  Where ``w_bar - mu`` falls below an ulp of ``mu`` the
-    gate cannot mend the lift: ``(1e20, 0, 1, 1)`` still emits
-    ``delta_b = 0`` (residual 1e-20), ``(4, 0, 1, 1e-300)`` loses a real
-    lower branch, and ``(-1e10, 0, 1, 1e-6)`` emits a ``mixed_lower`` with
-    ``delta_b = 0`` that does not exist (its root lies below ``mu``); all
-    need the root solved as its offset from ``mb``.
+    note naming it.  The lower and the attractive root are solved in their
+    offset ``u = beta*(w_bar - mu)/2``, so a root is admissible by the exact
+    sign of ``w_bar - mu - delta_m`` even where ``w_bar`` rounds to ``mu``.
+    At T = 0 the tanh factor takes its sign-function limit, sign(0) = 0, so
+    the lower branch's T -> 0+ limit ``w_bar = mu`` is not a root there.
 
     A mixed solution's label names the bracket its root came from:
     ``mixed_upper`` for ``[x_min, lb]``, ``mixed_lower`` for ``[mb, x_min]``
@@ -465,9 +461,9 @@ def solve_all(params: ModelParams) -> SolveReport:
         roots = []
         notes.append("pairing channel inactive (lambda_b = 0): no mixed branch")
 
-    for w, phase in roots:
+    for w, offset, phase in roots:
         try:
-            solutions.append(_lift(w, phase, params, beta))
+            solutions.append(_lift(w, offset, phase, params, beta))
         except (SingularDenominator, ConstraintViolation, NotAdmissible) as exc:
             notes.append(f"root w_bar = {w:.9g} dropped: {exc}")
 

@@ -166,6 +166,21 @@ def test_solution_check_bounds_are_relative_to_the_energies(c):
     assert not checks["mean_field_bound"]
 
 
+@pytest.mark.parametrize("k", [0, 900, -900])
+def test_strict_ordering_excuses_only_a_gap_too_small_to_move_w_bar(k):
+    # the lower branch at (1e20, 0, 1, 1): w_bar = 1 + 2e-20 rounds to
+    # mu + delta_m = 1, and delta_b = 2e-10; a gap of 1e-5 would move w_bar
+    # by 5e-11, so beside the same w_bar = mu it is a broken triple
+    c = math.ldexp(1.0, k)
+    params = ModelParams(1e20 * c, 0.0, c, c)
+    phi = 0.5 * math.atan2(2e-10, 1.0)
+    correct = _solution(0.0, 2e-10 * c, c, math.cos(phi), math.sin(phi), PhaseLabel.MIXED_LOWER)
+    checks = solution_checks(correct, params)
+    assert checks["strictly_above_effective_energy"] and all(checks.values()), checks
+    planted = dataclasses.replace(correct, delta_b=1e-5 * c)
+    assert not solution_checks(planted, params)["strictly_above_effective_energy"]
+
+
 @pytest.mark.parametrize("c", [1.0, 1e-100, 1e-200, 1e-300, 1e150, 1e300])
 def test_energy_identity_defect_is_relative_at_any_scale(c):
     # w_bar = 5.5c, mu + delta_m = 3c, delta_b = 4c breaks the identity by 21/121 of w_bar**2

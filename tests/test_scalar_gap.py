@@ -3,8 +3,10 @@
 import builtins
 import math
 import os
+import random
 import subprocess
 import sys
+from decimal import Decimal
 from unittest import mock
 
 import pytest
@@ -34,6 +36,7 @@ from gapforge.scalar_gap import (
 
 from oracles import (
     bisect,
+    decimal_branches,
     mixed_delta_m,
     pairing_defect,
     pure_gap,
@@ -150,13 +153,25 @@ def test_mean_field_gap_singular_denominator():
 
 
 def test_recover_delta_b_and_rejection():
+    # the first argument is the root's offset w_bar - mu
     params = ModelParams(4.0, 0.0, 1.0, 0.5)
     w = 3.9793886954031126
-    db = recover_delta_b(w, 0.0, params)
+    db = recover_delta_b(w - 1.0, 0.0, params)
     assert db == pytest.approx(math.sqrt(w * w - 1.0))
     assert db >= 0.0
     with pytest.raises(NotAdmissible):
-        recover_delta_b(0.9, 0.0, params)  # w_bar below the effective energy
+        recover_delta_b(-0.1, 0.0, params)  # w_bar below the effective energy
+    # w_bar = 1 + 2e-200 rounds to mu, yet its offset decides the sign exactly
+    huge = ModelParams(1e200, 0.0, 1.0, 1.0)
+    assert recover_delta_b(2e-200, 0.0, huge) == pytest.approx(2e-100, rel=1e-15, abs=0.0)
+    with pytest.raises(NotAdmissible):
+        recover_delta_b(-2e-200, 0.0, huge)
+    # a vanishing factor gives +0.0, never -0.0
+    assert math.copysign(1.0, recover_delta_b(-0.0, 0.0, params)) == 1.0
+    assert math.copysign(1.0, recover_delta_b(-0.0, -0.0, params)) == 1.0
+    # the halved second factor stays finite where w_bar + mu + delta_m overflows
+    big = ModelParams(1.5e308, 0.0, 1e308, 1e300)
+    assert recover_delta_b(0.5e308, 0.0, big) == pytest.approx(math.sqrt(1.25) * 1e308)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +267,18 @@ def test_solve_all_keeps_a_negative_effective_energy():
         solve_all(ModelParams(4.0, -1.5, 1.0, 0.5), require_nonneg_effective_energy=True)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 @pytest.mark.parametrize("params", [(-1e10, 0.0, 1.0, 1e-3), (-1e6, 0.0, 1.0, 1e-6),
                                     (-1e10, 0.0, 1.0, 1e-6)])
 def test_an_attractive_root_below_mu_lifts_to_no_branch(params):
     # with lambda_m = 0, delta_m = 0 and the lone root lies in (0, min(mb, |lb|)),
     # so w_bar < mu = |mu + delta_m| and delta_b**2 < 0: no mixed branch exists.
-    # Today w_bar rounds to within the admissible slack of mu and a mixed_lower
-    # with delta_b = 0 is emitted.
-    assert solve_all(ModelParams(*params)).multiplicity == 0
+    # w_bar rounds to within 2e-13 of mu, or to mu itself; the offset
+    # w_bar - mu = 2T*u < 0 still rejects the root exactly
+    report = solve_all(ModelParams(*params))
+    assert report.multiplicity == 0
+    assert [note.split(": ", 1)[1] for note in report.notes] == [
+        "w_bar = 1 lies below the effective energy |mu + delta_m| = 1: no mixed phase"]
+    assert all(b["below"] < 0 for b in decimal_branches(*params))
 
 
 @pytest.mark.parametrize("params, notes", [
@@ -381,18 +399,110 @@ def test_a_subnormal_mixed_root_meets_its_own_equations():
         assert sol.residual <= 1e-8
 
 
-@pytest.mark.parametrize("params, residual", [
-    ((-5e-324, -0.5, 2.225073858507e-311, 0.75), "2"),  # subnormal root above |lambda_b|
-    ((-1.87e-221, -1.0, 0.375, 0.0), "0.625"),  # mu + delta_m cancels
-    ((-4.0, 0.0, 1.0, 1e-300), "0.75"),  # w_bar rounds to mu: no such root
-    ((4.0, 0.0, 1.0, 1e-300), "1.25"),  # w_bar - mu below an ulp of mu: delta_b = 0
+@pytest.mark.parametrize("params, delta_b", [
+    ((1e20, 0.0, 1.0, 1.0), 2e-10),  # w_bar - mu = 2e-20 is below an ulp of mu
+    ((1e200, 0.0, 1.0, 1.0), 2e-100),
+    ((4.0, 0.0, 1.0, 1e-9), 3.196328e-5),
+    ((4.0, 0.0, 1.0, 1e-300), 1.0107677e-150),
+    ((4.0, -0.3, 1.0, 1e-12), 0.6536966),
+    ((-4.0, -0.5, 1.0, 1e-9), 0.8958064),
 ])
-def test_the_residual_gate_drops_a_lower_root_that_misses_its_equations(params, residual):
+def test_a_lower_root_next_to_mu_keeps_its_branch(params, delta_b):
+    # each lower branch against a 60-digit solve of the same equations
     report = solve_all(ModelParams(*params))
-    assert PhaseLabel.MIXED_LOWER not in [s.phase for s in report.mixed]
+    lower = [s for s in report.mixed if s.phase is PhaseLabel.MIXED_LOWER]
+    want = [b for b in decimal_branches(*params) if b["label"] == "lower"]
+    assert len(lower) == len(want) == 1
+    assert float(want[0]["db2"].sqrt()) == pytest.approx(delta_b, rel=1e-7, abs=0.0)
+    assert lower[0].delta_b == pytest.approx(float(want[0]["db2"].sqrt()), rel=1e-12, abs=0.0)
+    assert lower[0].w_bar == pytest.approx(float(want[0]["w_bar"]), rel=1e-15, abs=0.0)
+    assert lower[0].residual <= 1e-12
+    assert not report.notes
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=st.floats(0.1, 5.0), ratio=st.floats(0.0, 12.0), scale=st.floats(-15.0, 0.0))
+def test_an_attractive_coupling_without_mean_field_has_no_mixed_branch(mu, ratio, scale):
+    # lambda_m = 0 gives delta_m = 0, and the attractive root lies below mu:
+    # delta_b**2 = (w_bar - mu)*(w_bar + mu) < 0 wherever it rounds
+    params = ModelParams(-mu * 10.0 ** ratio, 0.0, mu, mu * 10.0 ** scale)
+    assert solve_all(params).multiplicity == 0
+
+
+@pytest.mark.parametrize("lb, lm", [(4.0, -0.3), (4.0, 0.0), (10.0, 0.0), (-4.0, -0.5)])
+def test_the_lower_branch_converges_as_the_temperature_goes_to_zero(lb, lm):
+    # at T -> 0+ the lower root goes to w_bar = mu = 1, where delta_b**2 tends to
+    # mu**2 - (mu + delta_m)**2; delta_b**2 - that limit is (2T*u)*(2*mu + 2T*u)
+    # with |u| < 1 here, so it falls like 4T
+    dm = lm * (lb - 1.0) / (lb + lm)
+    limit = -dm * (2.0 + dm)
+    for j in range(1, 991):
+        temp = math.ldexp(1.0, -j)
+        lower = [s for s in solve_all(ModelParams(lb, lm, 1.0, temp)).mixed
+                 if s.phase is PhaseLabel.MIXED_LOWER]
+        assert len(lower) == 1, j
+        assert abs(lower[0].delta_b ** 2 - limit) <= 8.0 * temp + 1e-15, j
+
+
+def _outside_rounding_zone(branch) -> bool:
+    # the float offset, delta_m and w_bar carry a few ulps each: a branch whose
+    # factors, or mean-field ratio, lie within 1e-12 of their terms' size of a
+    # sign change is left out; delta_m = 0 is exact at lambda_m = 0
+    zone = Decimal("1e-12")
+    offset, dm, w, ratio = (branch[k] for k in ("offset", "delta_m", "w_bar", "ratio"))
+    mu = w - offset
+    return (abs(branch["below"]) > zone * (abs(offset) + abs(dm))
+            and abs(branch["above"]) > zone * (w + mu + abs(dm))
+            and (dm == 0 or (abs(ratio) > zone and abs(ratio - 2) > zone)))
+
+
+def test_the_emitted_branches_are_those_decimal_admits():
+    # seeded points with T/mu from 1e-300 to 1, both coupling signs, away
+    # from the tangency curve (where the decimal Newton meets a double root)
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(400):
+        mu = 10.0 ** rng.uniform(-1.0, 1.0)
+        lb = rng.choice((-1.0, 1.0)) * mu * 10.0 ** rng.uniform(-0.5, 3.0)
+        lm = rng.choice((0.0, mu * rng.uniform(-2.0, 2.0)))
+        temp = mu * 10.0 ** rng.uniform(-300.0, 0.0)
+        lb_bar, mb = lb / (2.0 * temp), mu / (2.0 * temp)
+        if lb > 0.0 and (lb_bar <= 1.0 or abs(mb - tangency_point(lb_bar)[0]) <= 1e-3 * mb):
+            continue
+        branches = decimal_branches(lb, lm, mu, temp)
+        if not all(map(_outside_rounding_zone, branches)):
+            continue
+        want = [b for b in branches
+                if 0 <= b["ratio"] <= 2 and b["below"] >= 0 and b["above"] >= 0]
+        report = solve_all(ModelParams(lb, lm, mu, temp))
+        phases = {"lower": PhaseLabel.MIXED_LOWER, "upper": PhaseLabel.MIXED_UPPER}
+        assert [s.phase for s in report.mixed] == [phases[b["label"]] for b in want], (
+            lb, lm, mu, temp, report.notes)
+        for sol, b in zip(report.mixed, want):
+            assert sol.w_bar == pytest.approx(float(b["w_bar"]), rel=1e-14, abs=0.0)
+            assert sol.delta_b == pytest.approx(float(b["db2"].sqrt()), rel=1e-6, abs=0.0)
+        checked += 1
+    assert checked >= 300
+
+
+_NOT_ADMISSIBLE = "w_bar = 1 lies below the effective energy |mu + delta_m| = 1: no mixed phase"
+
+
+@pytest.mark.parametrize("params, notes, lower", [
+    # subnormal root above |lambda_b|
+    ((-5e-324, -0.5, 2.225073858507e-311, 0.75), ["residual 2 exceeds 1e-08"], False),
+    # T = 0: mu + delta_m cancels to 0, so delta_b = 0 breaks the energy identity
+    ((-1.87e-221, -1.0, 0.375, 0.0), ["residual 1 exceeds 1e-08"], False),
+    # w_bar rounds to mu, but the offset 2T*u < 0 rejects the root exactly
+    ((-4.0, 0.0, 1.0, 1e-300), [_NOT_ADMISSIBLE], False),
+    # w_bar - mu below an ulp of mu: the offset keeps delta_b = 1.01e-150
+    ((4.0, 0.0, 1.0, 1e-300), [], True),
+], ids=["params0-2", "params1-0.625", "params2-0.75", "params3-1.25"])  # the ids the suite printed
+def test_the_residual_gate_drops_a_lower_root_that_misses_its_equations(params, notes, lower):
+    report = solve_all(ModelParams(*params))
+    assert (PhaseLabel.MIXED_LOWER in [s.phase for s in report.mixed]) is lower
     assert report.multiplicity == len(report.mixed)
-    assert [note.split(": ", 1)[1] for note in report.notes] == [
-        f"residual {residual} exceeds 1e-08"]
+    assert [note.split(": ", 1)[1] for note in report.notes] == notes
     assert all(s.residual <= 1e-8 for s in report.solutions)
 
 
@@ -449,7 +559,7 @@ def test_stored_residual_keeps_the_energy_identity_where_the_squares_overflow(c)
     # w_bar = 4, mu + delta_m = 1, delta_b = 2 breaks w**2 = eff**2 + delta_b**2
     # by 11/16 of w**2; scaled by c, w**2 overflows from c ~ 1e154 on
     params = ModelParams(4.0 * c, 0.0, c, 0.5 * c)
-    residual = scalar_gap._mixed_residual(4.0 * c, 0.0, 2.0 * c, params, params.beta)
+    residual = scalar_gap._mixed_residual(4.0 * c, 3.0 * c, 0.0, 2.0 * c, params, params.beta)
     assert residual == pytest.approx(0.6875, abs=1e-12)
 
 
@@ -457,7 +567,7 @@ def test_stored_residual_keeps_the_energy_identity_where_the_squares_overflow(c)
 def test_stored_residual_keeps_the_energy_identity_below_unit_scale(c):
     # the triple above, scaled so that w_bar**2 is far below 1 or underflows
     params = ModelParams(4.0 * c, 0.0, c, 0.5 * c)
-    residual = scalar_gap._mixed_residual(4.0 * c, 0.0, 2.0 * c, params, params.beta)
+    residual = scalar_gap._mixed_residual(4.0 * c, 3.0 * c, 0.0, 2.0 * c, params, params.beta)
     assert residual == pytest.approx(0.6875, abs=1e-12)
 
 
@@ -492,6 +602,17 @@ def test_overflowing_reduced_coupling_gives_the_zero_temperature_roots(lb, lm, m
     expected = MultiplicityClass.UNIQUE if pairing_energy_roots(params) else (
         MultiplicityClass.NO_SOLUTION)
     assert multiplicity_class(params) is expected
+
+
+@pytest.mark.parametrize("lb, lm", [(-8e-5, -8.0), (-8e-5, 0.0), (2.0, 0.0)])
+def test_an_overflowing_mu_over_t_gives_the_zero_temperature_roots(lb, lm):
+    # mu/2T = 4e308 overflows while lambda_b/2T does not: tanh is saturated at
+    # the attractive root, which is |lambda_b| to rounding, and there is no other
+    params, cold = ModelParams(lb, lm, 8.0, 1e-308), ModelParams(lb, lm, 8.0, 0.0)
+    assert math.isinf(4.0 * params.beta) and not math.isinf(0.5 * lb * params.beta)
+    assert pairing_energy_roots(params) == pairing_energy_roots(cold)
+    assert [(s.phase, s.w_bar, s.delta_b) for s in solve_all(params).mixed] == [
+        (s.phase, s.w_bar, s.delta_b) for s in solve_all(cold).mixed]
 
 
 def test_overflowing_reduced_coupling_keeps_the_upper_branch():
