@@ -192,7 +192,8 @@ def _mixed_roots(params: ModelParams,
                  beta: float) -> list[tuple[float, float, PhaseLabel]]:
     """Pairing roots as ``(w_bar, w_bar - mu, label)``; ``beta`` is ``params.beta``.
 
-    Away from T = 0 the offset is ``2T*u`` and ``w_bar`` is ``mu + 2T*u``.
+    Away from T = 0 the offset is ``2T*u``, never 0 and of the sign of
+    ``lambda_b``, and ``w_bar`` is ``mu`` plus the offset.
     """
     if params.lambda_b == 0.0:
         raise ZeroCoupling(
@@ -215,11 +216,17 @@ def _mixed_roots(params: ModelParams,
             return [(-lb, -lb - mu, PhaseLabel.MIXED_LOWER)]
         return []
     two_t = 2.0 * params.temperature
-    # w = 0 is the trivial node (it always solves the equation at mu = 0 but
-    # carries no pairing); a root that rounds to it is dropped
-    return [(mu + two_t * u, two_t * u, phase)
-            for u, phase in _reduced_pairing_roots(lb_bar, mb_bar)
-            if mu + two_t * u > 0.0]
+    roots = []
+    for u, phase in _reduced_pairing_roots(lb_bar, mb_bar):
+        # w = lambda_b*tanh(u) > 0, so u has the sign of lambda_b, and u = 0
+        # is no root where mu > 0; an offset that rounds to 0 is the smallest
+        # double of that sign, so admissibility keeps its exact sign
+        offset = math.copysign(max(abs(two_t * u), math.ulp(0.0)), lb)
+        # w = 0 is the trivial node (it always solves the equation at mu = 0
+        # but carries no pairing); a root that rounds to it is dropped
+        if mu + offset > 0.0:
+            roots.append((mu + offset, offset, phase))
+    return roots
 
 
 def pairing_energy_roots(params: ModelParams) -> list[float]:

@@ -399,6 +399,32 @@ def test_a_subnormal_mixed_root_meets_its_own_equations():
         assert sol.residual <= 1e-8
 
 
+@pytest.mark.parametrize("point, note", [
+    # lower roots: w_bar - mu < 1 ulp, so w_bar = mu + 1 ulp misses the
+    # energy identity and the gate drops it; w_bar = mu would break
+    # fermi_surface_side, whose band 1e-8*mu underflows to 0
+    ((3.0, 0.0, 5e-324, 0.5), "residual 0.5 exceeds 1e-08"),
+    ((6.0, 0.0, 1e-323, 1.0), "residual 0.111111 exceeds 1e-08"),
+    ((4.154697625382749, 0.0, 5e-324, 0.18260190966314907), "residual 0.5 exceeds 1e-08"),
+    # attractive roots lie below mu = mu + delta_m: no mixed phase
+    ((-1.0, 0.0, 1.5e-323, 2.6334928927287415), "lies below the effective energy"),
+    ((-117.93279254264908, 0.0, 5e-324, 4.4970334408020284e-95), None),  # rounds to w = 0
+])
+def test_an_offset_that_rounds_to_zero_keeps_its_sign(point, note):
+    from gapforge.core_types import solution_checks
+
+    params = ModelParams(*point)
+    for w, offset, _ in scalar_gap._mixed_roots(params, params.beta):
+        assert math.copysign(1.0, offset) == math.copysign(1.0, params.lambda_b) and offset
+        assert w == params.mu + offset
+    report = solve_all(params)
+    assert [s.phase for s in report.mixed] == (
+        [PhaseLabel.MIXED_UPPER] if params.lambda_b > 0 else [])
+    assert [n for n in report.notes if note and note in n] == list(report.notes)
+    for sol in report.solutions:
+        assert all(solution_checks(sol, params).values())
+
+
 @pytest.mark.parametrize("params, delta_b", [
     ((1e20, 0.0, 1.0, 1.0), 2e-10),  # w_bar - mu = 2e-20 is below an ulp of mu
     ((1e200, 0.0, 1.0, 1.0), 2e-100),
