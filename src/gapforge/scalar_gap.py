@@ -10,24 +10,21 @@ quasi-particle energy ``w_bar``:
   ``delta_m = lambda_m*(lambda_b - mu)/(lambda_b + lambda_m)``
 * energy identity            ``w_bar**2 = (mu + delta_m)**2 + delta_b**2``
 
-Everything here works in the reduced variable ``x = beta*w_bar/2`` where the
-pairing equation reads ``x = lb*tanh(x - mb)`` with ``lb = beta*lambda_b/2``,
-``mb = beta*mu/2``.  For ``lambda_b > 0`` the defect ``f(x) = x - lb*tanh(x - mb)``
-is strictly convex on ``(mb, lb]`` with its minimum at
-``x_min = mb + arccosh(sqrt(lb))``; the minimum value equals the
-:func:`tangency_distance` ``mb - mb_e``, where ``mb_e`` is the equilibrium
-(tangency) chemical potential of :func:`equilibrium_mu`.  Since
-``f(mb) = mb >= 0`` and ``f(lb) > 0``, the sign of that distance gives the
-root count and the brackets: below the curve one root in ``[mb, x_min]``
-(the lower branch, absent at ``mb = 0`` where it is the trivial node) and
-one in ``[x_min, lb]`` (the upper branch); within the distance's rounding
-bound the single degenerate root ``x_min``; above it none.  For
-``lambda_b < 0`` the defect is strictly increasing and there is exactly one
-root in ``(0, min(mb, |lb|))`` whenever ``mu > 0``.  That root and the lower
-one are solved in ``u = x - mb``, as ``w_bar - mu = 2T*u`` keeps its precision
-where ``w_bar`` rounds to ``mu``.  On each bracket the defect is convex towards
-the end where it is positive, so every root, and the root of the pure branch,
-is polished by the same guarded Newton iteration from that end.
+Everything here works in the reduced offset ``u = beta*(w_bar - mu)/2``, in
+which the pairing equation reads ``u + mb = lb*tanh(u)`` with
+``lb = beta*lambda_b/2``, ``mb = beta*mu/2``; ``w_bar - mu = 2T*u`` keeps its
+precision where ``w_bar`` rounds to ``mu``.  For ``lambda_b > 0`` the defect
+``g(u) = u + mb - lb*tanh(u)`` is strictly convex on ``u > 0`` with its
+minimum at ``u_min = arccosh(sqrt(lb))``, of value :func:`tangency_distance`.
+As ``g(0) = mb >= 0`` and ``g(lb - mb) >= 0``, its sign gives the roots:
+below the curve one in ``[0, u_min]`` (the lower branch, absent at
+``mb = 0`` where it is the trivial node) and one in ``[u_min, lb - mb]`` (the
+upper branch); within the distance's rounding bound the single degenerate
+root ``u_min``; above it none.  For ``lambda_b < 0`` the defect is strictly
+increasing and there is exactly one root in ``(-mb, min(0, -lb - mb))``
+whenever ``mu > 0``.  On each bracket the defect is convex towards the end
+where it is positive, so every root, and the root of the pure branch, is
+polished by the same guarded Newton iteration from that end.
 """
 
 from __future__ import annotations
@@ -144,44 +141,41 @@ def tangency_distance(lambda_b_bar: float, mu_bar: float) -> float:
     of values at most ``max(lb, mb)``, and 16 spares a factor of 5 for the
     libm (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
     ch. 3).  It is absolute, as ``x_e - theta`` cancels near ``lb = 1``.
-    Only within it does the root finder report the tangent root ``x_min``.
+    Only within it does the root finder report the tangent root ``u_min``.
     """
     return mu_bar - equilibrium_mu(lambda_b_bar)[0]
 
 
 def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel]]:
-    """Offsets ``u = x - mb`` of the roots ``x > 0`` of ``x = lb*tanh(x - mb)``, labelled."""
-    def f(x: float) -> tuple[float, float]:
-        u = x - mb
-        e = math.exp(-2.0 * abs(u))  # sech(u)**2 = 4e/(1 + e)**2, free of overflow
-        return x - lb * math.tanh(u), 1.0 - 4.0 * lb * e / ((1.0 + e) * (1.0 + e))
-
+    """Roots ``u > -mb`` of ``u + mb = lb*tanh(u)``, ascending, each with its branch."""
     def g(u: float) -> tuple[float, float]:
-        e = math.exp(-2.0 * abs(u))
+        e = math.exp(-2.0 * abs(u))  # sech(u)**2 = 4e/(1 + e)**2, free of overflow
         return u + mb - lb * math.tanh(u), 1.0 - 4.0 * lb * e / ((1.0 + e) * (1.0 + e))
 
+    # bracket end: g >= 0 in rounding too where u + mb >= |lb| >= lb*tanh(u)
+    top = abs(lb) - mb
+    if top + mb < abs(lb):
+        top = math.nextafter(top, math.inf)
     if lb < 0.0:
-        if mb == 0.0:
+        if mb == 0.0:  # the bracket holds only the trivial node u = 0
             return []
-        # g rises through the root and is convex on u < 0; g(0) = mb > 0
-        return [(_bracketed_root(g, -mb, min(0.0, -lb - mb)),
-                 PhaseLabel.MIXED_LOWER)]
+        # g rises through the root, convex on u < 0 up to g(0) = mb > 0
+        return [(_bracketed_root(g, -mb, min(0.0, top)), PhaseLabel.MIXED_LOWER)]
     if lb <= 1.0:
-        # slope bound: lb*tanh(x - mb) < x for all x > 0 when lb <= 1, mb >= 0
+        # slope bound: lb*tanh(u) < u + mb for all u > -mb when lb <= 1, mb >= 0
         return []
     distance = tangency_distance(lb, mb)
-    u_min = math.asinh(math.sqrt(lb - 1.0))  # = x_min - mb = arccosh(sqrt(lb))
+    u_min = math.asinh(math.sqrt(lb - 1.0))  # = arccosh(sqrt(lb))
     if abs(distance) <= 16.0 * math.ulp(max(lb, mb)):  # its rounding bound
         return [(u_min, PhaseLabel.TANGENT)]
     if not distance < 0.0:  # above the curve; NaN once lb overflows
         return []
-    upper = (_bracketed_root(f, mb + u_min, lb) - mb, PhaseLabel.MIXED_UPPER)
+    upper = (_bracketed_root(g, u_min, top), PhaseLabel.MIXED_UPPER)  # g convex on u > 0
     if mb == 0.0:
-        return [upper]  # the lower bracket holds only the trivial node x = 0
+        return [upper]  # the lower bracket holds only the trivial node u = 0
 
     def mirrored(y: float) -> tuple[float, float]:
-        # g falls through the lower root; g(-y) rises through it, convex
-        # up to its value mb at y = 0, where Newton starts
+        # g(-y) rises through the lower root, convex up to mb at y = 0
         value, slope = g(-y)
         return value, -slope
 
@@ -190,26 +184,20 @@ def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel
 
 def _mixed_roots(params: ModelParams,
                  beta: float) -> list[tuple[float, float, PhaseLabel]]:
-    """Pairing roots as ``(w_bar, w_bar - mu, label)``; ``beta`` is ``params.beta``.
-
-    Away from T = 0 the offset is ``2T*u``, never 0 and of the sign of
-    ``lambda_b``, and ``w_bar`` is ``mu`` plus the offset.
-    """
+    """Pairing roots as ``(w_bar, w_bar - mu, label)``; ``beta`` is ``params.beta``."""
     if params.lambda_b == 0.0:
         raise ZeroCoupling(
             "lambda_b = 0 forces a vanishing quasi-particle energy; "
             "only the trivial branch exists and it is signalled, not solved"
         )
-    if beta == 0.0:
-        return []  # tanh term vanishes identically: no positive root
     half_beta = 0.5 * beta
     lb, mu = params.lambda_b, params.mu
     lb_bar, mb_bar = lb * half_beta, mu * half_beta
+    # at T = inf, lb_bar = +-0: no root by the slope bound
     if math.isinf(lb_bar) or math.isinf(mb_bar):  # T = 0, or lambda_b/T or mu/T overflows
         # step-function limit of the tanh factor; each root is the T -> 0+
-        # limit of the same branch.  Where an energy over T overflows these
-        # roots are exact to rounding: tanh is saturated at the upper and the
-        # attractive root, and the lower one lies within rounding of mu.
+        # limit of its branch, and exact to rounding where an energy over T
+        # overflows: tanh saturates at the upper and the attractive root.
         if lb > 0.0 and lb > mu:
             return [(lb, lb - mu, PhaseLabel.MIXED_UPPER)]
         if lb < 0.0 and -lb < mu:
@@ -218,14 +206,16 @@ def _mixed_roots(params: ModelParams,
     two_t = 2.0 * params.temperature
     roots = []
     for u, phase in _reduced_pairing_roots(lb_bar, mb_bar):
-        # w = lambda_b*tanh(u) > 0, so u has the sign of lambda_b, and u = 0
-        # is no root where mu > 0; an offset that rounds to 0 is the smallest
-        # double of that sign, so admissibility keeps its exact sign
-        offset = math.copysign(max(abs(two_t * u), math.ulp(0.0)), lb)
+        # w = lambda_b*tanh(u) > 0 gives u the sign of lambda_b, which an
+        # underflowed offset keeps as a signed zero.  Below mu, mu + offset
+        # would carry an error of ulp(mu).  Above it, an underflowed offset
+        # counts as the smallest double, so w > mu holds at subnormal mu
+        offset = math.copysign(two_t * u, lb)
+        w = lb * math.tanh(u) if lb < 0.0 else mu + (offset or math.ulp(0.0))
         # w = 0 is the trivial node (it always solves the equation at mu = 0
         # but carries no pairing); a root that rounds to it is dropped
-        if mu + offset > 0.0:
-            roots.append((mu + offset, offset, phase))
+        if w > 0.0:
+            roots.append((w, offset, phase))
     return roots
 
 
@@ -233,15 +223,11 @@ def pairing_energy_roots(params: ModelParams) -> list[float]:
     """All positive quasi-particle energies satisfying the pairing equation.
 
     Sorted ascending.  For ``lambda_b > 0`` there are 0, 1 (at ``mu = 0``,
-    or on the tangency curve) or 2 of them; for ``lambda_b < 0`` at most one.
-    Each root is the sign change of the reduced defect at adjacent doubles,
-    found by guarded Newton steps from the bracket end where the convex
-    defect is positive, except the tangent root, which is the defect's
-    minimum ``x_min``, reported where :func:`tangency_distance` lies within
-    its rounding bound.  Their count is what
-    :func:`~gapforge.phase_diagram.multiplicity_class` reports.
-
-    Raises :class:`ZeroCoupling` for ``lambda_b == 0``.
+    or on the tangency curve) or 2 of them; for ``lambda_b < 0`` at most one,
+    none where it rounds to 0.  Each is a sign change of the reduced defect at
+    adjacent doubles, or the tangent root.  Their count is what
+    :func:`~gapforge.phase_diagram.multiplicity_class` reports.  Raises
+    :class:`ZeroCoupling` for ``lambda_b == 0``.
     """
     return [w for w, _, _ in _mixed_roots(params, params.beta)]
 
@@ -256,9 +242,8 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     ``lambda_m`` times the scale-free ratio of the halved differences, which
     stay finite up to the largest double, so scaling every energy by a power
     of two scales the shift by it exactly.  That ratio ``delta_m/lambda_m``
-    is the occupation brace ``1 - e*t`` of the mean-field equation, which
-    lies in ``[0, 2]``; a ratio outside it, the sign or the bound of
-    ``delta_m`` broken, means the inputs are not a consistent mixed branch.
+    is the occupation brace ``1 - e*t``, in ``[0, 2]``; outside it the sign or
+    the bound of ``delta_m`` is broken: no consistent mixed branch.
     """
     lambda_b, lambda_m, mu = params.lambda_b, params.lambda_m, params.mu
     if lambda_m == 0.0:
@@ -271,34 +256,42 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     # infinite where the ratio overflows; the bound below rejects it
     ratio = (0.5 * lambda_b - 0.5 * mu) / denom
     delta_m = lambda_m * ratio
-    if not 0.0 <= ratio <= 2.0:
+    if ratio < 0.0:
         raise ConstraintViolation(
             f"delta_m = {delta_m:.6g} has the opposite sign of lambda_m = "
-            f"{lambda_m:.6g}; no consistent mixed branch here" if ratio < 0.0 else
-            f"|delta_m| = {abs(delta_m):.6g} exceeds 2*|lambda_m| = {2.0 * abs(lambda_m):.6g}")
+            f"{lambda_m:.6g}; no consistent mixed branch here"
+        )
+    if not ratio <= 2.0:
+        raise ConstraintViolation(
+            f"|delta_m| = {abs(delta_m):.6g} exceeds 2*|lambda_m| = "
+            f"{2.0 * abs(lambda_m):.6g}"
+        )
     return delta_m
 
 
-def recover_delta_b(offset: float, delta_m: float, params: ModelParams) -> float:
+def recover_delta_b(w_bar: float, offset: float, delta_m: float,
+                    params: ModelParams) -> float:
     """Pairing gap from the energy identity, non-negative representative.
 
-    ``offset`` is the root's ``w_bar - mu``.  Returns the root of
-    ``w_bar**2 - (mu + delta_m)**2 = (offset - delta_m)*(w_bar + mu + delta_m)``;
-    both signs solve the system, as ``GapSolution.delta_b_sign_ambiguous``
-    reports.  Raises :class:`NotAdmissible` when either factor is negative:
-    the root supports no mixed phase.  The first factor's sign is exact even
-    where ``w_bar`` rounds to ``mu + delta_m``.  The second is halved, so it
-    stays finite, and one division by the larger keeps the product in range.
+    ``offset`` is the root's ``w_bar - mu``.  Returns the square root of
+    ``(w_bar - mu - delta_m)*(w_bar + mu + delta_m)``, or raises
+    :class:`NotAdmissible` where a factor is negative or -0.0.  The first
+    is ``offset - delta_m``, whose sign survives where ``w_bar`` rounds to
+    ``mu + delta_m``, or ``w_bar - (mu + delta_m)`` for a root below
+    ``mu/2``.  An offset that underflowed to a signed zero gives
+    ``delta_b = 0`` even where the true gap is a double.  The second is
+    halved to stay finite; one division by the larger keeps it in range.
     """
-    w_bar, eff = params.mu + offset, params.mu + delta_m
-    below, above = offset - delta_m, 0.5 * w_bar + 0.5 * eff
-    if below < 0.0 or above < 0.0:
+    eff = params.mu + delta_m
+    below = offset - delta_m if abs(offset) <= w_bar else w_bar - eff
+    above = 0.5 * w_bar + 0.5 * eff
+    if math.copysign(1.0, below) < 0.0 or above < 0.0:
         raise NotAdmissible(
             f"w_bar = {w_bar:.6g} lies below the effective energy "
             f"|mu + delta_m| = {abs(eff):.6g}: no mixed phase"
         )
     small, large = sorted((below, above))
-    if small == 0.0:  # also -0.0, which is never returned
+    if small == 0.0:  # never -0.0, nor 0/0 where both factors vanish
         return 0.0
     return math.sqrt(2.0 * small / large) * large
 
@@ -420,18 +413,20 @@ def _mixed_residual(w: float, offset: float, dm: float, db: float,
 
 def _lift(w: float, offset: float, phase: PhaseLabel, params: ModelParams,
           beta: float) -> GapSolution:
-    """The mixed solution on the root ``w``, ``offset = w - mu``, or the error saying why not.
-
-    The pairing residual takes that offset, so it is a backward error of the root.
-    """
+    """The mixed solution on the root ``w``, ``offset = w - mu``, or the error saying why not."""
     dm = mean_field_gap_given_w(w, params)
-    db = recover_delta_b(offset, dm, params)
-    omega_eff = params.mu + dm
+    db = recover_delta_b(w, offset, dm, params)
     residual = _mixed_residual(w, offset, dm, db, params, beta)
     if not residual <= RESIDUAL_BOUND:
         raise NotAdmissible(f"residual {residual:.6g} exceeds {RESIDUAL_BOUND:g}")
-    return GapSolution(delta_m=dm, delta_b=db, w_bar=w,
-                       coeffs=bogoliubov_from_gaps(omega_eff, db), phase=phase, residual=residual)
+    return GapSolution(
+        delta_m=dm,
+        delta_b=db,
+        w_bar=w,
+        coeffs=bogoliubov_from_gaps(params.mu + dm, db),
+        phase=phase,
+        residual=residual,
+    )
 
 
 def solve_all(params: ModelParams) -> SolveReport:
@@ -446,14 +441,12 @@ def solve_all(params: ModelParams) -> SolveReport:
     restricted mixing angle ``|c| >= sqrt(2)/2`` keeps the solutions with
     ``mu + delta_m >= 0``.  Last, a mixed solution whose stored residual
     exceeds :data:`~gapforge.core_types.RESIDUAL_BOUND` is dropped with a
-    note naming it.  The lower and the attractive root are solved in their
-    offset ``u = beta*(w_bar - mu)/2``, so a root is admissible by the exact
-    sign of ``w_bar - mu - delta_m`` even where ``w_bar`` rounds to ``mu``.
-    At T = 0 the tanh factor takes its sign-function limit, sign(0) = 0, so
-    the lower branch's T -> 0+ limit ``w_bar = mu`` is not a root there.
+    note naming it.  Next to ``mu`` a root is admissible by the exact sign of
+    ``w_bar - mu - delta_m`` (:func:`recover_delta_b`); at T = 0, where
+    sign(0) = 0, the lower branch's T -> 0+ limit ``w_bar = mu`` is no root.
 
     A mixed solution's label names the bracket its root came from:
-    ``mixed_upper`` for ``[x_min, lb]``, ``mixed_lower`` for ``[mb, x_min]``
+    ``mixed_upper`` for ``[u_min, lb - mb]``, ``mixed_lower`` for ``[0, u_min]``
     and for the attractive root, ``tangent`` where the point lies on the
     tangency curve to rounding.  The T = 0 roots carry the label of their
     T -> 0+ limit.
@@ -530,7 +523,7 @@ def equilibrium_mu(lambda_b_bar: float) -> tuple[float, float]:
     ``mu_e_bar = lb*tanh(theta) - theta`` with ``theta = arccosh(sqrt(lb))``,
     and ``x_e = lb*tanh(theta)`` is the degenerate root location.  At
     ``mu_bar = mu_e_bar``, to the rounding bound of :func:`tangency_distance`,
-    the root finder returns the single tangent root ``x_e``; two roots exist
+    the root finder returns the single tangent root, at ``x_e``; two exist
     below the curve, none above.
     """
     lb = float(lambda_b_bar)

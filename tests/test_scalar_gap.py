@@ -153,25 +153,32 @@ def test_mean_field_gap_singular_denominator():
 
 
 def test_recover_delta_b_and_rejection():
-    # the first argument is the root's offset w_bar - mu
+    # the arguments are the root's w_bar and its offset w_bar - mu
     params = ModelParams(4.0, 0.0, 1.0, 0.5)
     w = 3.9793886954031126
-    db = recover_delta_b(w - 1.0, 0.0, params)
+    db = recover_delta_b(w, w - 1.0, 0.0, params)
     assert db == pytest.approx(math.sqrt(w * w - 1.0))
     assert db >= 0.0
     with pytest.raises(NotAdmissible):
-        recover_delta_b(-0.1, 0.0, params)  # w_bar below the effective energy
+        recover_delta_b(0.9, -0.1, 0.0, params)  # w_bar below the effective energy
     # w_bar = 1 + 2e-200 rounds to mu, yet its offset decides the sign exactly
     huge = ModelParams(1e200, 0.0, 1.0, 1.0)
-    assert recover_delta_b(2e-200, 0.0, huge) == pytest.approx(2e-100, rel=1e-15, abs=0.0)
+    assert recover_delta_b(1.0, 2e-200, 0.0, huge) == pytest.approx(2e-100, rel=1e-15, abs=0.0)
     with pytest.raises(NotAdmissible):
-        recover_delta_b(-2e-200, 0.0, huge)
+        recover_delta_b(1.0, -2e-200, 0.0, huge)
+    # an offset that underflowed keeps its sign as a signed zero
+    with pytest.raises(NotAdmissible):
+        recover_delta_b(1.0, -0.0, 0.0, params)
     # a vanishing factor gives +0.0, never -0.0
-    assert math.copysign(1.0, recover_delta_b(-0.0, 0.0, params)) == 1.0
-    assert math.copysign(1.0, recover_delta_b(-0.0, -0.0, params)) == 1.0
+    assert math.copysign(1.0, recover_delta_b(1.0, 0.0, 0.0, params)) == 1.0
+    assert math.copysign(1.0, recover_delta_b(1.0, -0.0, -0.0, params)) == 1.0
+    # below mu/2 the first factor is w_bar - (mu + delta_m), from the smaller terms
+    assert recover_delta_b(0.3, -0.7, -0.8, params) == pytest.approx(math.sqrt(0.05))
+    with pytest.raises(NotAdmissible):
+        recover_delta_b(0.3, -0.7, -0.6, params)
     # the halved second factor stays finite where w_bar + mu + delta_m overflows
     big = ModelParams(1.5e308, 0.0, 1e308, 1e300)
-    assert recover_delta_b(0.5e308, 0.0, big) == pytest.approx(math.sqrt(1.25) * 1e308)
+    assert recover_delta_b(1.5e308, 0.5e308, 0.0, big) == pytest.approx(math.sqrt(1.25) * 1e308)
 
 
 # ---------------------------------------------------------------------------
@@ -391,36 +398,41 @@ def test_solve_all_solutions_pass_structural_checks(lb, lm, mu, T):
 
 
 def test_a_subnormal_mixed_root_meets_its_own_equations():
-    # w_bar = 1e-323 exceeds |lambda_b| = 5e-324, and r1 = 2: the residual
-    # gate drops that root
+    # the root lies below |lambda_b| = 5e-324, so w_bar rounds to the trivial
+    # node 0 and is dropped; an emitted root would have to meet its equations
     params = ModelParams(-5e-324, -0.5, 2.225073858507e-311, 0.75)
     for sol in solve_all(params).mixed:
         assert sol.w_bar <= abs(params.lambda_b)
         assert sol.residual <= 1e-8
 
 
-@pytest.mark.parametrize("point, note", [
-    # lower roots: w_bar - mu < 1 ulp, so w_bar = mu + 1 ulp misses the
-    # energy identity and the gate drops it; w_bar = mu would break
-    # fermi_surface_side, whose band 1e-8*mu underflows to 0
-    ((3.0, 0.0, 5e-324, 0.5), "residual 0.5 exceeds 1e-08"),
-    ((6.0, 0.0, 1e-323, 1.0), "residual 0.111111 exceeds 1e-08"),
-    ((4.154697625382749, 0.0, 5e-324, 0.18260190966314907), "residual 0.5 exceeds 1e-08"),
-    # attractive roots lie below mu = mu + delta_m: no mixed phase
-    ((-1.0, 0.0, 1.5e-323, 2.6334928927287415), "lies below the effective energy"),
-    ((-117.93279254264908, 0.0, 5e-324, 4.4970334408020284e-95), None),  # rounds to w = 0
+@pytest.mark.parametrize("point, notes", [
+    # lower roots at subnormal mu: w_bar - mu underflows, so w_bar is mu plus
+    # the smallest double, which misses the energy identity and the gate drops
+    # it; w_bar = mu would break fermi_surface_side, whose band 1e-8*mu is 0
+    ((3.0, 0.0, 5e-324, 0.5), ["residual 0.75 exceeds 1e-08"]),
+    ((6.0, 0.0, 1e-323, 1.0), ["residual 0.555556 exceeds 1e-08"]),
+    ((4.154697625382749, 0.0, 5e-324, 0.18260190966314907), ["residual 0.75 exceeds 1e-08"]),
+    # w_bar - mu = 2e-350 underflows to +0.0: w_bar = mu, delta_b = 0
+    ((1e50, 0.0, 1e-100, 1e-200), []),
+    # ... and -2e-350 to -0.0, which still rejects the attractive root
+    ((-1e50, 0.0, 1e-100, 1e-200), ["w_bar = 1e-100 lies below the effective energy "
+                                    "|mu + delta_m| = 1e-100: no mixed phase"]),
+    # attractive roots whose w_bar rounds to the trivial node 0: no root
+    ((-1.0, 0.0, 1.5e-323, 2.6334928927287415), []),
+    ((-117.93279254264908, 0.0, 5e-324, 4.4970334408020284e-95), []),
 ])
-def test_an_offset_that_rounds_to_zero_keeps_its_sign(point, note):
+def test_an_offset_that_rounds_to_zero_keeps_its_sign(point, notes):
     from gapforge.core_types import solution_checks
 
     params = ModelParams(*point)
     for w, offset, _ in scalar_gap._mixed_roots(params, params.beta):
-        assert math.copysign(1.0, offset) == math.copysign(1.0, params.lambda_b) and offset
-        assert w == params.mu + offset
+        assert math.copysign(1.0, offset) == math.copysign(1.0, params.lambda_b)
+        if params.lambda_b > 0.0:
+            assert w == params.mu + (offset or 5e-324)
     report = solve_all(params)
-    assert [s.phase for s in report.mixed] == (
-        [PhaseLabel.MIXED_UPPER] if params.lambda_b > 0 else [])
-    assert [n for n in report.notes if note and note in n] == list(report.notes)
+    assert [note.split(": ", 1)[1] for note in report.notes] == notes
+    assert report.multiplicity == len(pairing_energy_roots(params)) - len(notes)
     for sol in report.solutions:
         assert all(solution_checks(sol, params).values())
 
@@ -453,6 +465,29 @@ def test_an_attractive_coupling_without_mean_field_has_no_mixed_branch(mu, ratio
     # delta_b**2 = (w_bar - mu)*(w_bar + mu) < 0 wherever it rounds
     params = ModelParams(-mu * 10.0 ** ratio, 0.0, mu, mu * 10.0 ** scale)
     assert solve_all(params).multiplicity == 0
+
+
+def test_an_attractive_root_far_below_mu_keeps_its_precision():
+    # |lambda_b|/mu from 1e-20 to 1: the lone root lies in (0, |lambda_b|),
+    # far below mu, where mu + 2T*u would carry an error of ulp(mu) and round
+    # to 0 below |lambda_b| ~ ulp(mu); lambda_b*tanh(u) keeps a few ulps of w_bar
+    rng = random.Random(33)
+    points = [(-1e-17, 0.0, 1.0, 1.0), (-1e-20, -0.5, 1.0, 1.0)]
+    for _ in range(300):
+        mu = 10.0 ** rng.uniform(-1.0, 1.0)
+        points.append((-mu * 10.0 ** rng.uniform(-20.0, 0.0),
+                       rng.choice((0.0, -mu * rng.uniform(0.4, 2.0))),
+                       mu, mu * 10.0 ** rng.uniform(-3.0, 1.0)))
+    for point in points:
+        params = ModelParams(*point)
+        (want,) = decimal_branches(*point)
+        (w,) = pairing_energy_roots(params)
+        assert w == pytest.approx(float(want["w_bar"]), rel=4e-15, abs=0.0), point
+        assert multiplicity_class(params) is MultiplicityClass.UNIQUE
+        # a branch is emitted only where it exists, on that root
+        exists = 0 <= want["ratio"] <= 2 and want["below"] >= 0 and want["above"] >= 0
+        mixed = solve_all(params).mixed
+        assert len(mixed) <= exists and all(s.w_bar == w for s in mixed), point
 
 
 @pytest.mark.parametrize("lb, lm", [(4.0, -0.3), (4.0, 0.0), (10.0, 0.0), (-4.0, -0.5)])
@@ -515,10 +550,11 @@ _NOT_ADMISSIBLE = "w_bar = 1 lies below the effective energy |mu + delta_m| = 1:
 
 
 @pytest.mark.parametrize("params, notes, lower", [
-    # subnormal root above |lambda_b|
-    ((-5e-324, -0.5, 2.225073858507e-311, 0.75), ["residual 2 exceeds 1e-08"], False),
-    # T = 0: mu + delta_m cancels to 0, so delta_b = 0 breaks the energy identity
-    ((-1.87e-221, -1.0, 0.375, 0.0), ["residual 1 exceeds 1e-08"], False),
+    # subnormal root below |lambda_b| = 5e-324: w_bar = lambda_b*tanh(u) rounds
+    # to the trivial node 0, so no root reaches the lift
+    ((-5e-324, -0.5, 2.225073858507e-311, 0.75), [], False),
+    # T = 0: mu + delta_m cancels to 0, so the mean-field residual is 0.625
+    ((-1.87e-221, -1.0, 0.375, 0.0), ["residual 0.625 exceeds 1e-08"], False),
     # w_bar rounds to mu, but the offset 2T*u < 0 rejects the root exactly
     ((-4.0, 0.0, 1.0, 1e-300), [_NOT_ADMISSIBLE], False),
     # w_bar - mu below an ulp of mu: the offset keeps delta_b = 1.01e-150
@@ -735,7 +771,7 @@ def _kernel_calls(params):
 def test_every_root_is_a_sign_change_at_adjacent_doubles(
         lb_bar, frac, attractive, lm, T, exponent):
     # below the tangency curve the upper and lower brackets each hold a
-    # root; on the attractive side the one bracket [0, min(mb, |lb|)] does
+    # root; on the attractive side the one bracket [-mb, min(0, |lb| - mb)] does
     if attractive:
         lb, mu = -2.0 * T * lb_bar, 4.0 * T * frac * lb_bar
     else:
@@ -749,6 +785,22 @@ def test_every_root_is_a_sign_change_at_adjacent_doubles(
         assert f(root)[0] >= 0.0
         below = math.nextafter(root, lo)
         assert below == lo or f(below)[0] < 0.0
+
+
+@pytest.mark.parametrize("lb, mb", [
+    (31.828141140744382, 8.582293213731328),
+    (-5.4611333400848086, 59.358482817574114),
+    (-19.867859974968443, 57.84750256651796),
+])
+def test_a_bracket_end_where_tanh_saturates_keeps_the_sign_change(lb, mb):
+    # |lb| - mb rounds down, and tanh rounds to +-1 there, so the defect at
+    # that end reads negative; the bracket ends one double higher, where
+    # u + mb >= |lb| holds exactly.  At T = 1/2 the reduced values are the
+    # energies themselves
+    calls = _kernel_calls(ModelParams(lb, 0.0, mb, 0.5))
+    assert calls and (abs(lb) - mb) + mb < abs(lb)
+    for f, lo, hi, root, _ in calls:
+        assert f(root)[0] >= 0.0 > f(math.nextafter(root, lo))[0]
 
 
 @pytest.mark.parametrize("lm, root", [
