@@ -1,35 +1,42 @@
 """Closed-form limits of the scalar gap system in four parameter regimes.
 
-Each regime freezes the tanh factor of the pairing equation at one of its
-saturation values and solves the remaining algebra exactly:
+Each regime freezes the tanh factor of the pairing equation, which gives it
+its own root ``w_bar``, mean-field shift ``delta_m`` and temperature window
+(``F`` is :data:`DEFAULT_MARGIN_FACTOR`):
 
 * ``IA``  — repulsive pairing channel, low temperature: ``tanh -> +1`` so
-  ``w_bar = lambda_b`` and the rest follows in closed form.
+  ``w_bar = lambda_b``; window ``T <= (lambda_b - mu)/(2F)``.
 * ``IIA`` — attractive pairing channel, low temperature: ``tanh -> -1`` so
-  ``w_bar = |lambda_b|`` (both couplings must be attractive for the branch
-  to exist at all).
+  ``w_bar = |lambda_b|``; window ``T <= (mu - |lambda_b|)/(2F)``.
 * ``IB``  — repulsive channel near the root-disappearance temperature:
   linearising the tanh gives ``w_bar = lambda_b*mu/(lambda_b - 2T)`` with
-  ``delta_m -> lambda_m`` (the small-gap limit of the mean-field equation).
-* ``IIB`` — attractive channel, small argument: same linearised forms.
+  ``delta_m = lambda_m`` (the small-gap limit of the mean-field equation);
+  window ``lambda_m*lambda_b/(2(mu + lambda_m)) <= T <= (lambda_b - mu)/(2F)``.
+* ``IIB`` — attractive channel, small argument: same linearised forms;
+  window ``F(mu + lambda_b)/2 <= T <= lambda_b*lambda_m/(2(mu + lambda_m))``.
 
-A regime that does not apply to the sign pattern of the couplings raises
-:class:`NotApplicable`; a regime whose formulas evaluate fine but sit
-outside their own validity window returns ``valid=False`` instead, with the
-margin showing how far outside.  Every formula is evaluated in units of a
-power of two near the largest energy, which is exact, so that no square or
-product over- or underflows: scaling all four energies by ``c`` scales each
-returned energy by ``c`` and leaves ``valid`` and the margin as they are.
+IA and IIA take ``delta_m`` from
+:func:`~gapforge.scalar_gap.mean_field_gap_given_w`: they are exactly the
+T = 0 branch of ``solve_all``.  Every regime takes ``delta_b`` from the lift
+``solve_all`` uses, :func:`~gapforge.scalar_gap.recover_delta_b`, and its
+margin from one rule (see :class:`RegimeSolution`); IB and IIB need
+``mu + lambda_m > 0`` and have margin 0 elsewhere.  A regime that does not
+apply to the sign pattern of the couplings raises :class:`NotApplicable`.
+Roots and windows are evaluated in units of a power of two near the largest
+energy, which is exact, so that no square or product over- or underflows:
+scaling all four energies by ``c`` scales each returned energy by ``c`` and
+leaves ``valid`` and the margin as they are.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .core_types import ModelParams, ldexp_or_inf, scale_exponent
-from .errors import NotAdmissible, NotApplicable, SingularDenominator
+from .errors import ConstraintViolation, NotAdmissible, NotApplicable, SingularDenominator
+from .scalar_gap import mean_field_gap_given_w, recover_delta_b
 
 DEFAULT_MARGIN_FACTOR = 10.0
 
@@ -45,11 +52,12 @@ class Regime(str, Enum):
 class RegimeSolution:
     """One closed-form branch with its own-validity assessment.
 
-    ``validity_margin`` is >= 1 when the defining inequality of the regime is
-    satisfied with the requested safety factor; ``valid`` also requires any
-    regime-specific sign conditions.  ``delta_b`` may be NaN when the
-    radicand of the energy identity goes negative — that is an out-of-window
-    answer, not an error.
+    ``validity_margin`` is ``min(T/T_lo, T_hi/T)`` over the regime's
+    temperature window, a lower bound ``T_lo <= 0`` counting as inf, and at
+    T = 0 its T -> 0+ limit: >= 1 exactly where T lies in the window.
+    ``valid`` also requires ``delta_b > 0``.  An imaginary gap is not an
+    error: ``delta_b`` is NaN (and so is an IA/IIA ``delta_m`` outside its
+    bounds), with ``valid=False``.
     """
 
     regime: Regime
@@ -71,40 +79,49 @@ def _in_units(params: ModelParams) -> tuple[int, float, float, float, float]:
                                               params.mu, params.temperature))
 
 
+def _margin(T: float, t_lo: float, t_hi: float) -> float:
+    """``min(T/t_lo, t_hi/T)``: at least 1 exactly where ``t_lo <= T <= t_hi``.
+
+    A lower bound ``t_lo <= 0`` is absent and its ratio counts as inf.  At
+    T = 0 the margin is its T -> 0+ limit: inf where every small T > 0 lies
+    in the window, 0 elsewhere.
+    """
+    if T == 0.0:
+        return math.inf if t_lo <= 0.0 < t_hi else 0.0
+    return min(T / t_lo if t_lo > 0.0 else math.inf, t_hi / T)
+
+
+def _lifted(regime: Regime, params: ModelParams, w_bar: float, delta_m: float,
+            margin: float) -> RegimeSolution:
+    """``w_bar`` lifted as ``solve_all`` lifts a root; ``delta_b`` is NaN where it is refused."""
+    try:
+        delta_b = recover_delta_b(w_bar, w_bar - params.mu, delta_m, params)
+    except NotAdmissible:
+        delta_b = math.nan
+    return RegimeSolution(regime, w_bar, delta_m, delta_b,
+                          margin >= 1.0 and delta_b > 0.0, margin)
+
+
 def _saturated(regime: Regime, params: ModelParams) -> RegimeSolution:
-    """Shared algebra for the saturated-tanh regimes IA / IIA."""
-    e, lb, lm, mu, T = _in_units(params)
-    w = abs(lb)
-    denom = lb + lm
-    if denom == 0.0:
-        raise SingularDenominator(
-            "lambda_b + lambda_m = 0: closed-form delta_m degenerates"
-        )
-    delta_m = lm * (lb - mu) / denom
-    # radicand factorises: (|lb| - eff)(|lb| + eff) with eff = mu + delta_m
-    eff = mu + delta_m
-    radicand = w * w - eff * eff
-    if regime is Regime.IA:
-        gap_scale = lb - mu   # distance to the no-pairing boundary
-    else:
-        gap_scale = mu - w    # attractive side: Fermi level above |lambda_b|
-    if T == 0.0:  # also a temperature too small for these units: its limit
-        margin = math.inf if gap_scale > 0.0 else 0.0
-    elif math.isinf(T):
-        margin = 0.0
-    else:
-        margin = gap_scale / (2.0 * T * DEFAULT_MARGIN_FACTOR)
-    valid = radicand > 0.0 and margin >= 1.0
-    delta_b = math.sqrt(radicand) if radicand >= 0.0 else math.nan
-    return RegimeSolution(regime, ldexp_or_inf(w, e), ldexp_or_inf(delta_m, e),
-                          ldexp_or_inf(delta_b, e), valid, margin)
+    """IA / IIA: the T = 0 root ``w_bar = |lambda_b|`` with the shift ``solve_all`` gives it.
+
+    The window asks ``beta*(w_bar - mu)/2 >= F`` with the sign of lambda_b; its
+    margin, a ratio of temperatures, is taken in units of ``1/(2F)``.
+    """
+    _, lb, _, mu, T = _in_units(params)
+    margin = _margin(2.0 * DEFAULT_MARGIN_FACTOR * T, 0.0, lb - math.copysign(mu, lb))
+    w = abs(params.lambda_b)
+    try:
+        delta_m = mean_field_gap_given_w(w, params)
+    except ConstraintViolation:  # on this root, exactly where delta_b**2 < 0
+        return RegimeSolution(regime, w, math.nan, math.nan, False, margin)
+    return _lifted(regime, params, w, delta_m, margin)
 
 
 def regime_IA(params: ModelParams) -> RegimeSolution:
     """Low-temperature closed form for the repulsive pairing channel.
 
-    ``w_bar = lambda_b`` exactly; the returned triple satisfies the energy
-    identity to machine precision by construction.  Requires
+    ``w_bar = lambda_b`` exactly, the T = 0 root.  Requires
     ``lambda_b > 0`` (else :class:`NotApplicable`).  Accurate once
     ``beta*(lambda_b - mu)/2 >> 1``; the margin divides that exponent by
     :data:`DEFAULT_MARGIN_FACTOR`.
@@ -119,50 +136,28 @@ def regime_IIA(params: ModelParams) -> RegimeSolution:
 
     Needs both couplings attractive (``lambda_b < 0`` and ``lambda_m < 0``);
     the mixed branch sits below the Fermi level, ``w_bar = |lambda_b| < mu``.
-    The extra sign condition ``lambda_b + mu + 2*lambda_m < 0`` is what makes
-    the radicand positive, so it is folded into ``valid``.
+    Its gap is real where ``lambda_b + mu + 2*lambda_m < 0``, the sign of
+    ``delta_b**2`` that the lift decides.
     """
     if params.lambda_b >= 0.0 or params.lambda_m >= 0.0:
         raise NotApplicable("regime IIA needs lambda_b < 0 and lambda_m < 0")
-    sol = _saturated(Regime.IIA, params)
-    if params.lambda_b + params.mu + 2.0 * params.lambda_m >= 0.0:
-        return replace(sol, valid=False)
-    return sol
+    return _saturated(Regime.IIA, params)
 
 
-def _linearised(regime: Regime, params: ModelParams) -> RegimeSolution:
-    """Shared algebra for the small-argument regimes IB / IIB."""
+def _linearised(regime: Regime, params: ModelParams, window) -> RegimeSolution:
+    """IB / IIB: the linearised root with ``delta_m = lambda_m``.
+
+    ``window(lb, lm, mu)`` is ``(T_lo, T_hi)`` in units, wanted where ``mu + lambda_m > 0``.
+    """
     e, lb, lm, mu, T = _in_units(params)
     if lb == 2.0 * T:
         raise SingularDenominator(
             "lambda_b = 2T: the linearised pairing equation degenerates"
         )
-    w = lb * mu / (lb - 2.0 * T)
-    eff = mu + lm
-    radicand = w * w - eff * eff
-    if radicand < -1e-12 * max(1.0, w * w):
-        raise NotAdmissible(
-            f"linearised w_bar = {ldexp_or_inf(w, e):.6g} below effective energy "
-            f"|mu + lambda_m| = {ldexp_or_inf(abs(eff), e):.6g}"
-        )
-    delta_b = math.sqrt(max(radicand, 0.0))
-
-    if regime is Regime.IB:
-        # window: T_lo < T <= T_hi with T_hi set by the small-argument bound
-        t_hi = (lb - mu) / (2.0 * DEFAULT_MARGIN_FACTOR)
-        t_lo = lm * lb / (2.0 * eff) if eff != 0.0 else math.inf
-        in_window = eff > 0.0 and t_lo < T <= t_hi
-        margin = T / t_lo if (eff > 0.0 and t_lo > 0.0 and math.isfinite(t_lo)) \
-            else (math.inf if in_window else 0.0)
-    else:
-        # IIB mirror: lb < 0, both bounds reflected
-        t_hi = lb * lm / (2.0 * eff) if eff != 0.0 else -math.inf
-        t_lo = DEFAULT_MARGIN_FACTOR * (mu + lb) / 2.0
-        in_window = eff > 0.0 and t_lo <= T < t_hi
-        margin = t_hi / T if (eff > 0.0 and T > 0.0 and t_hi > 0.0) \
-            else (math.inf if in_window else 0.0)
-    return RegimeSolution(regime, ldexp_or_inf(w, e), params.lambda_m,
-                          ldexp_or_inf(delta_b, e), in_window, margin)
+    # w_bar = mu exactly at T = 0
+    w = ldexp_or_inf(mu * (lb / (lb - 2.0 * T)), e)
+    margin = _margin(T, *window(lb, lm, mu)) if mu + lm > 0.0 else 0.0
+    return _lifted(regime, params, w, params.lambda_m, margin)
 
 
 def regime_IB(params: ModelParams) -> RegimeSolution:
@@ -180,7 +175,8 @@ def regime_IB(params: ModelParams) -> RegimeSolution:
         raise NotApplicable(
             "regime IB needs lambda_b > 2T (below the root-disappearance point)"
         )
-    return _linearised(Regime.IB, params)
+    return _linearised(Regime.IB, params, lambda lb, lm, mu: (
+        lm * lb / (2.0 * (mu + lm)), (lb - mu) / (2.0 * DEFAULT_MARGIN_FACTOR)))
 
 
 def regime_IIB(params: ModelParams) -> RegimeSolution:
@@ -192,4 +188,5 @@ def regime_IIB(params: ModelParams) -> RegimeSolution:
     """
     if params.lambda_b >= 0.0 or params.lambda_m >= 0.0:
         raise NotApplicable("regime IIB needs lambda_b < 0 and lambda_m < 0")
-    return _linearised(Regime.IIB, params)
+    return _linearised(Regime.IIB, params, lambda lb, lm, mu: (
+        DEFAULT_MARGIN_FACTOR * (mu + lb) / 2.0, lb * lm / (2.0 * (mu + lm))))

@@ -34,7 +34,6 @@ from .errors import (
     DomainError,
     GapEquationError,
     InvalidParameter,
-    NotAdmissible,
     NotApplicable,
     NotConverged,
     ShellBelowZero,
@@ -47,7 +46,6 @@ _VALIDATION_ERRORS = (
     InvalidParameter,
     DomainError,
     NotApplicable,
-    NotAdmissible,
     ZeroCoupling,
     ZeroTemperature,
     ShellBelowZero,
@@ -132,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel.add_argument("--init", default="zero",
                         help="zero | scalar | seed:VALUE")
     kernel.add_argument("--seeds", default=None,
-                        help="comma list of pairing seeds: run a branch scan")
+                        help="comma list of pairing seeds: run a branch scan (no --init)")
     kernel.add_argument("--out", default=None,
                         help="CSV path; summary JSON then goes to stdout")
     kernel.set_defaults(func=cmd_kernel_solve)
@@ -305,14 +303,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import asymptotics
     params = _resolve_params(args)
     closed = getattr(asymptotics, f"regime_{args.regime}")(params)
-    if not closed.valid:
-        print(f"regime {args.regime} is outside its validity window at "
-              f"these parameters (margin {closed.validity_margin:.3g})",
-              file=sys.stderr)
+    if not closed.valid:  # name the condition that failed: the window, else the gap
+        reason = (f"is outside its validity window (margin {closed.validity_margin:.3g})"
+                  if closed.validity_margin < 1.0 else
+                  "has no pairing gap (delta_b = 0)" if closed.delta_b == 0.0 else
+                  "has an imaginary pairing gap (delta_b**2 < 0)")
+        print(f"regime {args.regime} {reason} at these parameters", file=sys.stderr)
         return 2
 
-    report = scalar_gap.solve_all(params)
-    mixed = report.mixed
+    mixed = scalar_gap.solve_all(params).mixed
     tol = _VERIFY_TOLERANCES[args.regime]
     header = f"{'quantity':<10}{'closed_form':>16}{'numeric':>16}{'rel_err':>12}{'tol':>10}  status"
     print(header)
@@ -419,6 +418,8 @@ def _kernel_setup(args: argparse.Namespace, params: ModelParams):
 
 def cmd_kernel_solve(args: argparse.Namespace) -> int:
     from . import kernel_solver
+    if args.seeds is not None and args.init != "zero":
+        raise ConfigError(f"--init {args.init} with --seeds: each seed starts its own solve")
     params = _resolve_params(args)
     grid, kernels = _kernel_setup(args, params)
     controls = kernel_solver.IterationControls(

@@ -151,9 +151,6 @@ class BogoliubovCoefficients:
     s: float
     phi: float
 
-    def as_dict(self) -> dict:
-        return {"c": self.c, "s": self.s, "phi": self.phi}
-
 
 def bogoliubov_from_gaps(omega_eff: float, delta_b: float) -> BogoliubovCoefficients:
     """Rotation diagonalizing one mode: phi = atan2(delta_b, omega_eff) / 2.
@@ -235,7 +232,6 @@ class GapSolution:
 
     def as_dict(self) -> dict:
         d = asdict(self)
-        d["coeffs"] = self.coeffs.as_dict()
         d["phase"] = self.phase.value
         d["delta_b_sign_ambiguous"] = self.delta_b_sign_ambiguous
         return d

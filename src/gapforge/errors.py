@@ -89,14 +89,19 @@ class ConfigError(GapEquationError, ValueError):
 class NotConverged(GapEquationError):
     """Iterative solver exhausted its iteration budget.
 
-    Carries the last residual and iterate so callers can inspect or resume:
-    ``gaps`` is a :class:`~gapforge.kernel_solver.GapFunctions` with its
-    ``w_bar``, its defect as ``residual`` and its iteration count.
+    Carries the last iterate so callers can inspect or resume: ``gaps`` is a
+    :class:`~gapforge.kernel_solver.GapFunctions` with its ``w_bar``, its defect
+    as ``residual`` and its iteration count, read by the properties of these names.
     """
 
-    def __init__(self, message: str, *, residual: float, iterations: int,
-                 gaps: GapFunctions | None = None) -> None:
+    def __init__(self, message: str, *, gaps: GapFunctions) -> None:
         super().__init__(message)
-        self.residual = float(residual)
-        self.iterations = int(iterations)
         self.gaps = gaps
+
+    @property
+    def residual(self) -> float:
+        return self.gaps.residual
+
+    @property
+    def iterations(self) -> int:
+        return self.gaps.iterations

@@ -565,7 +565,7 @@ def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
     residual = gap_rhs(last, *problem.setup).residual
     raise NotConverged(
         f"no fixed point after {it} iterations (last defect {residual:.3e})",
-        residual=residual, iterations=it, gaps=dataclasses.replace(last, residual=residual),
+        gaps=dataclasses.replace(last, residual=residual),
     )
 
 

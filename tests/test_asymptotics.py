@@ -1,11 +1,13 @@
 """Closed-form regime solutions against the exact scalar solver."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gapforge.asymptotics import (
+    DEFAULT_MARGIN_FACTOR,
     Regime,
     RegimeSolution,
     regime_IA,
@@ -14,7 +16,7 @@ from gapforge.asymptotics import (
     regime_IIB,
 )
 from gapforge.core_types import ModelParams
-from gapforge.errors import NotAdmissible, NotApplicable, SingularDenominator
+from gapforge.errors import NotApplicable, SingularDenominator
 from gapforge.scalar_gap import solve_all
 
 from oracles import mixed_delta_m
@@ -209,7 +211,7 @@ def test_energy_identity_holds_whenever_finite(lb, lm, mu, T):
     for fn in (regime_IA, regime_IB, regime_IIA, regime_IIB):
         try:
             sol = fn(ModelParams(lb, lm, mu, T))
-        except (NotAdmissible, NotApplicable, SingularDenominator):
+        except (NotApplicable, SingularDenominator):
             continue
         if not (math.isfinite(sol.delta_b) and math.isfinite(sol.w_bar)
                 and math.isfinite(sol.delta_m)):
@@ -231,3 +233,117 @@ def test_saturated_closed_form_tracks_exact_solver(lb, mu, T):
     exact = _nearest_mixed(params, sol.w_bar)
     assert exact.w_bar == pytest.approx(sol.w_bar, rel=1e-3)
     assert exact.delta_b == pytest.approx(sol.delta_b, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# one lift and one window rule for the four regimes
+
+_REGIMES = {"IA": regime_IA, "IB": regime_IB, "IIA": regime_IIA, "IIB": regime_IIB}
+
+
+def _in_window(name, lb, lm, mu, T):
+    """Whether T lies in the regime's temperature window, in exact rationals.
+
+    A lower bound <= 0 bounds nothing; T = 0 lies in the window where every
+    small T > 0 does.  IB and IIB have no window unless mu + lambda_m > 0.
+    """
+    F = Fraction(DEFAULT_MARGIN_FACTOR)
+    lb, lm, mu = map(Fraction, (lb, lm, mu))
+    if name == "IA":
+        lo, hi = 0, (lb - mu) / (2 * F)
+    elif name == "IIA":
+        lo, hi = 0, (mu - abs(lb)) / (2 * F)
+    elif mu + lm <= 0:
+        return False
+    elif name == "IB":
+        lo, hi = lm * lb / (2 * (mu + lm)), (lb - mu) / (2 * F)
+    else:
+        lo, hi = F * (mu + lb) / 2, lb * lm / (2 * (mu + lm))
+    if T == 0.0:
+        return lo <= 0 < hi
+    return math.isfinite(T) and lo <= Fraction(T) <= hi
+
+
+def _sixteenths(lo, hi):
+    # dyadic energies: every sum and product of them, and 20*T, is exact, so
+    # the code's bounds in float units are the rational bounds rounded once
+    return st.integers(lo, hi).map(lambda k: k / 16.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lb=_sixteenths(-128, 128), lm=_sixteenths(-48, 48), mu=_sixteenths(0, 80),
+       T=st.one_of(_sixteenths(0, 48), st.just(math.inf)))
+def test_the_margin_reads_the_window_and_valid_adds_a_real_gap(lb, lm, mu, T):
+    for name, regime in _REGIMES.items():
+        try:
+            sol = regime(ModelParams(lb, lm, mu, T))
+        except (NotApplicable, SingularDenominator):
+            continue
+        inside = _in_window(name, lb, lm, mu, T)
+        assert (sol.validity_margin >= 1.0) is inside, (name, sol)
+        assert sol.valid is (inside and sol.delta_b > 0.0), (name, sol)
+
+
+@pytest.mark.parametrize("regime, params, valid", [
+    (regime_IB, ModelParams(8.0, 0.0625, 0.9375, 0.25), False),  # T = T_lo
+    (regime_IB, ModelParams(8.0, 0.0625, 3.0, 0.25), True),      # T = T_hi
+    (regime_IIB, ModelParams(-1.0, -0.5, 1.0625, 0.3125), True),  # T = T_lo
+    (regime_IIB, ModelParams(-5.0, -0.5, 1.5, 1.25), False),      # T = T_hi
+], ids=["IB-lower", "IB-upper", "IIB-lower", "IIB-upper"])
+def test_both_window_edges_are_inside(regime, params, valid):
+    # IB's lower and IIB's upper edge were open; each is where the linearised
+    # root meets mu + lambda_m, so its gap vanishes there
+    sol = regime(params)
+    assert sol.validity_margin == 1.0
+    assert sol.valid is valid
+    if not valid:
+        assert sol.w_bar == pytest.approx(params.mu + params.lambda_m, rel=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lb=st.floats(-8, 8), lm=st.floats(-4, 4), mu=st.floats(0, 5), T=st.floats(0, 2))
+def test_the_saturated_regimes_are_the_zero_temperature_branch(lb, lm, mu, T):
+    """IA and IIA return solve_all's T = 0 branch bit for bit, or no valid answer."""
+    report = solve_all(ModelParams(lb, lm, mu, 0.0))
+    # a root that solve_all drops for its residual is lifted as it lifts it,
+    # but kept: see test_a_root_far_below_mu_keeps_its_mean_field_equation
+    assume(not any("residual" in note for note in report.notes))
+    exact = report.mixed
+    for regime, is_root in ((regime_IA, lb > mu), (regime_IIA, -lb < mu)):
+        try:
+            sol = regime(ModelParams(lb, lm, mu, T))
+        except (NotApplicable, SingularDenominator):
+            continue
+        if exact:
+            (branch,) = exact
+            assert [repr(v) for v in (sol.w_bar, sol.delta_m, sol.delta_b)] == [
+                repr(v) for v in (branch.w_bar, branch.delta_m, branch.delta_b)]
+        else:
+            assert sol.valid is False
+            if is_root:  # the lift refused the T = 0 root: its gap is imaginary
+                assert math.isnan(sol.delta_b)
+
+
+@pytest.mark.parametrize("regime, params", [
+    (regime_IB, ModelParams(10.0, 2.0, 1.0, 0.4)),
+    (regime_IIB, ModelParams(-5.0, -0.5, 3.0, 2.0)),
+])
+def test_a_linearised_root_below_the_effective_energy_has_an_imaginary_gap(regime, params):
+    # w_bar < mu + lambda_m: IB and IIB raised NotAdmissible where IA and IIA
+    # returned NaN; every regime now returns it
+    sol = regime(params)
+    assert math.isnan(sol.delta_b)
+    assert sol.valid is False
+    assert sol.delta_m == params.lambda_m
+    # the window's edge at T_lo (IB) or T_hi (IIB) is where the root crosses
+    # mu + lambda_m, so the window excludes it too
+    assert sol.validity_margin < 1.0
+
+
+def test_a_saturated_shift_out_of_bounds_is_an_imaginary_gap_inside_the_window():
+    # delta_m/lambda_m = 8/3 > 2: the mean-field shift and the gap are NaN,
+    # and the window still holds
+    sol = regime_IA(ModelParams(5.0, -3.5, 1.0, 0.01))
+    assert math.isnan(sol.delta_m) and math.isnan(sol.delta_b)
+    assert sol.valid is False
+    assert sol.validity_margin == pytest.approx(20.0)

@@ -365,6 +365,30 @@ def test_verify_passes_at_a_huge_energy_scale(capsys):
     assert "verify: PASS" in out
 
 
+def test_verify_blames_the_window_only_outside_both_of_its_edges(capsys):
+    # T_lo < T but T > T_hi: the margin read T/T_lo = 2.52, above 1, and still
+    # blamed the window
+    code, _, err = run_cli(
+        capsys, "verify", "--regime", "IB", "--lambda-b", "10", "--lambda-m", "0.05",
+        "--mu", "1", "--temp", "0.6",
+    )
+    assert code == 2
+    assert "outside its validity window (margin 0.75)" in err
+    assert "imaginary" not in err
+
+
+def test_verify_names_an_imaginary_gap_inside_the_window(capsys):
+    # margin 20, but delta_m/lambda_m = 8/3 > 2 and delta_b**2 < 0: the message
+    # blamed the window
+    code, _, err = run_cli(
+        capsys, "verify", "--regime", "IA", "--lambda-b", "5", "--lambda-m", "-3.5",
+        "--mu", "1", "--temp", "0.01",
+    )
+    assert code == 2
+    assert "imaginary pairing gap" in err
+    assert "window" not in err
+
+
 def test_verify_reports_a_genuine_mismatch(capsys):
     # inside the linearised window but close to its edge: the closed form
     # is off by more than the regime tolerance and must say so
@@ -958,6 +982,23 @@ def test_kernel_solve_scalar_init_is_from_scalar(capsys):
     columns = (grid.points, gaps.delta_m, gaps.delta_b, gaps.w_bar)
     assert out.splitlines()[1:] == [
         ",".join(repr(float(col[i])) for col in columns) for i in range(grid.points.size)]
+
+
+@pytest.mark.parametrize("init", ["scalar", "seed:2.0"])
+@pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
+def test_kernel_solve_refuses_an_init_with_seeds(tmp_path, capsys, init, from_config):
+    # each seed starts its own solve: the --init was ignored in silence
+    flags = ("--init", init, "--seeds", "0.3")
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"init": init, "seeds": "0.3"}))
+        flags = ("--config", str(cfg))
+    code, out, err = run_cli(
+        capsys, "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+        "--epsilon", "0.05", *flags,
+    )
+    assert code == 2 and out == ""
+    assert "--init" in err and "--seeds" in err
 
 
 def test_kernel_solve_refuses_an_empty_seed_list(capsys):

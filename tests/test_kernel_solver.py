@@ -535,6 +535,8 @@ def test_unconverged_solve_carries_the_defect_of_its_iterate():
     last = info.value.gaps
     assert last.iterations == info.value.iterations == 4
     assert last.residual == info.value.residual
+    with pytest.raises(AttributeError):  # read from gaps, not a second copy
+        info.value.residual = 0.0
     np.testing.assert_array_equal(last.w_bar, np.hypot(grid.points ** 2 + last.delta_m,
                                                        last.delta_b))
     assert info.value.residual == gap_rhs(last, grid, kernels, PARABOLIC, PARAMS).residual

@@ -1022,3 +1022,14 @@ def test_no_mixed_solutions_at_or_above_tc(lb, mu, frac):
     tc = critical_temperature(ModelParams(lb, 0.0, mu, 1.0))
     report = solve_all(ModelParams(lb, 0.0, mu, tc * frac))
     assert report.multiplicity == 0
+
+
+@pytest.mark.xfail(strict=True, reason="mu + delta_m cancels to -w_bar/2 and keeps only an "
+                   "absolute ulp of mu; the mean-field residual divides that by w_bar")
+@pytest.mark.parametrize("lb", [-1e-10, -2.541657285077569e-88])
+def test_a_root_far_below_mu_keeps_its_mean_field_equation(lb):
+    # the attractive T = 0 root w_bar = |lambda_b| has mu + delta_m =
+    # -w_bar/(2(1 + w_bar)), so delta_b = sqrt(3)/2 * w_bar to first order;
+    # solve_all drops it with "residual ... exceeds 1e-08"
+    (sol,) = solve_all(ModelParams(lb, -1.0, 0.5, 0.0)).mixed
+    assert sol.delta_b == pytest.approx(math.sqrt(3.0) / 2.0 * abs(lb), rel=1e-6)
