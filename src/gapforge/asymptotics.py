@@ -22,9 +22,11 @@ T = 0 branch of ``solve_all``.  Every regime takes ``delta_b`` from the lift
 margin from one rule (see :class:`RegimeSolution`); IB and IIB need
 ``mu + lambda_m > 0`` and have margin 0 elsewhere.  A regime that does not
 apply to the sign pattern of the couplings raises :class:`NotApplicable`.
-Roots and windows are evaluated in units of a power of two near the largest
-energy, which is exact, so that no square or product over- or underflows:
-scaling all four energies by ``c`` scales each returned energy by ``c`` and
+Roots and windows are evaluated in the energies themselves: a sum that
+would overflow is scaled down exactly, and the linearised root and the edge
+``lambda_m*lambda_b/(2(mu + lambda_m))`` are formed from the mantissas, so no
+intermediate over- or underflows where the result is a double, and scaling
+all four energies by a power of two scales each returned energy by it and
 leaves ``valid`` and the margin as they are.
 """
 
@@ -34,7 +36,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-from .core_types import ModelParams, ldexp_or_inf, scale_exponent
+from .core_types import ModelParams, ldexp_or_inf
 from .errors import ConstraintViolation, NotAdmissible, NotApplicable, SingularDenominator
 from .scalar_gap import mean_field_gap_given_w, recover_delta_b
 
@@ -71,14 +73,6 @@ class RegimeSolution:
         return {**asdict(self), "regime": self.regime.value}
 
 
-def _in_units(params: ModelParams) -> tuple[int, float, float, float, float]:
-    """:func:`scale_exponent` ``e``, then lambda_b, lambda_m, mu and T over ``2**e``."""
-    e = scale_exponent(params.lambda_b, params.lambda_m, params.mu)
-    # T far above the energies scales past the largest double: inf, its limit
-    return e, *(ldexp_or_inf(v, -e) for v in (params.lambda_b, params.lambda_m,
-                                              params.mu, params.temperature))
-
-
 def _margin(T: float, t_lo: float, t_hi: float) -> float:
     """``min(T/t_lo, t_hi/T)``: at least 1 exactly where ``t_lo <= T <= t_hi``.
 
@@ -108,9 +102,9 @@ def _saturated(regime: Regime, params: ModelParams) -> RegimeSolution:
     The window asks ``beta*(w_bar - mu)/2 >= F`` with the sign of lambda_b; its
     margin, a ratio of temperatures, is taken in units of ``1/(2F)``.
     """
-    _, lb, _, mu, T = _in_units(params)
-    margin = _margin(2.0 * DEFAULT_MARGIN_FACTOR * T, 0.0, lb - math.copysign(mu, lb))
-    w = abs(params.lambda_b)
+    lb, T = params.lambda_b, params.temperature
+    margin = _margin(2.0 * DEFAULT_MARGIN_FACTOR * T, 0.0, lb - math.copysign(params.mu, lb))
+    w = abs(lb)
     try:
         delta_m = mean_field_gap_given_w(w, params)
     except ConstraintViolation:  # on this root, exactly where delta_b**2 < 0
@@ -147,17 +141,30 @@ def regime_IIA(params: ModelParams) -> RegimeSolution:
 def _linearised(regime: Regime, params: ModelParams, window) -> RegimeSolution:
     """IB / IIB: the linearised root with ``delta_m = lambda_m``.
 
-    ``window(lb, lm, mu)`` is ``(T_lo, T_hi)`` in units, wanted where ``mu + lambda_m > 0``.
+    ``window(lb, lm, mu)`` is ``(T_lo, T_hi)``, wanted where ``mu + lambda_m > 0``.
     """
-    e, lb, lm, mu, T = _in_units(params)
+    lb, lm, mu, T = params.lambda_b, params.lambda_m, params.mu, params.temperature
     if lb == 2.0 * T:
         raise SingularDenominator(
             "lambda_b = 2T: the linearised pairing equation degenerates"
         )
-    # w_bar = mu exactly at T = 0
-    w = ldexp_or_inf(mu * (lb / (lb - 2.0 * T)), e)
+    # IIB's |lambda_b| + 2T may pass the largest double: then it is quartered, exactly
+    den, quartered = lb - 2.0 * T, 0
+    if math.isinf(den):
+        den, quartered = 0.25 * lb - 0.5 * T, 2
+    (mm, em), (mb, eb), (md, ed) = map(math.frexp, (mu, lb, den))
+    w = ldexp_or_inf(mm * (mb / md), em + eb - ed - quartered)  # mu exactly at T = 0
     margin = _margin(T, *window(lb, lm, mu)) if mu + lm > 0.0 else 0.0
-    return _lifted(regime, params, w, params.lambda_m, margin)
+    return _lifted(regime, params, w, lm, margin)
+
+
+def _edge(lb: float, lm: float, mu: float) -> float:
+    """``lambda_b*lambda_m/(2(mu + lambda_m))`` from the mantissas; a sum that overflows is halved."""
+    s, halved = mu + lm, 0
+    if math.isinf(s):
+        s, halved = 0.5 * mu + 0.5 * lm, 1
+    (mb, eb), (mm, em), (ms, es) = map(math.frexp, (lb, lm, s))
+    return ldexp_or_inf(mb * mm / ms, eb + em - es - halved - 1)
 
 
 def regime_IB(params: ModelParams) -> RegimeSolution:
@@ -176,7 +183,7 @@ def regime_IB(params: ModelParams) -> RegimeSolution:
             "regime IB needs lambda_b > 2T (below the root-disappearance point)"
         )
     return _linearised(Regime.IB, params, lambda lb, lm, mu: (
-        lm * lb / (2.0 * (mu + lm)), (lb - mu) / (2.0 * DEFAULT_MARGIN_FACTOR)))
+        _edge(lb, lm, mu), (lb - mu) / (2.0 * DEFAULT_MARGIN_FACTOR)))
 
 
 def regime_IIB(params: ModelParams) -> RegimeSolution:
@@ -189,4 +196,4 @@ def regime_IIB(params: ModelParams) -> RegimeSolution:
     if params.lambda_b >= 0.0 or params.lambda_m >= 0.0:
         raise NotApplicable("regime IIB needs lambda_b < 0 and lambda_m < 0")
     return _linearised(Regime.IIB, params, lambda lb, lm, mu: (
-        DEFAULT_MARGIN_FACTOR * (mu + lb) / 2.0, lb * lm / (2.0 * (mu + lm))))
+        0.5 * DEFAULT_MARGIN_FACTOR * (mu + lb), _edge(lb, lm, mu)))

@@ -364,7 +364,7 @@ _MIN_FORKED_CSV = 1 << 20
 
 
 def _kernel_tables(path_b: str | None, path_m: str | None):
-    """``(momenta, matrix_b, matrix_m)`` of the given kernel CSVs; a missing one's matrix is None.
+    """``(momenta, matrix_b, matrix_m)`` of the given kernel CSVs; a missing one's matrix is zero.
 
     With both files, and a mean-field file of ``_MIN_FORKED_CSV`` bytes or
     more, a forked child reads that one while this process reads the
@@ -380,7 +380,8 @@ def _kernel_tables(path_b: str | None, path_m: str | None):
         if not np.array_equal(momenta, tables[1][0]):
             raise ConfigError("pairing and mean-field kernel momenta differ")
         return momenta, tables[0][1], tables[1][1]
-    return (momenta, tables[0][1], None) if path_b else (momenta, None, tables[0][1])
+    zero = np.zeros((momenta.size, momenta.size))
+    return (momenta, tables[0][1], zero) if path_b else (momenta, zero, tables[0][1])
 
 
 def _file_size(path: str) -> int:
@@ -396,14 +397,9 @@ def _kernel_setup(args: argparse.Namespace, params: ModelParams):
     if args.kernel_b_csv or args.kernel_m_csv:
         momenta, matrix_b, matrix_m = _kernel_tables(args.kernel_b_csv, args.kernel_m_csv)
         grid = kernel_solver.RadialGrid.from_points(momenta)
-        n = momenta.size
-        kernels = kernel_solver.CoupledKernels(
-            pairing=kernel_solver.TabulatedKernel(
-                np.zeros((n, n)) if matrix_b is None else matrix_b),
-            mean_field=kernel_solver.TabulatedKernel(
-                np.zeros((n, n)) if matrix_m is None else matrix_m),
-        )
-        return grid, kernels
+        return grid, kernel_solver.CoupledKernels(
+            pairing=kernel_solver.TabulatedKernel(matrix_b),
+            mean_field=kernel_solver.TabulatedKernel(matrix_m))
     if args.epsilon is None:
         raise ConfigError("kernel-solve needs --epsilon or a kernel CSV")
     if args.grid_points < 6:  # the shell takes a third and needs 2 intervals
@@ -463,7 +459,7 @@ def cmd_kernel_solve(args: argparse.Namespace) -> int:
         ],
         "grid_points": int(grid.points.size),
     }
-    multi = len(results) > 1
+    multi = seeds is not None
     header = (["branch"] if multi else []) + ["p", "delta_m", "delta_b", "w_bar"]
     rows = ([branch, *row] if multi else row
             for branch, gaps in enumerate(results)

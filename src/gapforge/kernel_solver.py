@@ -116,10 +116,9 @@ class ShellShape:
     hi: float
     height: float
 
-    def __call__(self, p):
+    def __call__(self, p) -> np.ndarray:
         arr = np.asarray(p, dtype=float)
-        out = np.where((arr >= self.lo) & (arr <= self.hi), self.height, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where((arr >= self.lo) & (arr <= self.hi), self.height, 0.0)
 
     def measure_weights(self, points: np.ndarray) -> np.ndarray:
         """Weights sigma_i with sum sigma_i f(p_i) ~ int S(p) f(p) dp.
@@ -217,18 +216,12 @@ class SeparableKernel:
     """V(k, p) = coupling * shape(k) * shape(p)."""
 
     coupling: float
-    shape: Callable
-
-    def measure(self, grid: RadialGrid) -> np.ndarray:
-        """Weights sigma_i with sum sigma_i f(p_i) ~ int shape(p) f(p) dp."""
-        if hasattr(self.shape, "measure_weights"):
-            return self.shape.measure_weights(grid.points)
-        return grid.weights * np.asarray(self.shape(grid.points), dtype=float)
+    shape: ShellShape
 
     def factor(self, grid: RadialGrid) -> _Factor:
-        """Rank one: the shape column times the row ``coupling * sigma``."""
-        shape = np.asarray(self.shape(grid.points), dtype=float)
-        return _Factor(shape[:, None], self.coupling * self.measure(grid)[None, :])
+        """Rank one: the shape column times the row ``coupling * sigma``, its band weights."""
+        sigma = self.shape.measure_weights(grid.points)
+        return _Factor(self.shape(grid.points)[:, None], self.coupling * sigma[None, :])
 
     def apply(self, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
         """Integrate V(k, .) against ``values`` sampled on the grid."""
@@ -538,7 +531,7 @@ def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
     kernels, is at most ``controls.tol`` too; otherwise it moves the fraction
     ``controls.damping`` of the way to the right-hand side.  After
     ``controls.max_iters`` evaluations :class:`NotConverged` is raised,
-    carrying the last evaluated iterate with its :func:`gap_rhs` defect in
+    carrying the last evaluated iterate, emitted as a solution is, in
     ``.gaps``.  The emitted pairing function is non-negative at its
     largest-magnitude point — both signs solve the system, with the same
     defect.  ``on_iterate(iteration, defect)`` is called once per step with
@@ -561,11 +554,10 @@ def self_consistent_solve(grid: RadialGrid, kernels: CoupledKernels,
             break
         dm = (1.0 - alpha) * dm + alpha * new_dm
         db = (1.0 - alpha) * db + alpha * new_db
-    last = GapFunctions(dm, db, np.hypot(problem.omega + dm, db), 0.0, it)
-    residual = gap_rhs(last, *problem.setup).residual
+    last = problem.emit(dm, db, it)
     raise NotConverged(
-        f"no fixed point after {it} iterations (last defect {residual:.3e})",
-        gaps=dataclasses.replace(last, residual=residual),
+        f"no fixed point after {it} iterations (last defect {last.residual:.3e})",
+        gaps=last,
     )
 
 

@@ -36,7 +36,8 @@ deals the points, or the ``_CSV_BLOCK``-row blocks, round-robin over
 the solver is pure Python and holds the GIL and a point's cost grows with
 lambda_b.  Rows and text come back in row-major order, so output is that of
 a serial scan byte for byte; ``run`` states the rules (no knob, one usable
-CPU or no affinity call runs in process, a failed share runs again here).
+CPU or no affinity call runs in process, a failed share runs again here);
+the CSV is written once every block is formatted.
 
 Each ranged axis is a lattice of evenly spaced doubles, both ends included:
 the values of an array ``linspace``, built with :mod:`math` alone, so this
@@ -53,7 +54,7 @@ import math
 from enum import Enum
 from typing import IO, Iterable, Mapping, NamedTuple
 
-from ._forked import run, usable_cpus
+from ._forked import run
 from .core_types import ModelParams, PhaseLabel, RegionLabel
 from .errors import ConfigError, DomainError, GapEquationError, ZeroTemperature
 from .scalar_gap import (  # noqa: F401 - classify_region is re-exported
@@ -253,26 +254,18 @@ def write_scan_csv(rows: Iterable[ScanRow], stream: IO[str]) -> None:
     """CSV with a mandatory header, LF line endings, shortest-round-trip floats.
 
     :mod:`csv` writes ``None`` as an empty field, a float by its ``repr``
-    and a region label by its value.  From ``2 * _MIN_CSV_SHARE`` rows on
-    the rows are formatted on every usable CPU (see the module docstring);
-    below that, on one usable CPU or without an affinity call, they are
-    streamed in process.  The bytes written, and a row's exception, are
-    those of a serial write.
+    and a region label by its value.  The rows are formatted in
+    ``_CSV_BLOCK``-row blocks, from ``2 * _MIN_CSV_SHARE`` rows on over
+    every usable CPU (see the module docstring); then the header and the
+    blocks are written.  The bytes are those of a serial write.  A row that
+    csv cannot format raises, as :func:`gapforge._forked.run` states, and
+    nothing is written.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SCAN_COLUMNS)
     rows = list(rows)
-    shares = len(rows) // _MIN_CSV_SHARE
-    if min(shares, usable_cpus()) >= 2:
-        blocks = [rows[start:start + _CSV_BLOCK] for start in range(0, len(rows), _CSV_BLOCK)]
-        try:
-            texts = run(_csv_text, blocks, shares)
-        except Exception:  # a row that csv cannot write: a serial write raises for it
-            pass
-        else:
-            stream.writelines(texts)
-            return
-    writer.writerows(rows)
+    blocks = [rows[start:start + _CSV_BLOCK] for start in range(0, len(rows), _CSV_BLOCK)]
+    texts = run(_csv_text, blocks, len(rows) // _MIN_CSV_SHARE)
+    csv.writer(stream, lineterminator="\n").writerow(SCAN_COLUMNS)
+    stream.writelines(texts)
 
 
 # A share below this many rows (~8 ms of formatting) gains too little over the

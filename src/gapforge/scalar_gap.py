@@ -35,6 +35,7 @@ import struct
 import sys
 
 from .core_types import (
+    _MIN_NORMAL,
     RESIDUAL_BOUND,
     BogoliubovCoefficients,
     GapSolution,
@@ -241,7 +242,8 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     independent of temperature and of ``w_bar`` itself.  It is evaluated as
     ``lambda_m`` times the scale-free ratio of the halved differences, which
     stay finite up to the largest double, so scaling every energy by a power
-    of two scales the shift by it exactly.  That ratio ``delta_m/lambda_m``
+    of two scales the shift by it exactly; below the normal range, where a
+    half may round, it is taken unhalved.  That ratio ``delta_m/lambda_m``
     is the occupation brace ``1 - e*t``, in ``[0, 2]``; outside it the sign or
     the bound of ``delta_m`` is broken: no consistent mixed branch.
     """
@@ -249,12 +251,15 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     if lambda_m == 0.0:
         return 0.0
     denom = 0.5 * lambda_b + 0.5 * lambda_m
-    if denom == 0.0:
+    if abs(denom) >= _MIN_NORMAL:
+        # infinite where the ratio overflows; the bound below rejects it
+        ratio = (0.5 * lambda_b - 0.5 * mu) / denom
+    elif lambda_b == -lambda_m:
         raise SingularDenominator(
             "lambda_b + lambda_m = 0: the mean-field condition degenerates"
         )
-    # infinite where the ratio overflows; the bound below rejects it
-    ratio = (0.5 * lambda_b - 0.5 * mu) / denom
+    else:  # a halved subnormal coupling rounds, but a sum this small is exact
+        ratio = (lambda_b - mu) / (lambda_b + lambda_m)
     delta_m = lambda_m * ratio
     if ratio < 0.0:
         raise ConstraintViolation(

@@ -1,6 +1,8 @@
 """Closed-form regime solutions against the exact scalar solver."""
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -191,11 +193,19 @@ def test_as_dict_round_trip():
 @pytest.mark.parametrize("params", [ModelParams(1e-300, 0.0, 0.0, 1e10),
                                     ModelParams(5e-324, 0.0, 0.0, 1.0)])
 def test_a_temperature_beyond_the_largest_double_in_units_is_its_limit(params):
-    # T over the units of the energies overflows: it is taken as T = inf
+    # T far above the energies lies above the window: the margin
+    # (lambda_b - mu)/(2F T) is 5e-312, and 0 where it underflows
     sol = regime_IA(params)
     assert sol.valid is False
-    assert sol.validity_margin == 0.0
+    assert sol.validity_margin < 1.0
     assert sol.w_bar == params.lambda_b
+
+
+def test_subnormal_couplings_are_not_a_singular_denominator():
+    # lambda_b + lambda_m = 1e-323, though each half rounds to zero
+    sol = regime_IA(ModelParams(5e-324, 5e-324, 0.0, 0.0))
+    assert sol.valid is False
+    assert sol.validity_margin == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +292,51 @@ def test_the_margin_reads_the_window_and_valid_adds_a_real_gap(lb, lm, mu, T):
         inside = _in_window(name, lb, lm, mu, T)
         assert (sol.validity_margin >= 1.0) is inside, (name, sol)
         assert sol.valid is (inside and sol.delta_b > 0.0), (name, sol)
+
+
+def _extreme_draws(seed, count):
+    """Energies 10**U(-300, 300) with random coupling signs; T = 0 or T = |lambda_b|/2 in some."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lb, lm, mu, T = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(4))
+        lb, lm = rng.choice((-1.0, 1.0)) * lb, rng.choice((-1.0, 1.0)) * lm
+        pick = rng.random()
+        if pick < 0.1:
+            T = 0.0
+        elif pick < 0.2:
+            T = abs(lb) / 2.0
+        yield lb, lm, mu, T
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_window_and_the_root_hold_at_extreme_energy_ratios(seed):
+    """Energies up to 1e600 apart: the margin reads the exact window, the
+    linearised root is the exact one to 1e-15 wherever that is a normal
+    double, and only lambda_b = 2T is singular."""
+    for lb, lm, mu, T in _extreme_draws(seed, 2500):
+        for name, regime in _REGIMES.items():
+            try:
+                sol = regime(ModelParams(lb, lm, mu, T))
+            except NotApplicable:
+                continue
+            except SingularDenominator:
+                assert lb == 2.0 * T, (name, lb, lm, mu, T)
+                continue
+            point = (name, lb, lm, mu, T, sol)
+            assert (sol.validity_margin >= 1.0) is _in_window(name, lb, lm, mu, T), point
+            if name in ("IB", "IIB"):
+                exact = Fraction(mu) * Fraction(lb) / (Fraction(lb) - 2 * Fraction(T))
+                if sys.float_info.min <= exact <= sys.float_info.max:
+                    assert abs(Fraction(sol.w_bar) / exact - 1) <= Fraction(1, 10**15), point
+
+
+def test_sums_beyond_the_largest_double_are_scaled_down():
+    # IIB's |lambda_b| + 2T = 3e308: the root is mu*lambda_b/(lambda_b - 2T) = mu/3
+    sol = regime_IIB(ModelParams(-1e308, -0.5, 1.0, 1e308))
+    assert sol.w_bar == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0.0)
+    # IB's mu + lambda_m = 2e308: T_lo = 4e307 bounds T = 1e300 from below
+    sol = regime_IB(ModelParams(1.6e308, 1e308, 1e308, 1e300))
+    assert sol.validity_margin == pytest.approx(1e300 / 4e307, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("regime, params, valid", [

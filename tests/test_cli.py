@@ -389,6 +389,14 @@ def test_verify_names_an_imaginary_gap_inside_the_window(capsys):
     assert "window" not in err
 
 
+def test_verify_reads_the_window_at_extreme_energy_ratios(capsys):
+    # lambda_m/lambda_b = 1e-600: T lies below IB's lower edge, T_lo = 0.5
+    code, _, err = run_cli(capsys, "verify", "--regime", "IB", "--lambda-b", "1e300",
+                           "--lambda-m", "1e-300", "--mu", "0.5", "--temp", "7e-5")
+    assert code == 2
+    assert "outside its validity window (margin 7e-05)" in err
+
+
 def test_verify_reports_a_genuine_mismatch(capsys):
     # inside the linearised window but close to its edge: the closed form
     # is off by more than the regime tolerance and must say so
@@ -452,6 +460,20 @@ def test_kernel_solve_branch_scan_adds_a_branch_column(capsys):
     assert len(summary["branches"]) == 3
     peaks = [b["delta_b_peak"] for b in summary["branches"]]
     assert peaks == sorted(peaks)
+
+
+def test_kernel_solve_keeps_the_branch_column_for_one_branch(capsys):
+    # --seeds decides the column, not the number of branches it finds
+    code, out, err = run_cli(
+        capsys,
+        "kernel-solve", "--lambda-b", "4", "--mu", "1", "--temp", "0.5",
+        "--epsilon", "0.05", "--grid-points", "120", "--seeds", "2.0",
+    )
+    assert code == 0
+    assert len(json.loads(err)["branches"]) == 1
+    lines = out.splitlines()
+    assert lines[0] == "branch,p,delta_m,delta_b,w_bar"
+    assert {line.split(",")[0] for line in lines[1:]} == {"0"}
 
 
 def test_kernel_solve_branch_residuals_stay_within_tol(capsys):

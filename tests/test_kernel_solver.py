@@ -218,20 +218,6 @@ def test_an_exactly_symmetric_kernel_skips_the_tolerance_check(monkeypatch):
     assert kernel.is_symmetric
 
 
-def test_separable_and_tabulated_forms_agree_for_smooth_shapes():
-    # A plain callable shape has no exact band quadrature, so both forms
-    # integrate with the grid's trapezoid weights and must match.
-    grid = RadialGrid.uniform(3.0, 101)
-    bump = lambda p: np.exp(-(((np.asarray(p, dtype=float)) - 1.0) / 0.3) ** 2)
-    sep = SeparableKernel(1.7, bump)
-    tab = TabulatedKernel(1.7 * np.outer(bump(grid.points), bump(grid.points)))
-    rng = np.random.default_rng(7)
-    values = rng.normal(size=grid.points.size)
-    np.testing.assert_allclose(
-        sep.apply(grid, values), tab.apply(grid, values), rtol=1e-12, atol=1e-14
-    )
-
-
 def test_tabulated_shell_with_measure_columns_matches_separable():
     # Folding sigma/w into the matrix columns reproduces the sliver-exact
     # band quadrature through the plain matrix-vector path.
@@ -540,6 +526,31 @@ def test_unconverged_solve_carries_the_defect_of_its_iterate():
     np.testing.assert_array_equal(last.w_bar, np.hypot(grid.points ** 2 + last.delta_m,
                                                        last.delta_b))
     assert info.value.residual == gap_rhs(last, grid, kernels, PARABOLIC, PARAMS).residual
+
+
+def test_unconverged_solve_emits_its_iterate_as_a_solution_is_emitted(monkeypatch):
+    # a negative seed ends on a negative pairing function, which the emitter
+    # flips to its sign-canonical representative
+    import gapforge.kernel_solver as ks
+
+    eps = 0.05
+    grid = shell_aligned_grid(1.0, eps, n_shell=60, p_max=3.0, n_outer=120)
+    emitted = []
+    emit = ks._AmplitudeProblem.emit
+
+    def recording(self, dm, db, iterations=0):
+        emitted.append((db, emit(self, dm, db, iterations)))
+        return emitted[-1][1]
+
+    monkeypatch.setattr(ks._AmplitudeProblem, "emit", recording)
+    with pytest.raises(NotConverged) as info:
+        self_consistent_solve(grid, shell_kernels(PARAMS, eps), PARABOLIC, PARAMS,
+                              IterationControls(max_iters=4, init=SeededPairing(-1.0)))
+    (db, gaps), = emitted
+    assert info.value.gaps is gaps
+    assert gaps.iterations == 4
+    assert float(np.min(db)) < 0.0
+    np.testing.assert_array_equal(gaps.delta_b, -db)
 
 
 def test_unconverged_solve_reports_its_last_iterate():

@@ -152,6 +152,23 @@ def test_mean_field_gap_singular_denominator():
         mean_field_gap_given_w(2.0, ModelParams(4.0, -4.0, 1.0, 0.5))
 
 
+def test_subnormal_couplings_take_the_unhalved_ratio():
+    # both halves round to zero: the ratio is 1/2, and 5e-324/2 rounds to 0
+    assert mean_field_gap_given_w(5e-324, ModelParams(5e-324, 5e-324, 0.0, 0.0)) == 0.0
+    # one half rounds: the halved ratio read 0, the exact one is -1
+    with pytest.raises(ConstraintViolation, match="opposite sign"):
+        mean_field_gap_given_w(5e-324, ModelParams(5e-324, -1e-323, 0.0, 0.0))
+
+
+def test_subnormal_couplings_are_singular_only_where_they_cancel():
+    with pytest.raises(SingularDenominator):
+        mean_field_gap_given_w(5e-324, ModelParams(5e-324, -5e-324, 0.0, 0.0))
+    params = ModelParams(5e-324, 5e-324, 0.0, 0.0)
+    # delta_m = 2.5e-324 is no double: the root is dropped for its residual
+    assert solve_all(params).notes == (
+        "root w_bar = 4.94065646e-324 dropped: residual 1 exceeds 1e-08",)
+
+
 def test_recover_delta_b_and_rejection():
     # the arguments are the root's w_bar and its offset w_bar - mu
     params = ModelParams(4.0, 0.0, 1.0, 0.5)
@@ -913,14 +930,29 @@ def test_solutions_scale_with_the_energies(lb, lm, mu, T, exponent):
     c = 10.0 ** exponent
     # an input scaled below the normal range is no longer c times the base
     assume(all(abs(c * v) >= sys.float_info.min for v in (lb, lm, mu, T) if v))
-    base = solve_all(ModelParams(lb, lm, mu, T))
-    scaled = solve_all(ModelParams(c * lb, c * lm, c * mu, c * T))
+    params = (ModelParams(lb, lm, mu, T), ModelParams(c * lb, c * lm, c * mu, c * T))
+    # nor is a root below it: see test_a_root_below_the_normal_range_is_dropped
+    assume(all(w >= sys.float_info.min for p in params for w in pairing_energy_roots(p)))
+    base, scaled = map(solve_all, params)
     assert [s.phase for s in scaled.solutions] == [s.phase for s in base.solutions]
     assert scaled.multiplicity == base.multiplicity
     scale = max(abs(lb), abs(lm), mu, T)
     for got, want in zip(_energies(scaled), _energies(base)):
         for g, w in zip(got, want):
             assert abs(g / c - w) <= 1e-9 * scale
+
+
+def test_a_root_below_the_normal_range_is_dropped():
+    # the lower root w_bar = 2*mu = 1e-323 has delta_b = sqrt(3)*mu, which no
+    # double holds to the residual bound; scaled by 1e16 it is a normal root
+    base = solve_all(ModelParams(2.0, 0.0, 5e-324, 0.5))
+    assert [s.phase for s in base.solutions] == [PhaseLabel.PURE_MEAN_FIELD,
+                                                 PhaseLabel.MIXED_UPPER]
+    assert base.notes == ("root w_bar = 9.88131292e-324 dropped: residual 0.5 exceeds 1e-08",)
+    scaled = solve_all(ModelParams(2e16, 0.0, 5e-308, 5e15))
+    assert [s.phase for s in scaled.solutions] == [
+        PhaseLabel.PURE_MEAN_FIELD, PhaseLabel.MIXED_LOWER, PhaseLabel.MIXED_UPPER]
+    assert scaled.notes == ()
 
 
 _COUPLING = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
