@@ -29,7 +29,7 @@ so a lattice at fixed lambda_m and T solves it once, and one whose
 the same as from a fresh solve.  Points that fail validation land in the
 row's ``error`` column; a scan never aborts half-way.
 
-A lattice of 1000 points or more is solved, and a CSV of 2000 rows or more
+A lattice of 1000 points or more is solved, and a CSV of 4000 rows or more
 formatted, on every CPU the process may run on: :func:`gapforge._forked.run`
 deals the points, or the ``_CSV_BLOCK``-row blocks, round-robin over
 ``points // _MIN_CHUNK`` or ``rows // _MIN_CSV_SHARE`` shares at most, since
@@ -39,6 +39,14 @@ a serial scan byte for byte; ``run`` states the rules (no knob, one usable
 CPU or no affinity call runs in process, a failed share runs again here);
 the CSV is written once every block is formatted.
 
+The CSV holds the bytes :mod:`csv` writes, but not by csv's per-field pass:
+the cells of a row are joined with commas, and only a text that holds a
+comma, a quote, a CR, an LF or a NUL goes through csv, which alone decides
+its quoting.  A lattice repeats each axis value, and the pure branch
+depends on (lambda_m, mu, temperature) alone, so the ``repr`` of each
+nonzero float in the columns up to ``w_bar_pure`` is kept in a dict that
+one write makes and each share fills for itself.
+
 Each ranged axis is a lattice of evenly spaced doubles, both ends included:
 the values of an array ``linspace``, built with :mod:`math` alone, so this
 module, like the rest of the scalar core, needs no array package.
@@ -47,10 +55,12 @@ module, like the rest of the scalar core, needs no array package.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
 import math
+import re
 from enum import Enum
 from typing import IO, Iterable, Mapping, NamedTuple
 
@@ -253,33 +263,80 @@ def equilibrium_curve(lo: float, hi: float,
 def write_scan_csv(rows: Iterable[ScanRow], stream: IO[str]) -> None:
     """CSV with a mandatory header, LF line endings, shortest-round-trip floats.
 
-    :mod:`csv` writes ``None`` as an empty field, a float by its ``repr``
-    and a region label by its value.  The rows are formatted in
+    The bytes are those ``csv.writer(stream, lineterminator="\\n")`` writes
+    for the header and ``rows``: ``None`` as an empty field, a float by its
+    ``repr``, a region label by its value; csv alone decides the quoting of
+    a text (see the module docstring).  The rows are formatted in
     ``_CSV_BLOCK``-row blocks, from ``2 * _MIN_CSV_SHARE`` rows on over
-    every usable CPU (see the module docstring); then the header and the
-    blocks are written.  The bytes are those of a serial write.  A row that
-    csv cannot format raises, as :func:`gapforge._forked.run` states, and
-    nothing is written.
+    every usable CPU; then the header and the blocks are written, the bytes
+    of a serial write.  A row whose cell count is not that of the header
+    raises ``ValueError``, a row that cannot be formatted raises as
+    :func:`gapforge._forked.run` states, and either way nothing is written.
     """
     rows = list(rows)
+    lengths = set(map(len, rows)) - {len(SCAN_COLUMNS)}
+    if lengths:
+        raise ValueError(f"a scan row has {len(SCAN_COLUMNS)} cells, got {sorted(lengths)}")
     blocks = [rows[start:start + _CSV_BLOCK] for start in range(0, len(rows), _CSV_BLOCK)]
-    texts = run(_csv_text, blocks, len(rows) // _MIN_CSV_SHARE)
+    texts = run(functools.partial(_csv_text, floats={}), blocks, len(rows) // _MIN_CSV_SHARE)
     csv.writer(stream, lineterminator="\n").writerow(SCAN_COLUMNS)
     stream.writelines(texts)
 
 
-# A share below this many rows (~8 ms of formatting) gains too little over the
-# ~5 ms that a fork, its pickled text and the reap cost
-_MIN_CSV_SHARE = 1000
+# A share below this many rows (~7 ms of formatting at ~3.5 ms per 1000 rows)
+# gains too little over its fork, pickled text and reap: on a 2-CPU box a
+# 2025-row CSV took 7.3 ms in two shares and 7.3 ms in process (10.6 and 7.7 ms
+# at the median of 40), a 3969-row one 11.9 and 14.2 ms
+_MIN_CSV_SHARE = 2000
 # Blocks this small deal rows whose cost drifts along the lattice evenly
 _CSV_BLOCK = 64
+# The lattice point and the pure branch: a lattice repeats each axis value, and
+# the pure branch depends on (lambda_m, mu, temperature) alone
+_REPEATING = SCAN_COLUMNS.index("delta_m_lower")
+# A text holding one of these goes through csv, which alone decides its quoting
+# (Python 3.10's csv refuses a NUL, 3.11's leaves a lone CR unquoted)
+_FOR_CSV = re.compile('[,"\r\n\0]').search
 
 
-def _csv_text(rows: list[ScanRow]) -> str:
-    """The CSV text of ``rows``."""
+def _csv_text(rows: list[ScanRow], floats: dict[float, str]) -> str:
+    """The CSV text of ``rows``, cell for cell as :mod:`csv` writes it.
+
+    ``floats`` holds the ``repr`` of each nonzero float met so far in the
+    repeating columns; a zero, whose sign a key would lose, and a value of
+    any other type are formatted every time.  The rows, all of one length,
+    are formatted column by column.
+    """
+    columns = list(zip(*rows))
+    texts = [[floats.get(value) or _remembered(value, floats)
+              if value.__class__ is float and value else _cell(value)
+              for value in column] for column in columns[:_REPEATING]]
+    texts += [["" if value is None else repr(value) if value.__class__ is float
+               else _cell(value) for value in column] for column in columns[_REPEATING:]]
+    lines = list(map(",".join, zip(*texts)))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _remembered(value: float, floats: dict[float, str]) -> str:
+    """``repr(value)``, kept in ``floats`` unless ``value`` is a nan."""
+    text = repr(value)
+    if value == value:  # a nan equals no key: each would add one
+        floats[value] = text
+    return text
+
+
+def _cell(value) -> str:
+    """The text csv writes for one cell."""
+    if value is None:
+        return ""
+    if value.__class__ is float:
+        return repr(value)
+    text = value if isinstance(value, str) else str(value)
+    if _FOR_CSV(text) is None:
+        return text
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
+    csv.writer(buffer, lineterminator="\n").writerow((text,))
+    return buffer.getvalue()[:-1]
 
 
 def write_scan_json(rows: Iterable[ScanRow], stream: IO[str]) -> None:

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -10,9 +13,9 @@ import sys
 import pytest
 
 from forks import FORK, assert_no_child_left, counted_forks, usable_cpus
-from gapforge import cli, kernel_solver
+from gapforge import cli, kernel_solver, phase_diagram
 from gapforge.cli import _apply_config, build_parser, main
-from gapforge.core_types import ModelParams
+from gapforge.core_types import ModelParams, RegionLabel
 from gapforge.phase_diagram import SCAN_COLUMNS, equilibrium_curve
 from gapforge.scalar_gap import solve_all
 
@@ -250,6 +253,34 @@ def test_scan_bad_range_syntax(capsys):
     )
     assert code == 2
     assert "LO:HI:STEPS" in err
+
+
+def test_scan_goes_through_the_module_attributes_the_benchmark_tracer_swaps(capsys, monkeypatch):
+    # perfbench times phase_diagram.scan and write_scan_csv by replacing them on the
+    # module, and plants a wrong answer by replacing phase_diagram.solve_all
+    argv = ("scan", "--lambda-b", "4", "--lambda-m", "0", "--mu", "1", "--range-temp", "0.5:2.5:3")
+    calls = []
+    for name in ("scan", "write_scan_csv"):
+        def recorded(*args, _name=name, _original=getattr(phase_diagram, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(phase_diagram, name, recorded)
+    code, honest, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == ["scan", "write_scan_csv"]
+
+    solve = phase_diagram.solve_all
+    monkeypatch.setattr(phase_diagram, "solve_all",
+                        lambda params: dataclasses.replace(solve(params), region=RegionLabel.NONE))
+    code, planted, _ = run_cli(capsys, *argv)
+    assert code == 0
+    region = SCAN_COLUMNS.index("region")
+    honest_rows, planted_rows = (list(csv.reader(io.StringIO(text))) for text in (honest, planted))
+    assert {row[region] for row in honest_rows[1:]} == {"A+"}
+    assert [row[region] for row in planted_rows[1:]] == ["none"] * 3
+    assert [row[:region] + row[region + 1:] for row in planted_rows] == \
+        [row[:region] + row[region + 1:] for row in honest_rows]
 
 
 def test_scan_runs_are_byte_identical_across_processes(tmp_path):

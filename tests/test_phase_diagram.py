@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from forks import FORK, assert_no_child_left, counted_forks, usable_cpus
@@ -748,6 +748,102 @@ def test_a_failed_fork_leaves_the_csv_share_to_the_caller(monkeypatch):
     assert _csv_text(rows) == serial
     assert len(calls) == 2
     assert_no_child_left()
+
+
+def _csv_module_text(rows) -> str:
+    """The header and ``rows`` as :mod:`csv` writes them."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(SCAN_COLUMNS)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+# every text csv may quote, or refuse, is built from these
+_TEXT_PIECES = [",", '"', "\r", "\n", "\r\n", "\0", " ", "a", "+"]
+_CELLS = st.one_of(
+    st.floats(),  # nan, +-inf, +-0.0 and subnormals among them
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+    st.none(),
+    st.integers(),
+    st.sampled_from(RegionLabel),
+    st.lists(st.sampled_from(_TEXT_PIECES), max_size=5).map("".join),
+)
+
+
+@st.composite
+def _drawn_rows(draw):
+    """Up to 12 rows whose cells come from a pool of at most six, so that columns repeat."""
+    cell = st.sampled_from(draw(st.lists(_CELLS, min_size=1, max_size=6)))
+    row = st.tuples(*[cell] * len(SCAN_COLUMNS)).map(ScanRow._make)
+    return draw(st.lists(row, max_size=12))
+
+
+_EVERY_KIND = ScanRow(1.5, 1.5, 0.0, -0.0, RegionLabel.A_PLUS, 2, 2.0, math.nan, -math.inf,
+                      5e-324, None, "a,b", 'say "hi"', "cr\rlf\ncrlf\r\n", " space ")
+
+
+@pytest.mark.parametrize("cpus", [1, 3], ids=["in-process", "forked"])
+@settings(max_examples=150, deadline=None)
+@given(rows=_drawn_rows())
+@example(rows=[_EVERY_KIND] * 3)
+@example(rows=[_EVERY_KIND._replace(error="nul\0")] * 3)
+def test_the_csv_is_what_the_csv_module_writes(cpus, rows):
+    # blocks of 2 rows, one share per block: forked from 3 rows on with 3 CPUs
+    with mock.patch.object(phase_diagram, "_MIN_CSV_SHARE", 1), \
+            mock.patch.object(phase_diagram, "_CSV_BLOCK", 2), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        buffer = io.StringIO()
+        try:
+            expected = _csv_module_text(rows)
+        except csv.Error:  # Python 3.10's csv refuses a NUL
+            with pytest.raises(csv.Error):
+                write_scan_csv(rows, buffer)
+            assert buffer.getvalue() == ""
+        else:
+            write_scan_csv(rows, buffer)
+            assert buffer.getvalue() == expected
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+def test_a_repeating_column_keeps_each_zeros_sign_and_each_ints_text(monkeypatch, cpus):
+    # blocks of 2 rows: in process one share formats all four blocks; forked, share 0
+    # formats blocks 0 and 2 (the zeros) and share 1 blocks 1 and 3 (2.0 and 2)
+    values = [0.0, -0.0, 2.0, 2, -0.0, 0.0, 2, 2.0]
+    base = _demo_rows()[0]
+    rows = [base._replace(lambda_b=value, w_bar_pure=value) for value in values]
+    monkeypatch.setattr(phase_diagram, "_MIN_CSV_SHARE", 1)
+    monkeypatch.setattr(phase_diagram, "_CSV_BLOCK", 2)
+    usable_cpus(monkeypatch, cpus)
+    forks = counted_forks(monkeypatch)
+    text = _csv_text(rows)
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+    assert text == _csv_module_text(rows)
+    cells = [line.split(",") for line in text.splitlines()[1:]]
+    texts = ["0.0", "-0.0", "2.0", "2", "-0.0", "0.0", "2", "2.0"]
+    assert [row[0] for row in cells] == texts
+    assert [row[SCAN_COLUMNS.index("w_bar_pure")] for row in cells] == texts
+
+
+def test_the_float_texts_of_a_write_are_those_of_its_distinct_values():
+    # each row's nan is its own object, as a forked scan's unpickled rows are
+    rows = [row._replace(lambda_b=float("nan")) for row in scan(_MIXED_RANGES, _MIXED_FIXED)]
+    floats = {}
+    text = phase_diagram._csv_text(rows, floats)
+    assert text == _csv_module_text(rows).partition("\n")[2]
+    repeating = {value for row in rows for value in row[:SCAN_COLUMNS.index("delta_m_lower")]
+                 if type(value) is float and value == value and value != 0.0}
+    assert floats == {value: repr(value) for value in repeating}
+
+
+def test_a_row_of_another_length_than_the_header_is_refused():
+    rows = _demo_rows()
+    buffer = io.StringIO()
+    with pytest.raises(ValueError, match="15 cells, got \\[14\\]"):
+        write_scan_csv([rows[0], rows[1][:-1]], buffer)
+    assert buffer.getvalue() == ""
 
 
 class _Unprintable:
