@@ -50,14 +50,18 @@ class ModelParams:
     temperature: float
 
     def __post_init__(self) -> None:
-        set_field = object.__setattr__  # the dataclass is frozen
-        set_field(self, "lambda_b", float(self.lambda_b))
-        set_field(self, "lambda_m", float(self.lambda_m))
-        set_field(self, "mu", float(self.mu))
-        temp = float(self.temperature)
-        # -0.0 becomes the canonical zero-temperature flag; a plain float
-        # argument is kept as is, so no new float is made per instance
-        set_field(self, "temperature", 0.0 if temp == 0.0 else temp)
+        lb, lm, mu, temp = self.lambda_b, self.lambda_m, self.mu, self.temperature
+        # four plain floats and a nonzero temperature are stored as given;
+        # otherwise every field is converted, and -0.0 becomes the canonical
+        # zero-temperature flag
+        if (type(lb) is not float or type(lm) is not float or type(mu) is not float
+                or type(temp) is not float or temp == 0.0):
+            set_field = object.__setattr__  # the dataclass is frozen
+            set_field(self, "lambda_b", float(lb))
+            set_field(self, "lambda_m", float(lm))
+            set_field(self, "mu", float(mu))
+            temp = float(temp)
+            set_field(self, "temperature", 0.0 if temp == 0.0 else temp)
         validate(self)
 
     @property
@@ -168,7 +172,7 @@ def bogoliubov_from_gaps(omega_eff: float, delta_b: float) -> BogoliubovCoeffici
     if omega_eff == 0.0 and delta_b == 0.0:
         raise ZeroEnergy("omega_eff = delta_b = 0: no quasi-particle energy scale")
     phi = 0.5 * math.atan2(delta_b, omega_eff)
-    return BogoliubovCoefficients(c=math.cos(phi), s=math.sin(phi), phi=phi)
+    return BogoliubovCoefficients(math.cos(phi), math.sin(phi), phi)
 
 
 class PhaseLabel(str, Enum):

@@ -22,11 +22,15 @@ that fixed axis order, solve every point with
 a ``NamedTuple`` record in :data:`SCAN_COLUMNS` order, which the writers
 pass on as it is; ``row._asdict()`` gives its JSON object
 (:func:`dataclasses.asdict` does not apply to it).
-The one piece of work points share, the pure mean-field root, which depends
-on (lambda_m, temperature) alone, comes from ``solve_all``'s bounded cache,
-so a lattice at fixed lambda_m and T solves it once, and one whose
-(lambda_m, T) plane fits the cache (256 points) once per pair; every row is
-the same as from a fresh solve.  Points that fail validation land in the
+The one piece of work points share, the pure mean-field branch, which
+depends on (lambda_m, mu, 1/T) and not on lambda_b, comes from two bounded
+caches of 256 entries in ``solve_all``: the branch itself, which each
+lambda_b row after the first finds there while the (lambda_m, mu, T) block
+inside lambda_b fits, and its root, which depends on (lambda_m, T) alone,
+so a lattice at fixed lambda_m and T polishes it once.  A larger block
+builds the branch at every point, and polishes its root at every point too
+where the (lambda_m, T) pairs also exceed 256.  Every row is the same as
+from a fresh solve.  Points that fail validation land in the
 row's ``error`` column; a scan never aborts half-way.
 
 A lattice of 1000 points or more is solved, and a CSV of 4000 rows or more

@@ -176,9 +176,10 @@ def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel
         return [upper]  # the lower bracket holds only the trivial node u = 0
 
     def mirrored(y: float) -> tuple[float, float]:
-        # g(-y) rises through the lower root, convex up to mb at y = 0
-        value, slope = g(-y)
-        return value, -slope
+        # g(-y) and its slope in y: rises through the lower root's mirror,
+        # convex up to g(0) = mb at y = 0
+        e = math.exp(-2.0 * abs(y))
+        return mb - y - lb * math.tanh(-y), 4.0 * lb * e / ((1.0 + e) * (1.0 + e)) - 1.0
 
     return [(-_bracketed_root(mirrored, -u_min, 0.0), PhaseLabel.MIXED_LOWER), upper]
 
@@ -316,9 +317,10 @@ def pure_mean_field(params: ModelParams) -> float:
     with ``lambda_m`` from 1e-300 to 1e300, against 37 from ``lambda_m``.
     The chemical potential cancels from this branch entirely, so the root
     depends on ``(lambda_m, T)`` alone and is cached for the 256 latest
-    pairs.  Exact limits: ``lambda_m`` at infinite temperature; ``0`` (from
-    above) for ``lambda_m > 0`` and ``2*lambda_m`` for ``lambda_m < 0`` at
-    T = 0.
+    pairs; :func:`solve_all` keeps the branch built on it, which depends on
+    ``(lambda_m, mu, 1/T)``, in a memo of the same bound.  Exact limits:
+    ``lambda_m`` at infinite temperature; ``0`` (from above) for
+    ``lambda_m > 0`` and ``2*lambda_m`` for ``lambda_m < 0`` at T = 0.
 
     Raises :class:`DomainError` where the root exceeds the largest double,
     which takes ``lambda_m < -max_double/2``.
@@ -382,10 +384,22 @@ def _lambert_w_bound(c: float) -> float:
     return log_c - log_log_c + math.e / (math.e - 1.0) * log_log_c / log_c
 
 
+# The pure branch depends on (lambda_m, mu, beta) alone, not on lambda_b: a
+# scan, which walks lambda_b outermost, finds every later row's branches here.
+# Emptied once it holds _PURE_SOLUTIONS_MAX of them
+_pure_solutions: dict[tuple[float, float, float], GapSolution] = {}
+_PURE_SOLUTIONS_MAX = 256
+
+
 def _pure_solution(params: ModelParams, beta: float) -> GapSolution:
+    """The pairing-free branch at ``params``; ``beta`` is ``params.beta``."""
+    lm, mu = params.lambda_m, params.mu
+    key = (lm, mu, beta)  # +-0.0 share a key, and give the same branch
+    solution = _pure_solutions.get(key)
+    if solution is not None:
+        return solution
     dm = pure_mean_field(params)
-    lm = params.lambda_m
-    w = params.mu + dm  # signed effective energy on the pairing-free branch
+    w = mu + dm  # signed effective energy on the pairing-free branch
     # at T = 0 and lambda_m > 0 the root is delta_m = 0+, where the step
     # function occupies nothing; its midpoint value 1/2 belongs to no side
     if dm == 0.0 and math.isinf(beta):
@@ -395,14 +409,11 @@ def _pure_solution(params: ModelParams, beta: float) -> GapSolution:
     # |dm - 2*lm*occupation| / |lm|, halved inside so 2*lm cannot overflow;
     # at lm = 0 the root is dm = 0 exactly
     residual = abs(0.5 * dm - lm * occupation) / (abs(lm) or 1.0) * 2.0
-    return GapSolution(
-        delta_m=dm,
-        delta_b=0.0,
-        w_bar=w,
-        coeffs=_UNROTATED,
-        phase=PhaseLabel.PURE_MEAN_FIELD,
-        residual=residual,
-    )
+    solution = GapSolution(dm, 0.0, w, _UNROTATED, PhaseLabel.PURE_MEAN_FIELD, residual)
+    if len(_pure_solutions) >= _PURE_SOLUTIONS_MAX:
+        _pure_solutions.clear()
+    _pure_solutions[key] = solution
+    return solution
 
 
 def _mixed_residual(w: float, offset: float, dm: float, db: float,
@@ -424,14 +435,7 @@ def _lift(w: float, offset: float, phase: PhaseLabel, params: ModelParams,
     residual = _mixed_residual(w, offset, dm, db, params, beta)
     if not residual <= RESIDUAL_BOUND:
         raise NotAdmissible(f"residual {residual:.6g} exceeds {RESIDUAL_BOUND:g}")
-    return GapSolution(
-        delta_m=dm,
-        delta_b=db,
-        w_bar=w,
-        coeffs=bogoliubov_from_gaps(params.mu + dm, db),
-        phase=phase,
-        residual=residual,
-    )
+    return GapSolution(dm, db, w, bogoliubov_from_gaps(params.mu + dm, db), phase, residual)
 
 
 def solve_all(params: ModelParams) -> SolveReport:
@@ -472,12 +476,7 @@ def solve_all(params: ModelParams) -> SolveReport:
         except (SingularDenominator, ConstraintViolation, NotAdmissible) as exc:
             notes.append(f"root w_bar = {w:.9g} dropped: {exc}")
 
-    return SolveReport(
-        params=params,
-        solutions=tuple(solutions),
-        region=classify_region(params),
-        notes=tuple(notes),
-    )
+    return SolveReport(params, tuple(solutions), classify_region(params), tuple(notes))
 
 
 def classify_region(params: ModelParams) -> RegionLabel:

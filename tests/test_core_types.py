@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -317,6 +318,37 @@ def test_construction_stores_plain_floats_and_canonical_zero_temperature():
         assert type(value) is float
     assert params.temperature == 0.0
     assert math.copysign(1.0, params.temperature) == 1.0
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("value", [3, True, np.float64(0.25), _Float(0.5), "0.75"],
+                         ids=["int", "bool", "numpy-float64", "float-subclass", "str"])
+def test_construction_stores_any_numeric_kind_as_a_plain_float(value):
+    from gapforge import core_types
+
+    with mock.patch.object(core_types, "validate", wraps=core_types.validate) as checked:
+        for i in range(4):
+            fields = [4.0, 1.0, 1.0, 0.5]
+            fields[i] = value
+            stored = dataclasses.astuple(ModelParams(*fields))
+            assert [type(v) for v in stored] == [float] * 4
+            assert stored[i] == float(value)
+            assert checked.call_count == i + 1  # once per construction
+
+
+def test_plain_floats_are_validated_once_and_a_negative_zero_temperature_stored_as_zero():
+    from gapforge import core_types
+
+    with mock.patch.object(core_types, "validate", wraps=core_types.validate) as checked:
+        assert dataclasses.astuple(ModelParams(4.0, 1.0, -0.0, 0.5)) == (4.0, 1.0, -0.0, 0.5)
+        params = ModelParams(4.0, 1.0, 1.0, -0.0)
+        with pytest.raises(NegativeTemperature):
+            ModelParams(4.0, 1.0, 1.0, -0.5)
+    assert math.copysign(1.0, params.temperature) == 1.0
+    assert checked.call_count == 3
 
 
 def test_validate_returns_the_built_instance_itself():

@@ -546,7 +546,7 @@ def test_an_in_process_scan_loads_no_pickle():
 
 
 def _scan_recording_pure_brackets(ranges, fixed):
-    """Scan from a cleared pure-root cache; the rows and every pure-root bracket polished."""
+    """Scan from cleared pure-branch caches; the rows and every pure-root bracket polished."""
     kernel = scalar_gap._bracketed_root
     pure_brackets = []
 
@@ -556,6 +556,7 @@ def _scan_recording_pure_brackets(ranges, fixed):
         return kernel(f, lo, hi)
 
     scalar_gap._pure_root.cache_clear()
+    scalar_gap._pure_solutions.clear()
     with mock.patch.object(scalar_gap, "_bracketed_root", recording):
         rows = scan(ranges, fixed)
     return rows, pure_brackets
@@ -581,6 +582,23 @@ def test_scan_polishes_each_pure_root_once_while_its_plane_fits_the_cache():
     assert len(pure_brackets) == side * side
 
 
+@pytest.mark.parametrize("extra, reused", [(0, True), (1, False)],
+                         ids=["mu-axis-fits", "mu-axis-over-the-bound"])
+def test_scan_builds_each_pure_branch_once_while_its_mu_axis_fits(extra, reused):
+    # the lattice walks mu inside lambda_b: the first lambda_b row builds the
+    # pure branches and the others find them in the memo, unless one row
+    # holds more branches than the memo does
+    steps = scalar_gap._PURE_SOLUTIONS_MAX + extra
+    scalar_gap._pure_root.cache_clear()
+    scalar_gap._pure_solutions.clear()
+    with mock.patch.object(scalar_gap, "fermi", wraps=scalar_gap.fermi) as fermi:
+        rows = scan({"lambda_b": (0.5, 10.0, 3), "mu": (0.0, 5.0, steps)},
+                    {"lambda_m": 0.3, "temperature": 0.3})
+    assert len(rows) == 3 * steps < 2 * phase_diagram._MIN_CHUNK  # solved here
+    assert all(row.error is None for row in rows)
+    assert fermi.call_count == (steps if reused else 3 * steps)
+
+
 def test_scan_rows_do_not_depend_on_the_pure_root_cache():
     ranges = {"lambda_b": (-3.0, 10.0, 6), "lambda_m": (-1.0, 1.0, 5),
               "mu": (0.0, 5.0, 4), "temperature": (0.0, 2.0, 3)}
@@ -589,6 +607,7 @@ def test_scan_rows_do_not_depend_on_the_pure_root_cache():
 
     def uncached(*args, **kwargs):
         scalar_gap._pure_root.cache_clear()
+        scalar_gap._pure_solutions.clear()
         return solve(*args, **kwargs)
 
     with mock.patch.object(phase_diagram, "solve_all", uncached):

@@ -1,9 +1,11 @@
 """Root finding and branch assembly for the Fermi-surface scalar system."""
 
 import builtins
+import dataclasses
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from decimal import Decimal
@@ -18,6 +20,7 @@ from gapforge.core_types import ModelParams, PhaseLabel
 from gapforge.errors import (
     ConstraintViolation,
     DomainError,
+    GapEquationError,
     NotApplicable,
     NotAdmissible,
     SingularDenominator,
@@ -754,6 +757,11 @@ def test_newton_kernel_finds_a_sign_change_in_a_wide_rounding_zone():
     assert f(root)[0] >= 0.0 > f(math.nextafter(root, 0.0))[0]
 
 
+def _clear_pure_caches():
+    scalar_gap._pure_root.cache_clear()
+    scalar_gap._pure_solutions.clear()
+
+
 def _kernel_calls(params):
     """Solve ``params``; each root-kernel call as (f, lo, hi, root, xs).
 
@@ -773,7 +781,7 @@ def _kernel_calls(params):
         calls.append((f, lo, hi, root, seen))
         return root
 
-    scalar_gap._pure_root.cache_clear()  # so that the pure root is polished here
+    _clear_pure_caches()  # so that the pure root is polished here
     with mock.patch.object(scalar_gap, "_bracketed_root", recording):
         solve_all(params)
     return calls
@@ -907,6 +915,90 @@ def test_solve_all_needs_few_defect_evaluations():
     calls = _kernel_calls(ModelParams(5.0, 0.3, 1.0, 0.3))
     assert len(calls) == 3
     assert sum(len(seen) for *_, seen in calls) <= 40
+
+
+def _bits(value):
+    """``value`` with every float as its bit pattern, so that -0.0 differs from 0.0."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return value
+
+
+def _outcome(params):
+    """``solve_all(params)`` bit for bit, or the type and text of what it raised."""
+    try:
+        return _bits(dataclasses.astuple(solve_all(params)))
+    except GapEquationError as exc:
+        return type(exc), str(exc)
+
+
+def _one_over_t_twin(T):
+    """A neighbouring temperature with the same 1/T, or ``T`` where neither has it."""
+    for other in (math.nextafter(T, math.inf), math.nextafter(T, 0.0)):
+        if 0.0 < other < math.inf and 1.0 / other == 1.0 / T:
+            return other
+    return T
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+# (T, twin): the two zero-temperature flags, 1/T overflowing to inf as at
+# T = 0, T = inf, and ordinary temperatures with a neighbour of the same 1/T
+_TEMPERATURE_PAIRS = st.one_of(
+    st.sampled_from([(0.0, 5e-324), (5e-324, 0.0), (1e-310, 5e-324), (math.inf, math.inf)]),
+    st.floats(5e-324, 2e-308).map(lambda T: (T, 0.0)),
+    st.floats(1e-3, 1e3).map(lambda T: (T, _one_over_t_twin(T))),
+)
+
+
+def _same_or_other(draw, strategy, value):
+    """``value`` with the other sign of a zero, or a fresh draw from ``strategy``."""
+    if draw(st.booleans()):
+        return -value if value == 0.0 else value
+    return draw(strategy)
+
+
+_LM = st.one_of(_SIGNED_ZERO, st.floats(-1e3, 1e3))
+_MU = st.one_of(_SIGNED_ZERO, st.floats(0.0, 1e3))
+
+
+@st.composite
+def _point_and_warming_point(draw):
+    """A point and one solved before it, with any lambda_b and mostly the same branch key."""
+    T, twin = draw(_TEMPERATURE_PAIRS)
+    lm, mu = draw(_LM), draw(_MU)
+    point = ModelParams(draw(st.floats(-1e3, 1e3)), lm, mu, T)
+    warming = ModelParams(draw(st.floats(-1e3, 1e3)), _same_or_other(draw, _LM, lm),
+                          _same_or_other(draw, _MU, mu), draw(st.sampled_from([T, twin])))
+    return point, warming
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_point_and_warming_point())
+@example(points=(ModelParams(4.0, -0.0, -0.0, 1.9999999999999998),
+                 ModelParams(-1.0, 0.0, 0.0, 1.9999999999999996)))
+@example(points=(ModelParams(4.0, 0.3, 1.0, 0.0), ModelParams(2.0, 0.3, 1.0, 5e-324)))
+@example(points=(ModelParams(4.0, 0.3, 1.0, 0.3), ModelParams(4.0, 0.3, 2.0, 0.3)))
+def test_a_warm_pure_branch_memo_gives_the_cold_report_bit_for_bit(points):
+    point, warming = points
+    _clear_pure_caches()
+    cold = _outcome(point)
+    _clear_pure_caches()
+    warm_pure = solve_all(warming).pure
+    assert _outcome(point) == cold
+    # the memo keys on (lambda_m, mu, 1/T), where -0.0 == 0.0
+    key = (point.lambda_m, point.mu, point.beta)
+    assert (solve_all(point).pure is warm_pure) == (key == (warming.lambda_m, warming.mu,
+                                                            warming.beta))
+
+
+def test_the_pure_branch_memo_never_holds_more_than_its_bound():
+    bound = scalar_gap._PURE_SOLUTIONS_MAX
+    _clear_pure_caches()
+    for i in range(3 * bound):
+        solve_all(ModelParams(4.0, 0.3 + i % 7, i / bound, 0.3 + i % 5))
+        assert 0 < len(scalar_gap._pure_solutions) <= bound
 
 
 def _energies(report):
