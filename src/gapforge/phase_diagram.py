@@ -135,8 +135,6 @@ class ScanRow(NamedTuple):
 
 SCAN_COLUMNS = ScanRow._fields
 
-_NO_BRANCH = (None, None, None)  # delta_m, delta_b, w_bar of a missing branch
-
 
 def _evaluate_point(point: tuple[float, float, float, float]) -> tuple:
     """The :class:`ScanRow` fields of ``(lambda_b, lambda_m, mu, temperature)``.
@@ -148,17 +146,23 @@ def _evaluate_point(point: tuple[float, float, float, float]) -> tuple:
         report = solve_all(ModelParams(lb, lm, mu, T))
     except GapEquationError as exc:
         return (lb, lm, mu, T, None, None, None, None,
-                *_NO_BRANCH, *_NO_BRANCH, str(exc))
-    pure, *mixed = report.solutions
-    lower = upper = _NO_BRANCH
-    for sol in mixed:
-        branch = (sol.delta_m, sol.delta_b, sol.w_bar)
-        if sol.phase is PhaseLabel.MIXED_UPPER:
-            upper = branch
-        else:
-            lower = branch
-    return (lb, lm, mu, T, report.region, report.multiplicity,
-            pure.delta_m, pure.w_bar, *lower, *upper, None)
+                None, None, None, None, None, None, str(exc))
+    solutions = report.solutions
+    pure, last = solutions[0], solutions[-1]
+    if len(solutions) == 3:  # pure, then the lower and the upper branch by w_bar
+        lower = solutions[1]
+        return (lb, lm, mu, T, report.region, 2, pure.delta_m, pure.w_bar,
+                lower.delta_m, lower.delta_b, lower.w_bar,
+                last.delta_m, last.delta_b, last.w_bar, None)
+    if len(solutions) == 1:
+        return (lb, lm, mu, T, report.region, 0, pure.delta_m, pure.w_bar,
+                None, None, None, None, None, None, None)
+    if last.phase is PhaseLabel.MIXED_UPPER:
+        return (lb, lm, mu, T, report.region, 1, pure.delta_m, pure.w_bar,
+                None, None, None, last.delta_m, last.delta_b, last.w_bar, None)
+    # a lone lower, attractive or tangent root fills the lower columns
+    return (lb, lm, mu, T, report.region, 1, pure.delta_m, pure.w_bar,
+            last.delta_m, last.delta_b, last.w_bar, None, None, None, None)
 
 
 def _lattice(lo: float, hi: float, steps: int) -> list[float]:

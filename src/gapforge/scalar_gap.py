@@ -165,8 +165,8 @@ def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel
     if lb <= 1.0:
         # slope bound: lb*tanh(u) < u + mb for all u > -mb when lb <= 1, mb >= 0
         return []
-    distance = tangency_distance(lb, mb)
-    u_min = math.asinh(math.sqrt(lb - 1.0))  # = arccosh(sqrt(lb))
+    u_min = _tangency_angle(lb)
+    distance = mb - (lb * math.tanh(u_min) - u_min)  # tangency_distance(lb, mb)
     if abs(distance) <= 16.0 * math.ulp(max(lb, mb)):  # its rounding bound
         return [(u_min, PhaseLabel.TANGENT)]
     if not distance < 0.0:  # above the curve; NaN once lb overflows
@@ -535,10 +535,18 @@ def equilibrium_mu(lambda_b_bar: float) -> tuple[float, float]:
         raise DomainError(
             f"equilibrium curve needs lambda_b_bar >= 1, got {lb!r}"
         )
-    # arccosh(sqrt(lb)), without the rounding of sqrt(lb) to 1 near lb = 1
-    theta = math.asinh(math.sqrt(lb - 1.0))
+    theta = _tangency_angle(lb)
     x_e = lb * math.tanh(theta)
     return x_e - theta, x_e
+
+
+def _tangency_angle(lb: float) -> float:
+    """``theta = arccosh(sqrt(lb))``, where the pairing defect has its minimum.
+
+    Taken as ``asinh(sqrt(lb - 1))``, which does not round ``sqrt(lb)`` to
+    1 near ``lb = 1``.
+    """
+    return math.asinh(math.sqrt(lb - 1.0))
 
 
 def critical_temperature(params: ModelParams) -> float:

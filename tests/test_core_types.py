@@ -5,9 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from gapforge.core_types import (
+    RESIDUAL_BOUND,
     BogoliubovCoefficients,
     GapSolution,
     ModelParams,
@@ -412,3 +413,170 @@ def test_scan_validates_each_lattice_point_once(validate_calls):
                 {"lambda_m": 0.3, "temperature": 0.4})
     assert len(rows) == 100
     assert len(validate_calls) == 100
+
+
+# ---------------------------------------------------------------------------
+# solution_checks gives the map of its former, field-by-field form
+
+
+def _solution_checks_before(sol, params):
+    """``solution_checks`` as it read before it was built in one pass."""
+    c, s = sol.coeffs.c, sol.coeffs.s
+    omega_eff = params.mu + sol.delta_m
+    slack = 1.0 + RESIDUAL_BOUND
+    checks = {}
+    checks["coefficient_norm"] = abs(c * c + s * s - 1.0) <= 1e-12
+    checks["energy_identity"] = (
+        energy_identity_defect(sol.w_bar, omega_eff, sol.delta_b) <= RESIDUAL_BOUND)
+    if sol.w_bar != 0.0:
+        checks["rotation_consistency"] = (
+            abs((c * c - s * s) - omega_eff / sol.w_bar) <= RESIDUAL_BOUND
+            and abs(2.0 * c * s - sol.delta_b / sol.w_bar) <= RESIDUAL_BOUND
+        )
+    else:
+        checks["rotation_consistency"] = sol.delta_b == 0.0
+    if params.lambda_m != 0.0:
+        checks["mean_field_sign"] = sol.delta_m * params.lambda_m >= 0.0
+        checks["mean_field_bound"] = abs(sol.delta_m) <= 2.0 * abs(params.lambda_m) * slack
+    else:
+        checks["mean_field_sign"] = sol.delta_m == 0.0
+        checks["mean_field_bound"] = True
+    if omega_eff >= 0.0:
+        checks["mixing_angle_bound"] = abs(c) >= math.sqrt(0.5) - 1e-12
+    if sol.phase is not PhaseLabel.PURE_MEAN_FIELD:
+        checks["pairing_below_quasienergy"] = sol.delta_b <= sol.w_bar * slack
+        checks["quasienergy_above_coupling_bound"] = sol.w_bar <= abs(params.lambda_b) * slack
+        band = RESIDUAL_BOUND * params.mu
+        if params.lambda_b > 0:
+            checks["fermi_surface_side"] = sol.w_bar > params.mu - band
+        elif params.lambda_b < 0:
+            checks["fermi_surface_side"] = sol.w_bar < params.mu + band
+        if sol.delta_b > 0.0:
+            w = sol.w_bar
+            checks["strictly_above_effective_energy"] = w > omega_eff or (
+                0.0 < w == omega_eff and sol.delta_b < math.sqrt(2.0 * math.ulp(w) / w) * w)
+    return checks
+
+
+def _assert_checks_as_before(sol, params):
+    got = solution_checks(sol, params)
+    assert list(got.items()) == list(_solution_checks_before(sol, params).items()), (sol, params)
+    assert all(type(v) is bool for v in got.values()), got
+
+
+def _planted_solutions():
+    """The right and the planted wrong solutions of the tests above, with their params."""
+    from gapforge.scalar_gap import solve_all
+
+    c_, s_ = math.sqrt(0.8), math.sqrt(0.2)
+    cases = []
+    for c in (1.0, 1e-100, 1e-200, 1e-300, 1e150, 1e200, 1e300):
+        params = ModelParams(6.0 * c, 1.0 * c, 2.0 * c, 0.5 * c)
+        cases += [(_solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER), params),
+                  (_solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER), params)]
+    for c in (1.0, 1e-20):
+        params = ModelParams(4.0 * c, 0.3 * c, 1.0 * c, 0.3 * c)
+        upper = solve_all(params).mixed[-1]
+        tripled = dataclasses.replace(upper, delta_m=3.0 * upper.delta_m,
+                                      delta_b=3.0 * upper.delta_b, w_bar=3.0 * upper.w_bar)
+        cases += [(upper, params), (tripled, params)]
+    for k in (0, 900, -900):
+        c = math.ldexp(1.0, k)
+        params = ModelParams(1e20 * c, 0.0, c, c)
+        phi = 0.5 * math.atan2(2e-10, 1.0)
+        correct = _solution(0.0, 2e-10 * c, c, math.cos(phi), math.sin(phi),
+                            PhaseLabel.MIXED_LOWER)
+        cases += [(correct, params), (dataclasses.replace(correct, delta_b=1e-5 * c), params)]
+    cases.append((_solution(0.5, 0.0, 2.5, 1.0, 0.0, PhaseLabel.PURE_MEAN_FIELD),
+                  ModelParams(6.0, -1.0, 2.0, 0.5)))
+    return cases
+
+
+@pytest.mark.parametrize("sol, params", _planted_solutions())
+def test_solution_checks_match_the_field_by_field_form_on_planted_solutions(sol, params):
+    _assert_checks_as_before(sol, params)
+
+
+def test_solution_checks_match_the_field_by_field_form_on_the_benchmark_mix():
+    # every solution of the 20,000 seed-13 points the point_solve benchmark solves
+    import sys
+    from pathlib import Path
+
+    from gapforge.scalar_gap import solve_all
+
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    saved = {name: sys.modules.pop(name, None) for name in ("inputs", "oracle")}
+    sys.path.insert(0, bench)
+    try:
+        import inputs
+
+        points = inputs.point_mix(13, 20000)
+    finally:
+        sys.path.remove(bench)
+        for name, module in saved.items():
+            sys.modules.pop(name, None)
+            if module is not None:
+                sys.modules[name] = module
+    count = 0
+    for p in points:
+        report = solve_all(ModelParams(p.lambda_b, p.lambda_m, p.mu, p.temperature))
+        for sol in report.solutions:
+            _assert_checks_as_before(sol, report.params)
+            count += 1
+    assert count > len(points)
+
+
+def _at_bound(quantity, k):
+    """The 3-4-5 upper solution with ``quantity`` moved ``k`` allowances past its bound."""
+    c, s = math.sqrt(0.8), math.sqrt(0.2)
+    dm, db, w, lb, mu = 1.0, 4.0, 5.0, 6.0, 2.0
+    step = 1.0 + k * RESIDUAL_BOUND
+    if quantity == "delta_b":
+        db = w * step
+    elif quantity == "w_bar":
+        w = lb * step
+    elif quantity == "delta_m":
+        dm = 2.0 * step
+    elif quantity == "mu":
+        mu, lb = w * step, -lb if k < 0 else lb
+    elif quantity == "c":
+        c = math.sqrt(0.5) - abs(k) * 1e-12
+        s = math.sqrt(1.0 - c * c)
+    else:  # the coefficient norm
+        c *= 1.0 + k * 1e-12
+    return _solution(dm, db, w, c, s, PhaseLabel.MIXED_UPPER), ModelParams(lb, 1.0, mu, 0.5)
+
+
+@pytest.mark.parametrize("k", [-2.5, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.5, 5.0, 20.0])
+@pytest.mark.parametrize("quantity", ["delta_b", "w_bar", "delta_m", "mu", "c", "norm"])
+def test_solution_checks_match_the_field_by_field_form_at_each_bound(quantity, k):
+    _assert_checks_as_before(*_at_bound(quantity, k))
+
+
+_any_float = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300])
+
+
+@given(values=st.tuples(*[_any_float] * 6), phase=st.sampled_from(PhaseLabel),
+       lb=_any_float, lm=_any_float, mu=st.floats(min_value=0.0, allow_infinity=False),
+       temperature=st.floats(min_value=0.0))
+def test_solution_checks_match_the_field_by_field_form_on_any_solution(
+        values, phase, lb, lm, mu, temperature):
+    assume(math.isfinite(lb) and math.isfinite(lm))
+    dm, db, w, c, s, phi = values
+    sol = GapSolution(dm, db, w, BogoliubovCoefficients(c, s, phi), phase, 0.0)
+    _assert_checks_as_before(sol, ModelParams(lb, lm, mu, temperature))
+
+
+@given(lb=st.floats(-20.0, 20.0), lm=st.floats(-3.0, 3.0), mu=st.floats(0.0, 5.0),
+       temperature=st.floats(0.0, 3.0), scale=st.sampled_from([1.0, 1e-300, 1e300]),
+       factor=st.floats(0.5, 2.0))
+def test_solution_checks_match_the_field_by_field_form_on_corrupted_solutions(
+        lb, lm, mu, temperature, scale, factor):
+    from gapforge.scalar_gap import solve_all
+
+    params = ModelParams(lb * scale, lm * scale, mu * scale, temperature * scale)
+    for sol in solve_all(params).solutions:
+        _assert_checks_as_before(sol, params)
+        for name in ("delta_m", "delta_b", "w_bar"):
+            planted = dataclasses.replace(sol, **{name: getattr(sol, name) * factor})
+            _assert_checks_as_before(planted, params)

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from forks import FORK, assert_no_child_left, counted_forks, usable_cpus
 from gapforge import phase_diagram, scalar_gap
-from gapforge.core_types import ModelParams
-from gapforge.errors import ConfigError, DomainError, ZeroTemperature
+from gapforge.core_types import ModelParams, PhaseLabel
+from gapforge.errors import ConfigError, DomainError, GapEquationError, ZeroTemperature
 from gapforge.phase_diagram import (
     SCAN_COLUMNS,
     MultiplicityClass,
@@ -281,6 +281,49 @@ def test_single_point_scan_mirrors_the_direct_solve():
     assert row.delta_b_lower == report.mixed[0].delta_b
     assert row.delta_b_upper == report.mixed[-1].delta_b
     assert row.error is None
+
+
+def _row_by_phase_label(point):
+    """The scan row of ``point``, its branch columns filled by each solution's label."""
+    lb, lm, mu, T = point
+    try:
+        report = solve_all(ModelParams(lb, lm, mu, T))
+    except GapEquationError as exc:
+        return (lb, lm, mu, T, None, None, None, None, *[None] * 6, str(exc))
+    columns = {PhaseLabel.MIXED_LOWER: "lower", PhaseLabel.TANGENT: "lower",
+               PhaseLabel.MIXED_UPPER: "upper"}
+    branches = {"lower": (None, None, None), "upper": (None, None, None)}
+    for sol in report.mixed:
+        branches[columns[sol.phase]] = (sol.delta_m, sol.delta_b, sol.w_bar)
+    return (lb, lm, mu, T, report.region, report.multiplicity, report.pure.delta_m,
+            report.pure.w_bar, *branches["lower"], *branches["upper"], None)
+
+
+@pytest.mark.parametrize("point, filled, dropped", [
+    ((0.5, 0.3, 1.0, 0.3), "", 0),  # lambda_b <= mu: the pure branch only
+    ((-1.0, -1.5, 2.0, 0.5), "lower", 0),  # the attractive side
+    ((4.0, 0.0, 0.0, 0.5), "upper", 0),  # mu = 0: the lower root is the trivial node
+    ((4.0, 0.0, tangency_point(4.0)[0], 0.5), "lower", 0),  # the tangent root
+    ((4.0, 0.0, 1.0, 0.5), "lower upper", 0),
+    ((3.0, 1.0, 1.0, 0.3), "upper", 1),  # the lower root lies below mu + delta_m
+    ((4.0, 0.0, -1.0, 0.5), "error", 0),
+], ids=["pure", "lower", "upper", "tangent", "both", "lower-dropped", "error"])
+def test_a_scan_row_fills_the_columns_of_each_solutions_label(monkeypatch, point, filled,
+                                                              dropped):
+    reports = []
+
+    def recording(params):
+        reports.append(solve_all(params))
+        return reports[-1]
+
+    monkeypatch.setattr(phase_diagram, "solve_all", recording)
+    row = ScanRow._make(phase_diagram._evaluate_point(point))
+    expected = _row_by_phase_label(point)
+    assert [(type(v), repr(v)) for v in row] == [(type(v), repr(v)) for v in expected]
+    assert (row.w_bar_lower is not None, row.w_bar_upper is not None, row.error is not None) == (
+        "lower" in filled, "upper" in filled, filled == "error")
+    assert len(reports) == (filled != "error")
+    assert sum("dropped" in note for r in reports for note in r.notes) == dropped
 
 
 def test_scan_walks_axes_in_row_major_order():
