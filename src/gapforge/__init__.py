@@ -21,6 +21,7 @@ from .errors import GapEquationError, NotConverged
 from .phase_diagram import MultiplicityClass, RegionLabel, classify_region, multiplicity_class, scan
 from .scalar_gap import (
     critical_temperature,
+    effective_energy,
     equilibrium_mu,
     mean_field_gap_given_w,
     pairing_energy_roots,
@@ -43,6 +44,7 @@ __all__ = [
     "SolveReport",
     "classify_region",
     "critical_temperature",
+    "effective_energy",
     "equilibrium_mu",
     "mean_field_gap_given_w",
     "multiplicity_class",

@@ -16,9 +16,11 @@ its own root ``w_bar``, mean-field shift ``delta_m`` and temperature window
   window ``F(mu + lambda_b)/2 <= T <= lambda_b*lambda_m/(2(mu + lambda_m))``.
 
 IA and IIA take ``delta_m`` from
-:func:`~gapforge.scalar_gap.mean_field_gap_given_w`: they are exactly the
-T = 0 branch of ``solve_all``.  Every regime takes ``delta_b`` from the lift
-``solve_all`` uses, :func:`~gapforge.scalar_gap.recover_delta_b`, and its
+:func:`~gapforge.scalar_gap.mean_field_gap_given_w` and the effective energy
+from :func:`~gapforge.scalar_gap.effective_energy`: they are exactly the
+T = 0 branch of ``solve_all``.  IB and IIB lift with their own shift, the
+effective energy ``mu + lambda_m``.  Every regime takes ``delta_b`` from the
+lift ``solve_all`` uses, :func:`~gapforge.scalar_gap.recover_delta_b`, and its
 margin from one rule (see :class:`RegimeSolution`); IB and IIB need
 ``mu + lambda_m > 0`` and have margin 0 elsewhere.  A regime that does not
 apply to the sign pattern of the couplings raises :class:`NotApplicable`.
@@ -38,7 +40,7 @@ from enum import Enum
 
 from .core_types import ModelParams, ldexp_or_inf
 from .errors import ConstraintViolation, NotAdmissible, NotApplicable, SingularDenominator
-from .scalar_gap import mean_field_gap_given_w, recover_delta_b
+from .scalar_gap import effective_energy, mean_field_gap_given_w, recover_delta_b
 
 DEFAULT_MARGIN_FACTOR = 10.0
 
@@ -86,10 +88,10 @@ def _margin(T: float, t_lo: float, t_hi: float) -> float:
 
 
 def _lifted(regime: Regime, params: ModelParams, w_bar: float, delta_m: float,
-            margin: float) -> RegimeSolution:
+            omega_eff: float, margin: float) -> RegimeSolution:
     """``w_bar`` lifted as ``solve_all`` lifts a root; ``delta_b`` is NaN where it is refused."""
     try:
-        delta_b = recover_delta_b(w_bar, w_bar - params.mu, delta_m, params)
+        delta_b = recover_delta_b(w_bar, w_bar - params.mu, delta_m, omega_eff)
     except NotAdmissible:
         delta_b = math.nan
     return RegimeSolution(regime, w_bar, delta_m, delta_b,
@@ -109,7 +111,7 @@ def _saturated(regime: Regime, params: ModelParams) -> RegimeSolution:
         delta_m = mean_field_gap_given_w(w, params)
     except ConstraintViolation:  # on this root, exactly where delta_b**2 < 0
         return RegimeSolution(regime, w, math.nan, math.nan, False, margin)
-    return _lifted(regime, params, w, delta_m, margin)
+    return _lifted(regime, params, w, delta_m, effective_energy(params), margin)
 
 
 def regime_IA(params: ModelParams) -> RegimeSolution:
@@ -154,8 +156,9 @@ def _linearised(regime: Regime, params: ModelParams, window) -> RegimeSolution:
         den, quartered = 0.25 * lb - 0.5 * T, 2
     (mm, em), (mb, eb), (md, ed) = map(math.frexp, (mu, lb, den))
     w = ldexp_or_inf(mm * (mb / md), em + eb - ed - quartered)  # mu exactly at T = 0
-    margin = _margin(T, *window(lb, lm, mu)) if mu + lm > 0.0 else 0.0
-    return _lifted(regime, params, w, lm, margin)
+    eff = mu + lm
+    margin = _margin(T, *window(lb, lm, mu)) if eff > 0.0 else 0.0
+    return _lifted(regime, params, w, lm, eff, margin)
 
 
 def _edge(lb: float, lm: float, mu: float) -> float:

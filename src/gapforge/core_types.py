@@ -246,10 +246,14 @@ class GapSolution:
     equivalent.  The property ``delta_b_sign_ambiguous`` reads true, both
     signs being valid, whenever ``delta_b > 0``.
 
-    ``w_bar`` is the quasi-particle energy at the Fermi surface.  Mixed
-    solutions always have ``w_bar > 0``; for the pure mean-field branch the
-    signed effective energy ``mu + delta_m`` is stored (it may be negative),
-    which keeps ``w_bar**2 == (mu + delta_m)**2 + delta_b**2`` exact.
+    ``w_bar`` is the quasi-particle energy at the Fermi surface and
+    ``omega_eff`` the signed effective energy ``mu + delta_m``, which may be
+    negative; ``w_bar**2 = omega_eff**2 + delta_b**2`` holds to the stored
+    residual.  Mixed solutions always have ``w_bar > 0`` and store the
+    closed form of ``omega_eff`` (see
+    :func:`~gapforge.scalar_gap.effective_energy`), which keeps its digits
+    where the sum cancels.  The pure mean-field branch stores the sum itself
+    as both ``omega_eff`` and ``w_bar``, so its identity is exact.
 
     ``residual`` is the largest of three relative defects: the pairing
     equation relative to ``|lambda_b|``, the mean-field equation relative
@@ -265,16 +269,18 @@ class GapSolution:
     coeffs: BogoliubovCoefficients
     phase: PhaseLabel
     residual: float
+    omega_eff: float
 
     def __init__(self, delta_m: float, delta_b: float, w_bar: float,
                  coeffs: BogoliubovCoefficients, phase: PhaseLabel,
-                 residual: float) -> None:
+                 residual: float, omega_eff: float) -> None:
         _set_delta_m(self, delta_m)
         _set_delta_b(self, delta_b)
         _set_w_bar(self, w_bar)
         _set_coeffs(self, coeffs)
         _set_phase(self, phase)
         _set_residual(self, residual)
+        _set_omega_eff(self, omega_eff)
 
     @property
     def delta_b_sign_ambiguous(self) -> bool:
@@ -284,11 +290,12 @@ class GapSolution:
         d = asdict(self)
         d["phase"] = self.phase.value
         d["delta_b_sign_ambiguous"] = self.delta_b_sign_ambiguous
+        d["omega_eff"] = d.pop("omega_eff")  # last: every earlier key keeps its place
         return d
 
 
 (_set_delta_m, _set_delta_b, _set_w_bar, _set_coeffs, _set_phase,
- _set_residual) = _slot_setters(GapSolution)
+ _set_residual, _set_omega_eff) = _slot_setters(GapSolution)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -340,7 +347,7 @@ _set_params, _set_solutions, _set_region, _set_notes = _slot_setters(SolveReport
 
 
 def energy_identity_defect(w: float, eff: float, db: float) -> float:
-    """``|w**2 - eff**2 - db**2| / w**2`` for ``w_bar``, ``mu + delta_m``, ``delta_b``.
+    """``|w**2 - eff**2 - db**2| / w**2`` for ``w_bar``, ``omega_eff``, ``delta_b``.
 
     Relative to the energies' own scale, so it reads the same at any scale:
     where a square of a nonzero energy leaves the normal range (over- or
@@ -370,20 +377,24 @@ def solution_checks(sol: GapSolution, params: ModelParams) -> dict[str, bool]:
     value must be true; callers decide what to do with failures.  A check
     that is a theorem only on part of the solutions is reported only there:
     the mixing-angle bound ``|c| >= sqrt(2)/2`` where the effective energy
-    ``mu + delta_m`` is non-negative, the Fermi-surface side on a mixed
-    solution with ``lambda_b != 0``, and the strict ordering above the
-    effective energy where ``delta_b > 0``, which excuses equality only for
-    a gap too small to move ``w_bar``.  Each holds to
+    is non-negative, the Fermi-surface side on a mixed solution with
+    ``lambda_b != 0``, and the strict ordering above the effective energy
+    where ``delta_b > 0``, which excuses equality only for a gap too small
+    to move ``w_bar``.  Every check reads the stored ``omega_eff``;
+    ``effective_energy`` holds it to ``mu + delta_m``.  Each holds to
     :data:`RESIDUAL_BOUND` relative to its energy, at every energy scale.
     """
     c, s = sol.coeffs.c, sol.coeffs.s
     cc, ss = c * c, s * s
-    dm, db, w = sol.delta_m, sol.delta_b, sol.w_bar
-    lm = params.lambda_m
-    omega_eff = params.mu + dm
+    dm, db, w, omega_eff = sol.delta_m, sol.delta_b, sol.w_bar, sol.omega_eff
+    lm, mu = params.lambda_m, params.mu
+    # omega_eff - mu is near delta_m, so neither difference overflows
+    miss = abs(omega_eff - mu - dm)
     checks = {
         "coefficient_norm": abs(cc + ss - 1.0) <= 1e-12,
         "energy_identity": energy_identity_defect(w, omega_eff, db) <= RESIDUAL_BOUND,
+        # relative to the larger of mu and |delta_m|
+        "effective_energy": miss <= RESIDUAL_BOUND * mu or miss <= RESIDUAL_BOUND * abs(dm),
         "rotation_consistency": (
             abs((cc - ss) - omega_eff / w) <= RESIDUAL_BOUND
             and abs(2.0 * c * s - db / w) <= RESIDUAL_BOUND
@@ -394,7 +405,7 @@ def solution_checks(sol: GapSolution, params: ModelParams) -> dict[str, bool]:
     if omega_eff >= 0.0:
         checks["mixing_angle_bound"] = abs(c) >= _MIN_COS
     if sol.phase is not PhaseLabel.PURE_MEAN_FIELD:
-        lb, mu = params.lambda_b, params.mu
+        lb = params.lambda_b
         checks["pairing_below_quasienergy"] = db <= w * _SLACK
         checks["quasienergy_above_coupling_bound"] = w <= abs(lb) * _SLACK
         band = RESIDUAL_BOUND * mu

@@ -7,8 +7,10 @@ quasi-particle energy ``w_bar``:
 * pairing self-consistency   ``w_bar = lambda_b * tanh(beta*(w_bar - mu)/2)``
 * mean-field self-consistency, linear in ``delta_m`` once the pairing branch
   fixes ``tanh(...) = w_bar / lambda_b``, giving the closed form
-  ``delta_m = lambda_m*(lambda_b - mu)/(lambda_b + lambda_m)``
-* energy identity            ``w_bar**2 = (mu + delta_m)**2 + delta_b**2``
+  ``delta_m = lambda_m*(lambda_b - mu)/(lambda_b + lambda_m)``, and with it
+  the effective energy ``omega_eff = mu + delta_m =
+  lambda_b*(mu + lambda_m)/(lambda_b + lambda_m)``
+* energy identity            ``w_bar**2 = omega_eff**2 + delta_b**2``
 
 Everything here works in the reduced offset ``u = beta*(w_bar - mu)/2``, in
 which the pairing equation reads ``u + mb = lb*tanh(u)`` with
@@ -25,6 +27,10 @@ increasing and there is exactly one root in ``(-mb, min(0, -lb - mb))``
 whenever ``mu > 0``.  On each bracket the defect is convex towards the end
 where it is positive, so every root, and the root of the pure branch, is
 polished by the same guarded Newton iteration from that end.
+
+A mixed root is lifted with ``omega_eff`` from its closed form
+(:func:`effective_energy`), which the solution stores; the sum
+``mu + delta_m`` cancels where ``|lambda_b| << mu`` and ``lambda_m < 0``.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .core_types import (
     bogoliubov_from_gaps,
     energy_identity_defect,
     fermi,
+    ldexp_or_inf,
     tanh_half,
 )
 from .errors import (
@@ -185,8 +192,11 @@ def _reduced_pairing_roots(lb: float, mb: float) -> list[tuple[float, PhaseLabel
 
 
 def _mixed_roots(params: ModelParams,
-                 beta: float) -> list[tuple[float, float, PhaseLabel]]:
-    """Pairing roots as ``(w_bar, w_bar - mu, label)``; ``beta`` is ``params.beta``."""
+                 beta: float) -> list[tuple[float, float, float, PhaseLabel]]:
+    """Pairing roots as ``(w_bar, w_bar - mu, u, label)``; ``beta`` is ``params.beta``.
+
+    ``u = beta*(w_bar - mu)/2`` is the reduced offset, ``+-inf`` at T = 0.
+    """
     if params.lambda_b == 0.0:
         raise ZeroCoupling(
             "lambda_b = 0 forces a vanishing quasi-particle energy; "
@@ -201,9 +211,9 @@ def _mixed_roots(params: ModelParams,
         # limit of its branch, and exact to rounding where an energy over T
         # overflows: tanh saturates at the upper and the attractive root.
         if lb > 0.0 and lb > mu:
-            return [(lb, lb - mu, PhaseLabel.MIXED_UPPER)]
+            return [(lb, lb - mu, math.inf, PhaseLabel.MIXED_UPPER)]
         if lb < 0.0 and -lb < mu:
-            return [(-lb, -lb - mu, PhaseLabel.MIXED_LOWER)]
+            return [(-lb, -lb - mu, -math.inf, PhaseLabel.MIXED_LOWER)]
         return []
     two_t = 2.0 * params.temperature
     roots = []
@@ -217,7 +227,7 @@ def _mixed_roots(params: ModelParams,
         # w = 0 is the trivial node (it always solves the equation at mu = 0
         # but carries no pairing); a root that rounds to it is dropped
         if w > 0.0:
-            roots.append((w, offset, phase))
+            roots.append((w, offset, u, phase))
     return roots
 
 
@@ -231,7 +241,35 @@ def pairing_energy_roots(params: ModelParams) -> list[float]:
     :func:`~gapforge.phase_diagram.multiplicity_class` reports.  Raises
     :class:`ZeroCoupling` for ``lambda_b == 0``.
     """
-    return [w for w, _, _ in _mixed_roots(params, params.beta)]
+    return [root[0] for root in _mixed_roots(params, params.beta)]
+
+
+def _coupling_fraction(x: float, y: float, params: ModelParams) -> tuple[float, float]:
+    """``(x + y, lambda_b + lambda_m)``, the fraction of both mixed closed forms.
+
+    Whole sums keep a subnormal term that a half would round away; where one
+    overflows, both are halved, exactly, so the fraction's value and its
+    scaling by a power of two stay as they were.  Raises
+    :class:`SingularDenominator` where ``lambda_b + lambda_m = 0``.
+    """
+    lambda_b, lambda_m = params.lambda_b, params.lambda_m
+    num, denom = x + y, lambda_b + lambda_m
+    if math.isinf(num) or math.isinf(denom):
+        return 0.5 * x + 0.5 * y, 0.5 * lambda_b + 0.5 * lambda_m
+    if denom == 0.0:
+        raise SingularDenominator(
+            "lambda_b + lambda_m = 0: the mean-field condition degenerates"
+        )
+    return num, denom
+
+
+def _mantissa_product(z: float, num: float, denom: float) -> float:
+    """``z*(num/denom)`` from the mantissas, for a quotient that underflows.
+
+    Where the plain product is exact it gives the same bits.
+    """
+    (mz, ez), (mn, en), (md, ed) = map(math.frexp, (z, num, denom))
+    return ldexp_or_inf(mz * (mn / md), ez + en - ed)
 
 
 def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
@@ -241,28 +279,23 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     ``w_bar / lambda_b``, which makes the mean-field condition linear with
     the closed form ``lambda_m*(lambda_b - mu)/(lambda_b + lambda_m)`` —
     independent of temperature and of ``w_bar`` itself.  It is evaluated as
-    ``lambda_m`` times the scale-free ratio of the halved differences, which
-    stay finite up to the largest double, so scaling every energy by a power
-    of two scales the shift by it exactly; below the normal range, where a
-    half may round, it is taken unhalved.  That ratio ``delta_m/lambda_m``
-    is the occupation brace ``1 - e*t``, in ``[0, 2]``; outside it the sign or
-    the bound of ``delta_m`` is broken: no consistent mixed branch.
+    ``lambda_m`` times a scale-free ratio (:func:`_coupling_fraction`), so
+    scaling every energy by a power of two scales the shift by it exactly.
+    That ratio ``delta_m/lambda_m`` is the occupation brace ``1 - e*t``, in
+    ``[0, 2]``; outside it the sign or the bound of ``delta_m`` is broken: no
+    consistent mixed branch.  Where the ratio underflows, maybe to -0.0, its
+    sign is read from the two sums and the product from the mantissas.
     """
-    lambda_b, lambda_m, mu = params.lambda_b, params.lambda_m, params.mu
+    lambda_m = params.lambda_m
     if lambda_m == 0.0:
         return 0.0
-    denom = 0.5 * lambda_b + 0.5 * lambda_m
-    if abs(denom) >= _MIN_NORMAL:
-        # infinite where the ratio overflows; the bound below rejects it
-        ratio = (0.5 * lambda_b - 0.5 * mu) / denom
-    elif lambda_b == -lambda_m:
-        raise SingularDenominator(
-            "lambda_b + lambda_m = 0: the mean-field condition degenerates"
-        )
-    else:  # a halved subnormal coupling rounds, but a sum this small is exact
-        ratio = (lambda_b - mu) / (lambda_b + lambda_m)
-    delta_m = lambda_m * ratio
-    if ratio < 0.0:
+    num, denom = _coupling_fraction(params.lambda_b, -params.mu, params)
+    ratio = num / denom  # infinite where it overflows; the bound below rejects it
+    if abs(ratio) < _MIN_NORMAL and num:
+        delta_m = _mantissa_product(lambda_m, num, denom)
+    else:
+        delta_m = lambda_m * ratio
+    if num and (num < 0.0) != (denom < 0.0):
         raise ConstraintViolation(
             f"delta_m = {delta_m:.6g} has the opposite sign of lambda_m = "
             f"{lambda_m:.6g}; no consistent mixed branch here"
@@ -275,26 +308,47 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     return delta_m
 
 
+def effective_energy(params: ModelParams) -> float:
+    """The signed effective energy ``mu + delta_m`` on a mixed branch.
+
+    It is the closed form ``lambda_b*(mu + lambda_m)/(lambda_b + lambda_m)``
+    (:func:`_coupling_fraction`), which keeps its relative precision where
+    ``|lambda_b| << mu`` and ``lambda_m < 0`` cancel the sum to an absolute
+    ulp of ``mu``; where the fraction underflows, the product is taken from
+    the mantissas.  It is ``mu`` exactly at ``lambda_m = 0``.  Raises
+    :class:`SingularDenominator` where ``lambda_b + lambda_m = 0``.
+    """
+    lambda_b = params.lambda_b
+    if params.lambda_m == 0.0:
+        return params.mu
+    num, denom = _coupling_fraction(params.mu, params.lambda_m, params)
+    ratio = num / denom
+    if abs(ratio) < _MIN_NORMAL and num:
+        return _mantissa_product(lambda_b, num, denom)
+    return lambda_b * ratio
+
+
 def recover_delta_b(w_bar: float, offset: float, delta_m: float,
-                    params: ModelParams) -> float:
+                    omega_eff: float) -> float:
     """Pairing gap from the energy identity, non-negative representative.
 
-    ``offset`` is the root's ``w_bar - mu``.  Returns the square root of
-    ``(w_bar - mu - delta_m)*(w_bar + mu + delta_m)``, or raises
+    ``offset`` is the root's ``w_bar - mu`` and ``omega_eff`` its effective
+    energy ``mu + delta_m`` (:func:`effective_energy`).  Returns the square
+    root of ``(w_bar - omega_eff)*(w_bar + omega_eff)``, or raises
     :class:`NotAdmissible` where a factor is negative or -0.0.  The first
     is ``offset - delta_m``, whose sign survives where ``w_bar`` rounds to
-    ``mu + delta_m``, or ``w_bar - (mu + delta_m)`` for a root below
-    ``mu/2``.  An offset that underflowed to a signed zero gives
-    ``delta_b = 0`` even where the true gap is a double.  The second is
-    halved to stay finite; one division by the larger keeps it in range.
+    ``omega_eff``, or ``w_bar - omega_eff`` for a root below ``mu/2``.  An
+    offset that underflowed to a signed zero keeps its sign, and gives
+    ``delta_b = 0`` at ``delta_m = 0``; :func:`solve_all` takes that gap from
+    the unrounded factors instead.  The second is halved to stay finite; one
+    division by the larger keeps it in range.
     """
-    eff = params.mu + delta_m
-    below = offset - delta_m if abs(offset) <= w_bar else w_bar - eff
-    above = 0.5 * w_bar + 0.5 * eff
+    below = offset - delta_m if abs(offset) <= w_bar else w_bar - omega_eff
+    above = 0.5 * w_bar + 0.5 * omega_eff
     if math.copysign(1.0, below) < 0.0 or above < 0.0:
         raise NotAdmissible(
             f"w_bar = {w_bar:.6g} lies below the effective energy "
-            f"|mu + delta_m| = {abs(eff):.6g}: no mixed phase"
+            f"|mu + delta_m| = {abs(omega_eff):.6g}: no mixed phase"
         )
     small, large = sorted((below, above))
     if small == 0.0:  # never -0.0, nor 0/0 where both factors vanish
@@ -409,33 +463,36 @@ def _pure_solution(params: ModelParams, beta: float) -> GapSolution:
     # |dm - 2*lm*occupation| / |lm|, halved inside so 2*lm cannot overflow;
     # at lm = 0 the root is dm = 0 exactly
     residual = abs(0.5 * dm - lm * occupation) / (abs(lm) or 1.0) * 2.0
-    solution = GapSolution(dm, 0.0, w, _UNROTATED, PhaseLabel.PURE_MEAN_FIELD, residual)
+    solution = GapSolution(dm, 0.0, w, _UNROTATED, PhaseLabel.PURE_MEAN_FIELD, residual, w)
     if len(_pure_solutions) >= _PURE_SOLUTIONS_MAX:
         _pure_solutions.clear()
     _pure_solutions[key] = solution
     return solution
 
 
-def _mixed_residual(w: float, offset: float, dm: float, db: float,
+def _mixed_residual(w: float, offset: float, dm: float, db: float, eff: float,
                     params: ModelParams, beta: float) -> float:
     lb, lm = params.lambda_b, params.lambda_m
     t = tanh_half(offset, beta)
     r1 = abs(w - lb * t) / abs(lb)
-    omega_eff = params.mu + dm
     # delta_m is exactly 0 where lambda_m = 0
-    r2 = abs(dm - lm * (1.0 - t * omega_eff / w)) / (abs(lm) or 1.0)
-    return max(r1, r2, energy_identity_defect(w, omega_eff, db))
+    r2 = abs(dm - lm * (1.0 - t * eff / w)) / (abs(lm) or 1.0)
+    return max(r1, r2, energy_identity_defect(w, eff, db))
 
 
-def _lift(w: float, offset: float, phase: PhaseLabel, params: ModelParams,
+def _lift(w: float, offset: float, u: float, phase: PhaseLabel, params: ModelParams,
           beta: float) -> GapSolution:
-    """The mixed solution on the root ``w``, ``offset = w - mu``, or the error saying why not."""
+    """The mixed solution on the root ``w``, ``offset = w - mu = 2T*u``; raises why not."""
     dm = mean_field_gap_given_w(w, params)
-    db = recover_delta_b(w, offset, dm, params)
-    residual = _mixed_residual(w, offset, dm, db, params, beta)
+    eff = effective_energy(params)
+    db = recover_delta_b(w, offset, dm, eff)
+    if offset == 0.0 < u and dm == 0.0:
+        # 2T*u underflowed; with delta_m = 0 it is the first factor of delta_b**2
+        db = math.sqrt(2.0 * params.temperature) * math.sqrt(u) * math.sqrt(w + eff)
+    residual = _mixed_residual(w, offset, dm, db, eff, params, beta)
     if not residual <= RESIDUAL_BOUND:
         raise NotAdmissible(f"residual {residual:.6g} exceeds {RESIDUAL_BOUND:g}")
-    return GapSolution(dm, db, w, bogoliubov_from_gaps(params.mu + dm, db), phase, residual)
+    return GapSolution(dm, db, w, bogoliubov_from_gaps(eff, db), phase, residual, eff)
 
 
 def solve_all(params: ModelParams) -> SolveReport:
@@ -446,9 +503,9 @@ def solve_all(params: ModelParams) -> SolveReport:
     whose pairing amplitude would be imaginary, or whose mean-field shift
     violates its structural bounds, are dropped with an explanatory note
     rather than an error.  Every lifted root is kept whatever the sign of
-    its effective energy ``mu + delta_m``; a caller holding to the
-    restricted mixing angle ``|c| >= sqrt(2)/2`` keeps the solutions with
-    ``mu + delta_m >= 0``.  Last, a mixed solution whose stored residual
+    its effective energy ``omega_eff``; a caller holding to the restricted
+    mixing angle ``|c| >= sqrt(2)/2`` keeps the solutions with
+    ``omega_eff >= 0``.  Last, a mixed solution whose stored residual
     exceeds :data:`~gapforge.core_types.RESIDUAL_BOUND` is dropped with a
     note naming it.  Next to ``mu`` a root is admissible by the exact sign of
     ``w_bar - mu - delta_m`` (:func:`recover_delta_b`); at T = 0, where
@@ -470,9 +527,9 @@ def solve_all(params: ModelParams) -> SolveReport:
         roots = []
         notes.append("pairing channel inactive (lambda_b = 0): no mixed branch")
 
-    for w, offset, phase in roots:
+    for w, offset, u, phase in roots:
         try:
-            solutions.append(_lift(w, offset, phase, params, beta))
+            solutions.append(_lift(w, offset, u, phase, params, beta))
         except (SingularDenominator, ConstraintViolation, NotAdmissible) as exc:
             notes.append(f"root w_bar = {w:.9g} dropped: {exc}")
 

@@ -107,11 +107,12 @@ def decimal_branches(lambda_b: float, lambda_m: float, mu: float, temperature: f
     decimals.  A dict per root, ascending, holds its ``label`` ("lower",
     "upper"; the attractive root is "lower"), ``offset`` = w_bar - mu,
     ``w_bar``, ``delta_m`` from the closed form, ``ratio`` = delta_m /
-    lambda_m (0 where lambda_m = 0), ``below`` = w_bar - mu - delta_m,
-    ``above`` = w_bar + mu + delta_m and ``db2`` = delta_b**2, their
-    product.  A branch exists where ``0 <= ratio <= 2``, ``below >= 0`` and
-    ``above >= 0``.  Points next to the tangency curve, where Newton meets
-    a double root, are the caller's to avoid.
+    lambda_m (0 where lambda_m = 0), ``omega_eff`` = mu + delta_m,
+    ``below`` = w_bar - mu - delta_m, ``above`` = w_bar + mu + delta_m and
+    ``db2`` = delta_b**2, their product.  A branch exists where
+    ``0 <= ratio <= 2``, ``below >= 0`` and ``above >= 0``.  Points next to
+    the tangency curve, where Newton meets a double root, are the caller's
+    to avoid.
     """
     with localcontext() as ctx:
         ctx.prec = digits
@@ -149,6 +150,6 @@ def decimal_branches(lambda_b: float, lambda_m: float, mu: float, temperature: f
             w = m + offset
             below, above = offset - dm, w + m + dm
             branches.append({"label": label, "offset": offset, "w_bar": w, "delta_m": dm,
-                             "ratio": ratio, "below": below, "above": above,
-                             "db2": below * above})
+                             "ratio": ratio, "omega_eff": m + dm, "below": below,
+                             "above": above, "db2": below * above})
         return branches

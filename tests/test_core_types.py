@@ -112,12 +112,13 @@ def test_tanh_half_odd_and_bounded(x, beta):
     assert tanh_half(-x, beta) == pytest.approx(-t, abs=1e-15)
 
 
-def _solution(delta_m, delta_b, w_bar, c, s, phase):
+def _solution(delta_m, delta_b, w_bar, c, s, phase, mu):
+    """A solution at chemical potential ``mu``, storing ``omega_eff = mu + delta_m``."""
     phi = math.atan2(s, c)
     return GapSolution(
         delta_m=delta_m, delta_b=delta_b, w_bar=w_bar,
         coeffs=BogoliubovCoefficients(c=c, s=s, phi=phi),
-        phase=phase, residual=0.0,
+        phase=phase, residual=0.0, omega_eff=mu + delta_m,
     )
 
 
@@ -126,7 +127,7 @@ def test_solution_checks_happy_path():
     c = math.sqrt(0.8)
     s = math.copysign(math.sqrt(0.2), 1.0)
     params = ModelParams(6.0, 1.0, 2.0, 0.5)
-    sol = _solution(1.0, 4.0, 5.0, c, s, PhaseLabel.MIXED_UPPER)
+    sol = _solution(1.0, 4.0, 5.0, c, s, PhaseLabel.MIXED_UPPER, 2.0)
     checks = solution_checks(sol, params)
     assert all(checks.values()), checks
 
@@ -134,7 +135,7 @@ def test_solution_checks_happy_path():
 def test_solution_checks_flags_broken_identity():
     params = ModelParams(6.0, 1.0, 2.0, 0.5)
     sol = _solution(1.0, 4.0, 5.5, math.sqrt(0.8), math.sqrt(0.2),
-                    PhaseLabel.MIXED_UPPER)
+                    PhaseLabel.MIXED_UPPER, 2.0)
     checks = solution_checks(sol, params)
     assert not checks["energy_identity"]
 
@@ -143,8 +144,8 @@ def test_solution_checks_flags_broken_identity():
 def test_solution_checks_hold_where_the_squares_overflow(c):
     # the 3-4-5 rotation and a broken identity, scaled so that w_bar**2 overflows
     c_, s_ = math.sqrt(0.8), math.sqrt(0.2)
-    good = _solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER)
-    broken = _solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER)
+    good = _solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c)
+    broken = _solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c)
     params = ModelParams(6.0 * c, 1.0 * c, 2.0 * c, 0.5 * c)
     checks = solution_checks(good, params)
     assert all(checks.values()), checks
@@ -176,7 +177,8 @@ def test_strict_ordering_excuses_only_a_gap_too_small_to_move_w_bar(k):
     c = math.ldexp(1.0, k)
     params = ModelParams(1e20 * c, 0.0, c, c)
     phi = 0.5 * math.atan2(2e-10, 1.0)
-    correct = _solution(0.0, 2e-10 * c, c, math.cos(phi), math.sin(phi), PhaseLabel.MIXED_LOWER)
+    correct = _solution(0.0, 2e-10 * c, c, math.cos(phi), math.sin(phi),
+                        PhaseLabel.MIXED_LOWER, c)
     checks = solution_checks(correct, params)
     assert checks["strictly_above_effective_energy"] and all(checks.values()), checks
     planted = dataclasses.replace(correct, delta_b=1e-5 * c)
@@ -190,8 +192,8 @@ def test_energy_identity_defect_is_relative_at_any_scale(c):
     assert energy_identity_defect(5.0 * c, 3.0 * c, 4.0 * c) < 1e-15
     c_, s_ = math.sqrt(0.8), math.sqrt(0.2)
     params = ModelParams(6.0 * c, 1.0 * c, 2.0 * c, 0.5 * c)
-    good = _solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER)
-    broken = _solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER)
+    good = _solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c)
+    broken = _solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c)
     assert solution_checks(good, params)["energy_identity"]
     assert not solution_checks(broken, params)["energy_identity"]
 
@@ -208,7 +210,7 @@ def test_energy_identity_defect_at_a_vanishing_quasienergy(w, eff, db, defect):
 
 def test_solution_checks_mean_field_sign():
     params = ModelParams(6.0, -1.0, 2.0, 0.5)
-    sol = _solution(0.5, 0.0, 2.5, 1.0, 0.0, PhaseLabel.PURE_MEAN_FIELD)
+    sol = _solution(0.5, 0.0, 2.5, 1.0, 0.0, PhaseLabel.PURE_MEAN_FIELD, 2.0)
     checks = solution_checks(sol, params)
     assert not checks["mean_field_sign"]
 
@@ -420,14 +422,19 @@ def test_scan_validates_each_lattice_point_once(validate_calls):
 
 
 def _solution_checks_before(sol, params):
-    """``solution_checks`` as it read before it was built in one pass."""
+    """``solution_checks`` as it read before it was built in one pass.
+
+    It reads the stored effective energy, and holds it to ``mu + delta_m``.
+    """
     c, s = sol.coeffs.c, sol.coeffs.s
-    omega_eff = params.mu + sol.delta_m
+    omega_eff = sol.omega_eff
     slack = 1.0 + RESIDUAL_BOUND
     checks = {}
     checks["coefficient_norm"] = abs(c * c + s * s - 1.0) <= 1e-12
     checks["energy_identity"] = (
         energy_identity_defect(sol.w_bar, omega_eff, sol.delta_b) <= RESIDUAL_BOUND)
+    checks["effective_energy"] = (abs(omega_eff - params.mu - sol.delta_m)
+                                  <= RESIDUAL_BOUND * max(params.mu, abs(sol.delta_m)))
     if sol.w_bar != 0.0:
         checks["rotation_consistency"] = (
             abs((c * c - s * s) - omega_eff / sol.w_bar) <= RESIDUAL_BOUND
@@ -472,8 +479,8 @@ def _planted_solutions():
     cases = []
     for c in (1.0, 1e-100, 1e-200, 1e-300, 1e150, 1e200, 1e300):
         params = ModelParams(6.0 * c, 1.0 * c, 2.0 * c, 0.5 * c)
-        cases += [(_solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER), params),
-                  (_solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER), params)]
+        cases += [(_solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c), params),
+                  (_solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c), params)]
     for c in (1.0, 1e-20):
         params = ModelParams(4.0 * c, 0.3 * c, 1.0 * c, 0.3 * c)
         upper = solve_all(params).mixed[-1]
@@ -485,9 +492,9 @@ def _planted_solutions():
         params = ModelParams(1e20 * c, 0.0, c, c)
         phi = 0.5 * math.atan2(2e-10, 1.0)
         correct = _solution(0.0, 2e-10 * c, c, math.cos(phi), math.sin(phi),
-                            PhaseLabel.MIXED_LOWER)
+                            PhaseLabel.MIXED_LOWER, c)
         cases += [(correct, params), (dataclasses.replace(correct, delta_b=1e-5 * c), params)]
-    cases.append((_solution(0.5, 0.0, 2.5, 1.0, 0.0, PhaseLabel.PURE_MEAN_FIELD),
+    cases.append((_solution(0.5, 0.0, 2.5, 1.0, 0.0, PhaseLabel.PURE_MEAN_FIELD, 2.0),
                   ModelParams(6.0, -1.0, 2.0, 0.5)))
     return cases
 
@@ -544,7 +551,7 @@ def _at_bound(quantity, k):
         s = math.sqrt(1.0 - c * c)
     else:  # the coefficient norm
         c *= 1.0 + k * 1e-12
-    return _solution(dm, db, w, c, s, PhaseLabel.MIXED_UPPER), ModelParams(lb, 1.0, mu, 0.5)
+    return _solution(dm, db, w, c, s, PhaseLabel.MIXED_UPPER, mu), ModelParams(lb, 1.0, mu, 0.5)
 
 
 @pytest.mark.parametrize("k", [-2.5, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.5, 5.0, 20.0])
@@ -563,7 +570,7 @@ def test_solution_checks_match_the_field_by_field_form_on_any_solution(
         values, phase, lb, lm, mu, temperature):
     assume(math.isfinite(lb) and math.isfinite(lm))
     dm, db, w, c, s, phi = values
-    sol = GapSolution(dm, db, w, BogoliubovCoefficients(c, s, phi), phase, 0.0)
+    sol = GapSolution(dm, db, w, BogoliubovCoefficients(c, s, phi), phase, 0.0, mu + dm)
     _assert_checks_as_before(sol, ModelParams(lb, lm, mu, temperature))
 
 

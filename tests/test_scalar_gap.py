@@ -12,11 +12,11 @@ from decimal import Decimal
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import gapforge
 from gapforge import scalar_gap
-from gapforge.core_types import ModelParams, PhaseLabel
+from gapforge.core_types import ModelParams, PhaseLabel, solution_checks
 from gapforge.errors import (
     ConstraintViolation,
     DomainError,
@@ -29,6 +29,7 @@ from gapforge.errors import (
 from gapforge.phase_diagram import MultiplicityClass, multiplicity_class
 from gapforge.scalar_gap import (
     critical_temperature,
+    effective_energy,
     equilibrium_mu,
     mean_field_gap_given_w,
     pairing_energy_roots,
@@ -173,32 +174,30 @@ def test_subnormal_couplings_are_singular_only_where_they_cancel():
 
 
 def test_recover_delta_b_and_rejection():
-    # the arguments are the root's w_bar and its offset w_bar - mu
-    params = ModelParams(4.0, 0.0, 1.0, 0.5)
+    # the arguments are the root's w_bar, its offset w_bar - mu, delta_m and
+    # the effective energy mu + delta_m; here mu = 1
     w = 3.9793886954031126
-    db = recover_delta_b(w, w - 1.0, 0.0, params)
+    db = recover_delta_b(w, w - 1.0, 0.0, 1.0)
     assert db == pytest.approx(math.sqrt(w * w - 1.0))
     assert db >= 0.0
     with pytest.raises(NotAdmissible):
-        recover_delta_b(0.9, -0.1, 0.0, params)  # w_bar below the effective energy
+        recover_delta_b(0.9, -0.1, 0.0, 1.0)  # w_bar below the effective energy
     # w_bar = 1 + 2e-200 rounds to mu, yet its offset decides the sign exactly
-    huge = ModelParams(1e200, 0.0, 1.0, 1.0)
-    assert recover_delta_b(1.0, 2e-200, 0.0, huge) == pytest.approx(2e-100, rel=1e-15, abs=0.0)
+    assert recover_delta_b(1.0, 2e-200, 0.0, 1.0) == pytest.approx(2e-100, rel=1e-15, abs=0.0)
     with pytest.raises(NotAdmissible):
-        recover_delta_b(1.0, -2e-200, 0.0, huge)
+        recover_delta_b(1.0, -2e-200, 0.0, 1.0)
     # an offset that underflowed keeps its sign as a signed zero
     with pytest.raises(NotAdmissible):
-        recover_delta_b(1.0, -0.0, 0.0, params)
+        recover_delta_b(1.0, -0.0, 0.0, 1.0)
     # a vanishing factor gives +0.0, never -0.0
-    assert math.copysign(1.0, recover_delta_b(1.0, 0.0, 0.0, params)) == 1.0
-    assert math.copysign(1.0, recover_delta_b(1.0, -0.0, -0.0, params)) == 1.0
-    # below mu/2 the first factor is w_bar - (mu + delta_m), from the smaller terms
-    assert recover_delta_b(0.3, -0.7, -0.8, params) == pytest.approx(math.sqrt(0.05))
+    assert math.copysign(1.0, recover_delta_b(1.0, 0.0, 0.0, 1.0)) == 1.0
+    assert math.copysign(1.0, recover_delta_b(1.0, -0.0, -0.0, 1.0)) == 1.0
+    # below mu/2 the first factor is w_bar - omega_eff, from the smaller terms
+    assert recover_delta_b(0.3, -0.7, -0.8, 0.2) == pytest.approx(math.sqrt(0.05))
     with pytest.raises(NotAdmissible):
-        recover_delta_b(0.3, -0.7, -0.6, params)
-    # the halved second factor stays finite where w_bar + mu + delta_m overflows
-    big = ModelParams(1.5e308, 0.0, 1e308, 1e300)
-    assert recover_delta_b(1.5e308, 0.5e308, 0.0, big) == pytest.approx(math.sqrt(1.25) * 1e308)
+        recover_delta_b(0.3, -0.7, -0.6, 0.4)
+    # the halved second factor stays finite where w_bar + omega_eff overflows
+    assert recover_delta_b(1.5e308, 0.5e308, 0.0, 1e308) == pytest.approx(math.sqrt(1.25) * 1e308)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +432,8 @@ def test_a_subnormal_mixed_root_meets_its_own_equations():
     ((3.0, 0.0, 5e-324, 0.5), ["residual 0.75 exceeds 1e-08"]),
     ((6.0, 0.0, 1e-323, 1.0), ["residual 0.555556 exceeds 1e-08"]),
     ((4.154697625382749, 0.0, 5e-324, 0.18260190966314907), ["residual 0.75 exceeds 1e-08"]),
-    # w_bar - mu = 2e-350 underflows to +0.0: w_bar = mu, delta_b = 0
+    # w_bar - mu = 2e-350 underflows to +0.0: w_bar = mu, and delta_b = 2e-225
+    # is taken from the unrounded factors (see test_an_underflowed_offset_keeps_its_gap)
     ((1e50, 0.0, 1e-100, 1e-200), []),
     # ... and -2e-350 to -0.0, which still rejects the attractive root
     ((-1e50, 0.0, 1e-100, 1e-200), ["w_bar = 1e-100 lies below the effective energy "
@@ -446,7 +446,7 @@ def test_an_offset_that_rounds_to_zero_keeps_its_sign(point, notes):
     from gapforge.core_types import solution_checks
 
     params = ModelParams(*point)
-    for w, offset, _ in scalar_gap._mixed_roots(params, params.beta):
+    for w, offset, _, _ in scalar_gap._mixed_roots(params, params.beta):
         assert math.copysign(1.0, offset) == math.copysign(1.0, params.lambda_b)
         if params.lambda_b > 0.0:
             assert w == params.mu + (offset or 5e-324)
@@ -573,8 +573,10 @@ _NOT_ADMISSIBLE = "w_bar = 1 lies below the effective energy |mu + delta_m| = 1:
     # subnormal root below |lambda_b| = 5e-324: w_bar = lambda_b*tanh(u) rounds
     # to the trivial node 0, so no root reaches the lift
     ((-5e-324, -0.5, 2.225073858507e-311, 0.75), [], False),
-    # T = 0: mu + delta_m cancels to 0, so the mean-field residual is 0.625
-    ((-1.87e-221, -1.0, 0.375, 0.0), ["residual 0.625 exceeds 1e-08"], False),
+    # T = 0: the sum mu + delta_m cancels to 0, which would leave a mean-field
+    # residual of 0.625; its closed form omega_eff = -0.625*w_bar keeps the
+    # root, with delta_b = 0.78*w_bar
+    ((-1.87e-221, -1.0, 0.375, 0.0), [], True),
     # w_bar rounds to mu, but the offset 2T*u < 0 rejects the root exactly
     ((-4.0, 0.0, 1.0, 1e-300), [_NOT_ADMISSIBLE], False),
     # w_bar - mu below an ulp of mu: the offset keeps delta_b = 1.01e-150
@@ -641,7 +643,7 @@ def test_stored_residual_keeps_the_energy_identity_where_the_squares_overflow(c)
     # w_bar = 4, mu + delta_m = 1, delta_b = 2 breaks w**2 = eff**2 + delta_b**2
     # by 11/16 of w**2; scaled by c, w**2 overflows from c ~ 1e154 on
     params = ModelParams(4.0 * c, 0.0, c, 0.5 * c)
-    residual = scalar_gap._mixed_residual(4.0 * c, 3.0 * c, 0.0, 2.0 * c, params, params.beta)
+    residual = scalar_gap._mixed_residual(4.0 * c, 3.0 * c, 0.0, 2.0 * c, c, params, params.beta)
     assert residual == pytest.approx(0.6875, abs=1e-12)
 
 
@@ -649,7 +651,7 @@ def test_stored_residual_keeps_the_energy_identity_where_the_squares_overflow(c)
 def test_stored_residual_keeps_the_energy_identity_below_unit_scale(c):
     # the triple above, scaled so that w_bar**2 is far below 1 or underflows
     params = ModelParams(4.0 * c, 0.0, c, 0.5 * c)
-    residual = scalar_gap._mixed_residual(4.0 * c, 3.0 * c, 0.0, 2.0 * c, params, params.beta)
+    residual = scalar_gap._mixed_residual(4.0 * c, 3.0 * c, 0.0, 2.0 * c, c, params, params.beta)
     assert residual == pytest.approx(0.6875, abs=1e-12)
 
 
@@ -1016,15 +1018,14 @@ def _energies(report):
 @example(lb=1.0, lm=5e-324, mu=0.0, T=0.0, exponent=16.0)
 def test_solutions_scale_with_the_energies(lb, lm, mu, T, exponent):
     """Scaling every input energy by c scales every output energy by c."""
-    # mu + delta_m cancels down to rounding when |lambda_b| is far below the
-    # other energies, so rounding decides whether so small a root is admitted
-    assume(abs(lb) > 1e-6)
     c = 10.0 ** exponent
     # an input scaled below the normal range is no longer c times the base
     assume(all(abs(c * v) >= sys.float_info.min for v in (lb, lm, mu, T) if v))
     params = (ModelParams(lb, lm, mu, T), ModelParams(c * lb, c * lm, c * mu, c * T))
-    # nor is a root below it: see test_a_root_below_the_normal_range_is_dropped
-    assume(all(w >= sys.float_info.min for p in params for w in pairing_energy_roots(p)))
+    # nor is a root below it: see test_a_root_below_the_normal_range_is_dropped;
+    # lambda_b = 0 has none, as solve_all notes
+    assume(all(w >= sys.float_info.min for p in params if p.lambda_b
+               for w in pairing_energy_roots(p)))
     base, scaled = map(solve_all, params)
     assert [s.phase for s in scaled.solutions] == [s.phase for s in base.solutions]
     assert scaled.multiplicity == base.multiplicity
@@ -1148,12 +1149,107 @@ def test_no_mixed_solutions_at_or_above_tc(lb, mu, frac):
     assert report.multiplicity == 0
 
 
-@pytest.mark.xfail(strict=True, reason="mu + delta_m cancels to -w_bar/2 and keeps only an "
-                   "absolute ulp of mu; the mean-field residual divides that by w_bar")
 @pytest.mark.parametrize("lb", [-1e-10, -2.541657285077569e-88])
 def test_a_root_far_below_mu_keeps_its_mean_field_equation(lb):
     # the attractive T = 0 root w_bar = |lambda_b| has mu + delta_m =
     # -w_bar/(2(1 + w_bar)), so delta_b = sqrt(3)/2 * w_bar to first order;
-    # solve_all drops it with "residual ... exceeds 1e-08"
+    # the sum would keep only an absolute ulp of mu, its closed form every digit
     (sol,) = solve_all(ModelParams(lb, -1.0, 0.5, 0.0)).mixed
     assert sol.delta_b == pytest.approx(math.sqrt(3.0) / 2.0 * abs(lb), rel=1e-6)
+
+
+def test_the_effective_energy_is_mu_plus_delta_m_in_closed_form():
+    # lambda_b*(mu + lambda_m)/(lambda_b + lambda_m): mu exactly at lambda_m = 0
+    assert effective_energy(ModelParams(4.0, 0.0, 1.0, 0.5)) == 1.0
+    params = ModelParams(4.0, 0.3, 1.0, 0.5)
+    assert effective_energy(params) == pytest.approx(1.0 + mean_field_gap_given_w(1.0, params),
+                                                     rel=1e-15, abs=0.0)
+    # where the sum cancels to -w_bar/2 the closed form keeps every digit
+    assert effective_energy(ModelParams(-1e-10, -1.0, 0.5, 0.0)) == pytest.approx(
+        -0.5e-10 / (1.0 + 1e-10), rel=1e-15, abs=0.0)
+    # a subnormal lambda_m that a half would round to 0 is kept
+    assert effective_energy(ModelParams(1.0, 5e-324, 0.0, 0.0)) == 5e-324
+    # the halves of sums that overflow stay finite
+    assert effective_energy(ModelParams(1e308, 1e308, 1e308, 0.0)) == 1e308
+    # a fraction (mu + lambda_m)/lambda_b = 1e-342 underflows: the product is
+    # formed from the mantissas, and a power of two scales it exactly
+    far = ModelParams(1e300, 1e-300, 1e-42, 0.3)
+    assert effective_energy(far) == pytest.approx(1e-42, rel=1e-15, abs=0.0)
+    assert effective_energy(ModelParams(1e300 / 1024, 1e-300 / 1024, 1e-42 / 1024, 0.3)) == (
+        effective_energy(far) / 1024)
+    with pytest.raises(SingularDenominator):
+        effective_energy(ModelParams(5e-324, -5e-324, 0.0, 0.0))
+
+
+def test_a_mean_field_ratio_that_underflows_keeps_its_sign_and_digits():
+    # (lambda_b - mu)/(lambda_b + lambda_m) = -1e-343 underflows to -0.0; the
+    # sums' signs still refuse the branch, whose closed-form effective energy
+    # would otherwise admit it
+    params = ModelParams(-7.089729676255431e-265, 1e300, 1.0644871691801172e-43, 0.0)
+    with pytest.raises(ConstraintViolation, match="opposite sign"):
+        mean_field_gap_given_w(abs(params.lambda_b), params)
+    assert solve_all(params).mixed == ()
+    # a ratio of -1e-322 keeps two digits as a double; from the mantissas
+    # delta_m keeps all of them
+    params = ModelParams(-1e-227, -2e276, 2e-46, 0.0)
+    assert mean_field_gap_given_w(1e-227, params) == pytest.approx(-2e-46, rel=1e-15, abs=0.0)
+
+
+def test_an_underflowed_offset_keeps_its_gap():
+    # w_bar - mu = 2T*u = 2e-350 underflows, so w_bar = mu; delta_b**2 is
+    # 2T*u*(w_bar + omega_eff), taken factor by factor: delta_b = 2e-225
+    point = (1e50, 0.0, 1e-100, 1e-200)
+    lower, _ = decimal_branches(*point)
+    report = solve_all(ModelParams(*point))
+    (sol,) = [s for s in report.mixed if s.phase is PhaseLabel.MIXED_LOWER]
+    assert sol.delta_b == pytest.approx(float(lower["db2"].sqrt()), rel=1e-15, abs=0.0)
+    assert sol.w_bar == sol.omega_eff == 1e-100
+    assert all(solution_checks(sol, report.params).values())
+
+
+@pytest.mark.parametrize("point", [(-1e-10, -1.0, 0.5, 0.0), (-1.87e-221, -1.0, 0.375, 0.0),
+                                   (4.0, 0.3, 1.0, 0.3), (-2.0, -1.5, 1.0, 0.3)])
+def test_a_planted_wrong_delta_m_fails_the_effective_energy_check(point):
+    # every other check reads the stored omega_eff, so only this one sees delta_m
+    # move off it
+    params = ModelParams(*point)
+    report = solve_all(params)
+    assert report.mixed
+    for sol in report.solutions:
+        assert all(solution_checks(sol, params).values())
+        planted = dataclasses.replace(sol, delta_m=sol.delta_m * (1.0 - 1e-6))
+        checks = solution_checks(planted, params)
+        assert [name for name, ok in checks.items() if not ok] == ["effective_energy"]
+
+
+def _near_a_sign_change(branch) -> bool:
+    # within 1e-6 of w_bar = |omega_eff|, where the smaller factor of delta_b**2
+    # cancels and changes sign, or of the mean-field bound ratio = 2
+    zone = Decimal("1e-6")
+    w = branch["w_bar"]
+    return abs(w - abs(branch["omega_eff"])) <= zone * w or abs(branch["ratio"] - 2) <= zone
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=st.floats(1e-3, 1e3), exponent=st.floats(-300.0, -1.0),
+       sign=st.sampled_from([-1.0, 1.0]), share=st.floats(-2.0, 0.0, exclude_max=True),
+       t_exponent=st.floats(-300.0, 1.0))
+def test_a_coupling_far_below_mu_gives_the_branches_decimal_admits(
+        mu, exponent, sign, share, t_exponent):
+    """|lambda_b|/mu from 1e-300 to 0.1, lambda_m in [-2 mu, 0), T/mu in [1e-300, 10]."""
+    lb, lm, temp = sign * mu * 10.0 ** exponent, mu * share, mu * 10.0 ** t_exponent
+    assume(lm < 0.0)
+    # the oracle's w_bar = mu + offset cancels about -exponent digits of its 60
+    branches = decimal_branches(lb, lm, mu, temp, digits=60 + math.ceil(-exponent))
+    if any(map(_near_a_sign_change, branches)):
+        event("within 1e-6 of w_bar = |omega_eff| or of ratio = 2")
+        return
+    want = [b for b in branches
+            if 0 <= b["ratio"] <= 2 and b["below"] >= 0 and b["above"] >= 0]
+    event(f"{len(want)} mixed branch(es)")
+    report = solve_all(ModelParams(lb, lm, mu, temp))
+    assert [s.phase for s in report.mixed] == [PhaseLabel.MIXED_LOWER] * len(want), report.notes
+    for sol, b in zip(report.mixed, want):
+        assert sol.w_bar == pytest.approx(float(b["w_bar"]), rel=1e-14, abs=0.0)
+        assert sol.omega_eff == pytest.approx(float(b["omega_eff"]), rel=1e-14, abs=0.0)
+        assert sol.delta_b == pytest.approx(float(b["db2"].sqrt()), rel=1e-9, abs=0.0)

@@ -23,7 +23,7 @@ _params = st.builds(ModelParams, _finite, _finite, _finite.map(abs),
                     st.floats(min_value=0.0) | st.sampled_from([-0.0, 5e-324]))
 _coeffs = st.builds(BogoliubovCoefficients, _floats, _floats, _floats)
 _solutions = st.builds(GapSolution, _floats, _floats, _floats, _coeffs,
-                       st.sampled_from(PhaseLabel), _floats)
+                       st.sampled_from(PhaseLabel), _floats, _floats)
 _reports = (st.builds(SolveReport, _params, st.lists(_solutions, max_size=3).map(tuple),
                       st.sampled_from(RegionLabel))
             | st.builds(SolveReport, _params, st.lists(_solutions, max_size=3).map(tuple),

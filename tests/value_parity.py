@@ -227,7 +227,7 @@ def _coeffs(rng: random.Random) -> BogoliubovCoefficients:
 
 def _solution(rng: random.Random) -> GapSolution:
     return GapSolution(_float(rng), _float(rng), _float(rng), _coeffs(rng),
-                       rng.choice(list(PhaseLabel)), _float(rng))
+                       rng.choice(list(PhaseLabel)), _float(rng), _float(rng))
 
 
 def _report(rng: random.Random) -> SolveReport:
