@@ -40,7 +40,7 @@ from enum import Enum
 
 from .core_types import ModelParams, ldexp_or_inf
 from .errors import ConstraintViolation, NotAdmissible, NotApplicable, SingularDenominator
-from .scalar_gap import effective_energy, mean_field_gap_given_w, recover_delta_b
+from .scalar_gap import _mantissa_product, effective_energy, mean_field_gap_given_w, recover_delta_b
 
 DEFAULT_MARGIN_FACTOR = 10.0
 
@@ -154,8 +154,7 @@ def _linearised(regime: Regime, params: ModelParams, window) -> RegimeSolution:
     den, quartered = lb - 2.0 * T, 0
     if math.isinf(den):
         den, quartered = 0.25 * lb - 0.5 * T, 2
-    (mm, em), (mb, eb), (md, ed) = map(math.frexp, (mu, lb, den))
-    w = ldexp_or_inf(mm * (mb / md), em + eb - ed - quartered)  # mu exactly at T = 0
+    w = _mantissa_product(mu, lb, den, -quartered)  # mu exactly at T = 0
     eff = mu + lm
     margin = _margin(T, *window(lb, lm, mu)) if eff > 0.0 else 0.0
     return _lifted(regime, params, w, lm, eff, margin)
@@ -167,6 +166,7 @@ def _edge(lb: float, lm: float, mu: float) -> float:
     if math.isinf(s):
         s, halved = 0.5 * mu + 0.5 * lm, 1
     (mb, eb), (mm, em), (ms, es) = map(math.frexp, (lb, lm, s))
+    # not _mantissa_product: its mb*(mm/ms) rounds about a third of these edges differently
     return ldexp_or_inf(mb * mm / ms, eb + em - es - halved - 1)
 
 

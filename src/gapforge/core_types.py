@@ -26,13 +26,18 @@ and validates its fields there too.  Everything else the decorator
 provides is its own: ``fields``, ``asdict``, ``replace``, equality,
 hashing, ``repr`` and pickling, which restores the fields without calling
 ``__init__``.
+
+A value object stores only what the solver finds.  What follows from it is
+a property, computed when read and not listed by ``fields``, ``replace`` or
+``repr``: ``GapSolution.coeffs`` (the Bogoliubov rotation) and
+``delta_b_sign_ambiguous``, ``SolveReport.region`` and ``multiplicity``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 from .errors import (
@@ -190,6 +195,7 @@ class BogoliubovCoefficients:
 
 
 _set_c, _set_s, _set_phi = _slot_setters(BogoliubovCoefficients)
+_UNROTATED = BogoliubovCoefficients(1.0, 0.0, 0.0)
 
 
 def bogoliubov_from_gaps(omega_eff: float, delta_b: float) -> BogoliubovCoefficients:
@@ -237,6 +243,47 @@ class RegionLabel(str, Enum):
     NONE = "none"
 
 
+def classify_region(params: ModelParams) -> RegionLabel:
+    """Closed-form coupling-plane label; no root finding involved.
+
+    Repulsive pairing channel (lambda_b > 0): mixed solutions need
+    ``lambda_b > mu``; within that strip the low-temperature window is open
+    for ``lambda_m > -(lambda_b + mu)/2`` and the near-transition window for
+    ``lambda_m < (lambda_b - 4 mu)/4`` — both hold in the middle band
+    (``B+``), only the former at large ``lambda_m`` (``A+``), only the
+    latter at strongly negative ``lambda_m`` (``C+``).  Attractive channel
+    (lambda_b < 0): the admissible band is
+    ``-2 mu <= lambda_m <= -mu T / (|lambda_b| + 2 T)``, split into ``B-``
+    below ``-(lambda_b + 4 mu)/4`` and ``A-`` above.  The upper bound is
+    evaluated as ``-(mu/2) / (1 + |lb|)`` in the reduced coupling
+    ``lb = beta*lambda_b/2``, which takes its limits ``-0.0`` at T = 0 and
+    ``-mu/2`` at T = inf with no special case, and its T = 0 limit wherever
+    ``lb`` overflows, as the roots do.  Every bound is scale-free and its
+    intermediates stay finite up to the largest double.  Comparisons are
+    plain IEEE inequalities, so exact boundary points deterministically
+    join the closed side.
+    """
+    lb, lm, mu = params.lambda_b, params.lambda_m, params.mu
+    if lb > 0.0:
+        if lb <= mu:
+            return RegionLabel.NONE
+        low_t_side = lm > -(lb / 2.0 + mu / 2.0)
+        near_tc_side = lm < lb / 4.0 - mu
+        if low_t_side and near_tc_side:
+            return RegionLabel.B_PLUS
+        if low_t_side:
+            return RegionLabel.A_PLUS
+        return RegionLabel.C_PLUS
+    if lb < 0.0:
+        upper = -0.5 * mu / (1.0 - lb * (0.5 * params.beta))
+        if not (-2.0 * mu <= lm <= upper):
+            return RegionLabel.NONE
+        if lm < -(lb / 4.0 + mu):
+            return RegionLabel.B_MINUS
+        return RegionLabel.A_MINUS
+    return RegionLabel.NONE
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class GapSolution:
     """One converged solution of the coupled gap system.
@@ -266,18 +313,15 @@ class GapSolution:
     delta_m: float
     delta_b: float
     w_bar: float
-    coeffs: BogoliubovCoefficients
     phase: PhaseLabel
     residual: float
     omega_eff: float
 
     def __init__(self, delta_m: float, delta_b: float, w_bar: float,
-                 coeffs: BogoliubovCoefficients, phase: PhaseLabel,
-                 residual: float, omega_eff: float) -> None:
+                 phase: PhaseLabel, residual: float, omega_eff: float) -> None:
         _set_delta_m(self, delta_m)
         _set_delta_b(self, delta_b)
         _set_w_bar(self, w_bar)
-        _set_coeffs(self, coeffs)
         _set_phase(self, phase)
         _set_residual(self, residual)
         _set_omega_eff(self, omega_eff)
@@ -286,16 +330,22 @@ class GapSolution:
     def delta_b_sign_ambiguous(self) -> bool:
         return self.delta_b > 0.0
 
+    @property
+    def coeffs(self) -> BogoliubovCoefficients:
+        """``bogoliubov_from_gaps(omega_eff, delta_b)``; unrotated on the pure branch or at 0, 0."""
+        omega_eff, delta_b = self.omega_eff, self.delta_b
+        if self.phase is PhaseLabel.PURE_MEAN_FIELD or (omega_eff == 0.0 and delta_b == 0.0):
+            return _UNROTATED
+        return bogoliubov_from_gaps(omega_eff, delta_b)
+
     def as_dict(self) -> dict:
-        d = asdict(self)
-        d["phase"] = self.phase.value
-        d["delta_b_sign_ambiguous"] = self.delta_b_sign_ambiguous
-        d["omega_eff"] = d.pop("omega_eff")  # last: every earlier key keeps its place
-        return d
+        return {"delta_m": self.delta_m, "delta_b": self.delta_b, "w_bar": self.w_bar,
+                "coeffs": asdict(self.coeffs), "phase": self.phase.value, "residual": self.residual,
+                "delta_b_sign_ambiguous": self.delta_b_sign_ambiguous, "omega_eff": self.omega_eff}
 
 
-(_set_delta_m, _set_delta_b, _set_w_bar, _set_coeffs, _set_phase,
- _set_residual, _set_omega_eff) = _slot_setters(GapSolution)
+(_set_delta_m, _set_delta_b, _set_w_bar, _set_phase, _set_residual,
+ _set_omega_eff) = _slot_setters(GapSolution)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -303,23 +353,25 @@ class SolveReport:
     """All solutions found at one parameter point.
 
     ``solutions`` lists the pure mean-field branch first, then mixed
-    solutions ordered by increasing ``w_bar``.  The property
-    ``multiplicity`` counts the mixed solutions; ``notes`` records roots
-    that were found but dropped (for example because the pairing amplitude
-    would be imaginary there).
+    solutions ordered by increasing ``w_bar``.  The properties ``region``
+    and ``multiplicity`` label the point and count the mixed solutions;
+    ``notes``, keyword-only, records roots found but dropped (for example
+    because the pairing amplitude would be imaginary there).
     """
 
     params: ModelParams
     solutions: tuple[GapSolution, ...]
-    region: RegionLabel
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...] = field(default=(), kw_only=True)
 
-    def __init__(self, params: ModelParams, solutions: tuple[GapSolution, ...],
-                 region: RegionLabel, notes: tuple[str, ...] = ()) -> None:
+    def __init__(self, params: ModelParams, solutions: tuple[GapSolution, ...], *,
+                 notes: tuple[str, ...] = ()) -> None:
         _set_params(self, params)
         _set_solutions(self, solutions)
-        _set_region(self, region)
         _set_notes(self, notes)
+
+    @property
+    def region(self) -> RegionLabel:
+        return classify_region(self.params)
 
     @property
     def multiplicity(self) -> int:
@@ -343,7 +395,7 @@ class SolveReport:
         }
 
 
-_set_params, _set_solutions, _set_region, _set_notes = _slot_setters(SolveReport)
+_set_params, _set_solutions, _set_notes = _slot_setters(SolveReport)
 
 
 def energy_identity_defect(w: float, eff: float, db: float) -> float:
@@ -379,12 +431,14 @@ def solution_checks(sol: GapSolution, params: ModelParams) -> dict[str, bool]:
     the mixing-angle bound ``|c| >= sqrt(2)/2`` where the effective energy
     is non-negative, the Fermi-surface side on a mixed solution with
     ``lambda_b != 0``, and the strict ordering above the effective energy
-    where ``delta_b > 0``, which excuses equality only for a gap too small
-    to move ``w_bar``.  Every check reads the stored ``omega_eff``;
+    where ``delta_b > 0``, which excuses ``w_bar`` at or below
+    ``omega_eff`` only for a gap too small to show beside the rounding of
+    the stored energies.  Every check reads the stored ``omega_eff``;
     ``effective_energy`` holds it to ``mu + delta_m``.  Each holds to
     :data:`RESIDUAL_BOUND` relative to its energy, at every energy scale.
     """
-    c, s = sol.coeffs.c, sol.coeffs.s
+    coeffs = sol.coeffs
+    c, s = coeffs.c, coeffs.s
     cc, ss = c * c, s * s
     dm, db, w, omega_eff = sol.delta_m, sol.delta_b, sol.w_bar, sol.omega_eff
     lm, mu = params.lambda_m, params.mu
@@ -414,7 +468,10 @@ def solution_checks(sol: GapSolution, params: ModelParams) -> dict[str, bool]:
         elif lb < 0:
             checks["fermi_surface_side"] = w < mu + band
         if db > 0.0:
-            # where delta_b**2 < 2*w*ulp(w) a correctly rounded w_bar may equal it
+            # the lift rounds w_bar, omega_eff and delta_m apart from the values it formed
+            # delta_b from by at most 12, 4 and 4 ulps (root, tanh, product, offset; two sums,
+            # a quotient, a product), which may hide a gap of delta_b**2/(w + omega_eff)
+            gap = w - omega_eff + 12.0 * math.ulp(w) + 4.0 * (math.ulp(omega_eff) + math.ulp(dm))
             checks["strictly_above_effective_energy"] = w > omega_eff or (
-                0.0 < w == omega_eff and db < math.sqrt(2.0 * math.ulp(w) / w) * w)
+                0.0 < w and 0.0 < gap and db < math.sqrt(2.0 * (gap / w)) * w)
     return checks

@@ -7,7 +7,7 @@ Two complementary views of where solutions live:
   ``A+``/``B+``/``C+`` on the repulsive-pairing side (split by which of the
   two asymptotic windows is available), ``A-``/``B-`` on the attractive
   side, ``none`` where no mixed solution is possible.  It lives in
-  ``scalar_gap``, :class:`RegionLabel` in ``core_types``; both re-exported.
+  ``core_types`` with :class:`RegionLabel`; both re-exported.
 * :func:`multiplicity_class` counts the roots that
   :func:`~gapforge.scalar_gap.pairing_energy_roots` returns, so it shares
   the root finder's tangency test by construction.
@@ -69,14 +69,9 @@ from enum import Enum
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from ._forked import run
-from .core_types import ModelParams, PhaseLabel, RegionLabel
+from .core_types import ModelParams, PhaseLabel, RegionLabel, classify_region  # noqa: F401
 from .errors import ConfigError, DomainError, GapEquationError, ZeroTemperature
-from .scalar_gap import (  # noqa: F401 - classify_region is re-exported
-    classify_region,
-    equilibrium_mu,
-    pairing_energy_roots,
-    solve_all,
-)
+from .scalar_gap import equilibrium_mu, pairing_energy_roots, solve_all
 
 _AXES = ("lambda_b", "lambda_m", "mu", "temperature")
 

@@ -40,16 +40,14 @@ import math
 import struct
 import sys
 
-from .core_types import (
+from .core_types import (  # noqa: F401 - classify_region is re-exported
     _MIN_NORMAL,
     RESIDUAL_BOUND,
-    BogoliubovCoefficients,
     GapSolution,
     ModelParams,
     PhaseLabel,
-    RegionLabel,
     SolveReport,
-    bogoliubov_from_gaps,
+    classify_region,
     energy_identity_defect,
     fermi,
     ldexp_or_inf,
@@ -63,9 +61,6 @@ from .errors import (
     SingularDenominator,
     ZeroCoupling,
 )
-
-# The pairing-free branch has delta_b = 0, so its modes are not rotated.
-_UNROTATED = BogoliubovCoefficients(1.0, 0.0, 0.0)
 
 _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
@@ -244,32 +239,37 @@ def pairing_energy_roots(params: ModelParams) -> list[float]:
     return [root[0] for root in _mixed_roots(params, params.beta)]
 
 
-def _coupling_fraction(x: float, y: float, params: ModelParams) -> tuple[float, float]:
-    """``(x + y, lambda_b + lambda_m)``, the fraction of both mixed closed forms.
-
-    Whole sums keep a subnormal term that a half would round away; where one
-    overflows, both are halved, exactly, so the fraction's value and its
-    scaling by a power of two stay as they were.  Raises
-    :class:`SingularDenominator` where ``lambda_b + lambda_m = 0``.
-    """
-    lambda_b, lambda_m = params.lambda_b, params.lambda_m
-    num, denom = x + y, lambda_b + lambda_m
-    if math.isinf(num) or math.isinf(denom):
-        return 0.5 * x + 0.5 * y, 0.5 * lambda_b + 0.5 * lambda_m
-    if denom == 0.0:
-        raise SingularDenominator(
-            "lambda_b + lambda_m = 0: the mean-field condition degenerates"
-        )
-    return num, denom
-
-
-def _mantissa_product(z: float, num: float, denom: float) -> float:
-    """``z*(num/denom)`` from the mantissas, for a quotient that underflows.
+def _mantissa_product(z: float, num: float, denom: float, shift: int = 0) -> float:
+    """``z*(num/denom)*2**shift`` from the mantissas, for a quotient that underflows.
 
     Where the plain product is exact it gives the same bits.
     """
     (mz, ez), (mn, en), (md, ed) = map(math.frexp, (z, num, denom))
-    return ldexp_or_inf(mz * (mn / md), ez + en - ed)
+    return ldexp_or_inf(mz * (mn / md), ez + en - ed + shift)
+
+
+def _closed_form(z: float, x: float, y: float,
+                 params: ModelParams) -> tuple[float, float, float, float]:
+    """``(z*ratio, num, denom, ratio)``, ``ratio = (x + y)/(lambda_b + lambda_m)``.
+
+    Both mixed closed forms are such a product.  Whole sums keep a subnormal
+    term that a half would round away; where one overflows, both are halved,
+    exactly, so the ratio and its scaling by a power of two stay as they
+    were.  Where the ratio underflows, maybe to -0.0, the product is taken
+    from the mantissas.  Raises :class:`SingularDenominator` where
+    ``lambda_b + lambda_m = 0``.
+    """
+    lambda_b, lambda_m = params.lambda_b, params.lambda_m
+    num, denom = x + y, lambda_b + lambda_m
+    if math.isinf(num) or math.isinf(denom):
+        # a sum overflows only beside a large coupling: a half is 0 where the whole is
+        num, denom = 0.5 * x + 0.5 * y, 0.5 * lambda_b + 0.5 * lambda_m
+    if denom == 0.0:
+        raise SingularDenominator("lambda_b + lambda_m = 0: the mean-field condition degenerates")
+    ratio = num / denom  # infinite where it overflows
+    if abs(ratio) < _MIN_NORMAL and num:
+        return _mantissa_product(z, num, denom), num, denom, ratio
+    return z * ratio, num, denom, ratio
 
 
 def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
@@ -279,32 +279,23 @@ def mean_field_gap_given_w(w_bar: float, params: ModelParams) -> float:
     ``w_bar / lambda_b``, which makes the mean-field condition linear with
     the closed form ``lambda_m*(lambda_b - mu)/(lambda_b + lambda_m)`` —
     independent of temperature and of ``w_bar`` itself.  It is evaluated as
-    ``lambda_m`` times a scale-free ratio (:func:`_coupling_fraction`), so
+    ``lambda_m`` times a scale-free ratio (:func:`_closed_form`), so
     scaling every energy by a power of two scales the shift by it exactly.
     That ratio ``delta_m/lambda_m`` is the occupation brace ``1 - e*t``, in
     ``[0, 2]``; outside it the sign or the bound of ``delta_m`` is broken: no
-    consistent mixed branch.  Where the ratio underflows, maybe to -0.0, its
-    sign is read from the two sums and the product from the mantissas.
+    consistent mixed branch.  Where the ratio underflows its sign is read
+    from the two sums.
     """
     lambda_m = params.lambda_m
     if lambda_m == 0.0:
         return 0.0
-    num, denom = _coupling_fraction(params.lambda_b, -params.mu, params)
-    ratio = num / denom  # infinite where it overflows; the bound below rejects it
-    if abs(ratio) < _MIN_NORMAL and num:
-        delta_m = _mantissa_product(lambda_m, num, denom)
-    else:
-        delta_m = lambda_m * ratio
+    delta_m, num, denom, ratio = _closed_form(lambda_m, params.lambda_b, -params.mu, params)
     if num and (num < 0.0) != (denom < 0.0):
-        raise ConstraintViolation(
-            f"delta_m = {delta_m:.6g} has the opposite sign of lambda_m = "
-            f"{lambda_m:.6g}; no consistent mixed branch here"
-        )
-    if not ratio <= 2.0:
-        raise ConstraintViolation(
-            f"|delta_m| = {abs(delta_m):.6g} exceeds 2*|lambda_m| = "
-            f"{2.0 * abs(lambda_m):.6g}"
-        )
+        raise ConstraintViolation(f"delta_m = {delta_m:.6g} has the opposite sign of lambda_m = "
+                                  f"{lambda_m:.6g}; no consistent mixed branch here")
+    if not ratio <= 2.0:  # an overflowed ratio too
+        raise ConstraintViolation(f"|delta_m| = {abs(delta_m):.6g} exceeds 2*|lambda_m| = "
+                                  f"{2.0 * abs(lambda_m):.6g}")
     return delta_m
 
 
@@ -312,20 +303,14 @@ def effective_energy(params: ModelParams) -> float:
     """The signed effective energy ``mu + delta_m`` on a mixed branch.
 
     It is the closed form ``lambda_b*(mu + lambda_m)/(lambda_b + lambda_m)``
-    (:func:`_coupling_fraction`), which keeps its relative precision where
+    (:func:`_closed_form`), which keeps its relative precision where
     ``|lambda_b| << mu`` and ``lambda_m < 0`` cancel the sum to an absolute
-    ulp of ``mu``; where the fraction underflows, the product is taken from
-    the mantissas.  It is ``mu`` exactly at ``lambda_m = 0``.  Raises
+    ulp of ``mu``.  It is ``mu`` exactly at ``lambda_m = 0``.  Raises
     :class:`SingularDenominator` where ``lambda_b + lambda_m = 0``.
     """
-    lambda_b = params.lambda_b
     if params.lambda_m == 0.0:
         return params.mu
-    num, denom = _coupling_fraction(params.mu, params.lambda_m, params)
-    ratio = num / denom
-    if abs(ratio) < _MIN_NORMAL and num:
-        return _mantissa_product(lambda_b, num, denom)
-    return lambda_b * ratio
+    return _closed_form(params.lambda_b, params.mu, params.lambda_m, params)[0]
 
 
 def recover_delta_b(w_bar: float, offset: float, delta_m: float,
@@ -463,7 +448,7 @@ def _pure_solution(params: ModelParams, beta: float) -> GapSolution:
     # |dm - 2*lm*occupation| / |lm|, halved inside so 2*lm cannot overflow;
     # at lm = 0 the root is dm = 0 exactly
     residual = abs(0.5 * dm - lm * occupation) / (abs(lm) or 1.0) * 2.0
-    solution = GapSolution(dm, 0.0, w, _UNROTATED, PhaseLabel.PURE_MEAN_FIELD, residual, w)
+    solution = GapSolution(dm, 0.0, w, PhaseLabel.PURE_MEAN_FIELD, residual, w)
     if len(_pure_solutions) >= _PURE_SOLUTIONS_MAX:
         _pure_solutions.clear()
     _pure_solutions[key] = solution
@@ -492,7 +477,7 @@ def _lift(w: float, offset: float, u: float, phase: PhaseLabel, params: ModelPar
     residual = _mixed_residual(w, offset, dm, db, eff, params, beta)
     if not residual <= RESIDUAL_BOUND:
         raise NotAdmissible(f"residual {residual:.6g} exceeds {RESIDUAL_BOUND:g}")
-    return GapSolution(dm, db, w, bogoliubov_from_gaps(eff, db), phase, residual, eff)
+    return GapSolution(dm, db, w, phase, residual, eff)
 
 
 def solve_all(params: ModelParams) -> SolveReport:
@@ -516,6 +501,9 @@ def solve_all(params: ModelParams) -> SolveReport:
     and for the attractive root, ``tangent`` where the point lies on the
     tangency curve to rounding.  The T = 0 roots carry the label of their
     T -> 0+ limit.
+
+    The report stores ``params``, the solutions and the notes; its ``region``
+    and each solution's ``coeffs`` are derived when read, so a solve builds neither.
     """
     beta = params.beta
     notes: list[str] = []
@@ -533,48 +521,7 @@ def solve_all(params: ModelParams) -> SolveReport:
         except (SingularDenominator, ConstraintViolation, NotAdmissible) as exc:
             notes.append(f"root w_bar = {w:.9g} dropped: {exc}")
 
-    return SolveReport(params, tuple(solutions), classify_region(params), tuple(notes))
-
-
-def classify_region(params: ModelParams) -> RegionLabel:
-    """Closed-form coupling-plane label; no root finding involved.
-
-    Repulsive pairing channel (lambda_b > 0): mixed solutions need
-    ``lambda_b > mu``; within that strip the low-temperature window is open
-    for ``lambda_m > -(lambda_b + mu)/2`` and the near-transition window for
-    ``lambda_m < (lambda_b - 4 mu)/4`` — both hold in the middle band
-    (``B+``), only the former at large ``lambda_m`` (``A+``), only the
-    latter at strongly negative ``lambda_m`` (``C+``).  Attractive channel
-    (lambda_b < 0): the admissible band is
-    ``-2 mu <= lambda_m <= -mu T / (|lambda_b| + 2 T)``, split into ``B-``
-    below ``-(lambda_b + 4 mu)/4`` and ``A-`` above.  The upper bound is
-    evaluated as ``-(mu/2) / (1 + |lb|)`` in the reduced coupling
-    ``lb = beta*lambda_b/2``, which takes its limits ``-0.0`` at T = 0 and
-    ``-mu/2`` at T = inf with no special case, and its T = 0 limit wherever
-    ``lb`` overflows, as the roots do.  Every bound is scale-free and its
-    intermediates stay finite up to the largest double.  Comparisons are
-    plain IEEE inequalities, so exact boundary points deterministically
-    join the closed side.
-    """
-    lb, lm, mu = params.lambda_b, params.lambda_m, params.mu
-    if lb > 0.0:
-        if lb <= mu:
-            return RegionLabel.NONE
-        low_t_side = lm > -(lb / 2.0 + mu / 2.0)
-        near_tc_side = lm < lb / 4.0 - mu
-        if low_t_side and near_tc_side:
-            return RegionLabel.B_PLUS
-        if low_t_side:
-            return RegionLabel.A_PLUS
-        return RegionLabel.C_PLUS
-    if lb < 0.0:
-        upper = -0.5 * mu / (1.0 - lb * (0.5 * params.beta))
-        if not (-2.0 * mu <= lm <= upper):
-            return RegionLabel.NONE
-        if lm < -(lb / 4.0 + mu):
-            return RegionLabel.B_MINUS
-        return RegionLabel.A_MINUS
-    return RegionLabel.NONE
+    return SolveReport(params, tuple(solutions), notes=tuple(notes))
 
 
 def equilibrium_mu(lambda_b_bar: float) -> tuple[float, float]:

@@ -15,7 +15,7 @@ import pytest
 from forks import FORK, assert_no_child_left, counted_forks, usable_cpus
 from gapforge import cli, kernel_solver, phase_diagram
 from gapforge.cli import _apply_config, build_parser, main
-from gapforge.core_types import ModelParams, RegionLabel
+from gapforge.core_types import ModelParams
 from gapforge.phase_diagram import SCAN_COLUMNS, equilibrium_curve
 from gapforge.scalar_gap import solve_all
 
@@ -271,16 +271,22 @@ def test_scan_goes_through_the_module_attributes_the_benchmark_tracer_swaps(caps
     assert calls == ["scan", "write_scan_csv"]
 
     solve = phase_diagram.solve_all
-    monkeypatch.setattr(phase_diagram, "solve_all",
-                        lambda params: dataclasses.replace(solve(params), region=RegionLabel.NONE))
+
+    def planted_solve(params):
+        report = solve(params)
+        pure = dataclasses.replace(report.pure, w_bar=-1.0)
+        return dataclasses.replace(report, solutions=(pure, *report.solutions[1:]))
+
+    monkeypatch.setattr(phase_diagram, "solve_all", planted_solve)
     code, planted, _ = run_cli(capsys, *argv)
     assert code == 0
-    region = SCAN_COLUMNS.index("region")
+    region, planted_column = SCAN_COLUMNS.index("region"), SCAN_COLUMNS.index("w_bar_pure")
     honest_rows, planted_rows = (list(csv.reader(io.StringIO(text))) for text in (honest, planted))
     assert {row[region] for row in honest_rows[1:]} == {"A+"}
-    assert [row[region] for row in planted_rows[1:]] == ["none"] * 3
-    assert [row[:region] + row[region + 1:] for row in planted_rows] == \
-        [row[:region] + row[region + 1:] for row in honest_rows]
+    assert [row[planted_column] for row in planted_rows[1:]] == ["-1.0"] * 3
+    assert [row[planted_column] for row in honest_rows[1:]] != ["-1.0"] * 3
+    assert [row[:planted_column] + row[planted_column + 1:] for row in planted_rows] == \
+        [row[:planted_column] + row[planted_column + 1:] for row in honest_rows]
 
 
 def test_scan_runs_are_byte_identical_across_processes(tmp_path):

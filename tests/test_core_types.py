@@ -112,30 +112,25 @@ def test_tanh_half_odd_and_bounded(x, beta):
     assert tanh_half(-x, beta) == pytest.approx(-t, abs=1e-15)
 
 
-def _solution(delta_m, delta_b, w_bar, c, s, phase, mu):
+def _solution(delta_m, delta_b, w_bar, phase, mu):
     """A solution at chemical potential ``mu``, storing ``omega_eff = mu + delta_m``."""
-    phi = math.atan2(s, c)
-    return GapSolution(
-        delta_m=delta_m, delta_b=delta_b, w_bar=w_bar,
-        coeffs=BogoliubovCoefficients(c=c, s=s, phi=phi),
-        phase=phase, residual=0.0, omega_eff=mu + delta_m,
-    )
+    return GapSolution(delta_m=delta_m, delta_b=delta_b, w_bar=w_bar, phase=phase,
+                       residual=0.0, omega_eff=mu + delta_m)
 
 
 def test_solution_checks_happy_path():
     # omega_eff = 3, delta_b = 4, w_bar = 5: the 3-4-5 rotation
-    c = math.sqrt(0.8)
-    s = math.copysign(math.sqrt(0.2), 1.0)
     params = ModelParams(6.0, 1.0, 2.0, 0.5)
-    sol = _solution(1.0, 4.0, 5.0, c, s, PhaseLabel.MIXED_UPPER, 2.0)
+    sol = _solution(1.0, 4.0, 5.0, PhaseLabel.MIXED_UPPER, 2.0)
+    assert sol.coeffs == BogoliubovCoefficients(math.sqrt(0.8), math.sqrt(0.2),
+                                                0.5 * math.atan2(4.0, 3.0))
     checks = solution_checks(sol, params)
     assert all(checks.values()), checks
 
 
 def test_solution_checks_flags_broken_identity():
     params = ModelParams(6.0, 1.0, 2.0, 0.5)
-    sol = _solution(1.0, 4.0, 5.5, math.sqrt(0.8), math.sqrt(0.2),
-                    PhaseLabel.MIXED_UPPER, 2.0)
+    sol = _solution(1.0, 4.0, 5.5, PhaseLabel.MIXED_UPPER, 2.0)
     checks = solution_checks(sol, params)
     assert not checks["energy_identity"]
 
@@ -143,9 +138,8 @@ def test_solution_checks_flags_broken_identity():
 @pytest.mark.parametrize("c", [1e200, 1e300])
 def test_solution_checks_hold_where_the_squares_overflow(c):
     # the 3-4-5 rotation and a broken identity, scaled so that w_bar**2 overflows
-    c_, s_ = math.sqrt(0.8), math.sqrt(0.2)
-    good = _solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c)
-    broken = _solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c)
+    good = _solution(c, 4.0 * c, 5.0 * c, PhaseLabel.MIXED_UPPER, 2.0 * c)
+    broken = _solution(c, 4.0 * c, 5.5 * c, PhaseLabel.MIXED_UPPER, 2.0 * c)
     params = ModelParams(6.0 * c, 1.0 * c, 2.0 * c, 0.5 * c)
     checks = solution_checks(good, params)
     assert all(checks.values()), checks
@@ -176,9 +170,7 @@ def test_strict_ordering_excuses_only_a_gap_too_small_to_move_w_bar(k):
     # by 5e-11, so beside the same w_bar = mu it is a broken triple
     c = math.ldexp(1.0, k)
     params = ModelParams(1e20 * c, 0.0, c, c)
-    phi = 0.5 * math.atan2(2e-10, 1.0)
-    correct = _solution(0.0, 2e-10 * c, c, math.cos(phi), math.sin(phi),
-                        PhaseLabel.MIXED_LOWER, c)
+    correct = _solution(0.0, 2e-10 * c, c, PhaseLabel.MIXED_LOWER, c)
     checks = solution_checks(correct, params)
     assert checks["strictly_above_effective_energy"] and all(checks.values()), checks
     planted = dataclasses.replace(correct, delta_b=1e-5 * c)
@@ -190,10 +182,9 @@ def test_energy_identity_defect_is_relative_at_any_scale(c):
     # w_bar = 5.5c, mu + delta_m = 3c, delta_b = 4c breaks the identity by 21/121 of w_bar**2
     assert energy_identity_defect(5.5 * c, 3.0 * c, 4.0 * c) == pytest.approx(21 / 121, rel=1e-12)
     assert energy_identity_defect(5.0 * c, 3.0 * c, 4.0 * c) < 1e-15
-    c_, s_ = math.sqrt(0.8), math.sqrt(0.2)
     params = ModelParams(6.0 * c, 1.0 * c, 2.0 * c, 0.5 * c)
-    good = _solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c)
-    broken = _solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c)
+    good = _solution(c, 4.0 * c, 5.0 * c, PhaseLabel.MIXED_UPPER, 2.0 * c)
+    broken = _solution(c, 4.0 * c, 5.5 * c, PhaseLabel.MIXED_UPPER, 2.0 * c)
     assert solution_checks(good, params)["energy_identity"]
     assert not solution_checks(broken, params)["energy_identity"]
 
@@ -210,7 +201,7 @@ def test_energy_identity_defect_at_a_vanishing_quasienergy(w, eff, db, defect):
 
 def test_solution_checks_mean_field_sign():
     params = ModelParams(6.0, -1.0, 2.0, 0.5)
-    sol = _solution(0.5, 0.0, 2.5, 1.0, 0.0, PhaseLabel.PURE_MEAN_FIELD, 2.0)
+    sol = _solution(0.5, 0.0, 2.5, PhaseLabel.PURE_MEAN_FIELD, 2.0)
     checks = solution_checks(sol, params)
     assert not checks["mean_field_sign"]
 
@@ -286,7 +277,12 @@ def test_asdict_and_as_dict_agree():
     sol = report.mixed[0]
     expected = sol.as_dict()
     plain = dataclasses.asdict(sol)
-    assert plain["coeffs"] == expected["coeffs"]
+    # the stored fields, and the derived rotation and flag in their places
+    assert list(plain) == ["delta_m", "delta_b", "w_bar", "phase", "residual", "omega_eff"]
+    assert list(expected) == ["delta_m", "delta_b", "w_bar", "coeffs", "phase", "residual",
+                              "delta_b_sign_ambiguous", "omega_eff"]
+    assert expected["coeffs"] == dataclasses.asdict(sol.coeffs)
+    assert all(plain[k] == expected[k] for k in plain if k != "phase")
     assert plain["phase"] is sol.phase and expected["phase"] == sol.phase.value
     assert report.as_dict()["params"] == dataclasses.asdict(report.params)
 
@@ -460,8 +456,12 @@ def _solution_checks_before(sol, params):
             checks["fermi_surface_side"] = sol.w_bar < params.mu + band
         if sol.delta_b > 0.0:
             w = sol.w_bar
+            # the rounding of w_bar, omega_eff and delta_m may hide a gap of
+            # delta_b**2/(w_bar + omega_eff)
+            rounding = 4.0 * (math.ulp(omega_eff) + math.ulp(sol.delta_m))
+            gap = w - omega_eff + 12.0 * math.ulp(w) + rounding
             checks["strictly_above_effective_energy"] = w > omega_eff or (
-                0.0 < w == omega_eff and sol.delta_b < math.sqrt(2.0 * math.ulp(w) / w) * w)
+                w > 0.0 and gap > 0.0 and sol.delta_b < math.sqrt(2.0 * (gap / w)) * w)
     return checks
 
 
@@ -475,12 +475,11 @@ def _planted_solutions():
     """The right and the planted wrong solutions of the tests above, with their params."""
     from gapforge.scalar_gap import solve_all
 
-    c_, s_ = math.sqrt(0.8), math.sqrt(0.2)
     cases = []
     for c in (1.0, 1e-100, 1e-200, 1e-300, 1e150, 1e200, 1e300):
         params = ModelParams(6.0 * c, 1.0 * c, 2.0 * c, 0.5 * c)
-        cases += [(_solution(c, 4.0 * c, 5.0 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c), params),
-                  (_solution(c, 4.0 * c, 5.5 * c, c_, s_, PhaseLabel.MIXED_UPPER, 2.0 * c), params)]
+        cases += [(_solution(c, 4.0 * c, 5.0 * c, PhaseLabel.MIXED_UPPER, 2.0 * c), params),
+                  (_solution(c, 4.0 * c, 5.5 * c, PhaseLabel.MIXED_UPPER, 2.0 * c), params)]
     for c in (1.0, 1e-20):
         params = ModelParams(4.0 * c, 0.3 * c, 1.0 * c, 0.3 * c)
         upper = solve_all(params).mixed[-1]
@@ -490,11 +489,9 @@ def _planted_solutions():
     for k in (0, 900, -900):
         c = math.ldexp(1.0, k)
         params = ModelParams(1e20 * c, 0.0, c, c)
-        phi = 0.5 * math.atan2(2e-10, 1.0)
-        correct = _solution(0.0, 2e-10 * c, c, math.cos(phi), math.sin(phi),
-                            PhaseLabel.MIXED_LOWER, c)
+        correct = _solution(0.0, 2e-10 * c, c, PhaseLabel.MIXED_LOWER, c)
         cases += [(correct, params), (dataclasses.replace(correct, delta_b=1e-5 * c), params)]
-    cases.append((_solution(0.5, 0.0, 2.5, 1.0, 0.0, PhaseLabel.PURE_MEAN_FIELD, 2.0),
+    cases.append((_solution(0.5, 0.0, 2.5, PhaseLabel.PURE_MEAN_FIELD, 2.0),
                   ModelParams(6.0, -1.0, 2.0, 0.5)))
     return cases
 
@@ -534,10 +531,14 @@ def test_solution_checks_match_the_field_by_field_form_on_the_benchmark_mix():
 
 
 def _at_bound(quantity, k):
-    """The 3-4-5 upper solution with ``quantity`` moved ``k`` allowances past its bound."""
-    c, s = math.sqrt(0.8), math.sqrt(0.2)
+    """The 3-4-5 upper solution with ``quantity`` moved ``k`` allowances past its bound.
+
+    Also returns the rotation: ``None`` where it is the derived one, and for
+    ``c`` and the coefficient ``norm`` the coefficients to plant in its place.
+    """
     dm, db, w, lb, mu = 1.0, 4.0, 5.0, 6.0, 2.0
     step = 1.0 + k * RESIDUAL_BOUND
+    rotation = None
     if quantity == "delta_b":
         db = w * step
     elif quantity == "w_bar":
@@ -548,29 +549,44 @@ def _at_bound(quantity, k):
         mu, lb = w * step, -lb if k < 0 else lb
     elif quantity == "c":
         c = math.sqrt(0.5) - abs(k) * 1e-12
-        s = math.sqrt(1.0 - c * c)
+        rotation = BogoliubovCoefficients(c, math.sqrt(1.0 - c * c), math.acos(c))
     else:  # the coefficient norm
-        c *= 1.0 + k * 1e-12
-    return _solution(dm, db, w, c, s, PhaseLabel.MIXED_UPPER, mu), ModelParams(lb, 1.0, mu, 0.5)
+        c, s = math.sqrt(0.8) * (1.0 + k * 1e-12), math.sqrt(0.2)
+        rotation = BogoliubovCoefficients(c, s, math.atan2(s, c))
+    sol = _solution(dm, db, w, PhaseLabel.MIXED_UPPER, mu)
+    return sol, ModelParams(lb, 1.0, mu, 0.5), rotation
 
 
 @pytest.mark.parametrize("k", [-2.5, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.5, 5.0, 20.0])
 @pytest.mark.parametrize("quantity", ["delta_b", "w_bar", "delta_m", "mu", "c", "norm"])
 def test_solution_checks_match_the_field_by_field_form_at_each_bound(quantity, k):
-    _assert_checks_as_before(*_at_bound(quantity, k))
+    sol, params, rotation = _at_bound(quantity, k)
+    if rotation is None:
+        _assert_checks_as_before(sol, params)
+        return
+    # a solution derives its rotation through the module's bogoliubov_from_gaps
+    from gapforge import core_types
+
+    with mock.patch.object(core_types, "bogoliubov_from_gaps", return_value=rotation):
+        assert sol.coeffs is rotation
+        _assert_checks_as_before(sol, params)
+        check = solution_checks(sol, params)["mixing_angle_bound" if quantity == "c"
+                                             else "coefficient_norm"]
+    if abs(k) != 1.0:  # one allowance past the bound is a tie to rounding
+        assert check is (abs(k) < 1.0)
 
 
 _any_float = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300])
 
 
-@given(values=st.tuples(*[_any_float] * 6), phase=st.sampled_from(PhaseLabel),
+@given(values=st.tuples(*[_any_float] * 3), phase=st.sampled_from(PhaseLabel),
        lb=_any_float, lm=_any_float, mu=st.floats(min_value=0.0, allow_infinity=False),
        temperature=st.floats(min_value=0.0))
 def test_solution_checks_match_the_field_by_field_form_on_any_solution(
         values, phase, lb, lm, mu, temperature):
     assume(math.isfinite(lb) and math.isfinite(lm))
-    dm, db, w, c, s, phi = values
-    sol = GapSolution(dm, db, w, BogoliubovCoefficients(c, s, phi), phase, 0.0, mu + dm)
+    dm, db, w = values
+    sol = GapSolution(dm, db, w, phase, 0.0, mu + dm)
     _assert_checks_as_before(sol, ModelParams(lb, lm, mu, temperature))
 
 

@@ -358,6 +358,8 @@ def test_moved_names_keep_their_old_import_paths():
     from gapforge import core_types, phase_diagram, thermal
 
     assert phase_diagram.classify_region is scalar_gap.classify_region
+    assert gapforge.classify_region is scalar_gap.classify_region is core_types.classify_region
+    assert core_types.classify_region.__module__ == "gapforge.core_types"
     assert phase_diagram.RegionLabel is core_types.RegionLabel
     assert thermal.bogoliubov_from_gaps is core_types.bogoliubov_from_gaps
 
@@ -369,6 +371,58 @@ def test_scalar_gap_imports_neither_thermal_nor_phase_diagram():
     tree = ast.parse(pathlib.Path(scalar_gap.__file__).read_text(encoding="utf-8"))
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not modules & {"thermal", "phase_diagram"}
+
+
+def test_a_solution_stores_only_what_the_solver_finds():
+    from gapforge.core_types import GapSolution, SolveReport
+
+    assert [f.name for f in dataclasses.fields(GapSolution)] == [
+        "delta_m", "delta_b", "w_bar", "phase", "residual", "omega_eff"]
+    assert [f.name for f in dataclasses.fields(SolveReport)] == ["params", "solutions", "notes"]
+    # the rotation is derived on read, so the lift builds none
+    assert not hasattr(scalar_gap, "bogoliubov_from_gaps")
+    assert not hasattr(scalar_gap, "BogoliubovCoefficients")
+
+
+def _bits(coeffs):
+    return [struct.pack("<d", v) for v in (coeffs.c, coeffs.s, coeffs.phi)]
+
+
+_SOLUTION_KEYS = ["delta_m", "delta_b", "w_bar", "coeffs", "phase", "residual",
+                  "delta_b_sign_ambiguous", "omega_eff"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lb=st.floats(-20.0, 20.0), lm=st.floats(-3.0, 3.0), mu=st.floats(0.0, 5.0),
+       T=st.one_of(st.just(0.0), st.floats(1e-3, 5.0), st.just(math.inf)))
+@example(lb=4.0, lm=0.0, mu=1.0, T=0.5)  # two mixed branches
+@example(lb=-2.0, lm=-1.5, mu=1.0, T=0.0)  # the attractive root at T = 0
+def test_the_rotation_and_the_region_are_derived_from_the_stored_fields(lb, lm, mu, T):
+    from gapforge.core_types import _UNROTATED, bogoliubov_from_gaps, classify_region
+
+    params = ModelParams(lb, lm, mu, T)
+    report = solve_all(params)
+    assert report.region is classify_region(params)
+    assert report.as_dict()["region"] == classify_region(params).value
+    for sol in report.solutions:
+        if sol.phase is PhaseLabel.PURE_MEAN_FIELD:
+            assert sol.coeffs is _UNROTATED
+        else:
+            assert _bits(sol.coeffs) == _bits(bogoliubov_from_gaps(sol.omega_eff, sol.delta_b))
+        assert list(sol.as_dict()) == _SOLUTION_KEYS
+        assert sol.as_dict()["coeffs"] == dataclasses.asdict(sol.coeffs)
+
+
+def test_a_hand_built_solution_with_no_energy_is_unrotated():
+    # bogoliubov_from_gaps(0, 0) raises; a solution with omega_eff = delta_b = 0 is
+    # not rotated, and solution_checks reads it without raising
+    from gapforge.core_types import _UNROTATED, GapSolution
+
+    params = ModelParams(4.0, -1.0, 1.0, 0.5)
+    for phase in PhaseLabel:
+        sol = GapSolution(-1.0, 0.0, 0.0, phase, 0.0, -0.0)
+        assert sol.coeffs is _UNROTATED
+        assert solution_checks(sol, params)["rotation_consistency"]
 
 
 def test_solve_all_tangent_label():
@@ -1205,6 +1259,72 @@ def test_an_underflowed_offset_keeps_its_gap():
     assert sol.delta_b == pytest.approx(float(lower["db2"].sqrt()), rel=1e-15, abs=0.0)
     assert sol.w_bar == sol.omega_eff == 1e-100
     assert all(solution_checks(sol, report.params).values())
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_a_cancelling_denominator_beside_an_overflowing_sum_is_singular(temperature):
+    # lambda_b - mu and mu + lambda_m overflow, so the sums are halved; their
+    # denominator lambda_b + lambda_m is still 0, and the root is dropped with a note
+    params = ModelParams(-1e308, 1e308, 1e308, temperature)
+    for closed_form in (effective_energy, lambda p: mean_field_gap_given_w(1e308, p)):
+        with pytest.raises(SingularDenominator):
+            closed_form(params)
+    report = solve_all(params)
+    assert report.mixed == ()
+    assert all("lambda_b + lambda_m = 0" in note for note in report.notes)
+    assert len(report.notes) == (temperature > 0.0)
+
+
+def test_a_w_bar_rounded_below_omega_eff_passes_the_strict_ordering():
+    # w_bar = lambda_b*tanh(u) and omega_eff are rounded apart: the stored w_bar
+    # is an ulp below omega_eff = 1, while in 60 digits w_bar = 1 - 2.3e-29 lies
+    # above omega_eff = 1 - 1.9e-19, and delta_b = 6.16e-10 is real
+    point = (-7.798029606245264e+29, -1.8998328376370532e-19, 1.0, 8.847008308622115)
+    (branch,) = decimal_branches(*point)
+    assert branch["below"] > 0 and branch["above"] > 0 and 0 <= branch["ratio"] <= 2
+    report = solve_all(ModelParams(*point))
+    (sol,) = report.mixed
+    assert sol.phase is PhaseLabel.MIXED_LOWER
+    assert sol.w_bar == 1.0 - 2.0 ** -53 and sol.omega_eff == 1.0
+    assert sol.delta_b == pytest.approx(float(branch["db2"].sqrt()), rel=1e-9, abs=0.0)
+    assert all(solution_checks(sol, report.params).values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(lb_exponent=st.floats(-3.0, 30.0), sign=st.sampled_from([-1.0, 1.0]),
+       lm_exponent=st.floats(-20.0, math.log10(3.0)), lm_sign=st.sampled_from([-1.0, 1.0]),
+       t_exponent=st.floats(-3.0, 3.0))
+@example(lb_exponent=math.log10(7.798029606245264e+29), sign=-1.0,
+         lm_exponent=math.log10(1.8998328376370532e-19), lm_sign=-1.0,
+         t_exponent=math.log10(8.847008308622115))
+def test_the_branches_at_a_small_mean_field_shift_pass_their_checks(
+        lb_exponent, sign, lm_exponent, lm_sign, t_exponent):
+    """mu = 1, |lambda_b| from 1e-3 to 1e30, |lambda_m| from 1e-20 to 3, T from 1e-3 to 1e3.
+
+    A small shift puts omega_eff next to a root near mu, where w_bar and
+    omega_eff, each rounded, may be in either order.
+    """
+    lb, lm, temp = sign * 10.0 ** lb_exponent, lm_sign * 10.0 ** lm_exponent, 10.0 ** t_exponent
+    assume(lb + lm != 0.0)  # the mean-field condition degenerates
+    report = solve_all(ModelParams(lb, lm, 1.0, temp))
+    for sol in report.solutions:
+        checks = solution_checks(sol, report.params)
+        assert all(checks.values()), (sol, checks)
+    lb_bar, mb = lb / (2.0 * temp), 1.0 / (2.0 * temp)
+    if lb > 0.0 and (lb_bar <= 1.0 or abs(mb - tangency_point(lb_bar)[0]) <= 1e-3 * mb):
+        event("no root, or next to the tangency curve")
+        return
+    branches = decimal_branches(lb, lm, 1.0, temp)
+    if not all(map(_outside_rounding_zone, branches)):
+        event("within the rounding zone of a sign change")
+        return
+    want = [b for b in branches if 0 <= b["ratio"] <= 2 and b["below"] >= 0 and b["above"] >= 0]
+    phases = {"lower": PhaseLabel.MIXED_LOWER, "upper": PhaseLabel.MIXED_UPPER}
+    assert [s.phase for s in report.mixed] == [phases[b["label"]] for b in want], report.notes
+    for sol, b in zip(report.mixed, want):
+        event("w_bar <= omega_eff" if sol.w_bar <= sol.omega_eff else "w_bar > omega_eff")
+        assert sol.w_bar == pytest.approx(float(b["w_bar"]), rel=1e-14, abs=0.0)
+        assert sol.delta_b == pytest.approx(float(b["db2"].sqrt()), rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("point", [(-1e-10, -1.0, 0.5, 0.0), (-1.87e-221, -1.0, 0.375, 0.0),

@@ -12,7 +12,6 @@ from gapforge.core_types import (
     GapSolution,
     ModelParams,
     PhaseLabel,
-    RegionLabel,
     SolveReport,
 )
 
@@ -22,17 +21,20 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _params = st.builds(ModelParams, _finite, _finite, _finite.map(abs),
                     st.floats(min_value=0.0) | st.sampled_from([-0.0, 5e-324]))
 _coeffs = st.builds(BogoliubovCoefficients, _floats, _floats, _floats)
-_solutions = st.builds(GapSolution, _floats, _floats, _floats, _coeffs,
-                       st.sampled_from(PhaseLabel), _floats, _floats)
-_reports = (st.builds(SolveReport, _params, st.lists(_solutions, max_size=3).map(tuple),
-                      st.sampled_from(RegionLabel))
+_solutions = st.builds(GapSolution, _floats, _floats, _floats, st.sampled_from(PhaseLabel),
+                       _floats, _floats)
+_reports = (st.builds(SolveReport, _params, st.lists(_solutions, max_size=3).map(tuple))
             | st.builds(SolveReport, _params, st.lists(_solutions, max_size=3).map(tuple),
-                        st.sampled_from(RegionLabel), st.lists(st.text(), max_size=2).map(tuple)))
+                        notes=st.lists(st.text(), max_size=2).map(tuple)))
 
 
 @pytest.mark.parametrize("cls", value_parity.VALUE_TYPES, ids=lambda cls: cls.__name__)
 def test_the_signature_names_the_fields_with_their_defaults(cls):
     value_parity.check_signature(cls)
+
+
+def test_notes_are_keyword_only():
+    value_parity.check_notes_are_keyword_only()
 
 
 @given(value=st.one_of(_params, _coeffs, _solutions, _reports))

@@ -3,7 +3,8 @@
 ``ModelParams``, ``BogoliubovCoefficients``, ``GapSolution`` and
 ``SolveReport`` are frozen, slotted dataclasses with hand-written
 ``__init__`` methods.  The checks here hold each one to what the decorator
-gives a class with the same fields: construction by position and by keyword,
+gives a class with the same fields: construction by position and by keyword
+(``SolveReport.notes`` by keyword only),
 ``dataclasses.replace``, ``copy.replace`` where it exists, pickling and
 copying, equality, hashing, ``repr``, the signature, no ``__dict__``, and
 ``FrozenInstanceError`` on assignment and deletion.  Every float is compared
@@ -68,7 +69,7 @@ def _has_nan(value) -> bool:
 def _reference(cls, **namespace):
     """The class the decorator builds, with its own ``__init__``, from ``cls``'s fields."""
     specs = [(f.name, f.type) if f.default is dataclasses.MISSING
-             else (f.name, f.type, dataclasses.field(default=f.default))
+             else (f.name, f.type, dataclasses.field(default=f.default, kw_only=f.kw_only))
              for f in dataclasses.fields(cls)]
     return dataclasses.make_dataclass(f"Reference{cls.__name__}", specs, namespace=namespace,
                                       frozen=True, slots=True)
@@ -114,13 +115,14 @@ def _refuses(action) -> bool:
 
 
 def check_signature(cls) -> None:
-    """``inspect.signature(cls)`` names the fields, in order, with their defaults."""
+    """``inspect.signature(cls)`` names the fields, in order, with their kinds and defaults."""
     params = list(inspect.signature(cls).parameters.values())
     fields = dataclasses.fields(cls)
     assert [p.name for p in params] == [f.name for f in fields], cls
     reference = list(inspect.signature(REFERENCES[cls]).parameters.values())
     for param, field, ref in zip(params, fields, reference):
-        assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, (cls, param)
+        kind = inspect.Parameter.KEYWORD_ONLY if field.kw_only else inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert param.kind is kind is ref.kind, (cls, param)
         default = inspect.Parameter.empty if field.default is dataclasses.MISSING else field.default
         assert param.default == default == ref.default, (cls, param)
 
@@ -129,10 +131,11 @@ def check_value(value) -> None:
     """Every way of rebuilding ``value`` gives the same bits; assignment and deletion fail."""
     cls = type(value)
     fields = dataclasses.fields(cls)
-    args = [getattr(value, f.name) for f in fields]
-    kwargs = dict(zip((f.name for f in fields), args))
+    kwargs = {f.name: getattr(value, f.name) for f in fields}
+    args = [kwargs[f.name] for f in fields if not f.kw_only]
+    keywords = {f.name: kwargs[f.name] for f in fields if f.kw_only}
     expected = bits(value)
-    copies = [cls(*args), cls(**kwargs), pickle.loads(pickle.dumps(value)),
+    copies = [cls(*args, **keywords), cls(**kwargs), pickle.loads(pickle.dumps(value)),
               copy.deepcopy(value), copy.copy(value), dataclasses.replace(value)]
     copies += [dataclasses.replace(value, **{name: arg}) for name, arg in kwargs.items()]
     if hasattr(copy, "replace"):  # Python 3.13
@@ -143,7 +146,7 @@ def check_value(value) -> None:
         assert repr(other) == repr(value)
         if comparable:
             assert other == value and hash(other) == hash(value), (value, other)
-    assert _outcome(lambda: REFERENCES[cls](*args)) == ("value", expected[1]), value
+    assert _outcome(lambda: REFERENCES[cls](*args, **keywords)) == ("value", expected[1]), value
     for name in kwargs:
         assert _refuses(lambda: setattr(value, name, kwargs[name])), (value, name)
         assert _refuses(lambda: delattr(value, name)), (value, name)
@@ -226,16 +229,26 @@ def _coeffs(rng: random.Random) -> BogoliubovCoefficients:
 
 
 def _solution(rng: random.Random) -> GapSolution:
-    return GapSolution(_float(rng), _float(rng), _float(rng), _coeffs(rng),
-                       rng.choice(list(PhaseLabel)), _float(rng), _float(rng))
+    return GapSolution(_float(rng), _float(rng), _float(rng), rng.choice(list(PhaseLabel)),
+                       _float(rng), _float(rng))
 
 
 def _report(rng: random.Random) -> SolveReport:
     solutions = tuple(_solution(rng) for _ in range(rng.randrange(4)))
-    region = rng.choice(list(RegionLabel))
     if rng.random() < 0.5:
-        return SolveReport(_params(rng), solutions, region)
-    return SolveReport(_params(rng), solutions, region, tuple(repr(_float(rng)) for _ in range(2)))
+        return SolveReport(_params(rng), solutions)
+    return SolveReport(_params(rng), solutions, notes=tuple(repr(_float(rng)) for _ in range(2)))
+
+
+def check_notes_are_keyword_only() -> None:
+    """A label passed where ``region`` once stood is refused, not stored as ``notes``."""
+    params = ModelParams(4.0, 0.0, 1.0, 0.5)
+    for build in (SolveReport, REFERENCES[SolveReport]):
+        try:
+            build(params, (), RegionLabel.B_PLUS)
+        except TypeError:
+            continue
+        raise AssertionError(f"{build.__name__} took notes by position")
 
 
 def main(draws: int = 400, seed: int = 36) -> int:
@@ -244,6 +257,7 @@ def main(draws: int = 400, seed: int = 36) -> int:
     rng = random.Random(seed)
     for cls in VALUE_TYPES:
         check_signature(cls)
+    check_notes_are_keyword_only()
     values = [solve_all(ModelParams(4.0, 0.0, 1.0, 0.5)),
               solve_all(ModelParams(4.0, 0.3, 1.0, 0.0))]
     for _ in range(draws):
